@@ -1,15 +1,17 @@
 """SoA delivery microbenchmark: one sender, thousands of receivers.
 
-The purest measurement of the vectorized struct-of-arrays hot path:
-a single channel packed with static receivers, one sender transmitting
-repeatedly, timed once with ``vectorized=True`` (the numpy range gate +
-cached delivery lists) and once with ``vectorized=False`` (the scalar
-per-receiver loop).  The first transmission pays the cold SoA build and
-budget resolution; the rest exercise the warm delivery-cache path — the
-shape every wardrive beacon takes.
+The purest measurement of the struct-of-arrays hot path: a single
+channel packed with static receivers, one sender transmitting
+repeatedly.  The production :class:`~repro.sim.medium.Medium` (numpy
+range gate + cached delivery lists) is timed by its engine, which is
+the gated number; the same world then runs on the cache-free
+per-receiver reference medium (``tests/reference_medium.py``).  The
+first transmission pays the cold SoA build and budget resolution; the
+rest exercise the warm delivery-cache path — the shape every wardrive
+beacon takes.
 
-Outputs both walls and their ratio, so the speedup itself is tracked in
-the perf trajectory (a regression in either path moves a number).
+``reference_over_production`` is the measured case for the machinery:
+how many times slower the simple path is on this workload.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
 from repro.telemetry import MetricsRegistry
+from tests.reference_medium import ReferenceMedium
 
 N_RECEIVERS = 5000
 FRAME_DURATION_S = 3e-4
@@ -57,10 +60,10 @@ class _SinkRadio:
         self.received += 1
 
 
-def _run_one(n_receivers: int, transmissions: int, vectorized: bool):
+def _run_one(n_receivers: int, transmissions: int, medium_cls, metrics=None):
     """Build the world, fire ``transmissions`` broadcasts, time the run."""
-    engine = Engine()
-    medium = Medium(engine, vectorized=vectorized)
+    engine = Engine(metrics=metrics)
+    medium = medium_cls(engine)
     sender = _SinkRadio("tx", Position(300.0, 210.0, 3.0))
     medium.attach(sender)
     receivers = []
@@ -91,25 +94,21 @@ def bench_medium_soa(quick: bool) -> BenchOutcome:
     n_receivers = N_RECEIVERS if quick else 4 * N_RECEIVERS
     transmissions = 50 if quick else 200
     metrics = MetricsRegistry()
-    setup_start = time.perf_counter()
-    setup_s = time.perf_counter() - setup_start
-
-    vec_wall, vec_rx = _run_one(n_receivers, transmissions, vectorized=True)
-    sca_wall, sca_rx = _run_one(n_receivers, transmissions, vectorized=False)
-    if vec_rx != sca_rx:
+    prod_wall, prod_rx = _run_one(n_receivers, transmissions, Medium, metrics)
+    ref_wall, ref_rx = _run_one(n_receivers, transmissions, ReferenceMedium)
+    if prod_rx != ref_rx:
         raise AssertionError(
-            f"delivery mismatch: vectorized {vec_rx} vs scalar {sca_rx}"
+            f"delivery mismatch: production {prod_rx} vs reference {ref_rx}"
         )
 
     return BenchOutcome(
         outputs={
             "receivers": n_receivers,
             "transmissions": transmissions,
-            "receptions": vec_rx,
-            "vectorized_s": vec_wall,
-            "scalar_s": sca_wall,
-            "speedup": (sca_wall / vec_wall) if vec_wall else 0.0,
+            "receptions": prod_rx,
+            "production_s": prod_wall,
+            "reference_s": ref_wall,
+            "reference_over_production": (ref_wall / prod_wall) if prod_wall else 0.0,
         },
         metrics=metrics,
-        setup_s=setup_s,
     )

@@ -8,11 +8,13 @@ channel, a dense field of parked stations each running a real
 unicast traffic mix so all three hot lanes (group-addressed, not-for-me,
 unicast-for-me plus the ACK reply) are exercised.
 
-The same workload runs twice in one record: once on the batched
-reception path (``batched_reception=True``, the default) and once on the
-scalar escape hatch (``batched_reception=False``).  Both timings land in
-the outputs so the batched-vs-scalar ratio is tracked release over
-release; the gating ``engine_wall_s`` comes from the batched run.
+The same workload runs twice in one record: once on the production
+medium (span scheduling + lanes) and once on the cache-free per-receiver
+reference medium (``tests/reference_medium.py``), which builds a full
+``Reception`` for every arrival.  Both timings land in the outputs, so
+``reference_over_production`` — what the batched machinery buys over
+the simple path — is tracked release over release; the gating
+``engine_wall_s`` comes from the production run.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
 from repro.telemetry import MetricsRegistry
+from tests.reference_medium import ReferenceMedium
 
 CHANNEL = 6
 SEND_INTERVAL_S = 1e-3
@@ -49,13 +52,13 @@ def _receiver_mac(index: int) -> MacAddress:
 def _run_mode(
     n_receivers: int,
     sim_duration: float,
-    batched_reception: bool,
+    medium_cls,
     metrics: MetricsRegistry,
 ) -> dict:
-    """Build the field fresh and run one reception mode to completion."""
+    """Build the field fresh and run it to completion on ``medium_cls``."""
     setup_start = time.perf_counter()
     engine = Engine(metrics=metrics)
-    medium = Medium(engine, batched_reception=batched_reception)
+    medium = medium_cls(engine)
 
     sender = Radio("sender", medium, Position(0.0, 0.0, 10.0), channel=CHANNEL)
     AckEngine(sender, SENDER_MAC)
@@ -107,35 +110,33 @@ def bench_reception_path(quick: bool) -> BenchOutcome:
     sim_duration = 0.2 if quick else 0.3
 
     metrics = MetricsRegistry()
-    batched = _run_mode(n_receivers, sim_duration, True, metrics)
-    # The scalar pass gets a throwaway registry so the gating
-    # engine_wall_s reflects only the batched (default) path.
-    scalar = _run_mode(n_receivers, sim_duration, False, MetricsRegistry())
+    production = _run_mode(n_receivers, sim_duration, Medium, metrics)
+    # The reference pass gets a throwaway registry so the gating
+    # engine_wall_s reflects only the production medium.
+    reference = _run_mode(n_receivers, sim_duration, ReferenceMedium, MetricsRegistry())
 
+    # Event counts differ by design (two batch entries per transmission
+    # against one event per arrival instant); the work must not.
     counters_match = all(
-        batched[key] == scalar[key]
-        for key in (
-            "transmissions",
-            "receptions",
-            "frames_seen",
-            "acks_sent",
-            "events_executed",
-        )
+        production[key] == reference[key]
+        for key in ("transmissions", "receptions", "frames_seen", "acks_sent")
     )
     return BenchOutcome(
         outputs={
             "receivers": n_receivers,
             "sim_s": sim_duration,
-            "transmissions": batched["transmissions"],
-            "receptions": batched["receptions"],
-            "frames_seen": batched["frames_seen"],
-            "acks_sent": batched["acks_sent"],
-            "events_executed": batched["events_executed"],
-            "batched_run_s": batched["run_s"],
-            "scalar_run_s": scalar["run_s"],
-            "scalar_over_batched": scalar["run_s"] / max(batched["run_s"], 1e-9),
+            "transmissions": production["transmissions"],
+            "receptions": production["receptions"],
+            "frames_seen": production["frames_seen"],
+            "acks_sent": production["acks_sent"],
+            "events_executed": production["events_executed"],
+            "production_run_s": production["run_s"],
+            "reference_run_s": reference["run_s"],
+            "reference_over_production": (
+                reference["run_s"] / max(production["run_s"], 1e-9)
+            ),
             "counters_match": int(counters_match),
         },
         metrics=metrics,
-        setup_s=batched["setup_s"] + scalar["setup_s"],
+        setup_s=production["setup_s"] + reference["setup_s"],
     )

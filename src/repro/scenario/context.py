@@ -231,7 +231,6 @@ class SimContext:
                 csi_model=self.csi_model,
                 trace=self.trace,
                 rng=medium_rng,
-                vectorized=spec.vectorized_medium,
             )
         return self._medium
 

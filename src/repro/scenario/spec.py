@@ -108,11 +108,6 @@ class ScenarioSpec:
     path_loss: Optional[Dict[str, object]] = None
     #: Frame-error model name (``"snr"``) or ``None`` for lossless.
     fer: Optional[str] = None
-    #: Struct-of-arrays delivery evaluation in the medium (see
-    #: ``repro.sim.medium``).  ``False`` selects the per-receiver scalar
-    #: path; both produce byte-identical seeded traces, so this is a
-    #: performance toggle, not a semantic one.
-    vectorized_medium: bool = True
     #: Declarative device placements, materialized by
     #: :meth:`SimContext.place_devices`.
     placements: List[PlacementSpec] = field(default_factory=list)

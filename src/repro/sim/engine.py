@@ -96,147 +96,59 @@ class Event:
 
 
 class EventBatch:
-    """One heap entry streaming many timestamped payloads to one handler.
+    """One heap entry streaming many timestamped items to one slice handler.
 
-    Holds parallel lists of ``offsets`` (seconds after ``base``, sorted
-    ascending) and ``payloads``.  Item ``i`` fires at
-    ``base + offsets[i] + shift`` — left-associated on purpose, so a
-    batch with ``shift=duration`` produces bit-identical floats to the
-    per-payload expression ``(base + offset) + duration``.
+    Holds a sorted list of ``offsets`` (seconds after ``base``).  Item
+    ``i`` fires at ``base + offsets[i] + shift`` — left-associated on
+    purpose, so a batch with ``shift=duration`` produces bit-identical
+    floats to the per-item expression ``(base + offset) + duration``.
 
-    The batch occupies a single heap slot: when it fires it processes
-    every payload due at the current instant, then **drains inline** —
-    while the next payload is due strictly before the heap head (and
-    within the active run limit), the batch advances the clock itself and
-    keeps processing, exactly as the run loop would after popping a
-    re-posted entry.  Only when another event interleaves (or the run
-    limit / a stop request intervenes) does the batch re-post itself at
-    the next pending time.  Payloads sharing a fire time run in list
-    order, as if pushed individually with consecutive sequence numbers.
+    The batch occupies a single heap slot.  When it fires, the handler is
+    called with the batch itself and consumes a contiguous slice of due
+    items starting at ``batch.index``, returning the index of the first
+    unprocessed item.  A handler must process at least one item, advance
+    ``clock._now`` to each later item's fire time, and stop before the
+    first later item whose fire time exceeds the run limit, lands at or
+    after the heap head, or follows a stop request.  Items sharing the
+    fire time of the last processed item always run, in list order.  The
+    engine then re-posts the batch at :meth:`next_time` if items remain.
+    A re-posted batch draws a fresh sequence number, so it loses
+    exact-time ties to anything already queued — exactly as if each item
+    were posted individually once the previous instant's items had run.
+
     The medium uses two of these per transmission (arrival starts and
     arrival ends): per-receiver propagation delays differ by nanoseconds
     while unrelated events are microseconds apart, so a transmission with
-    hundreds of receivers usually costs two heap round-trips total.
+    hundreds of receivers usually costs two heap round-trips total, and
+    the handler runs its slice without a Python call per item.
 
     Batches are fire-and-forget like :meth:`Engine.post` callbacks: no
     cancellation, and :meth:`Engine._compact` leaves them in the heap.
-
-    ``payloads=None`` selects *index mode*: the handler receives the
-    payload's position ``i`` itself.  Handlers whose state is already a
-    parallel array (the medium's arrival spans) use this to skip a
-    per-payload sequence lookup on the hottest loop in the simulator.
-
-    ``slices=True`` selects *slice mode* (implies index mode): instead of
-    one handler call per item, the handler is invoked **once per drain
-    window** with the batch object itself and must consume a contiguous
-    slice of due items, returning the index of the first unprocessed
-    item.  The handler takes over the engine's inner loop for the slice:
-    starting from ``batch.index`` it must process at least one item,
-    advance ``clock._now`` to each later item's fire time exactly as the
-    index-mode loop would (``base + offsets[i] + shift``, left-
-    associated), and stop at the first item whose fire time exceeds the
-    run limit, lands at/after the heap head, or follows a stop request —
-    the same yield conditions as the inline drain above.  The engine then
-    re-posts the batch at ``next_time()`` if items remain.  This exists
-    for the medium's batched reception path: handing the arrival span a
-    whole slice of same-deadline arrivals removes a Python call per
-    arrival from the hottest loop in the simulator.
     """
 
-    __slots__ = (
-        "engine",
-        "handler",
-        "base",
-        "shift",
-        "offsets",
-        "payloads",
-        "index",
-        "slices",
-    )
+    __slots__ = ("engine", "handler", "base", "shift", "offsets", "index")
 
-    def __init__(
-        self, engine, handler, base, shift, offsets, payloads, slices=False
-    ) -> None:
+    def __init__(self, engine, handler, base, shift, offsets) -> None:
         self.engine = engine
         self.handler = handler
         self.base = base
         self.shift = shift
         self.offsets = offsets
-        self.payloads = payloads
         self.index = 0
-        self.slices = slices
 
     def next_time(self) -> float:
-        """Fire time of the next pending payload."""
+        """Fire time of the next pending item."""
         return self.base + self.offsets[self.index] + self.shift
 
     def __call__(self) -> None:
+        i = self.index = self.handler(self)
+        if i >= len(self.offsets):
+            return
         engine = self.engine
         heap = engine._heap
-        clock = engine.clock
-        limit = engine._run_limit
-        offsets = self.offsets
-        payloads = self.payloads
-        handler = self.handler
-        base = self.base
-        shift = self.shift
-        i = self.index
-        n = len(offsets)
-        if self.slices:
-            i = handler(self)
-            self.index = i
-            if i >= n:
-                return
-            t = base + offsets[i] + shift
-            sequence = engine._scheduled
-            engine._scheduled = sequence + 1
-            heappush(heap, (t, sequence, self))
-            if len(heap) > engine._heap_peak:
-                engine._heap_peak = len(heap)
-            return
-        # The drain loop is duplicated for the two payload modes so the
-        # per-payload cost carries no mode branch and no sequence lookup.
-        if payloads is None:
-            while True:
-                handler(i)
-                i += 1
-                if i == n:
-                    self.index = i
-                    return
-                t = base + offsets[i] + shift
-                if t > clock._now:
-                    if (
-                        t > limit
-                        or engine._stopped
-                        or (heap and t >= heap[0][0])
-                    ):
-                        break
-                    clock._now = t
-        else:
-            while True:
-                handler(payloads[i])
-                i += 1
-                if i == n:
-                    self.index = i
-                    return
-                t = base + offsets[i] + shift
-                if t > clock._now:
-                    # A handler may have scheduled new events, so the heap
-                    # head is re-read every iteration.  ``t >= head`` (not
-                    # ``>``) mirrors re-posting: a re-posted batch draws a
-                    # fresh sequence number and loses exact-time ties to
-                    # anything already queued.
-                    if (
-                        t > limit
-                        or engine._stopped
-                        or (heap and t >= heap[0][0])
-                    ):
-                        break
-                    clock._now = t
-        self.index = i
         sequence = engine._scheduled
         engine._scheduled = sequence + 1
-        heappush(heap, (t, sequence, self))
+        heappush(heap, (self.base + self.offsets[i] + self.shift, sequence, self))
         if len(heap) > engine._heap_peak:
             engine._heap_peak = len(heap)
 
@@ -443,9 +355,9 @@ class Engine:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (preserves (time, seq) order).
 
-        In-place (slice assignment) so that run loops and the medium's
-        inlined scheduling, which hold a reference to the heap list across
-        callbacks, never observe a stale binding.
+        In-place (slice assignment) so that run loops and slice handlers,
+        which hold a reference to the heap list across callbacks, never
+        observe a stale binding.
         """
         heap = self._heap
         heap[:] = [

@@ -47,9 +47,9 @@ bound): the medium now re-uses the first computed link budget instead of
 re-invoking the model after it evicted the link, so shadowing stays
 consistent for as long as the link stays cached.
 
-Vectorized delivery (struct-of-arrays)
---------------------------------------
-With ``vectorized=True`` (the default) the medium additionally keeps a
+Delivery (struct-of-arrays)
+---------------------------
+Every transmission takes one delivery path.  The medium keeps a
 per-channel **struct-of-arrays mirror** of the radio index
 (:class:`_ChannelSoA`: contiguous numpy arrays of positions, noise
 floors, sensitivities, frequencies, and static/mobile flags, rebuilt
@@ -66,19 +66,25 @@ whole delivery list per transmission instead of per receiver:
   radios, RSSIs, SNRs) rather than per-receiver tuples, so a warm
   transmission reuses them wholesale;
 * SNR and frame-error probabilities are precomputed per transmission
-  from those arrays, and the per-receiver ``_Arrival`` objects are
-  folded into one :class:`_ArrivalSpan` carried by the two
-  :class:`~repro.sim.engine.EventBatch` heap entries.
+  from those arrays, and all arrivals are folded into one
+  :class:`_ArrivalSpan` carried by two
+  :class:`~repro.sim.engine.EventBatch` heap entries (arrival starts and
+  arrival ends), which drain in slices through the reception lanes.
 
-The hard contract is **byte-identical seeded traces** against the
-scalar path (``vectorized=False``): per-pair path loss and propagation
-delay are always produced by the same scalar model calls (numpy's
-transcendental kernels differ from libm by 1 ULP on some inputs, which
-the determinism gate forbids), the numpy stages are restricted to
-IEEE-exact bookkeeping (subtract, compare, sort) plus the provably
-conservative prefilter, and RNG draws happen at the same points in the
-same order.  ``tests/test_vectorized_medium.py`` pins the equivalence
-across the full ``vectorized × batch_arrivals`` matrix.
+An unattached sender (legal: it just cannot receive) has no position
+epoch to key caches on, so its delivery list is resolved the same way
+but never cached.
+
+Per-pair path loss and propagation delay always come from the same
+scalar model calls (numpy's transcendental kernels differ from libm by
+1 ULP on some inputs, which the determinism gate forbids); the numpy
+stages are restricted to IEEE-exact bookkeeping (subtract, compare,
+sort) plus the provably conservative prefilter.  Two checks pin the
+behaviour: ``tests/test_golden_digests.py`` compares seeded scenario
+runs against checked-in sha256 digests of their traces and outputs, and
+a hypothesis fuzzer (``tests/test_medium_differential.py``) runs random
+small worlds against ``tests/reference_medium.py``, a cache-free
+per-receiver loop with one engine event per arrival instant.
 
 One contract the arrays add for :class:`RadioPort` implementors:
 ``rx_sensitivity_dbm`` must stay constant while the radio is attached
@@ -94,7 +100,6 @@ import math
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappush
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -223,76 +228,6 @@ class Reception:
         return self.end - self.start
 
 
-class _Arrival:
-    """An in-flight frame at one receiver — and its own event callback.
-
-    The instance is scheduled directly on the engine (:meth:`Engine.post`)
-    for *both* phases of its life: the first call is the arrival start
-    (first symbol at the antenna), which re-posts the same object for the
-    arrival end one frame-duration later.  One allocation per arrival,
-    no closures, no Event handles.
-    """
-
-    __slots__ = (
-        "medium",
-        "radio",
-        "transmission",
-        "rssi_dbm",
-        "corrupted",
-        "corrupt_reason",
-        "_started",
-        "ongoing",
-    )
-
-    def __init__(
-        self,
-        medium: "Medium",
-        radio: RadioPort,
-        transmission: Transmission,
-        rssi_dbm: float,
-    ) -> None:
-        self.medium = medium
-        self.radio = radio
-        self.transmission = transmission
-        self.rssi_dbm = rssi_dbm
-        self.corrupted = False
-        self.corrupt_reason: Optional[CorruptionReason] = None
-        self._started = False
-        #: Receiver's live-arrival list, set at arrival start so the end
-        #: phase needn't repeat the dict lookup.
-        self.ongoing: Optional[List["_Arrival"]] = None
-
-    def __call__(self) -> None:
-        if self._started:
-            self.medium._arrival_end(self)
-        else:
-            self._started = True
-            self.medium._arrival_start(self)
-
-
-def _corrupt_handle(handle, reason: CorruptionReason) -> None:
-    """Mark an in-flight arrival corrupted; works on both handle kinds.
-
-    The scalar path tracks arrivals as :class:`_Arrival` objects; the
-    vectorized path as ``(span, index)`` tuples into an
-    :class:`_ArrivalSpan`.  A receiver's air state can hold both at once
-    (an unattached sender's scalar arrival overlapping a span's), so the
-    capture/half-duplex machinery goes through these accessors.
-    """
-    if type(handle) is tuple:
-        handle[0].reasons[handle[1]] = reason
-    else:
-        handle.corrupted = True
-        handle.corrupt_reason = reason
-
-
-def _handle_rssi(handle) -> float:
-    """RSSI of an in-flight arrival, for either handle kind."""
-    if type(handle) is tuple:
-        return handle[0].rssis[handle[1]]
-    return handle.rssi_dbm
-
-
 #: Reception lanes handed to ``Radio.on_reception_batch`` by the batched
 #: reception path.  A lane names the *verdict* of the vectorized
 #: pre-filter for one arrival, computed before any :class:`Reception`
@@ -337,28 +272,20 @@ def _batch_sink(radio):
 class _ArrivalSpan:
     """Every arrival of one transmission, struct-of-arrays style.
 
-    The vectorized medium resolves a transmission's whole delivery list
-    up front — parallel arrays of radios, RSSIs, SNRs, and frame-error
-    probabilities — and schedules *one* span behind the two
-    :class:`~repro.sim.engine.EventBatch` heap entries, instead of
-    allocating one :class:`_Arrival` per receiver.  ``begin(i)`` /
-    ``end(i)`` replicate the scalar arrival lifecycle for receiver ``i``
-    exactly: same corruption rules, same RNG draw points, same
-    positional :class:`Reception` construction, so seeded traces stay
-    byte-identical across the modes.
-
-    ``reasons[i]`` doubles as the corruption flag (``None`` = clean),
-    and ``(span, i)`` tuples stand in for ``_Arrival`` objects on the
-    receivers' live-arrival lists.
-
-    With ``batched_reception`` the span is also the *slice handler* for
-    the two :class:`~repro.sim.engine.EventBatch` entries
-    (``begin_slice`` / ``end_slice``): each takes over the engine's
-    inline drain for a contiguous run of same-deadline arrivals, and the
+    The medium resolves a transmission's whole delivery list up front —
+    parallel arrays of radios, RSSIs, SNRs, and frame-error
+    probabilities — and schedules *one* span behind two
+    :class:`~repro.sim.engine.EventBatch` heap entries.  The span is the
+    *slice handler* of both (``begin_slice`` / ``end_slice``): each takes
+    over the engine's drain for a contiguous run of due arrivals, and the
     end slice routes each arrival through the lane pre-filter before any
     :class:`Reception` exists.  Lanes are classified lazily, once per
     span, from the frame's destination address (``dest_u64``) against
     the per-receiver MAC mirror carried in ``macs`` / ``mac_arr``.
+
+    ``reasons[i]`` doubles as the corruption flag (``None`` = clean),
+    and ``(span, i)`` tuples are the entries of the receivers'
+    live-arrival lists.
     """
 
     __slots__ = (
@@ -383,7 +310,7 @@ class _ArrivalSpan:
         "ctr_delivered",
         "ctr_dropped",
         "csi_model",
-        # Batched-reception lane state: per-receiver MAC mirror (uint64
+        # Reception lane state: per-receiver MAC mirror (uint64
         # ints, _NO_MAC when unknown), pre-resolved on_reception_batch
         # bound methods (None for ports without one), optional numpy
         # view of `macs` for one-comparison classification, and the
@@ -410,9 +337,9 @@ class _ArrivalSpan:
         rssis: List[float],
         snrs: List[float],
         fers: Optional[List[float]],
-        macs: Optional[List[int]] = None,
-        sinks: Optional[list] = None,
-        mac_arr: Optional[np.ndarray] = None,
+        macs: List[int],
+        sinks: list,
+        mac_arr: Optional[np.ndarray],
     ) -> None:
         self.medium = medium
         self.transmission = transmission
@@ -443,72 +370,7 @@ class _ArrivalSpan:
         self.due_begin: Optional[List[float]] = None
         self.due_end: Optional[List[float]] = None
 
-    def begin(self, i: int) -> None:
-        """First symbol at receiver ``i``'s antenna (mirrors _arrival_begin)."""
-        name = self.radios[i].name
-        ongoing_map = self.ongoing_map
-        ongoing = ongoing_map.get(name)
-        if ongoing is None:
-            ongoing = ongoing_map[name] = []
-        tx_end = self.transmitting.get(name)
-        if tx_end is not None and tx_end > self.clock._now:
-            self.reasons[i] = CorruptionReason.RECEIVER_TRANSMITTING
-        handle = (self, i)
-        if ongoing:
-            self.medium._resolve_overlap(ongoing, handle)
-        ongoing.append(handle)
-        self.ongoing_lists[i] = ongoing
-        self.handles[i] = handle
-
-    def end(self, i: int) -> None:
-        """Last symbol at receiver ``i`` (mirrors _arrival_end)."""
-        radio = self.radios[i]
-        name = radio.name
-        ongoing = self.ongoing_lists[i]
-        if ongoing:
-            try:
-                ongoing.remove(self.handles[i])
-            except ValueError:
-                pass
-        if name not in self.attached:
-            return  # detached mid-flight
-        transmission = self.transmission
-        reason = self.reasons[i]
-        fcs_ok = reason is None
-        if fcs_ok:
-            fers = self.fers
-            if fers is not None:
-                probability = fers[i]
-                if probability > 0.0 and self.medium._rng_draw() < probability:
-                    fcs_ok = False
-        if fcs_ok:
-            ctr = self.ctr_delivered
-        else:
-            ctr = self.ctr_dropped
-        if ctr is not None:
-            ctr.value += 1
-        now = self.clock._now
-        csi = None
-        csi_model = self.csi_model
-        if csi_model is not None:
-            csi = csi_model(transmission.sender, name, now)
-        while_transmitting = reason is CorruptionReason.RECEIVER_TRANSMITTING
-        radio.on_reception(
-            Reception(
-                transmission.frame,
-                transmission,
-                self.rssis[i],
-                self.snrs[i],
-                transmission.start,
-                now,
-                fcs_ok,
-                (reason is not None) and not while_transmitting,
-                while_transmitting,
-                csi,
-            )
-        )
-
-    # -- batched reception -------------------------------------------------
+    # -- slice drains ---------------------------------------------------------
 
     def _classify(self) -> None:
         """Compute the span's lane verdicts, once, before the first dispatch.
@@ -526,7 +388,7 @@ class _ArrivalSpan:
         """
         mode = _LANES_SCALAR
         self.frame_key = None
-        if self.csi_model is None and self.sinks is not None:
+        if self.csi_model is None:
             frame = self.transmission.frame
             hook = getattr(frame, "dest_u64", None)
             dest = hook() if hook is not None else None
@@ -546,7 +408,7 @@ class _ArrivalSpan:
         self.lane_mode = mode
 
     def _hand_up(self, i: int, fcs_ok: bool, reason) -> None:
-        """Scalar tail of ``end(i)``: build the Reception and dispatch it."""
+        """Scalar path for arrival ``i``: build the Reception and hand it up."""
         transmission = self.transmission
         radio = self.radios[i]
         now = self.clock._now
@@ -579,7 +441,8 @@ class _ArrivalSpan:
         (none of which can change between items unless an upcall runs).
         The first item is always due — the engine popped the batch at
         its time — and exact-time ties with the last processed item
-        always process, both exactly as the index-mode drain behaves.
+        always process, exactly as :class:`~repro.sim.engine.EventBatch`
+        specifies for slice handlers.
         """
         if engine._stopped:
             j = i + 1
@@ -597,14 +460,14 @@ class _ArrivalSpan:
         return j
 
     def begin_slice(self, batch) -> int:
-        """Slice-mode arrival starts: ``begin(i)`` for a run of due items.
+        """Arrival starts for a run of due items: join each receiver's air state.
 
-        Equivalent to the engine's index-mode drain — same processable
-        run, same final clock value — but the whole window is computed
-        up front (:meth:`_window`): arrival starts never run user code
-        and never touch the heap, so the yield conditions cannot change
-        mid-run and the per-item time arithmetic and boundary checks
-        vanish.  The clock is written once at the end; the per-item
+        The receiver's live-arrival list gains the ``(span, i)`` handle
+        after the half-duplex check and the capture model.  The whole
+        window is computed up front (:meth:`_window`): arrival starts
+        never run user code and never touch the heap, so the yield
+        conditions cannot change mid-run and the per-item time
+        arithmetic and boundary checks vanish.  The clock is written once at the end; the per-item
         "receiver transmitting" test uses each arrival's own due time,
         which is exactly the value the clock would have held.
         """
@@ -649,14 +512,14 @@ class _ArrivalSpan:
         """Slice-mode arrival ends: the lane pre-filter dispatch loop.
 
         For each due arrival: remove the live-arrival handle, skip
-        receivers detached mid-flight, flip the FER coin (same RNG draw
-        point and order as the scalar path), then classify.  Arrivals a
-        lane consumer fully accounts for (``sinks[i](lane, span, i)``
-        returning ``True``) never construct a :class:`Reception`; the
-        rest fall back to the byte-identical scalar dispatch.  Delivered
-        and dropped tallies accumulate locally and flush before every
-        scalar upcall, so any code observing the counters mid-slice sees
-        exactly the scalar path's values.
+        receivers detached mid-flight, flip the FER coin (one RNG draw per
+        clean arrival with a positive error probability, in arrival
+        order), then classify.  Arrivals a lane consumer fully accounts
+        for (``sinks[i](lane, span, i)`` returning ``True``) never
+        construct a :class:`Reception`; the rest take the scalar path
+        (:meth:`_hand_up`).  Delivered and dropped tallies accumulate
+        locally and flush before every scalar upcall, so any code
+        observing the counters mid-slice sees per-arrival values.
 
         The drain is windowed (:meth:`_window`): lane consumers never
         touch the engine — they account through span data and their own
@@ -665,7 +528,7 @@ class _ArrivalSpan:
         is recomputed exactly there.  The clock advances lazily: nothing
         in a fast-lane run can observe it, so it is written to the
         arrival's due time only before an upcall and at the window end,
-        landing on the same final value the per-item drain produces.
+        landing on the same final value a per-item drain produces.
         """
         offsets = batch.offsets
         i = batch.index
@@ -783,8 +646,7 @@ class _ArrivalSpan:
 
         CSI-tagged or unparseable transmissions upcall for every
         attached receiver, so the windowed loop would recompute its
-        boundary per item; this mirror of the engine's index-mode drain
-        is cheaper there.
+        boundary per item; this plain per-item drain is cheaper there.
         """
         i = batch.index
         n = len(due)
@@ -829,8 +691,7 @@ class _ArrivalSpan:
             t = due[i]
             if t > clock._now:
                 # Upcalls may schedule events or stop the run, so the
-                # heap head and stop flag are re-read every iteration,
-                # exactly like the engine's index-mode drain.
+                # heap head and stop flag are re-read every iteration.
                 if (
                     t > limit
                     or engine._stopped
@@ -981,29 +842,6 @@ class Medium:
         defaults to the engine's registry, so instrumenting the engine
         instruments the medium too.  Maintains ``medium.frames.*``
         counters and the cumulative ``medium.airtime_s``.
-    batch_arrivals:
-        Schedule one pair of :class:`~repro.sim.engine.EventBatch` heap
-        entries per transmission instead of one heap entry per receiver.
-        ``False`` restores per-receiver scheduling.
-    vectorized:
-        Struct-of-arrays delivery evaluation (see the module docstring):
-        per-channel numpy mirrors, a vectorized free-space range
-        prefilter, parallel-array delivery caches, and span-based
-        arrival batches.  ``False`` restores the per-receiver scalar
-        path.  All four ``vectorized × batch_arrivals`` combinations
-        produce byte-identical seeded traces.
-    batched_reception:
-        Batch-first reception dispatch (requires ``vectorized`` and
-        ``batch_arrivals``): arrival batches drain as contiguous slices
-        (:class:`~repro.sim.engine.EventBatch` slice mode), and a
-        vectorized pre-filter classifies each slice into below-FCS /
-        not-for-me / group-addressed / unicast-for-me lanes before any
-        :class:`Reception` object exists — no-op lanes only bump stats
-        counters, and ``Reception`` is constructed lazily for the
-        surviving arrivals.  ``False`` restores per-index dispatch
-        through ``Radio.on_reception``; all eight
-        ``vectorized × batch_arrivals × batched_reception`` combinations
-        produce byte-identical seeded traces.
     """
 
     def __init__(
@@ -1018,9 +856,6 @@ class Medium:
         capture_threshold_db: float = DEFAULT_CAPTURE_THRESHOLD_DB,
         rng: Optional[np.random.Generator] = None,
         metrics=None,
-        batch_arrivals: bool = True,
-        vectorized: bool = True,
-        batched_reception: bool = True,
     ) -> None:
         self.engine = engine
         self.metrics = (
@@ -1096,12 +931,11 @@ class Medium:
         #: (sender, channel, power_dbm) -> the resolved in-range *static*
         #: receiver list of the sender's last transmission on that channel
         #: at that power, sorted by arrival order (delay, then attachment
-        #: order).  Scalar layout: (bucket_version, tx_epoch,
-        #: [(delay_s, attach_seq, radio, rssi_dbm), ...]).  Vectorized
-        #: layout: (bucket_version, tx_epoch, delays, attach_seqs,
-        #: radios, rssis, snrs) as parallel lists, so a warm transmission
-        #: reuses whole delivery arrays without re-deriving SNR.  Mobile
-        #: receivers are deliberately excluded from both layouts: they
+        #: order), as the 11-tuple (bucket_version, tx_epoch, delays,
+        #: attach_seqs, radios, rssis, snrs, fer_lists, macs, sinks,
+        #: mac_arr) of parallel lists, so a warm transmission reuses
+        #: whole delivery arrays without re-deriving SNR.  Mobile
+        #: receivers are deliberately excluded: they
         #: are re-resolved every transmission from the link-budget cache,
         #: so a moving receiver (the wardrive rig) no longer invalidates
         #: every sender's warm list.  The channel is part of the key
@@ -1118,23 +952,10 @@ class Medium:
         #: FER model is a pure function of its arguments (all built-ins
         #: are); cached link budgets make SNR values repeat exactly.
         self._fer_cache: Dict[Tuple[float, float, int], float] = {}
-        #: Receiver name -> live in-flight arrivals: _Arrival objects
-        #: (scalar path) and/or (span, index) tuples (vectorized path).
-        self._ongoing: Dict[str, list] = {}
+        #: Receiver name -> live in-flight arrivals as (span, index) tuples.
+        self._ongoing: Dict[str, List[Tuple[_ArrivalSpan, int]]] = {}
         self._transmitting: Dict[str, float] = {}  # radio name -> tx end time
         self.transmission_count = 0
-        #: Batched arrival scheduling: one pair of EventBatch heap entries
-        #: per transmission instead of one heap entry per (transmission,
-        #: receiver) pair.  ``False`` restores per-receiver scheduling
-        #: (the regression tests pin both modes to identical traces).
-        self._batch_arrivals = batch_arrivals
-        #: Struct-of-arrays delivery evaluation (module docstring).
-        self._vectorized = vectorized
-        #: Batch-first reception dispatch: slice-mode arrival batches +
-        #: vectorized lane pre-filter (class docstring).  Only effective
-        #: on the vectorized batched path; ``False`` is the per-index
-        #: reference mode the equivalence matrix pins.
-        self._batched_reception = batched_reception
         #: The vectorized range prefilter solves the default free-space
         #: model in the distance domain; a custom model disables it (the
         #: candidate scan then walks the whole bucket, still vectorized
@@ -1208,35 +1029,6 @@ class Medium:
         trace of an untapped one.
         """
         self._tx_observers.append(observer)
-
-    def max_decode_range_m(
-        self, power_dbm: float, channel: Optional[int] = None
-    ) -> float:
-        """Worst-case free-space decode range for ``power_dbm``, in metres.
-
-        The most sensitive attached receiver (on ``channel``, or anywhere
-        when ``channel`` is ``None``) bounds how far a transmission at
-        ``power_dbm`` can possibly be decoded under the default free-space
-        model: ``d_max = (λ / 4π) · 10^((power − sensitivity) / 20)``.
-        Returns ``0.0`` with no attached radios.  The partitioning docs
-        use this to contrast the km-scale PHY decode range against the
-        activation-radius interaction range that actually sizes halos.
-        """
-        if channel is None:
-            entries = self._entries.values()
-        else:
-            entries = self._channels.get(channel, ())
-        best_sens = None
-        for entry in entries:
-            sens = float(getattr(entry.radio, "rx_sensitivity_dbm", -90.0))
-            if best_sens is None or sens < best_sens:
-                best_sens = sens
-        if best_sens is None:
-            return 0.0
-        wavelength = 299_792_458.0 / self.frequency_hz
-        return (wavelength / (4.0 * math.pi)) * 10.0 ** (
-            (power_dbm - best_sens) / 20.0
-        )
 
     def note_addressing_changed(self, radio_name: str) -> None:
         """Invalidate caches after ``radio_name`` changed its receive MAC.
@@ -1422,31 +1214,18 @@ class Medium:
             return 20.0 - loss
         tx_position = self._observed_position(tx_entry, tx, time)
         rx_position = self._observed_position(rx_entry, rx, time)
-        cache = self._link_cache
-        key = (tx_name, rx_name)
-        cached = cache.get(key)
-        if (
-            cached is not None
-            and cached[0] == tx_entry.epoch
-            and cached[1] == rx_entry.epoch
-        ):
-            loss = cached[2]
-        else:
-            loss = self._path_loss(tx_position, rx_position)
-            delay = tx_position.propagation_delay_to(rx_position)
-            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                cache.pop(next(iter(cache)))
-            cache[key] = (tx_entry.epoch, rx_entry.epoch, loss, delay)
+        loss, _ = self._link_budget(
+            tx_name, tx_entry.epoch, tx_position, rx_entry, rx_position
+        )
         return 20.0 - loss
 
     def is_busy_for(self, radio_name: str, cca_threshold_dbm: float = -82.0) -> bool:
         """Carrier-sense verdict: any ongoing arrival above the CCA level?
 
-        Reads the same per-span RSSI arrays the delivery path filled in,
-        for either in-flight representation.
+        Reads the same per-span RSSI arrays the delivery path filled in.
         """
-        for handle in self._ongoing.get(radio_name, ()):
-            if _handle_rssi(handle) >= cca_threshold_dbm:
+        for span, i in self._ongoing.get(radio_name, ()):
+            if span.rssis[i] >= cca_threshold_dbm:
                 return True
         return False
 
@@ -1462,8 +1241,7 @@ class Medium:
 
         Identical sequence to calling ``self._rng.random()`` directly
         (block refills consume the same bit stream), but ~10x cheaper
-        per draw.  Both the vectorized and scalar delivery paths draw
-        through here, in arrival order, so the two stay in lockstep.
+        per draw.  Arrival ends draw through here, in arrival order.
         """
         pos = self._rng_pos
         buf = self._rng_buf
@@ -1514,10 +1292,9 @@ class Medium:
             self.retune(sender_name, channel)
         if entry is None:
             # Unattached senders are legal (they just cannot receive);
-            # their links bypass the cache since they have no epoch.
+            # with no epoch to key on, their links bypass every cache.
             tx_position = sender.current_position(now)
             tx_epoch = -1
-            cacheable = False
         else:
             static = entry.static_pos
             if static is not None:
@@ -1533,7 +1310,6 @@ class Medium:
                     entry.last_pos = tx_position
                     entry.epoch += 1
             tx_epoch = entry.epoch
-            cacheable = True
         transmission = Transmission(
             sender=sender_name,
             frame=frame,
@@ -1558,8 +1334,8 @@ class Medium:
         self._transmitting[sender_name] = max(
             self._transmitting.get(sender_name, 0.0), now + duration
         )
-        for handle in self._ongoing.get(sender_name, []):
-            _corrupt_handle(handle, CorruptionReason.RECEIVER_TRANSMITTING)
+        for span, i in self._ongoing.get(sender_name, ()):
+            span.reasons[i] = CorruptionReason.RECEIVER_TRANSMITTING
 
         if self.trace is not None:
             self.trace.add(
@@ -1571,180 +1347,22 @@ class Medium:
                 length=getattr(frame, "wire_length", lambda: None)(),
             )
 
-        bucket = self._channels.get(channel)
-        if bucket:
-            if cacheable and self._vectorized:
-                self._deliver_vectorized(
-                    engine,
-                    now,
-                    sender_name,
-                    tx_epoch,
-                    tx_position,
-                    channel,
-                    power_dbm,
-                    transmission,
-                    duration,
-                )
-                return transmission
-            cache = self._link_cache
-            path_loss = self._path_loss
-            targets: List[Tuple[float, int, RadioPort, float]]
-            if cacheable:
-                hits = misses = 0
-                version = self._bucket_version.get(channel, 0)
-                delivery_key = (sender_name, channel, power_dbm)
-                cached_delivery = self._delivery_cache.get(delivery_key)
-                if (
-                    cached_delivery is not None
-                    and cached_delivery[0] == version
-                    and cached_delivery[1] == tx_epoch
-                ):
-                    static_targets = cached_delivery[2]
-                    hits += len(static_targets)
-                else:
-                    # Cold: resolve every in-range *static* same-channel
-                    # member and cache the sorted list.  Mobile members are
-                    # never in this list — they are re-resolved fresh below,
-                    # so their movement cannot stale it.
-                    static_targets = []
-                    for rx in bucket:
-                        rx_position = rx.static_pos
-                        if rx_position is None:
-                            continue
-                        rx_name = rx.name
-                        if rx_name == sender_name:
-                            continue
-                        radio = rx.radio
-                        key = (sender_name, rx_name)
-                        cached = cache.get(key)
-                        if (
-                            cached is not None
-                            and cached[0] == tx_epoch
-                            and cached[1] == rx.epoch
-                        ):
-                            loss = cached[2]
-                            delay = cached[3]
-                            hits += 1
-                        else:
-                            loss = path_loss(tx_position, rx_position)
-                            delay = tx_position.propagation_delay_to(rx_position)
-                            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                                cache.pop(next(iter(cache)))
-                            cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                            misses += 1
-                        rssi = power_dbm - loss
-                        if rssi < radio.rx_sensitivity_dbm:
-                            continue
-                        static_targets.append((delay, rx.seq, radio, rssi))
-                    static_targets.sort()
-                    delivery_cache = self._delivery_cache
-                    if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
-                        delivery_cache.pop(next(iter(delivery_cache)))
-                    delivery_cache[delivery_key] = (version, tx_epoch, static_targets)
-                # Mobile members: re-read the position every transmission
-                # (bumping the epoch on movement, so cached budgets through
-                # them invalidate) and resolve through the link cache.
-                targets = static_targets
-                mobiles = self._mobiles.get(channel)
-                if mobiles:
-                    mobile_targets = []
-                    for rx in mobiles:
-                        rx_name = rx.name
-                        if rx_name == sender_name:
-                            continue
-                        radio = rx.radio
-                        rx_position = radio.current_position(now)
-                        last = rx.last_pos
-                        if rx_position is not last and rx_position != last:
-                            rx.last_pos = rx_position
-                            rx.epoch += 1
-                        key = (sender_name, rx_name)
-                        cached = cache.get(key)
-                        if (
-                            cached is not None
-                            and cached[0] == tx_epoch
-                            and cached[1] == rx.epoch
-                        ):
-                            loss = cached[2]
-                            delay = cached[3]
-                            hits += 1
-                        else:
-                            loss = path_loss(tx_position, rx_position)
-                            delay = tx_position.propagation_delay_to(rx_position)
-                            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                                cache.pop(next(iter(cache)))
-                            cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                            misses += 1
-                        rssi = power_dbm - loss
-                        if rssi < radio.rx_sensitivity_dbm:
-                            continue
-                        mobile_targets.append((delay, rx.seq, radio, rssi))
-                    if mobile_targets:
-                        targets = static_targets + mobile_targets
-                        targets.sort()
-                self.link_cache_hits += hits
-                self.link_cache_misses += misses
-            else:
-                # Unattached sender: fresh walk, bypassing every cache
-                # (the sender has no epoch to key on).
-                targets = []
-                for rx in bucket:
-                    rx_name = rx.name
-                    if rx_name == sender_name:
-                        continue
-                    radio = rx.radio
-                    rx_position = rx.static_pos
-                    if rx_position is None:
-                        rx_position = radio.current_position(now)
-                        last = rx.last_pos
-                        if rx_position is not last and rx_position != last:
-                            rx.last_pos = rx_position
-                            rx.epoch += 1
-                    loss = path_loss(tx_position, rx_position)
-                    delay = tx_position.propagation_delay_to(rx_position)
-                    rssi = power_dbm - loss
-                    if rssi < radio.rx_sensitivity_dbm:
-                        continue
-                    targets.append((delay, rx.seq, radio, rssi))
-                targets.sort()
-            if targets:
-                if self._batch_arrivals:
-                    # Two heap entries per transmission — one batch walks
-                    # the arrival starts, the other the arrival ends —
-                    # regardless of receiver count.  End times are
-                    # (now + delay) + duration, the exact floats the
-                    # per-receiver path produces.
-                    offsets = []
-                    arrivals = []
-                    for delay, _seq, radio, rssi in targets:
-                        offsets.append(delay)
-                        arrivals.append(_Arrival(self, radio, transmission, rssi))
-                    engine.post_batch(
-                        EventBatch(engine, self._arrival_begin, now, 0.0, offsets, arrivals)
-                    )
-                    engine.post_batch(
-                        EventBatch(engine, self._arrival_end, now, duration, offsets, arrivals)
-                    )
-                else:
-                    # Per-receiver scheduling, inlining Engine.post:
-                    # arrival times are never in the past (delay >= 0) so
-                    # the guard is redundant.  Sequence numbers advance
-                    # exactly as post() calls would, so ordering matches.
-                    heap = engine._heap
-                    seq = engine._scheduled
-                    for delay, _seq, radio, rssi in targets:
-                        heappush(
-                            heap,
-                            (now + delay, seq, _Arrival(self, radio, transmission, rssi)),
-                        )
-                        seq += 1
-                    engine._scheduled = seq
-                    if len(heap) > engine._heap_peak:
-                        engine._heap_peak = len(heap)
+        if self._channels.get(channel):
+            self._deliver(
+                engine,
+                now,
+                sender_name,
+                tx_epoch,
+                tx_position,
+                channel,
+                power_dbm,
+                transmission,
+                duration,
+            )
         return transmission
 
     # ------------------------------------------------------------------
-    # Vectorized delivery (struct-of-arrays)
+    # Delivery (struct-of-arrays)
     # ------------------------------------------------------------------
     def _channel_soa(self, channel: int) -> _ChannelSoA:
         """The channel's SoA mirror, rebuilt iff the bucket version moved."""
@@ -1760,6 +1378,67 @@ class Medium:
             self._soa_cache[channel] = soa
         return soa
 
+    def _link_budget(
+        self,
+        sender_name: str,
+        tx_epoch: int,
+        tx_position: Position,
+        rx: _RadioEntry,
+        rx_position: Position,
+    ) -> Tuple[float, float]:
+        """``(path loss dB, propagation delay s)`` of one link.
+
+        Looked up in, or computed into, the epoch-keyed link-budget cache
+        (FIFO-capped); ``tx_epoch < 0`` — an unattached sender — bypasses
+        the cache and the hit/miss tallies.  Under the default free-space
+        model the loss and the delay share one ``distance_to()`` result,
+        bit-identical to ``free_space_path_loss_db`` plus
+        ``propagation_delay_to``.
+        """
+        if tx_epoch >= 0:
+            key = (sender_name, rx.name)
+            cached = self._link_cache.get(key)
+            if cached is not None and cached[0] == tx_epoch and cached[1] == rx.epoch:
+                self.link_cache_hits += 1
+                return cached[2], cached[3]
+        if self._free_space:
+            distance = tx_position.distance_to(rx_position)
+            wavelength = 299_792_458.0 / self.frequency_hz
+            loss = 20.0 * math.log10(4.0 * math.pi * max(distance, 1.0) / wavelength)
+            delay = distance / 299_792_458.0
+        else:
+            loss = self._path_loss(tx_position, rx_position)
+            delay = tx_position.propagation_delay_to(rx_position)
+        if tx_epoch >= 0:
+            cache = self._link_cache
+            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
+                cache.pop(next(iter(cache)))
+            cache[key] = (tx_epoch, rx.epoch, loss, delay)
+            self.link_cache_misses += 1
+        return loss, delay
+
+    def _fer_probability(self, snr: float, rate: float, length: int) -> float:
+        """Frame-error probability, memoized per ``(snr, rate, length)``.
+
+        The FER model is assumed pure (all built-ins are); cached link
+        budgets make SNR values repeat exactly.
+        """
+        key = (snr, rate, length)
+        probability = self._fer_cache.get(key)
+        if probability is None:
+            probability = self._fer(snr, rate, length)
+            fer_cache = self._fer_cache
+            if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
+                fer_cache.pop(next(iter(fer_cache)))
+            fer_cache[key] = probability
+        return probability
+
+    def _cache_delivery(self, key: Tuple[str, int, float], delivery: tuple) -> None:
+        delivery_cache = self._delivery_cache
+        if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
+            delivery_cache.pop(next(iter(delivery_cache)))
+        delivery_cache[key] = delivery
+
     def _patch_delivery(
         self,
         cached: tuple,
@@ -1770,7 +1449,7 @@ class Medium:
         tx_position: Position,
         power_dbm: float,
     ) -> Optional[tuple]:
-        """Advance a stale vectorized delivery list by replaying the log.
+        """Advance a stale delivery list by replaying the bucket changelog.
 
         Returns the re-cached 11-tuple, or ``None`` when the changelog
         cannot cover the gap (poisoned, trimmed, or absent) and a full
@@ -1797,38 +1476,15 @@ class Medium:
         snrs = list(cached[6])
         macs = list(cached[8])
         sinks = list(cached[9])
-        cache = self._link_cache
-        free_space = self._free_space
-        path_loss = self._path_loss
         noise_floor = self.noise_floor_dbm
-        wavelength = 299_792_458.0 / self.frequency_hz
-        hits = misses = 0
         for _v, op, e in log[idx:]:
             if e.name == sender_name or e.static_pos is None:
                 continue  # the sender itself / a mobile: never listed
             if op == "+":
                 radio = e.radio
-                key = (sender_name, e.name)
-                row = cache.get(key)
-                if row is not None and row[0] == tx_epoch and row[1] == e.epoch:
-                    loss = row[2]
-                    delay = row[3]
-                    hits += 1
-                else:
-                    rx_position = e.static_pos
-                    if free_space:
-                        distance = tx_position.distance_to(rx_position)
-                        loss = 20.0 * math.log10(
-                            4.0 * math.pi * max(distance, 1.0) / wavelength
-                        )
-                        delay = distance / 299_792_458.0
-                    else:
-                        loss = path_loss(tx_position, rx_position)
-                        delay = tx_position.propagation_delay_to(rx_position)
-                    if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                        cache.pop(next(iter(cache)))
-                    cache[key] = (tx_epoch, e.epoch, loss, delay)
-                    misses += 1
+                loss, delay = self._link_budget(
+                    sender_name, tx_epoch, tx_position, e, e.static_pos
+                )
                 rssi = power_dbm - loss
                 if rssi < radio.rx_sensitivity_dbm:
                     continue
@@ -1868,8 +1524,6 @@ class Medium:
                     rx_mac = getattr(radio, "rx_mac_u64", None)
                     macs[k] = _NO_MAC if rx_mac is None else rx_mac
                     sinks[k] = _batch_sink(radio)
-        self.link_cache_hits += hits
-        self.link_cache_misses += misses
         mac_arr = np.array(macs, dtype=np.uint64) if len(macs) > 64 else None
         fresh = (
             version,
@@ -1884,13 +1538,114 @@ class Medium:
             sinks,
             mac_arr,
         )
-        delivery_cache = self._delivery_cache
-        if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
-            delivery_cache.pop(next(iter(delivery_cache)))
-        delivery_cache[(sender_name, channel, power_dbm)] = fresh
+        self._cache_delivery((sender_name, channel, power_dbm), fresh)
         return fresh
 
-    def _deliver_vectorized(
+    def _resolve_static(
+        self,
+        version: int,
+        sender_name: str,
+        tx_epoch: int,
+        tx_position: Position,
+        channel: int,
+        power_dbm: float,
+    ) -> tuple:
+        """Cold resolution of the in-range *static* receivers, as an 11-tuple.
+
+        One vectorized range gate over the channel's SoA mirror picks the
+        candidate receivers; the survivors get the exact scalar link
+        budget (numpy's transcendental kernels are 1 ULP off libm on some
+        inputs, and seeded traces are bit-compared, so the scalar model
+        calls stay authoritative).  One ``np.lexsort`` (a tuple sort for
+        small lists) orders the list by (delay, attach seq).
+        """
+        soa = self._channel_soa(channel)
+        soa_macs = soa.mac_list
+        if soa.count and self._free_space:
+            # Vectorized range gate.  In exact arithmetic the
+            # free-space in-range test  power − loss(d) ≥ sens  is
+            # d ≤ dmax = (λ/4π)·10^((power−sens)/20)  with loss
+            # clamped below 1 m (clamping dmax up to 1 m only admits
+            # extra candidates).  Both sides here are float-rounded,
+            # so the comparison gets ~1e-9 relative + absolute slack
+            # — about a million ULPs wider than the rounding error —
+            # and survivors are re-checked with the exact scalar
+            # math below: admitting extra is wasted work, never a
+            # wrong verdict, and nothing the scalar math accepts can
+            # be excluded.  Mobiles carry NaN positions, and NaN
+            # comparisons are False, so they fall out automatically
+            # (they are re-resolved per transmission anyway).
+            diff = soa.xyz - (tx_position.x, tx_position.y, tx_position.z)
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            entries = soa.entries
+            candidates = [
+                (entries[j], soa_macs[j])
+                for j in np.flatnonzero(d2 <= soa.limit2(power_dbm))
+            ]
+        else:
+            candidates = [
+                (e, soa_macs[j])
+                for j, e in enumerate(soa.entries)
+                if e.static_pos is not None
+            ]
+        c_targets: List[tuple] = []
+        for rx, rx_mac in candidates:
+            if rx.name == sender_name:
+                continue
+            radio = rx.radio
+            loss, delay = self._link_budget(
+                sender_name, tx_epoch, tx_position, rx, rx.static_pos
+            )
+            rssi = power_dbm - loss
+            if rssi < radio.rx_sensitivity_dbm:
+                continue
+            c_targets.append((delay, rx.seq, radio, rssi, rx_mac, _batch_sink(radio)))
+        n = len(c_targets)
+        mac_arr = None
+        if n <= 64:
+            # Tuple sort: identical (delay, seq) order to the lexsort
+            # below (seqs are unique so later fields never compare),
+            # and cheaper than five numpy round-trips at typical
+            # neighbourhood sizes.
+            c_targets.sort()
+            delays = []
+            seqs = []
+            radios = []
+            rssis = []
+            snrs = []
+            macs = []
+            sinks = []
+            noise_floor = self.noise_floor_dbm
+            for delay, seq, radio, rssi, rx_mac, sink in c_targets:
+                delays.append(delay)
+                seqs.append(seq)
+                radios.append(radio)
+                rssis.append(rssi)
+                snrs.append(rssi - noise_floor)
+                macs.append(rx_mac)
+                sinks.append(sink)
+        else:
+            c_delays, c_seqs, c_radios, c_rssis, c_macs, c_sinks = zip(*c_targets)
+            delay_arr = np.asarray(c_delays)
+            order = np.lexsort((np.asarray(c_seqs), delay_arr))
+            delays = delay_arr[order].tolist()
+            seqs = [c_seqs[k] for k in order]
+            radios = [c_radios[k] for k in order]
+            rssi_arr = np.asarray(c_rssis)[order]
+            rssis = rssi_arr.tolist()
+            # IEEE-exact: elementwise double subtraction rounds
+            # identically to the scalar `rssi - noise_floor`.
+            snrs = (rssi_arr - self.noise_floor_dbm).tolist()
+            macs = [c_macs[k] for k in order]
+            sinks = [c_sinks[k] for k in order]
+            # Large static lists get a numpy view of the MAC column
+            # so lane classification is one vectorized comparison.
+            mac_arr = np.array(macs, dtype=np.uint64)
+        return (
+            version, tx_epoch, delays, seqs, radios, rssis, snrs, {}, macs, sinks, mac_arr
+        )
+
+    def _deliver(
         self,
         engine: Engine,
         now: float,
@@ -1904,208 +1659,59 @@ class Medium:
     ) -> None:
         """Resolve and schedule a whole delivery list, struct-of-arrays style.
 
-        Stage 1 (cold only): one vectorized range gate over the channel's
-        SoA mirror picks the candidate receivers; the survivors get the
-        exact scalar link-budget math (numpy's transcendental kernels are
-        1 ULP off libm on some inputs, and seeded traces are
-        bit-compared, so the scalar model calls stay authoritative).  One
-        ``np.lexsort`` orders the list; parallel arrays (delays, seqs,
-        radios, RSSIs, SNRs) go into the delivery cache.
+        Stage 1: the sender's cached static list on this channel at this
+        power — warm as is, patched from the bucket changelog, or
+        resolved cold (:meth:`_resolve_static`); an unattached sender
+        (``tx_epoch < 0``) always resolves cold and caches nothing.
 
-        Stage 2 (every transmission): mobile receivers are re-resolved
-        scalar-style and merge-inserted; frame-error probabilities are
-        precomputed from the SNR array; the whole list is scheduled as
-        one :class:`_ArrivalSpan` behind two ``EventBatch`` entries (or
-        per-receiver ``_Arrival`` pushes when ``batch_arrivals=False``).
+        Stage 2 (every transmission): frame-error probabilities are
+        derived from the SNR array; mobile receivers are re-resolved and
+        merge-inserted; the whole list is scheduled as one
+        :class:`_ArrivalSpan` behind two ``EventBatch`` entries.
         """
-        cache = self._link_cache
-        path_loss = self._path_loss
-        free_space = self._free_space
-        hits = misses = 0
         version = self._bucket_version.get(channel, 0)
-        delivery_key = (sender_name, channel, power_dbm)
-        cached_delivery = self._delivery_cache.get(delivery_key)
-        if cached_delivery is not None:
-            if cached_delivery[1] != tx_epoch:
-                cached_delivery = None
-            elif cached_delivery[0] != version:
-                cached_delivery = self._patch_delivery(
-                    cached_delivery,
-                    version,
-                    channel,
-                    sender_name,
-                    tx_epoch,
-                    tx_position,
-                    power_dbm,
-                )
-        if cached_delivery is not None:
-            delays = cached_delivery[2]
-            seqs = cached_delivery[3]
-            radios = cached_delivery[4]
-            rssis = cached_delivery[5]
-            snrs = cached_delivery[6]
-            fer_lists = cached_delivery[7]
-            macs = cached_delivery[8]
-            sinks = cached_delivery[9]
-            mac_arr = cached_delivery[10]
-            hits += len(delays)
-        else:
-            soa = self._channel_soa(channel)
-            soa_macs = soa.mac_list
-            if soa.count and free_space:
-                # Vectorized range gate.  In exact arithmetic the
-                # free-space in-range test  power − loss(d) ≥ sens  is
-                # d ≤ dmax = (λ/4π)·10^((power−sens)/20)  with loss
-                # clamped below 1 m (clamping dmax up to 1 m only admits
-                # extra candidates).  Both sides here are float-rounded,
-                # so the comparison gets ~1e-9 relative + absolute slack
-                # — about a million ULPs wider than the rounding error —
-                # and survivors are re-checked with the exact scalar
-                # math below: admitting extra is wasted work, never a
-                # wrong verdict, and nothing the scalar path accepts can
-                # be excluded.  Mobiles carry NaN positions, and NaN
-                # comparisons are False, so they fall out automatically
-                # (they are re-resolved per transmission anyway).
-                diff = soa.xyz - (tx_position.x, tx_position.y, tx_position.z)
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                entries = soa.entries
-                candidates = [
-                    (entries[j], soa_macs[j])
-                    for j in np.flatnonzero(d2 <= soa.limit2(power_dbm))
-                ]
-            else:
-                candidates = [
-                    (e, soa_macs[j])
-                    for j, e in enumerate(soa.entries)
-                    if e.static_pos is not None
-                ]
-            # Survivors get the exact scalar link budget (shared distance:
-            # the loss and delay both derive from the one distance_to()
-            # result, bit-identically to the model + propagation_delay_to
-            # pair the scalar path calls).
-            wavelength = 299_792_458.0 / self.frequency_hz
-            c_targets: List[tuple] = []
-            for rx, rx_mac in candidates:
-                rx_name = rx.name
-                if rx_name == sender_name:
-                    continue
-                radio = rx.radio
-                key = (sender_name, rx_name)
-                cached = cache.get(key)
-                if (
-                    cached is not None
-                    and cached[0] == tx_epoch
-                    and cached[1] == rx.epoch
-                ):
-                    loss = cached[2]
-                    delay = cached[3]
-                    hits += 1
-                else:
-                    rx_position = rx.static_pos
-                    if free_space:
-                        distance = tx_position.distance_to(rx_position)
-                        loss = 20.0 * math.log10(
-                            4.0 * math.pi * max(distance, 1.0) / wavelength
-                        )
-                        delay = distance / 299_792_458.0
-                    else:
-                        loss = path_loss(tx_position, rx_position)
-                        delay = tx_position.propagation_delay_to(rx_position)
-                    if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                        cache.pop(next(iter(cache)))
-                    cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                    misses += 1
-                rssi = power_dbm - loss
-                if rssi < radio.rx_sensitivity_dbm:
-                    continue
-                c_targets.append(
-                    (
-                        delay,
-                        rx.seq,
-                        radio,
-                        rssi,
-                        rx_mac,
-                        _batch_sink(radio),
+        cached_delivery = None
+        if tx_epoch >= 0:
+            delivery_key = (sender_name, channel, power_dbm)
+            cached_delivery = self._delivery_cache.get(delivery_key)
+            if cached_delivery is not None:
+                if cached_delivery[1] != tx_epoch:
+                    cached_delivery = None
+                elif cached_delivery[0] != version:
+                    cached_delivery = self._patch_delivery(
+                        cached_delivery,
+                        version,
+                        channel,
+                        sender_name,
+                        tx_epoch,
+                        tx_position,
+                        power_dbm,
                     )
-                )
-            n = len(c_targets)
-            mac_arr = None
-            if n == 0:
-                delays = []
-                seqs = []
-                radios = []
-                rssis = []
-                snrs = []
-                macs = []
-                sinks = []
-            elif n <= 64:
-                # Tuple sort: identical (delay, seq) order to the lexsort
-                # below (seqs are unique so later fields never compare),
-                # and cheaper than five numpy round-trips at typical
-                # neighbourhood sizes.
-                c_targets.sort()
-                delays = []
-                seqs = []
-                radios = []
-                rssis = []
-                snrs = []
-                macs = []
-                sinks = []
-                noise_floor = self.noise_floor_dbm
-                for delay, seq, radio, rssi, rx_mac, sink in c_targets:
-                    delays.append(delay)
-                    seqs.append(seq)
-                    radios.append(radio)
-                    rssis.append(rssi)
-                    snrs.append(rssi - noise_floor)
-                    macs.append(rx_mac)
-                    sinks.append(sink)
-            else:
-                c_delays, c_seqs, c_radios, c_rssis, c_macs, c_sinks = zip(
-                    *c_targets
-                )
-                delay_arr = np.asarray(c_delays)
-                order = np.lexsort((np.asarray(c_seqs), delay_arr))
-                delays = delay_arr[order].tolist()
-                seqs = [c_seqs[k] for k in order]
-                radios = [c_radios[k] for k in order]
-                rssi_arr = np.asarray(c_rssis)[order]
-                rssis = rssi_arr.tolist()
-                # IEEE-exact: elementwise double subtraction rounds
-                # identically to the scalar `rssi - noise_floor`.
-                snrs = (rssi_arr - self.noise_floor_dbm).tolist()
-                macs = [c_macs[k] for k in order]
-                sinks = [c_sinks[k] for k in order]
-                # Large static lists get a numpy view of the MAC column
-                # so lane classification is one vectorized comparison.
-                mac_arr = np.array(macs, dtype=np.uint64)
-            fer_lists = {}
-            delivery_cache = self._delivery_cache
-            if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
-                delivery_cache.pop(next(iter(delivery_cache)))
-            delivery_cache[delivery_key] = (
-                version,
-                tx_epoch,
-                delays,
-                seqs,
-                radios,
-                rssis,
-                snrs,
-                fer_lists,
-                macs,
-                sinks,
-                mac_arr,
+            if cached_delivery is not None:
+                self.link_cache_hits += len(cached_delivery[2])
+        if cached_delivery is None:
+            cached_delivery = self._resolve_static(
+                version, sender_name, tx_epoch, tx_position, channel, power_dbm
             )
+            if tx_epoch >= 0:
+                self._cache_delivery(delivery_key, cached_delivery)
+        delays = cached_delivery[2]
+        seqs = cached_delivery[3]
+        radios = cached_delivery[4]
+        rssis = cached_delivery[5]
+        snrs = cached_delivery[6]
+        fer_lists = cached_delivery[7]
+        macs = cached_delivery[8]
+        sinks = cached_delivery[9]
+        mac_arr = cached_delivery[10]
         fers: Optional[List[float]] = None
-        fer_model = self._fer
-        if fer_model is not None and self._batch_arrivals and delays:
-            # Per-receiver frame-error probabilities for the *static* list,
-            # derived through the same (snr, rate, length) memo the scalar
-            # path fills lazily at arrival end — the model is pure, so
-            # computing early changes nothing — and cached on the delivery
-            # entry per (rate, length), so a warm transmission reuses the
-            # whole list.  The RNG draw that applies a probability stays
-            # in _ArrivalSpan.end, in arrival order.
+        if self._fer is not None:
+            # Per-receiver frame-error probabilities for the static list,
+            # derived through the (snr, rate, length) memo and cached on
+            # the delivery entry per (rate, length), so a warm
+            # transmission reuses the whole list.  The RNG draw that
+            # applies a probability happens at the arrival end, in
+            # arrival order.
             rx_cache = transmission.rx_cache
             if rx_cache is None:
                 rx_cache = transmission.rx_cache = {}
@@ -2117,32 +1723,16 @@ class Medium:
             rate = transmission.rate_mbps
             fers = fer_lists.get((rate, length))
             if fers is None:
-                fer_cache = self._fer_cache
-                fers = []
-                append = fers.append
-                for snr in snrs:
-                    fer_key = (snr, rate, length)
-                    probability = fer_cache.get(fer_key)
-                    if probability is None:
-                        probability = fer_model(snr, rate, length)
-                        if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
-                            fer_cache.pop(next(iter(fer_cache)))
-                        fer_cache[fer_key] = probability
-                    append(probability)
+                fer_probability = self._fer_probability
+                fers = [fer_probability(snr, rate, length) for snr in snrs]
                 if len(fer_lists) >= 8:
                     fer_lists.pop(next(iter(fer_lists)))
                 fer_lists[(rate, length)] = fers
         mobiles = self._mobiles.get(channel)
         if mobiles:
-            noise_floor = self.noise_floor_dbm
-            wavelength = 299_792_458.0 / self.frequency_hz
-            rate_length: Optional[Tuple[float, int]] = None
-            if fers is not None:
-                rate_length = (transmission.rate_mbps, transmission.rx_cache["len"])
             mobile_targets = []
             for rx in mobiles:
-                rx_name = rx.name
-                if rx_name == sender_name:
+                if rx.name == sender_name:
                     continue
                 radio = rx.radio
                 rx_position = radio.current_position(now)
@@ -2150,30 +1740,9 @@ class Medium:
                 if rx_position is not last and rx_position != last:
                     rx.last_pos = rx_position
                     rx.epoch += 1
-                key = (sender_name, rx_name)
-                cached = cache.get(key)
-                if (
-                    cached is not None
-                    and cached[0] == tx_epoch
-                    and cached[1] == rx.epoch
-                ):
-                    loss = cached[2]
-                    delay = cached[3]
-                    hits += 1
-                else:
-                    if free_space:
-                        distance = tx_position.distance_to(rx_position)
-                        loss = 20.0 * math.log10(
-                            4.0 * math.pi * max(distance, 1.0) / wavelength
-                        )
-                        delay = distance / 299_792_458.0
-                    else:
-                        loss = path_loss(tx_position, rx_position)
-                        delay = tx_position.propagation_delay_to(rx_position)
-                    if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                        cache.pop(next(iter(cache)))
-                    cache[key] = (tx_epoch, rx.epoch, loss, delay)
-                    misses += 1
+                loss, delay = self._link_budget(
+                    sender_name, tx_epoch, tx_position, rx, rx_position
+                )
                 rssi = power_dbm - loss
                 if rssi < radio.rx_sensitivity_dbm:
                     continue
@@ -2182,10 +1751,9 @@ class Medium:
                 mobile_targets.append((delay, rx.seq, radio, rssi))
             if mobile_targets:
                 # Merge-insert by (delay, attach_seq): identical order to
-                # the scalar path's concatenate-then-sort (seqs are
-                # unique, so the sort never compares further fields).
-                # The cached lists stay untouched; the merged copies are
-                # span-private.
+                # a concatenate-then-sort (seqs are unique, so the sort
+                # never compares further fields).  The cached lists stay
+                # untouched; the merged copies are span-private.
                 delays = list(delays)
                 seqs = list(seqs)
                 radios = list(radios)
@@ -2196,7 +1764,7 @@ class Medium:
                 mac_arr = None  # merged copies diverge from the cached array
                 if fers is not None:
                     fers = list(fers)
-                    fer_cache = self._fer_cache
+                noise_floor = self.noise_floor_dbm
                 for delay, seq, radio, rssi in mobile_targets:
                     lo, hi = 0, len(delays)
                     while lo < hi:
@@ -2217,201 +1785,40 @@ class Medium:
                     snr = rssi - noise_floor
                     snrs.insert(lo, snr)
                     if fers is not None:
-                        fer_key = (snr, rate_length[0], rate_length[1])
-                        probability = fer_cache.get(fer_key)
-                        if probability is None:
-                            probability = fer_model(snr, *rate_length)
-                            if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
-                                fer_cache.pop(next(iter(fer_cache)))
-                            fer_cache[fer_key] = probability
-                        fers.insert(lo, probability)
-        self.link_cache_hits += hits
-        self.link_cache_misses += misses
+                        fers.insert(lo, self._fer_probability(snr, rate, length))
         if not delays:
             return
-        if self._batch_arrivals:
-            span = _ArrivalSpan(
-                self, transmission, radios, rssis, snrs, fers, macs, sinks, mac_arr
-            )
-            if self._batched_reception:
-                engine.post_batch(
-                    EventBatch(
-                        engine, span.begin_slice, now, 0.0, delays, None, True
-                    )
-                )
-                engine.post_batch(
-                    EventBatch(
-                        engine, span.end_slice, now, duration, delays, None, True
-                    )
-                )
-            else:
-                engine.post_batch(
-                    EventBatch(engine, span.begin, now, 0.0, delays, None)
-                )
-                engine.post_batch(
-                    EventBatch(engine, span.end, now, duration, delays, None)
-                )
-        else:
-            # Vectorized resolution, per-receiver scheduling: identical
-            # to the legacy branch in transmit() — one two-phase
-            # _Arrival per receiver, sequence numbers advancing as
-            # post() would.
-            heap = engine._heap
-            seq = engine._scheduled
-            for k in range(len(delays)):
-                heappush(
-                    heap,
-                    (
-                        now + delays[k],
-                        seq,
-                        _Arrival(self, radios[k], transmission, rssis[k]),
-                    ),
-                )
-                seq += 1
-            engine._scheduled = seq
-            if len(heap) > engine._heap_peak:
-                engine._heap_peak = len(heap)
-
-    # ------------------------------------------------------------------
-    # Arrival lifecycle
-    # ------------------------------------------------------------------
-    def _arrival_begin(self, arrival: _Arrival) -> None:
-        """First symbol reaches the antenna: join the receiver's air state."""
-        name = arrival.radio.name
-        ongoing = self._ongoing.get(name)
-        if ongoing is None:
-            ongoing = self._ongoing[name] = []
-        tx_end = self._transmitting.get(name)
-        if tx_end is not None and tx_end > self.engine.clock._now:
-            arrival.corrupted = True
-            arrival.corrupt_reason = CorruptionReason.RECEIVER_TRANSMITTING
-        if ongoing:
-            self._resolve_overlap(ongoing, arrival)
-        ongoing.append(arrival)
-        arrival.ongoing = ongoing
-
-    def _arrival_start(self, arrival: _Arrival) -> None:
-        """Per-receiver path: join the air state, then self-post the end.
-
-        Batched scheduling never calls this — the end batch already
-        carries every arrival — so only the ``batch_arrivals=False``
-        two-phase :class:`_Arrival` callback reaches it.
-        """
-        self._arrival_begin(arrival)
-        # Inlined Engine.post (see transmit()): the end-phase callback is
-        # always in the future and never cancelled.
-        engine = self.engine
-        seq = engine._scheduled
-        engine._scheduled = seq + 1
-        heap = engine._heap
-        heappush(
-            heap, (engine.clock._now + arrival.transmission.duration, seq, arrival)
+        span = _ArrivalSpan(
+            self, transmission, radios, rssis, snrs, fers, macs, sinks, mac_arr
         )
-        if len(heap) > engine._heap_peak:
-            engine._heap_peak = len(heap)
+        engine.post_batch(EventBatch(engine, span.begin_slice, now, 0.0, delays))
+        engine.post_batch(EventBatch(engine, span.end_slice, now, duration, delays))
 
-    def _resolve_overlap(self, ongoing: list, new) -> None:
-        """Apply the capture model between ``new`` and live arrivals.
-
-        Handles are :class:`_Arrival` objects (scalar path) and/or
-        ``(span, index)`` tuples (vectorized path); a receiver can hold
-        a mix, e.g. an unattached sender's scalar arrival overlapping a
-        span's.  The comparisons are value-identical to the old
-        scalar-only resolver.
-        """
+    # ------------------------------------------------------------------
+    # Capture model
+    # ------------------------------------------------------------------
+    def _resolve_overlap(self, ongoing: list, new: Tuple[_ArrivalSpan, int]) -> None:
+        """Apply the capture model between ``new`` and live arrivals."""
         live = []
         strongest = -math.inf
         for handle in ongoing:
-            if type(handle) is tuple:
-                span, j = handle
-                if span.reasons[j] is not None:
-                    continue
-                rssi = span.rssis[j]
-            else:
-                if handle.corrupted:
-                    continue
-                rssi = handle.rssi_dbm
+            span, j = handle
+            if span.reasons[j] is not None:
+                continue
+            rssi = span.rssis[j]
             live.append(handle)
             if rssi > strongest:
                 strongest = rssi
         if not live:
             return
-        new_rssi = _handle_rssi(new)
+        span, i = new
+        new_rssi = span.rssis[i]
         if new_rssi >= strongest + self.capture_threshold_db:
-            for handle in live:
-                _corrupt_handle(handle, CorruptionReason.CAPTURED_BY_STRONGER)
+            for other, j in live:
+                other.reasons[j] = CorruptionReason.CAPTURED_BY_STRONGER
         elif new_rssi <= strongest - self.capture_threshold_db:
-            _corrupt_handle(new, CorruptionReason.LOCKED_ON_STRONGER)
+            span.reasons[i] = CorruptionReason.LOCKED_ON_STRONGER
         else:
-            _corrupt_handle(new, CorruptionReason.COLLISION)
-            for handle in live:
-                _corrupt_handle(handle, CorruptionReason.COLLISION)
-
-    def _arrival_end(self, arrival: _Arrival) -> None:
-        """Last symbol received: resolve FER, build the Reception, hand up."""
-        radio = arrival.radio
-        name = radio.name
-        ongoing = arrival.ongoing
-        if ongoing:
-            try:
-                ongoing.remove(arrival)
-            except ValueError:
-                pass
-        if name not in self._radios:
-            return  # detached mid-flight
-        transmission = arrival.transmission
-        rssi = arrival.rssi_dbm
-        snr = rssi - self.noise_floor_dbm
-        corrupted = arrival.corrupted
-        fcs_ok = not corrupted
-        if fcs_ok and self._fer is not None:
-            cache = transmission.rx_cache
-            if cache is None:
-                cache = transmission.rx_cache = {}
-            length = cache.get("len")
-            if length is None:
-                getter = getattr(transmission.frame, "wire_length", None)
-                length = (getter() or 0) if getter is not None else 0
-                cache["len"] = length
-            rate = transmission.rate_mbps
-            fer_cache = self._fer_cache
-            fer_key = (snr, rate, length)
-            probability = fer_cache.get(fer_key)
-            if probability is None:
-                probability = self._fer(snr, rate, length)
-                if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
-                    fer_cache.pop(next(iter(fer_cache)))
-                fer_cache[fer_key] = probability
-            if probability > 0.0 and self._rng_draw() < probability:
-                fcs_ok = False
-        if fcs_ok:
-            ctr = self._ctr_delivered
-            if ctr is not None:
-                ctr.value += 1
-        else:
-            ctr = self._ctr_dropped
-            if ctr is not None:
-                ctr.value += 1
-        now = self.engine.clock._now
-        csi = None
-        if self._csi_model is not None:
-            csi = self._csi_model(transmission.sender, name, now)
-        while_transmitting = (
-            arrival.corrupt_reason is CorruptionReason.RECEIVER_TRANSMITTING
-        )
-        # Positional construction: 10 keyword arguments per Reception is
-        # measurable at wardrive arrival rates.
-        radio.on_reception(
-            Reception(
-                transmission.frame,
-                transmission,
-                rssi,
-                snr,
-                transmission.start,
-                now,
-                fcs_ok,
-                corrupted and not while_transmitting,
-                while_transmitting,
-                csi,
-            )
-        )
+            span.reasons[i] = CorruptionReason.COLLISION
+            for other, j in live:
+                other.reasons[j] = CorruptionReason.COLLISION

@@ -19,9 +19,8 @@ reach a device some tile owns, the vehicle is within
 live disc within ``2 x deactivate_radius_m`` of the rectangle.  A halo
 of that width (the default) gives every tile the complete interaction
 neighbourhood of its owned devices, so per-device physics match the
-single-process run; the raw PHY decode range
-(:meth:`Medium.max_decode_range_m`, kilometres at wardrive link budgets)
-never matters because nothing beyond the activation radius is on the
+single-process run; the raw PHY decode range (kilometres at wardrive
+link budgets) never matters because nothing beyond the activation radius is on the
 air.  The contract is pinned by tests, not just argued:
 ``tests/test_partition.py`` sweeps tile x worker counts and asserts
 identical aggregates, and ``tiles=1`` is byte-identical to the

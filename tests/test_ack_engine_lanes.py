@@ -5,7 +5,7 @@ The vectorized medium pre-classifies arrivals into lanes and the engine's
 the boundaries where the fast path must refuse and defer to the scalar
 path — a (nonstandard) group-bit own MAC — plus the duplicate cache's
 exact eviction threshold and the ACK-but-don't-deliver retry semantics
-on both reception modes.
+on the production medium and on the lane-free reference medium.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.phy.radio import Radio
 from repro.sim.engine import Engine
 from repro.sim.medium import LANE_GROUP, LANE_NOT_FOR_ME, Medium, Reception, Transmission
 from repro.sim.world import Position
+from tests.reference_medium import ReferenceMedium
 
 #: First octet 0x01: the individual/group bit is set, which no standard
 #: station address has — exactly the case the fast lanes refuse to guess.
@@ -128,10 +129,11 @@ class TestDuplicateCacheEviction:
 
 
 class TestRetryDuplicatesAcrossModes:
-    @pytest.mark.parametrize("batched_reception", [True, False])
-    def test_retry_acked_but_not_redelivered(self, batched_reception):
+    @pytest.mark.parametrize("lanes", [True, False])
+    def test_retry_acked_but_not_redelivered(self, lanes):
+        # lanes=False: the reference medium, which has no reception lanes.
         engine = Engine()
-        medium = Medium(engine, batched_reception=batched_reception)
+        medium = (Medium if lanes else ReferenceMedium)(engine)
         radio = Radio("victim", medium, Position(0, 0))
         victim = AckEngine(radio, MacAddress("02:aa:aa:aa:aa:02"))
         delivered = []
@@ -152,7 +154,7 @@ class TestRetryDuplicatesAcrossModes:
         engine.run_until(0.01)
         # The ACK automaton answers both copies — duplicate filtering
         # runs above it — but the MAC sees the frame exactly once, on
-        # the batched path and the scalar escape hatch alike.
+        # the lane fast path and the reference's scalar path alike.
         assert victim.stats.acks_sent == 2
         assert len(delivered) == 1
         assert victim.stats.duplicates_dropped == 1

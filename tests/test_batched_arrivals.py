@@ -3,9 +3,10 @@
 Three contracts pinned here:
 
 * :class:`~repro.sim.engine.EventBatch` — one heap entry streaming many
-  payloads, draining inline only while nothing else interleaves;
-* the batched medium (`batch_arrivals=True`, the default) produces
-  **byte-identical seeded traces** to the legacy per-receiver path for
+  timestamped items to a slice handler, re-posted with a fresh sequence
+  number whenever items remain;
+* the batched medium produces **byte-identical seeded traces** to the
+  per-receiver reference medium (``tests/reference_medium.py``) for
   both the Figure 2 exchange and a Table 2-shaped wardrive, while
   executing far fewer heap events;
 * the full-scale city draws the paper's exact census — 5,328 devices
@@ -17,11 +18,28 @@ from __future__ import annotations
 
 import pytest
 
+import repro.sim.medium as medium_module
 from repro.devices.vendors import TOTAL_VENDOR_COUNT, VendorDatabase
 from repro.scenario import UnknownParameterError, run_scenario
 from repro.sim.engine import Engine, EventBatch
 from repro.sim.medium import Medium
 from repro.survey.city import CityConfig, DeviceKind, SyntheticCity
+from tests.reference_medium import ReferenceMedium
+
+
+def _batch(engine, fire, base, shift, offsets, payloads):
+    """A batch whose slice handler runs ``fire(payload)`` one item per call.
+
+    The smallest legal slice: every later item goes back through the
+    engine's re-post, so these tests pin the engine's side of the
+    contract (fire times, re-post sequence numbers, run limit, stop).
+    """
+
+    def handler(batch):
+        fire(payloads[batch.index])
+        return batch.index + 1
+
+    return EventBatch(engine, handler, base, shift, offsets)
 
 
 # ----------------------------------------------------------------------
@@ -30,7 +48,7 @@ from repro.survey.city import CityConfig, DeviceKind, SyntheticCity
 class TestEventBatch:
     def test_payloads_fire_in_order_at_their_times(self, engine):
         fired = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: fired.append((engine.now, p)),
             base=1.0, shift=0.0, offsets=[0.0, 1e-6, 5e-6], payloads=["a", "b", "c"],
         )
@@ -40,7 +58,7 @@ class TestEventBatch:
 
     def test_interleaving_event_preempts_the_drain(self, engine):
         order = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: order.append(p),
             base=0.0, shift=0.0, offsets=[1.0, 3.0], payloads=["p0", "p1"],
         )
@@ -54,7 +72,7 @@ class TestEventBatch:
         # already queued at the same instant runs first — exactly as if
         # the payload had been posted individually at that moment.
         order = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: order.append(p),
             base=0.0, shift=0.0, offsets=[1.0, 2.0], payloads=["p0", "p1"],
         )
@@ -65,7 +83,7 @@ class TestEventBatch:
 
     def test_run_until_limit_pauses_and_resumes_the_batch(self, engine):
         fired = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: fired.append((engine.now, p)),
             base=0.0, shift=0.0, offsets=[1.0, 5.0], payloads=["early", "late"],
         )
@@ -83,7 +101,7 @@ class TestEventBatch:
             fired.append(payload)
             engine.stop()
 
-        batch = EventBatch(
+        batch = _batch(
             engine, handler,
             base=0.0, shift=0.0, offsets=[1.0, 1.1], payloads=["a", "b"],
         )
@@ -98,7 +116,7 @@ class TestEventBatch:
         # ``(base + offset) + duration`` bit-for-bit.
         base, offset, shift = 12.345678, 3.7e-8, 0.00123
         fired = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: fired.append(engine.now),
             base=base, shift=shift, offsets=[offset], payloads=[None],
         )
@@ -106,10 +124,24 @@ class TestEventBatch:
         engine.run_until(base + 1.0)
         assert fired == [(base + offset) + shift]
 
+    def test_slice_handler_resumes_at_the_returned_index(self, engine):
+        # A handler may consume several items per call (here the two
+        # due at t=1.0); the engine re-posts the batch at the first
+        # unconsumed item's time.
+        calls = []
+
+        def handler(batch):
+            calls.append((engine.now, batch.index))
+            return min(batch.index + 2, len(batch.offsets))
+
+        engine.post_batch(EventBatch(engine, handler, 0.0, 0.0, [1.0, 1.0, 3.0]))
+        engine.run_until(4.0)
+        assert calls == [(1.0, 0), (3.0, 2)]
+
     def test_post_batch_rejects_times_in_the_past(self, engine):
         engine.call_at(1.0, lambda: None)
         engine.run_until(1.0)
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: None,
             base=0.5, shift=0.0, offsets=[0.0], payloads=[None],
         )
@@ -126,7 +158,7 @@ class TestEventBatchEdgeCases:
         # The drain guard is ``t > limit``: a payload due exactly at
         # ``end_time`` belongs to this run, the one after it does not.
         fired = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: fired.append((engine.now, p)),
             base=0.0, shift=0.0, offsets=[0.5, 1.0, 1.5],
             payloads=["before", "on-limit", "after"],
@@ -144,7 +176,7 @@ class TestEventBatchEdgeCases:
         # limit and the batch re-posted, with no payload skipped or
         # double-fired on resume.
         fired = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: fired.append((engine.now, p)),
             base=0.0, shift=0.0, offsets=[0.1, 0.3, 0.6],
             payloads=["a", "b", "c"],
@@ -162,7 +194,7 @@ class TestEventBatchEdgeCases:
         # re-posted itself before yielding, and the stop must prevent it
         # from draining further until the next run call.
         order = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: order.append(p),
             base=0.0, shift=0.0, offsets=[1.0, 3.0, 5.0],
             payloads=["p0", "p1", "p2"],
@@ -186,7 +218,7 @@ class TestEventBatchEdgeCases:
             if payload == "p0":
                 engine.call_at(1.0, lambda: order.append("evt"))
 
-        batch = EventBatch(
+        batch = _batch(
             engine, handler,
             base=0.0, shift=0.0, offsets=[0.0, 1.0], payloads=["p0", "p1"],
         )
@@ -210,7 +242,7 @@ class TestEventBatchEdgeCases:
                     1.0, lambda: engine.call_at(2.0, lambda: order.append("evt"))
                 )
 
-        batch = EventBatch(
+        batch = _batch(
             engine, handler,
             base=0.0, shift=0.0, offsets=[0.0, 2.0], payloads=["p0", "p1"],
         )
@@ -225,7 +257,7 @@ class TestEventBatchEdgeCases:
         # queued first — here it was (queued at t=0), so the whole
         # equal-time group still runs after it, in list order.
         order = []
-        batch = EventBatch(
+        batch = _batch(
             engine, lambda p: order.append(p),
             base=0.0, shift=0.0, offsets=[1.0, 1.0], payloads=["p0", "p1"],
         )
@@ -239,19 +271,8 @@ class TestEventBatchEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# Batched medium == per-receiver medium, byte for byte
+# Batched medium == per-receiver reference medium, byte for byte
 # ----------------------------------------------------------------------
-def _force_legacy_medium(monkeypatch):
-    """Every Medium built while patched schedules per-receiver arrivals."""
-    original = Medium.__init__
-
-    def legacy_init(self, *args, **kwargs):
-        kwargs["batch_arrivals"] = False
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Medium, "__init__", legacy_init)
-
-
 WARDRIVE_PARAMS = {
     "population_scale": 0.01,
     "keep_all_vendors": False,
@@ -260,41 +281,40 @@ WARDRIVE_PARAMS = {
 }
 
 
+def _both(monkeypatch, name, **kwargs):
+    """The scenario run on the production medium, then on the reference."""
+    production = run_scenario(name, quiet=True, **kwargs)
+    with monkeypatch.context() as patched:
+        patched.setattr(medium_module, "Medium", ReferenceMedium)
+        reference = run_scenario(name, quiet=True, **kwargs)
+    return production, reference
+
+
 class TestBatchedMediumEquivalence:
     def test_figure2_trace_byte_identical(self, monkeypatch):
-        batched = run_scenario("probe", quiet=True)
-        with monkeypatch.context() as patched:
-            _force_legacy_medium(patched)
-            legacy = run_scenario("probe", quiet=True)
-        assert batched.ctx.trace.to_jsonl() == legacy.ctx.trace.to_jsonl()
-        assert batched.outputs == legacy.outputs
+        batched, reference = _both(monkeypatch, "probe")
+        assert batched.ctx.trace.to_jsonl() == reference.ctx.trace.to_jsonl()
+        assert batched.outputs == reference.outputs
 
     def test_wardrive_trace_byte_identical(self, monkeypatch):
         # A Table 2-shaped run: static city, driving 3-dongle rig, so
-        # both the static delivery cache and the per-transmission mobile
-        # path are exercised in both modes.
-        batched = run_scenario(
-            "wardrive", quiet=True, trace=True, params=dict(WARDRIVE_PARAMS)
+        # the static delivery cache, changelog patching, the
+        # per-transmission mobile merge and the reception lanes all run.
+        batched, reference = _both(
+            monkeypatch, "wardrive", trace=True, params=dict(WARDRIVE_PARAMS)
         )
-        with monkeypatch.context() as patched:
-            _force_legacy_medium(patched)
-            legacy = run_scenario(
-                "wardrive", quiet=True, trace=True, params=dict(WARDRIVE_PARAMS)
-            )
         assert int(batched.outputs["discovered"]) > 0
-        assert batched.ctx.trace.to_jsonl() == legacy.ctx.trace.to_jsonl()
-        assert batched.outputs == legacy.outputs
+        assert batched.ctx.trace.to_jsonl() == reference.ctx.trace.to_jsonl()
+        assert batched.outputs == reference.outputs
 
     def test_batching_actually_reduces_heap_traffic(self, monkeypatch):
-        # Guard against the default silently reverting to per-receiver
+        # Guard against the medium silently reverting to per-receiver
         # scheduling: same run, far fewer events through the heap.
-        batched = run_scenario("wardrive", quiet=True, params=dict(WARDRIVE_PARAMS))
-        with monkeypatch.context() as patched:
-            _force_legacy_medium(patched)
-            legacy = run_scenario(
-                "wardrive", quiet=True, params=dict(WARDRIVE_PARAMS)
-            )
-        assert batched.ctx.engine.events_processed < legacy.ctx.engine.events_processed
+        batched, reference = _both(monkeypatch, "wardrive", params=dict(WARDRIVE_PARAMS))
+        assert (
+            batched.ctx.engine.events_processed
+            < reference.ctx.engine.events_processed / 2
+        )
 
 
 # ----------------------------------------------------------------------

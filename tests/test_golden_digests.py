@@ -1,0 +1,84 @@
+"""Golden digests: seeded scenario runs pinned against checked-in history.
+
+Each pinned run is reduced to three sha256 digests — the frame trace
+export, the scenario outputs as canonical JSON, and the deterministic
+metrics counters (host wall times left out) — and compared with
+``tests/golden/digests.json``.  A refactor of the simulator core must
+reproduce history exactly, not merely agree with another in-tree copy
+of the same logic.
+
+Regenerate (only for an intended behaviour change, and say why in the
+change log)::
+
+    PYTHONPATH=src python -m tests.test_golden_digests
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Dict
+
+import pytest
+
+from repro.scenario import run_scenario
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+
+#: ``id -> (scenario, params)``; every run is seeded by its scenario spec.
+RUNS: Dict[str, tuple] = {
+    "probe": ("probe", {}),
+    "deauth": ("deauth", {}),
+    "battery": ("battery", {"rates_pps": [0, 50, 200], "duration_s": 1.0}),
+    "wardrive": ("wardrive", {}),
+    "wardrive-full": ("wardrive-full", {"max_devices": 120}),
+    "wardrive-metro": (
+        "wardrive-metro",
+        {"tiles_x": 1, "tiles_y": 1, "metro_scale": 0.01, "blocks_x": 3, "blocks_y": 2},
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _canonical(data: Dict[str, object]) -> str:
+    """Canonical JSON minus host-dependent keys (wall times, fingerprints)."""
+    kept = {
+        key: value
+        for key, value in data.items()
+        if "wall_time" not in key and "fingerprint" not in key
+        and not key.startswith("span.")
+    }
+    return json.dumps(kept, sort_keys=True)
+
+
+def digests(run_id: str) -> Dict[str, str]:
+    name, params = RUNS[run_id]
+    result = run_scenario(name, params=dict(params), quiet=True, trace=True)
+    counters = result.ctx.metrics.snapshot()["counters"]
+    return {
+        "trace": _sha(result.ctx.trace.to_jsonl()),
+        "outputs": _sha(_canonical(result.outputs)),
+        "counters": _sha(_canonical(counters)),
+    }
+
+
+@pytest.mark.parametrize("run_id", sorted(RUNS))
+def test_seeded_run_matches_golden_digests(run_id):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert digests(run_id) == golden[run_id]
+
+
+def test_every_pinned_run_has_a_golden_entry():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(RUNS)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    table = {run_id: digests(run_id) for run_id in sorted(RUNS)}
+    text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+    GOLDEN.write_text(text, encoding="utf-8")
+    print(f"wrote {GOLDEN}")

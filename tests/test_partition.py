@@ -270,23 +270,6 @@ class TestHooks:
         assert all(sender == str(station.mac) for sender in seen)
         assert len(seen) == medium.transmission_count
 
-    def test_max_decode_range_tracks_most_sensitive_receiver(self):
-        from repro.devices.station import Station
-
-        engine = Engine()
-        medium = Medium(engine)
-        assert medium.max_decode_range_m(20.0) == 0.0
-        Station(
-            mac=MacAddress("02:00:00:00:00:01"),
-            medium=medium,
-            position=Position(0, 0),
-            rng=np.random.default_rng(0),
-        )
-        base = medium.max_decode_range_m(20.0)
-        assert base > 1000.0  # km-scale at wardrive link budgets
-        # +20 dB of transmit power = 10x the free-space range.
-        assert medium.max_decode_range_m(40.0) == pytest.approx(10.0 * base)
-
 
 class TestExternalEvidence:
     def _pipeline(self):

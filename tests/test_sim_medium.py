@@ -146,6 +146,29 @@ class TestFrameErrors:
         assert len(receptions) == 1
         assert not receptions[0].fcs_ok
 
+    @pytest.mark.parametrize("static_neighbour", [False, True])
+    def test_mobile_only_receiver_flips_the_fer_coin(self, engine, static_neighbour):
+        # Regression: with no static receiver in range the sender's static
+        # delivery list is empty, and a mobile receiver (the wardrive rig)
+        # used to skip the FER draw and receive every frame intact.
+        medium = Medium(
+            engine,
+            fer=lambda snr, rate, length: 0.5,
+            rng=np.random.default_rng(3),
+        )
+        tx = Radio("tx", medium, Position(0, 0))
+        rig = Radio("rig", medium, lambda t: Position(5.0 + t, 0))
+        if static_neighbour:
+            Radio("neighbour", medium, Position(8, 0))
+        receptions = []
+        rig.frame_handler = receptions.append
+        for k in range(40):
+            engine.call_at(1e-3 * k, lambda: tx.transmit(_frame(), 6.0))
+        engine.run_until(0.1)
+        assert len(receptions) == 40
+        delivered = sum(r.fcs_ok for r in receptions)
+        assert 5 < delivered < 35
+
 
 class TestCsiTagging:
     def test_csi_attached_when_model_registered(self, engine):

@@ -1,18 +1,23 @@
-"""The vectorized medium: SoA delivery == scalar delivery, byte for byte.
+"""The struct-of-arrays medium: equivalence, query paths, mirrors, mutations.
 
-Four contracts pinned here:
+Five contracts pinned here:
 
-* the full ``vectorized × batch_arrivals × batched_reception`` matrix
-  (all eight combinations) produces **byte-identical seeded traces** and
-  outputs on the Figure 2 probe exchange and a Table 2-shaped wardrive;
+* the production medium produces **byte-identical seeded traces** and
+  outputs to the cache-free reference medium on the Figure 2 probe
+  exchange and a Table 2-shaped wardrive, across the matrix of
+  ``tiny_cache × no_lanes × traced`` (FIFO eviction on every resolution,
+  every arrival on the scalar reception path, pass-through tracer
+  wrappers on the hot entry points);
 * ad-hoc queries (``rssi_between`` / ``is_busy_for``) read the same
   epoch-keyed budgets as the delivery path, so they can never drift from
   what a transmission actually experiences;
 * the per-channel struct-of-arrays index survives arbitrary mid-run
-  retune / reposition / detach sequences (property-tested): array-index
-  compaction never changes who hears what;
-* :class:`~repro.sim.engine.EventBatch` index mode (``payloads=None``)
-  hands the handler drain positions directly.
+  retune / reposition / detach sequences (property-tested against the
+  cache-free reference medium): array-index compaction never changes
+  who hears what;
+* the :class:`~repro.sim.medium._ChannelSoA` arrays themselves;
+* :class:`~repro.sim.engine.EventBatch` hands its slice handler drain
+  positions (``batch.index``) rather than payloads.
 """
 
 from __future__ import annotations
@@ -23,23 +28,25 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.sim.medium as medium_module
+from repro.mac.frames import Frame
 from repro.phy.radio import Radio
 from repro.scenario import run_scenario
 from repro.sim.engine import Engine, EventBatch
 from repro.sim.medium import Medium
 from repro.sim.trace import FrameTrace
 from repro.sim.world import Position
+from tests.reference_medium import ReferenceMedium
 from tests.test_sim_medium import _frame
 
-#: (vectorized, batch_arrivals, batched_reception).  The reception flag
-#: only takes effect on the vectorized batched path, so the other
-#: combinations double as no-op coverage: passing it must never change a
-#: trace anywhere.
+
+#: (tiny_cache, no_lanes, traced): every combination must leave the
+#: production trace byte-identical to the reference medium's.
 MATRIX = [
-    (vectorized, batch_arrivals, batched_reception)
-    for vectorized in (True, False)
-    for batch_arrivals in (True, False)
-    for batched_reception in (True, False)
+    (tiny_cache, no_lanes, traced)
+    for tiny_cache in (False, True)
+    for no_lanes in (False, True)
+    for traced in (False, True)
 ]
 
 WARDRIVE_PARAMS = {
@@ -49,55 +56,77 @@ WARDRIVE_PARAMS = {
     "blocks_y": 3,
 }
 
+_REFERENCE_RUNS = {}
 
-def _force_medium(
-    monkeypatch, vectorized: bool, batch_arrivals: bool, batched_reception: bool
-):
-    """Every Medium built while patched uses the given delivery mode."""
-    original = Medium.__init__
 
-    def forced_init(self, *args, **kwargs):
-        kwargs["vectorized"] = vectorized
-        kwargs["batch_arrivals"] = batch_arrivals
-        kwargs["batched_reception"] = batched_reception
-        original(self, *args, **kwargs)
+def _reference(name, **kwargs):
+    """The scenario on the reference medium, run once per test session."""
+    key = (name, repr(sorted(kwargs.items())))
+    if key not in _REFERENCE_RUNS:
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(medium_module, "Medium", ReferenceMedium)
+            _REFERENCE_RUNS[key] = run_scenario(name, quiet=True, **kwargs)
+    return _REFERENCE_RUNS[key]
 
-    monkeypatch.setattr(Medium, "__init__", forced_init)
+
+def _production(monkeypatch, tiny_cache, no_lanes, traced, name, **kwargs):
+    """The scenario on the production medium under one matrix cell.
+
+    ``tiny_cache`` caps every link/FER/delivery cache at two entries, so
+    FIFO eviction runs on nearly every resolution; ``no_lanes`` hides the
+    frames' destination hook, so every arrival takes the scalar reception
+    path (as for an unparseable PSDU); ``traced`` wraps the entry points
+    the end-to-end tracer patches in counting pass-throughs.
+    """
+    calls = {"transmit": 0, "on_reception": 0}
+    with monkeypatch.context() as patched:
+        if tiny_cache:
+            patched.setattr(medium_module, "LINK_CACHE_MAX_ENTRIES", 2)
+        if no_lanes:
+            patched.setattr(Frame, "dest_u64", lambda self: None)
+        if traced:
+            for owner, attr in ((Medium, "transmit"), (Radio, "on_reception")):
+                original = getattr(owner, attr)
+
+                def wrapper(*args, _original=original, _attr=attr, **kw):
+                    calls[_attr] += 1
+                    return _original(*args, **kw)
+
+                patched.setattr(owner, attr, wrapper)
+        run = run_scenario(name, quiet=True, **kwargs)
+    if traced:
+        assert calls["transmit"] > 0 and calls["on_reception"] > 0
+    return run
 
 
 # ----------------------------------------------------------------------
-# The 8-combination equivalence matrix
+# Production against the reference, across the matrix
 # ----------------------------------------------------------------------
 class TestEquivalenceMatrix:
-    @pytest.mark.parametrize("vectorized,batched,reception", MATRIX)
+    @pytest.mark.parametrize("tiny_cache,no_lanes,traced", MATRIX)
     def test_figure2_trace_byte_identical(
-        self, monkeypatch, vectorized, batched, reception
+        self, monkeypatch, tiny_cache, no_lanes, traced
     ):
-        reference = run_scenario("probe", quiet=True)
-        with monkeypatch.context() as patched:
-            _force_medium(patched, vectorized, batched, reception)
-            other = run_scenario("probe", quiet=True)
+        reference = _reference("probe")
+        other = _production(monkeypatch, tiny_cache, no_lanes, traced, "probe")
         assert other.ctx.trace.to_jsonl() == reference.ctx.trace.to_jsonl()
         assert other.outputs == reference.outputs
 
-    @pytest.mark.parametrize("vectorized,batched,reception", MATRIX)
+    @pytest.mark.parametrize("tiny_cache,no_lanes,traced", MATRIX)
     def test_wardrive_trace_byte_identical(
-        self, monkeypatch, vectorized, batched, reception
+        self, monkeypatch, tiny_cache, no_lanes, traced
     ):
         # Static city + driving rig: exercises the static delivery cache,
-        # the per-transmission mobile merge, and the FER coin flips in
-        # every mode.
-        reference = run_scenario(
-            "wardrive", quiet=True, trace=True, params=dict(WARDRIVE_PARAMS)
-        )
+        # the per-transmission mobile merge, and the FER coin flips.
+        reference = _reference("wardrive", trace=True, params=WARDRIVE_PARAMS)
         assert int(reference.outputs["discovered"]) > 0
-        with monkeypatch.context() as patched:
-            _force_medium(patched, vectorized, batched, reception)
-            other = run_scenario(
-                "wardrive", quiet=True, trace=True, params=dict(WARDRIVE_PARAMS)
-            )
+        other = _production(
+            monkeypatch, tiny_cache, no_lanes, traced,
+            "wardrive", trace=True, params=dict(WARDRIVE_PARAMS),
+        )
         assert other.ctx.trace.to_jsonl() == reference.ctx.trace.to_jsonl()
         assert other.outputs == reference.outputs
+
 
 
 # ----------------------------------------------------------------------
@@ -146,13 +175,14 @@ class TestQueryPathsMatchDelivery:
         assert verdicts == {"below": True, "above": False}
 
     def test_queries_agree_across_modes(self, engine):
-        scalar_engine = Engine()
-        vec = Medium(engine, vectorized=True)
-        sca = Medium(scalar_engine, vectorized=False)
-        for medium, eng in ((vec, engine), (sca, scalar_engine)):
+        production = Medium(engine)
+        reference = ReferenceMedium(Engine())
+        for medium in (production, reference):
             Radio("a", medium, Position(0, 0))
             Radio("b", medium, Position(25, 40))
-        assert vec.rssi_between("a", "b", 0.0) == sca.rssi_between("a", "b", 0.0)
+        assert production.rssi_between("a", "b", 0.0) == reference.rssi_between(
+            "a", "b", 0.0
+        )
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +191,7 @@ class TestQueryPathsMatchDelivery:
 CHANNELS = (1, 6, 11)
 
 
-def _mutation_run(ops, vectorized: bool):
+def _mutation_run(ops, medium_cls):
     """Scripted world: periodic broadcasts + a mutation schedule.
 
     Returns every reception as ``(receiver, time, rssi, fcs_ok)`` plus the
@@ -169,7 +199,7 @@ def _mutation_run(ops, vectorized: bool):
     """
     engine = Engine()
     trace = FrameTrace()
-    medium = Medium(engine, trace=trace, vectorized=vectorized)
+    medium = medium_cls(engine, trace=trace)
     radios = []
     for i in range(9):
         radios.append(
@@ -234,13 +264,13 @@ class TestSoACompaction:
     )
     @given(ops=st.lists(_op, min_size=1, max_size=8))
     def test_mutation_sweep_is_mode_invariant(self, ops):
-        vec_log, vec_trace = _mutation_run(ops, vectorized=True)
-        sca_log, sca_trace = _mutation_run(ops, vectorized=False)
-        assert vec_log == sca_log
-        assert vec_trace == sca_trace
+        vec_log, vec_trace = _mutation_run(ops, Medium)
+        ref_log, ref_trace = _mutation_run(ops, ReferenceMedium)
+        assert vec_log == ref_log
+        assert vec_trace == ref_trace
 
     def test_detach_reattach_compacts_and_restores(self, engine):
-        medium = Medium(engine, vectorized=True)
+        medium = Medium(engine)
         radios = [Radio(f"x{i}", medium, Position(float(i), 0)) for i in range(5)]
         tx = radios[0]
         heard = []
@@ -262,7 +292,7 @@ class TestSoACompaction:
 # ----------------------------------------------------------------------
 class TestChannelSoA:
     def test_mobile_rows_are_nan_and_gated_out(self, engine):
-        medium = Medium(engine, vectorized=True)
+        medium = Medium(engine)
         Radio("s", medium, Position(1, 2, 3), channel=1)
         Radio("m", medium, lambda t: Position(t, 0), channel=1)
         soa = medium._channel_soa(1)
@@ -274,7 +304,7 @@ class TestChannelSoA:
         assert not bool(soa.static_mask[by_name["m"]])
 
     def test_limit2_cached_per_power_and_covers_scalar_range(self, engine):
-        medium = Medium(engine, vectorized=True)
+        medium = Medium(engine)
         Radio("a", medium, Position(0, 0), channel=1, rx_sensitivity_dbm=-92.0)
         Radio("b", medium, Position(5, 0), channel=1, rx_sensitivity_dbm=-70.0)
         soa = medium._channel_soa(1)
@@ -292,7 +322,7 @@ class TestChannelSoA:
             assert limit2[i] >= dmax * dmax
 
     def test_rebuilt_after_version_bump(self, engine):
-        medium = Medium(engine, vectorized=True)
+        medium = Medium(engine)
         r0 = Radio("a", medium, Position(0, 0), channel=1)
         Radio("b", medium, Position(5, 0), channel=1)
         first = medium._channel_soa(1)
@@ -304,26 +334,35 @@ class TestChannelSoA:
 
 
 # ----------------------------------------------------------------------
-# EventBatch index mode
+# EventBatch drains by position
 # ----------------------------------------------------------------------
+def _by_index(engine, fire, base, offsets):
+    """A batch whose slice handler hands ``fire`` each due item's position."""
+
+    def handler(batch):
+        fire(batch.index)
+        return batch.index + 1
+
+    return EventBatch(engine, handler, base, 0.0, offsets)
+
+
 class TestEventBatchIndexMode:
     def test_none_payloads_hand_the_handler_indices(self, engine):
         fired = []
-        batch = EventBatch(
-            engine, lambda i: fired.append((engine.now, i)),
-            base=1.0, shift=0.0, offsets=[0.0, 1e-6, 5e-6], payloads=None,
+        engine.post_batch(
+            _by_index(
+                engine, lambda i: fired.append((engine.now, i)),
+                base=1.0, offsets=[0.0, 1e-6, 5e-6],
+            )
         )
-        engine.post_batch(batch)
         engine.run_until(2.0)
         assert fired == [(1.0, 0), (1.0 + 1e-6, 1), (1.0 + 5e-6, 2)]
 
     def test_index_mode_pauses_and_resumes_like_payload_mode(self, engine):
         fired = []
-        batch = EventBatch(
-            engine, lambda i: fired.append(i),
-            base=0.0, shift=0.0, offsets=[0.1, 0.3, 0.6], payloads=None,
+        engine.post_batch(
+            _by_index(engine, fired.append, base=0.0, offsets=[0.1, 0.3, 0.6])
         )
-        engine.post_batch(batch)
         engine.run_until(0.4)
         assert fired == [0, 1]
         engine.run_until(1.0)
@@ -331,11 +370,9 @@ class TestEventBatchIndexMode:
 
     def test_index_mode_yields_to_interleaving_events(self, engine):
         order = []
-        batch = EventBatch(
-            engine, lambda i: order.append(i),
-            base=0.0, shift=0.0, offsets=[1.0, 3.0], payloads=None,
+        engine.post_batch(
+            _by_index(engine, order.append, base=0.0, offsets=[1.0, 3.0])
         )
-        engine.post_batch(batch)
         engine.call_at(2.0, lambda: order.append("evt"))
         engine.run_until(4.0)
         assert order == [0, "evt", 1]
