@@ -120,7 +120,7 @@ metro-smoke:
 # mid-epoch must relaunch it, fast-forward it by deterministic replay,
 # and still produce aggregates identical to an undisturbed run.
 metro-chaos-smoke:
-	$(PYTHON) -c "from repro.scenario import run_scenario; base=dict(metro_scale=1.0, blocks_x=10, blocks_y=8, max_devices=400, epoch_s=20.0, tiles_x=2, tiles_y=2, tile_workers=2, heartbeat_s=0.1, heartbeat_timeout_s=10.0); killed=run_scenario('wardrive-metro', seed=0, quiet=True, params=dict(base, chaos_kill_worker=0, chaos_kill_epoch=1, chaos_kill_phase='mid')); calm=run_scenario('wardrive-metro', seed=0, quiet=True, params=base); keys=('population','vendors','discovered','probed','responded','vendors_responded'); bad=[k for k in keys if killed.outputs[k]!=calm.outputs[k]]; assert not bad, f'recovered != undisturbed on {bad}'; assert killed.outputs['recoveries'] >= 1, 'chaos kill did not trigger a recovery'; print('metro chaos smoke OK:', killed.outputs['recoveries'], 'recovery,', killed.outputs['responded'], 'responded == undisturbed')"
+	$(PYTHON) -c "from repro.scenario import run_scenario; base=dict(metro_scale=1.0, blocks_x=10, blocks_y=8, max_devices=400, epoch_s=20.0, tiles_x=2, tiles_y=2, tile_workers=2); killed=run_scenario('wardrive-metro', seed=0, quiet=True, params=dict(base, chaos_kill_worker=0, chaos_kill_epoch=1, chaos_kill_phase='mid')); calm=run_scenario('wardrive-metro', seed=0, quiet=True, params=base); keys=('population','vendors','discovered','probed','responded','vendors_responded'); bad=[k for k in keys if killed.outputs[k]!=calm.outputs[k]]; assert not bad, f'recovered != undisturbed on {bad}'; assert killed.outputs['recoveries'] >= 1, 'chaos kill did not trigger a recovery'; print('metro chaos smoke OK:', killed.outputs['recoveries'], 'recovery,', killed.outputs['responded'], 'responded == undisturbed')"
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from benchmarks.perf.harness import BenchOutcome
 
-from repro.scenario import REGISTRY
+from repro.scenario import REGISTRY, IntParam
 from repro.telemetry import CampaignConfig, merge_manifest_files, run_campaign
 from repro.telemetry.campaign import shard_manifest_path
 
@@ -26,13 +26,15 @@ SCENARIO = "bench-campaign-noop"
 
 if SCENARIO not in REGISTRY:
 
-    @REGISTRY.register(SCENARIO, param_names=("draws",))
+    @REGISTRY.register(
+        SCENARIO, param_schema={"draws": IntParam(minimum=1, default=4)}
+    )
     def _noop(ctx):
         """Seeded arithmetic only: the runner is the workload."""
         import numpy as np
 
         rng = np.random.default_rng(ctx.spec.seed)
-        draws = int(ctx.params.get("draws", 4))
+        draws = ctx.params["draws"]
         return {"total": int(rng.integers(0, 100, size=draws).sum())}
 
 

@@ -117,28 +117,25 @@ def _parse_seeds(text: str):
 
 
 def _parse_param(text: str):
-    """``key=value`` with the value coerced to int/float when it parses."""
+    """``key=value`` -> (key, value string); the scenario's schema, not
+    the command line, decides the value's type."""
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
-    for cast in (int, float):
-        try:
-            return key, cast(raw)
-        except ValueError:
-            continue
     return key, raw
 
 
 def _parse_grid(text: str):
-    """``key=v1,v2,v3`` -> (key, [values]), each value coerced like
-    ``--param`` (int, then float, then string)."""
+    """``key=v1,v2,v3`` -> (key, [value strings]), each coerced later by
+    the schema like a ``--param`` value (so a list-valued parameter,
+    whose own values use commas, cannot be swept this way)."""
     key, sep, raw = text.partition("=")
     values = [part for part in raw.split(",") if part.strip()]
     if not sep or not key or not values:
         raise argparse.ArgumentTypeError(
             f"expected KEY=V1,V2,... got {text!r}"
         )
-    return key, [_parse_param(f"{key}={value}")[1] for value in values]
+    return key, values
 
 
 def _parse_shard(text: str):
@@ -172,7 +169,8 @@ def _run_one(argv) -> int:
         help="registered scenario name (see --list)",
     )
     parser.add_argument(
-        "--list", action="store_true", help="list registered scenarios and exit"
+        "--list", action="store_true",
+        help="list registered scenarios with their parameters and exit",
     )
     parser.add_argument(
         "--seed", type=int, default=None,
@@ -191,8 +189,13 @@ def _run_one(argv) -> int:
     )
     args = parser.parse_args(argv)
     if args.list:
-        for entry in REGISTRY.describe():
-            print(f"{entry['name']:<12} {entry['description']}")
+        for name in available_scenarios():
+            entry = REGISTRY.get(name)
+            print(f"{name:<15} {entry.description}")
+            for key, spec in entry.param_schema.items():
+                default = entry.spec.params[key]
+                shown = "unset" if default is None else json.dumps(default)
+                print(f"    {key:<22} {spec.describe()}; default {shown}")
         return 0
     if args.scenario is None:
         parser.error("a scenario name is required (or --list)")

@@ -134,12 +134,7 @@ class ControlService:
                 raise ValueError(
                     "'grid' must map parameter names to non-empty value lists"
                 )
-            grid = {
-                key: [
-                    entry.coerce_params({key: value})[key] for value in values
-                ]
-                for key, values in grid.items()
-            }
+            grid = entry.coerce_grid(grid)
         seeds = _parse_seeds(request.get("seeds", [0]))
         shards = int(request.get("shards") or self.defaults["shards"])
         workers = int(

@@ -16,6 +16,7 @@ from repro.scenario.context import SimContext
 from repro.scenario.params import (
     BoolParam,
     ChoiceParam,
+    FloatListParam,
     FloatParam,
     IntParam,
     ParamSpec,
@@ -42,6 +43,7 @@ __all__ = [
     "BoolParam",
     "ChoiceParam",
     "DuplicateScenarioError",
+    "FloatListParam",
     "FloatParam",
     "IntParam",
     "ParamSpec",

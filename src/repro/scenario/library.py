@@ -1,29 +1,23 @@
 """Built-in scenarios: the paper's headline results as registry entries.
 
-Each scenario is the declarative successor of a hand-wired entry point:
-the five ``python -m repro`` demos and the two campaign scenarios that
-used to live in ``repro/telemetry/scenarios.py`` all collapse onto the
-five entries here.  Every one is seeded, sized to finish in roughly a
-second at its default parameters, campaign-safe (narration goes through
-``ctx.say`` so workers stay silent), and parameterizable via
-``--param k=v``.
+Every figure and table the repro regenerates is one entry here.  Each is
+seeded, sized to finish in roughly a second at its defaults,
+campaign-safe (narration goes through ``ctx.say`` so workers stay
+silent), and parameterizable via ``--param k=v``.  Each entry's
+``param_schema`` is the single declaration of its parameters — type,
+bounds and default — so the bodies below read ``ctx.params["x"]``
+directly; ``python -m repro run --list`` prints the lot.
 
 * ``probe``    — Figure 2: fake null frame → ACK within one SIFS;
 * ``deauth``   — Figure 3: the AP barks deauths and ACKs anyway;
-* ``battery``  — Figure 6: power vs fake-frame rate on the ESP8266
-  (parameters: ``rates_pps``, ``duration_s``, ``distance_m``);
-* ``locate``   — ACK-timing trilateration of a victim device
-  (parameters: ``probes_per_anchor``, ``area_m``);
+* ``battery``  — Figure 6: power vs fake-frame rate on the ESP8266;
+* ``locate``   — ACK-timing trilateration of a victim device;
 * ``wardrive`` — Table 2 shape: synthetic city, discover → inject →
-  verify (parameters: ``population_scale``, ``blocks_x``, ``blocks_y``,
-  ``beacon_interval``, ``vehicle_speed_mps``, ``probe_attempts``, …);
+  verify;
 * ``wardrive-full`` — Table 2 at full scale: all 5,328 devices from the
-  186-vendor census (parameters: ``max_devices``, ``activate_radius_m``,
-  ``beacon_interval``, ``vehicle_speed_mps``, ``probe_attempts``, …);
+  186-vendor census;
 * ``wardrive-metro`` — the metro-scale census on the tiled multi-process
-  medium (``docs/partitioning.md``; parameters: ``tiles_x``,
-  ``tiles_y``, ``tile_workers``, ``epoch_s``, ``halo_m``,
-  ``metro_scale``, ``blocks_x``, ``blocks_y``, ``max_devices``, …).
+  medium (``docs/partitioning.md``).
 """
 
 from __future__ import annotations
@@ -31,7 +25,13 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.scenario.context import SimContext
-from repro.scenario.params import BoolParam, ChoiceParam, FloatParam, IntParam
+from repro.scenario.params import (
+    BoolParam,
+    ChoiceParam,
+    FloatListParam,
+    FloatParam,
+    IntParam,
+)
 from repro.scenario.registry import scenario
 from repro.scenario.spec import PlacementSpec, ScenarioSpec
 
@@ -48,7 +48,6 @@ __all__ = [
 
 @scenario(
     "probe",
-    param_names=(),
     spec=ScenarioSpec(
         seed=0,
         trace=True,
@@ -85,7 +84,6 @@ def probe(ctx: SimContext) -> Dict[str, object]:
 
 @scenario(
     "deauth",
-    param_names=(),
     spec=ScenarioSpec(
         seed=1,
         trace=True,
@@ -122,12 +120,10 @@ def deauth(ctx: SimContext) -> Dict[str, object]:
 
 @scenario(
     "battery",
-    param_names=("rates_pps", "duration_s", "distance_m"),
     param_schema={
-        # rates_pps stays schema-free: it is a sequence, which the typed
-        # layer deliberately does not model yet.
-        "duration_s": FloatParam(minimum=0.0, exclusive_minimum=True),
-        "distance_m": FloatParam(minimum=0.0, exclusive_minimum=True),
+        "rates_pps": FloatListParam(minimum=0.0, default=[0.0, 50.0, 200.0]),
+        "duration_s": FloatParam(minimum=0.0, exclusive_minimum=True, default=3.0),
+        "distance_m": FloatParam(minimum=0.0, exclusive_minimum=True, default=12.0),
     },
     spec=ScenarioSpec(seed=42),
     description="Figure 6 — battery-drain sweep against one ESP8266",
@@ -142,10 +138,6 @@ def battery(ctx: SimContext) -> Dict[str, object]:
     from repro.sim.world import Position
 
     params = ctx.params
-    rates = tuple(float(r) for r in params.get("rates_pps", (0, 50, 200)))
-    duration_s = float(params.get("duration_s", 3.0))
-    distance_m = float(params.get("distance_m", 12.0))
-
     # The attacker's distance is a parameter, so these placements stay in
     # code; all wiring still comes from the context.
     engine, medium, rng = ctx.engine, ctx.medium, ctx.rng
@@ -163,10 +155,12 @@ def battery(ctx: SimContext) -> Dict[str, object]:
     victim.enter_power_save()
     attacker = MonitorDongle(
         mac=MacAddress("02:dd:00:00:00:02"),
-        medium=medium, position=Position(distance_m, 0, 1), rng=rng,
+        medium=medium, position=Position(params["distance_m"], 0, 1), rng=rng,
     )
     attack = BatteryDrainAttack(attacker, victim)
-    points = attack.sweep(rates_pps=rates, duration_s=duration_s)
+    points = attack.sweep(
+        rates_pps=params["rates_pps"], duration_s=params["duration_s"]
+    )
     if ctx.verbose:
         ctx.say("rate (pkt/s)  power (mW)")
         for point in points:
@@ -183,10 +177,9 @@ def battery(ctx: SimContext) -> Dict[str, object]:
 
 @scenario(
     "locate",
-    param_names=("probes_per_anchor", "area_m"),
     param_schema={
-        "probes_per_anchor": IntParam(minimum=1),
-        "area_m": FloatParam(minimum=1.0),
+        "probes_per_anchor": IntParam(minimum=1, default=60),
+        "area_m": FloatParam(minimum=1.0, default=40.0),
     },
     spec=ScenarioSpec(
         seed=7,
@@ -208,10 +201,7 @@ def locate(ctx: SimContext) -> Dict[str, object]:
     from repro.core.localization import AckRangingSensor, LocalizationAttack
     from repro.sim.world import Position
 
-    params = ctx.params
-    probes = int(params.get("probes_per_anchor", 60))
-    area = float(params.get("area_m", 40.0))
-
+    area = ctx.params["area_m"]
     devices = ctx.place_devices()
     victim = devices["victim"]
     truth = victim.radio.current_position(0.0)
@@ -222,7 +212,7 @@ def locate(ctx: SimContext) -> Dict[str, object]:
             Position(0, 0, 1), Position(area, 0, 1),
             Position(0, area, 1), Position(area, area, 1),
         ],
-        probes_per_anchor=probes,
+        probes_per_anchor=ctx.params["probes_per_anchor"],
         truth=truth,
     )
     if ctx.verbose:
@@ -245,19 +235,17 @@ def locate(ctx: SimContext) -> Dict[str, object]:
 
 @scenario(
     "wardrive",
-    param_names=(
-        "population_scale", "keep_all_vendors", "blocks_x", "blocks_y",
-        "beacon_interval", "probe_attempts", "vehicle_speed_mps", "table_top",
-    ),
     param_schema={
-        "population_scale": FloatParam(minimum=0.0, exclusive_minimum=True, maximum=1.0),
-        "keep_all_vendors": BoolParam(),
-        "blocks_x": IntParam(minimum=1),
-        "blocks_y": IntParam(minimum=1),
-        "beacon_interval": FloatParam(minimum=0.01),
-        "probe_attempts": IntParam(minimum=1),
-        "vehicle_speed_mps": FloatParam(minimum=0.1),
-        "table_top": IntParam(minimum=1),
+        "population_scale": FloatParam(
+            minimum=0.0, exclusive_minimum=True, maximum=1.0, default=0.01
+        ),
+        "keep_all_vendors": BoolParam(default=False),
+        "blocks_x": IntParam(minimum=1, default=2),
+        "blocks_y": IntParam(minimum=1, default=2),
+        "beacon_interval": FloatParam(minimum=0.01, default=0.5),
+        "probe_attempts": IntParam(minimum=1, default=4),
+        "vehicle_speed_mps": FloatParam(minimum=0.1, default=14.0),
+        "table_top": IntParam(minimum=1, default=10),
     },
     spec=ScenarioSpec(seed=2020, seed_medium=True, spans=True),
     description="Table 2 shape — wardrive a seeded synthetic city",
@@ -274,24 +262,24 @@ def wardrive(ctx: SimContext) -> Dict[str, object]:
             ctx.medium,
             CityConfig(
                 seed=ctx.spec.seed,
-                population_scale=float(params.get("population_scale", 0.01)),
-                keep_all_vendors=bool(params.get("keep_all_vendors", False)),
-                blocks_x=int(params.get("blocks_x", 2)),
-                blocks_y=int(params.get("blocks_y", 2)),
-                beacon_interval=float(params.get("beacon_interval", 0.5)),
+                population_scale=params["population_scale"],
+                keep_all_vendors=params["keep_all_vendors"],
+                blocks_x=params["blocks_x"],
+                blocks_y=params["blocks_y"],
+                beacon_interval=params["beacon_interval"],
             ),
         )
         pipeline = WardrivePipeline(
             city,
             WardriveConfig(
-                probe_attempts=int(params.get("probe_attempts", 4)),
-                vehicle_speed_mps=float(params.get("vehicle_speed_mps", 14.0)),
+                probe_attempts=params["probe_attempts"],
+                vehicle_speed_mps=params["vehicle_speed_mps"],
             ),
         )
     with ctx.tracer.span("drive"):
         results = pipeline.run()
     if ctx.verbose:
-        ctx.say(results.to_table(top=int(params.get("table_top", 10))))
+        ctx.say(results.to_table(top=params["table_top"]))
     return {
         "population": city.population,
         "discovered": results.total_discovered,
@@ -301,24 +289,48 @@ def wardrive(ctx: SimContext) -> Dict[str, object]:
     }
 
 
+#: Parameters the full census shares with its metro-scale tiling.
+_CENSUS_SCHEMA = {
+    "max_devices": IntParam(minimum=1),  # default None: the whole census
+    "beacon_interval": FloatParam(minimum=0.01, default=0.6),
+    "client_probe_interval": FloatParam(minimum=0.01, default=2.5),
+    "activate_radius_m": FloatParam(minimum=1.0, default=75.0),
+    "deactivate_radius_m": FloatParam(minimum=1.0, default=110.0),
+    "probe_attempts": IntParam(minimum=1, default=4),
+    "max_probe_rounds": IntParam(minimum=1, default=8),
+    "vehicle_speed_mps": FloatParam(minimum=0.1, default=14.0),
+}
+
+
+def _census_configs(ctx: SimContext, **city: object):
+    """The ``(CityConfig, WardriveConfig)`` pair :data:`_CENSUS_SCHEMA`
+    describes: every vendor kept, ``city`` adding the street grid and
+    population scale."""
+    from repro.core.wardrive import WardriveConfig
+    from repro.survey.city import CityConfig
+
+    params = ctx.params
+    city_config = CityConfig(
+        seed=ctx.spec.seed,
+        keep_all_vendors=True,
+        max_devices=params["max_devices"],
+        beacon_interval=params["beacon_interval"],
+        client_probe_interval=params["client_probe_interval"],
+        activate_radius_m=params["activate_radius_m"],
+        deactivate_radius_m=params["deactivate_radius_m"],
+        **city,
+    )
+    wardrive_config = WardriveConfig(
+        probe_attempts=params["probe_attempts"],
+        max_probe_rounds=params["max_probe_rounds"],
+        vehicle_speed_mps=params["vehicle_speed_mps"],
+    )
+    return city_config, wardrive_config
+
+
 @scenario(
     "wardrive-full",
-    param_names=(
-        "max_devices", "beacon_interval", "client_probe_interval",
-        "activate_radius_m", "deactivate_radius_m", "probe_attempts",
-        "max_probe_rounds", "vehicle_speed_mps", "table_top",
-    ),
-    param_schema={
-        "max_devices": IntParam(minimum=1),
-        "beacon_interval": FloatParam(minimum=0.01),
-        "client_probe_interval": FloatParam(minimum=0.01),
-        "activate_radius_m": FloatParam(minimum=1.0),
-        "deactivate_radius_m": FloatParam(minimum=1.0),
-        "probe_attempts": IntParam(minimum=1),
-        "max_probe_rounds": IntParam(minimum=1),
-        "vehicle_speed_mps": FloatParam(minimum=0.1),
-        "table_top": IntParam(minimum=1),
-    },
+    param_schema={**_CENSUS_SCHEMA, "table_top": IntParam(minimum=1, default=15)},
     spec=ScenarioSpec(seed=2020, seed_medium=True, spans=True),
     description="Table 2 at full scale — 5,328 devices, 186 vendors, one city",
 )
@@ -332,36 +344,13 @@ def wardrive_full(ctx: SimContext) -> Dict[str, object]:
     what makes the full city interactive.  ``max_devices`` caps the
     population for quick modes (CI) without changing the configuration.
     """
-    from repro.core.wardrive import WardriveConfig, WardrivePipeline
-    from repro.survey.city import CityConfig, SyntheticCity
+    from repro.core.wardrive import WardrivePipeline
+    from repro.survey.city import SyntheticCity
 
-    params = ctx.params
-    max_devices = params.get("max_devices")
     with ctx.tracer.span("build-city"):
-        city = SyntheticCity(
-            ctx.engine,
-            ctx.medium,
-            CityConfig(
-                seed=ctx.spec.seed,
-                population_scale=1.0,
-                keep_all_vendors=True,
-                max_devices=int(max_devices) if max_devices is not None else None,
-                beacon_interval=float(params.get("beacon_interval", 0.6)),
-                client_probe_interval=float(
-                    params.get("client_probe_interval", 2.5)
-                ),
-                activate_radius_m=float(params.get("activate_radius_m", 75.0)),
-                deactivate_radius_m=float(params.get("deactivate_radius_m", 110.0)),
-            ),
-        )
-        pipeline = WardrivePipeline(
-            city,
-            WardriveConfig(
-                probe_attempts=int(params.get("probe_attempts", 4)),
-                max_probe_rounds=int(params.get("max_probe_rounds", 8)),
-                vehicle_speed_mps=float(params.get("vehicle_speed_mps", 14.0)),
-            ),
-        )
+        city_config, wardrive_config = _census_configs(ctx, population_scale=1.0)
+        city = SyntheticCity(ctx.engine, ctx.medium, city_config)
+        pipeline = WardrivePipeline(city, wardrive_config)
     vendors = len({spec.vendor for spec in city.specs})
     route = city.survey_route(pipeline.config.vehicle_speed_mps)
     ctx.say(
@@ -376,7 +365,7 @@ def wardrive_full(ctx: SimContext) -> Dict[str, object]:
         {city.spec_of(mac).vendor for mac in acked if city.spec_of(mac) is not None}
     )
     if ctx.verbose:
-        ctx.say(results.to_table(top=int(params.get("table_top", 15))))
+        ctx.say(results.to_table(top=ctx.params["table_top"]))
     return {
         "population": city.population,
         "vendors": vendors,
@@ -390,39 +379,22 @@ def wardrive_full(ctx: SimContext) -> Dict[str, object]:
 
 @scenario(
     "wardrive-metro",
-    param_names=(
-        "tiles_x", "tiles_y", "tile_workers", "epoch_s", "halo_m",
-        "metro_scale", "blocks_x", "blocks_y", "max_devices",
-        "beacon_interval", "client_probe_interval", "activate_radius_m",
-        "deactivate_radius_m", "probe_attempts", "max_probe_rounds",
-        "vehicle_speed_mps", "supervise", "heartbeat_s",
-        "heartbeat_timeout_s", "tile_retries", "chaos_kill_worker",
-        "chaos_kill_epoch", "chaos_kill_phase",
-    ),
     param_schema={
-        "tiles_x": IntParam(minimum=1),
-        "tiles_y": IntParam(minimum=1),
-        "tile_workers": IntParam(minimum=1),
-        "epoch_s": FloatParam(minimum=0.1),
-        "halo_m": FloatParam(minimum=0.0),
-        "metro_scale": FloatParam(minimum=0.0, exclusive_minimum=True),
-        "blocks_x": IntParam(minimum=1),
-        "blocks_y": IntParam(minimum=1),
-        "max_devices": IntParam(minimum=1),
-        "beacon_interval": FloatParam(minimum=0.01),
-        "client_probe_interval": FloatParam(minimum=0.01),
-        "activate_radius_m": FloatParam(minimum=1.0),
-        "deactivate_radius_m": FloatParam(minimum=1.0),
-        "probe_attempts": IntParam(minimum=1),
-        "max_probe_rounds": IntParam(minimum=1),
-        "vehicle_speed_mps": FloatParam(minimum=0.1),
-        "supervise": BoolParam(),
-        "heartbeat_s": FloatParam(minimum=0.01),
-        "heartbeat_timeout_s": FloatParam(minimum=0.1),
-        "tile_retries": IntParam(minimum=0),
-        "chaos_kill_worker": IntParam(minimum=0),
-        "chaos_kill_epoch": IntParam(minimum=0),
-        "chaos_kill_phase": ChoiceParam(["boundary", "mid", "stop", "finish"]),
+        **_CENSUS_SCHEMA,
+        "tiles_x": IntParam(minimum=1, default=4),
+        "tiles_y": IntParam(minimum=1, default=3),
+        "tile_workers": IntParam(minimum=1, default=1),
+        "epoch_s": FloatParam(minimum=0.1, default=30.0),
+        "metro_scale": FloatParam(minimum=0.0, exclusive_minimum=True, default=20.0),
+        "blocks_x": IntParam(minimum=1, default=48),
+        "blocks_y": IntParam(minimum=1, default=32),
+        # One-shot fault injection for the chaos smoke / tests: kill (or
+        # stall) one worker once and let the supervisor recover it.
+        "chaos_kill_worker": IntParam(minimum=0),  # default None: no chaos
+        "chaos_kill_epoch": IntParam(minimum=0, default=1),
+        "chaos_kill_phase": ChoiceParam(
+            ["boundary", "mid", "stop", "finish"], default="mid"
+        ),
     },
     spec=ScenarioSpec(seed=2020, seed_medium=True, spans=True),
     description="Metro-scale census on the tiled multi-process medium",
@@ -441,48 +413,26 @@ def wardrive_metro(ctx: SimContext) -> Dict[str, object]:
     population for quick modes without changing the configuration shape.
     """
     from repro.sim.partition import PartitionConfig, run_partitioned_wardrive
-    from repro.core.wardrive import WardriveConfig
-    from repro.survey.city import CityConfig
 
     params = ctx.params
-    max_devices = params.get("max_devices")
-    halo_m = float(params.get("halo_m", 0.0))
-    city_config = CityConfig(
-        seed=ctx.spec.seed,
-        blocks_x=int(params.get("blocks_x", 48)),
-        blocks_y=int(params.get("blocks_y", 32)),
-        population_scale=float(params.get("metro_scale", 20.0)),
-        keep_all_vendors=True,
-        max_devices=int(max_devices) if max_devices is not None else None,
-        beacon_interval=float(params.get("beacon_interval", 0.6)),
-        client_probe_interval=float(params.get("client_probe_interval", 2.5)),
-        activate_radius_m=float(params.get("activate_radius_m", 75.0)),
-        deactivate_radius_m=float(params.get("deactivate_radius_m", 110.0)),
-    )
-    wardrive_config = WardriveConfig(
-        probe_attempts=int(params.get("probe_attempts", 4)),
-        max_probe_rounds=int(params.get("max_probe_rounds", 8)),
-        vehicle_speed_mps=float(params.get("vehicle_speed_mps", 14.0)),
+    city_config, wardrive_config = _census_configs(
+        ctx,
+        blocks_x=params["blocks_x"],
+        blocks_y=params["blocks_y"],
+        population_scale=params["metro_scale"],
     )
     chaos = None
-    if params.get("chaos_kill_worker") is not None:
-        # Fault injection for the chaos smoke / tests: kill (or stall)
-        # one worker once and let the supervisor recover it.
+    if params["chaos_kill_worker"] is not None:
         chaos = {
-            "worker": int(params["chaos_kill_worker"]),
-            "epoch": int(params.get("chaos_kill_epoch", 1)),
-            "phase": str(params.get("chaos_kill_phase", "mid")),
+            "worker": params["chaos_kill_worker"],
+            "epoch": params["chaos_kill_epoch"],
+            "phase": params["chaos_kill_phase"],
         }
     partition = PartitionConfig(
-        tiles_x=int(params.get("tiles_x", 4)),
-        tiles_y=int(params.get("tiles_y", 3)),
-        tile_workers=int(params.get("tile_workers", 1)),
-        epoch_s=float(params.get("epoch_s", 30.0)),
-        halo_m=halo_m if halo_m > 0.0 else None,
-        supervise=bool(params.get("supervise", True)),
-        heartbeat_s=float(params.get("heartbeat_s", 0.5)),
-        heartbeat_timeout_s=float(params.get("heartbeat_timeout_s", 30.0)),
-        tile_retries=int(params.get("tile_retries", 2)),
+        tiles_x=params["tiles_x"],
+        tiles_y=params["tiles_y"],
+        tile_workers=params["tile_workers"],
+        epoch_s=params["epoch_s"],
         chaos=chaos,
     )
     with ctx.tracer.span("drive"):

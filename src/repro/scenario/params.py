@@ -1,51 +1,55 @@
-"""Typed, coerced scenario parameter schemas.
+"""Typed scenario parameters: each one declared once, with its default.
 
-``param_names`` (PR 5) made ``--param`` typos fail fast; this module
-adds the next layer: a *schema* declaring what each parameter **is** —
-an int in a range, a positive float, one of a fixed set of choices, a
-boolean — so values arriving as strings (``--param`` on the command
-line, JSON over the control plane's HTTP surface) are coerced to their
-declared type and range-checked *before* the scenario runs, with error
-messages that name the scenario, the parameter, and the constraint that
-was violated.
+A scenario's ``param_schema`` maps every parameter it reads to a
+:class:`ParamSpec` that says what the parameter **is** — an int in a
+range, a positive float, a list of numbers, one of a fixed set of
+choices, a boolean, a string — and what it defaults to.  That entry is
+the only declaration: its keys are the scenario's whole parameter
+surface (a scenario without a schema takes no parameters), registration
+stamps the defaults into the template spec, and every value a caller
+passes is coerced to its declared type and range-checked *before* the
+scenario runs.  Scenario bodies read ``ctx.params["x"]`` with no default
+and no cast.
 
 Declare a schema at registration time::
 
     @scenario(
         "my-sweep",
         param_schema={
-            "devices": IntParam(minimum=1, maximum=10_000),
-            "scale": FloatParam(minimum=0.0, exclusive_minimum=True),
-            "mode": ChoiceParam(("fast", "exact")),
-            "verbose": BoolParam(),
+            "devices": IntParam(minimum=1, maximum=10_000, default=100),
+            "scale": FloatParam(minimum=0.0, exclusive_minimum=True, default=1.0),
+            "rates": FloatListParam(minimum=0.0, default=[0.0, 50.0]),
+            "mode": ChoiceParam(("fast", "exact"), default="fast"),
+            "cap": IntParam(minimum=1),  # default None: uncapped
         },
     )
     def my_sweep(ctx):
         ...
 
-``param_schema`` subsumes ``param_names`` (the schema's keys become the
-declared surface when ``param_names`` is omitted); parameters without a
-schema entry pass through untouched, so schemas can be adopted
-incrementally.  Every front end — ``run_scenario``, ``python -m repro
-run``, the campaign runner (base params *and* grid values), and the
-control-plane HTTP service — coerces through the same
-:meth:`~repro.scenario.registry.RegisteredScenario.coerce_params` path.
+Values arrive as strings from ``--param``/``--grid`` on the command line
+and typed from Python or the control plane's HTTP JSON; every front end
+— ``run_scenario``, ``python -m repro run``, the campaign runner (base
+params *and* grid values), and the control-plane service — coerces
+through the same
+:meth:`~repro.scenario.registry.RegisteredScenario.coerce_params` path,
+so a parameter's type is decided here and nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+import json
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BoolParam",
     "ChoiceParam",
+    "FloatListParam",
     "FloatParam",
     "IntParam",
     "ParamSpec",
     "ParameterValueError",
     "StrParam",
-    "coerce_params",
 ]
 
 
@@ -80,7 +84,11 @@ class ParamSpec:
     raise ``ValueError`` with a human reason) and may override
     :meth:`_check` for range/choice constraints.  :meth:`describe`
     renders the constraint for error messages and ``--list`` output.
+    ``default`` is the value a run gets when the caller does not pass
+    the parameter; ``None`` means absent (e.g. an uncapped population).
     """
+
+    default: object = field(default=None, kw_only=True)
 
     def coerce(self, scenario: str, name: str, value: object) -> object:
         try:
@@ -182,6 +190,37 @@ class FloatParam(ParamSpec):
 
 
 @dataclass(frozen=True)
+class FloatListParam(FloatParam):
+    """A non-empty list of numbers, each bounded like a :class:`FloatParam`.
+
+    Strings accept a JSON list (``[0, 50]``), comma-separated numbers
+    (``0,50``) or a single number (``50``), so one ``--param`` carries
+    a whole sweep axis.
+    """
+
+    def _convert(self, value: object) -> List[float]:
+        if isinstance(value, str):
+            text = value.strip()
+            value = json.loads(text) if text.startswith("[") else text.split(",")
+        if not isinstance(value, (list, tuple)):
+            value = [value]
+        if not value:
+            raise ValueError("expected at least one number")
+        return [FloatParam._convert(self, item) for item in value]
+
+    def _check(self, values: List[float]) -> Optional[str]:
+        for item in values:
+            reason = FloatParam._check(self, item)
+            if reason is not None:
+                return f"every element {reason}"
+        return None
+
+    def describe(self) -> str:
+        bounds = _bounds_note(self.minimum, self.maximum, self.exclusive_minimum)
+        return f"a list of numbers{bounds}"
+
+
+@dataclass(frozen=True)
 class BoolParam(ParamSpec):
     """A boolean; strings accept true/false, yes/no, on/off, 1/0."""
 
@@ -209,8 +248,9 @@ class ChoiceParam(ParamSpec):
 
     choices: Tuple[object, ...] = ()
 
-    def __init__(self, choices: Sequence[object]) -> None:
+    def __init__(self, choices: Sequence[object], default: object = None) -> None:
         object.__setattr__(self, "choices", tuple(choices))
+        object.__setattr__(self, "default", default)
         if not self.choices:
             raise ValueError("ChoiceParam needs at least one choice")
 
@@ -251,21 +291,3 @@ def _bounds_note(
         parts.append(f"<= {maximum}")
     return f" ({', '.join(parts)})" if parts else ""
 
-
-def coerce_params(
-    scenario: str,
-    schema: Optional[Dict[str, ParamSpec]],
-    params: Optional[Dict[str, object]],
-) -> Dict[str, object]:
-    """Coerce ``params`` through ``schema``; keys without a schema entry
-    pass through untouched.  Raises :class:`ParameterValueError` on the
-    first violation."""
-    if not params:
-        return dict(params or {})
-    if not schema:
-        return dict(params)
-    coerced: Dict[str, object] = {}
-    for key, value in params.items():
-        spec = schema.get(key)
-        coerced[key] = spec.coerce(scenario, key, value) if spec else value
-    return coerced

@@ -1,27 +1,32 @@
 """Named scenario registry and the one-call runner.
 
-A *scenario* is a callable ``fn(ctx) -> outputs`` plus a template
-:class:`~repro.scenario.spec.ScenarioSpec`.  Registering it gives every
-front end the same handle on it:
+A *scenario* is a callable ``fn(ctx) -> outputs``, a template
+:class:`~repro.scenario.spec.ScenarioSpec`, and a ``param_schema``
+declaring every parameter it reads (:mod:`repro.scenario.params`).
+Registering it gives every front end the same handle on it:
 
-* ``python -m repro run <name> --param k=v`` runs it narrated;
+* ``python -m repro run <name> --param k=v`` runs it narrated, and
+  ``python -m repro run --list`` prints each parameter with its
+  constraint and default;
 * ``python -m repro campaign --scenario <name>`` fans it across seeds;
 * tests and benchmarks call :func:`run_scenario` directly.
 
 Register with the decorator::
 
     @scenario("my-sweep", spec=ScenarioSpec(seed=7, trace=True),
+              param_schema={"rate": FloatParam(minimum=0.0, default=50.0)},
               description="one-line summary")
     def my_sweep(ctx):
         devices = ctx.place_devices()
-        ...
+        rate = ctx.params["rate"]  # a float, range-checked, defaulted
         ctx.say("narration, silenced inside campaign workers")
         return {"some_count": 42}
 
-Outputs must be a flat dict of JSON-serializable values (campaigns sum
-the numeric ones into their aggregate).  This registry subsumes the old
-``repro.telemetry.campaign.scenario`` decorator, which now adapts
-legacy ``fn(seed, params, metrics)`` callables onto it.
+Registration stamps the schema's defaults into the template spec's
+``params``, so every run's spec carries the full parameter set and
+:meth:`RegisteredScenario.fingerprint` covers the defaults.  Outputs must
+be a flat dict of JSON-serializable values (campaigns sum the numeric
+ones into their aggregate).
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ import importlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.scenario.context import SimContext
-from repro.scenario.params import ParamSpec, coerce_params
+from repro.scenario.params import ParamSpec
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
@@ -77,7 +82,7 @@ class UnknownScenarioError(KeyError):
 
 
 class UnknownParameterError(ValueError):
-    """A run passed a parameter the scenario never reads.
+    """A run passed a parameter the scenario does not declare.
 
     Raised before the scenario executes, so ``--param`` typos fail fast
     instead of silently running the scenario at its defaults.  The
@@ -97,29 +102,23 @@ class UnknownParameterError(ValueError):
 
 @dataclass(frozen=True)
 class RegisteredScenario:
-    """One registry entry: the callable plus its template spec."""
+    """One registry entry: the callable, its template spec, and its
+    parameter schema (empty: the scenario takes no parameters)."""
 
     name: str
     fn: ScenarioFn
     spec: ScenarioSpec
     description: str = ""
-    #: Parameter names the scenario reads from ``ctx.params``, or ``None``
-    #: to skip validation (legacy scenarios that never declared them).
-    param_names: Optional[tuple] = None
-    #: Typed declarations (name -> :class:`~repro.scenario.params.ParamSpec`)
-    #: for the parameters that have them; values are coerced and
+    #: Every parameter the scenario reads (name ->
+    #: :class:`~repro.scenario.params.ParamSpec`); values are coerced and
     #: range-checked through :meth:`coerce_params` before a run.
-    param_schema: Optional[Dict[str, ParamSpec]] = None
+    param_schema: Dict[str, ParamSpec] = field(default_factory=dict)
 
     def validate_params(self, params: Optional[Dict[str, object]]) -> None:
         """Raise :class:`UnknownParameterError` on undeclared keys."""
-        if not params or self.param_names is None:
-            return
-        unknown = [key for key in params if key not in self.param_names]
+        unknown = [key for key in params or () if key not in self.param_schema]
         if unknown:
-            raise UnknownParameterError(
-                self.name, unknown, list(self.param_names)
-            )
+            raise UnknownParameterError(self.name, unknown, list(self.param_schema))
 
     def coerce_params(
         self, params: Optional[Dict[str, object]]
@@ -130,10 +129,26 @@ class RegisteredScenario:
         declared types); raises :class:`UnknownParameterError` on an
         undeclared key or
         :class:`~repro.scenario.params.ParameterValueError` on a value
-        that fails its type/range/choice check.
+        that fails its type/range/choice check.  Defaults are not added:
+        the template spec already carries them.
         """
         self.validate_params(params)
-        return coerce_params(self.name, self.param_schema, params)
+        return {
+            key: self.param_schema[key].coerce(self.name, key, value)
+            for key, value in (params or {}).items()
+        }
+
+    def coerce_grid(
+        self, grid: Optional[Dict[str, Sequence[object]]]
+    ) -> Optional[Dict[str, List[object]]]:
+        """:meth:`coerce_params` for every value of a campaign grid."""
+        if not grid:
+            return None
+        self.validate_params(grid)
+        return {
+            key: [self.param_schema[key].coerce(self.name, key, v) for v in values]
+            for key, values in grid.items()
+        }
 
     def build_spec(
         self,
@@ -141,25 +156,17 @@ class RegisteredScenario:
         params: Optional[Dict[str, object]] = None,
         **overrides: object,
     ) -> ScenarioSpec:
-        """The template spec with per-run seed/params/overrides applied."""
+        """The concrete spec one run executes: the template with the run's
+        seed, (coerced) parameters and spec overrides stamped on.  The
+        campaign runner embeds it in every run record so a manifest (or a
+        shard of one) is auditable without the registry."""
         if seed is not None:
-            overrides["seed"] = seed
-        if params:
-            overrides["params"] = params
-        return self.spec.derive(**overrides) if overrides else self.spec
-
-    def derive_spec(
-        self, seed: int, params: Optional[Dict[str, object]] = None
-    ) -> ScenarioSpec:
-        """The concrete spec one campaign run executes: the template with
-        the run's seed and parameters stamped on.  The campaign runner
-        embeds ``derive_spec(...).to_dict()`` in every run record so a
-        manifest (or a shard of one) is auditable without the registry."""
-        return self.spec.derive(seed=int(seed), params=dict(params or {}))
+            overrides["seed"] = int(seed)
+        return self.spec.derive(params=dict(params or {}), **overrides)
 
     def fingerprint(self) -> str:
         """Stable identity of *what this scenario is*: a SHA-256 over the
-        name, the template spec, and the declared parameter surface.
+        name, the template spec (defaults included), and the schema.
 
         Shard manifests record this so ``campaign merge`` can refuse to
         combine shards that were produced by different scenario
@@ -169,14 +176,9 @@ class RegisteredScenario:
         payload = {
             "name": self.name,
             "spec": self.spec.to_dict(),
-            "param_names": (
-                sorted(self.param_names) if self.param_names is not None else None
-            ),
-            "param_schema": (
-                {k: self.param_schema[k].to_dict() for k in sorted(self.param_schema)}
-                if self.param_schema
-                else None
-            ),
+            "param_schema": {
+                key: spec.to_dict() for key, spec in self.param_schema.items()
+            },
         }
         canonical = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -210,22 +212,29 @@ class ScenarioRegistry:
         name: str,
         spec: Optional[ScenarioSpec] = None,
         description: str = "",
-        param_names: Optional[tuple] = None,
         param_schema: Optional[Dict[str, ParamSpec]] = None,
     ) -> Callable[[ScenarioFn], ScenarioFn]:
         """Register ``fn(ctx) -> outputs`` under ``name`` (decorator).
 
-        ``param_names`` declares every key the scenario reads from
-        ``ctx.params``; runs passing any other key fail fast with
-        :class:`UnknownParameterError`.  ``None`` (the default) skips the
-        check for legacy scenarios that never declared their surface.
-
-        ``param_schema`` goes further: typed declarations
-        (:mod:`repro.scenario.params`) whose values are coerced and
-        range-checked before every run.  Schema keys must be declared
-        names; with ``param_names`` omitted, the schema's keys become
-        the declared surface.
+        ``param_schema`` declares every key the scenario reads from
+        ``ctx.params``, with its type, bounds and default
+        (:mod:`repro.scenario.params`); runs passing any other key fail
+        fast with :class:`UnknownParameterError`.  The defaults are
+        coerced through their own specs (a bad default is a registration
+        error) and stamped into the template spec's ``params``, which
+        must therefore be empty.
         """
+        schema = dict(param_schema or {})
+        template = spec if spec is not None else ScenarioSpec()
+        if template.params:
+            raise ValueError(
+                f"scenario {name!r}: declare parameter defaults in "
+                f"param_schema, not in the template spec's params"
+            )
+        defaults = {
+            key: None if p.default is None else p.coerce(name, key, p.default)
+            for key, p in schema.items()
+        }
 
         def decorator(fn: ScenarioFn) -> ScenarioFn:
             if name in self._scenarios:
@@ -235,24 +244,12 @@ class ScenarioRegistry:
             summary = description
             if not summary and fn.__doc__:
                 summary = fn.__doc__.strip().splitlines()[0]
-            names = tuple(param_names) if param_names is not None else None
-            if param_schema:
-                if names is None:
-                    names = tuple(param_schema)
-                else:
-                    undeclared = sorted(set(param_schema) - set(names))
-                    if undeclared:
-                        raise ValueError(
-                            f"scenario {name!r}: param_schema keys "
-                            f"{', '.join(undeclared)} missing from param_names"
-                        )
             self._scenarios[name] = RegisteredScenario(
                 name=name,
                 fn=fn,
-                spec=spec if spec is not None else ScenarioSpec(),
+                spec=template.derive(params=defaults),
                 description=summary,
-                param_names=names,
-                param_schema=dict(param_schema) if param_schema else None,
+                param_schema=schema,
             )
             return fn
 
@@ -262,9 +259,7 @@ class ScenarioRegistry:
         if self._builtins_loaded:
             return
         self._builtins_loaded = True
-        # Imported for registration side effects.  The telemetry module
-        # is the legacy home of the campaign scenarios and re-exports the
-        # library's, so loading the library covers both.
+        # Imported for registration side effects.
         import repro.scenario.library  # noqa: F401
 
         # Out-of-tree scenario modules (comma-separated module paths).
@@ -298,14 +293,6 @@ class ScenarioRegistry:
         self._ensure_builtins()
         return sorted(self._scenarios)
 
-    def describe(self) -> List[Dict[str, str]]:
-        """Name + description rows for ``python -m repro run --list``."""
-        self._ensure_builtins()
-        return [
-            {"name": entry.name, "description": entry.description}
-            for entry in (self._scenarios[n] for n in self.names())
-        ]
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -335,13 +322,11 @@ def scenario(
     name: str,
     spec: Optional[ScenarioSpec] = None,
     description: str = "",
-    param_names: Optional[tuple] = None,
     param_schema: Optional[Dict[str, ParamSpec]] = None,
 ) -> Callable[[ScenarioFn], ScenarioFn]:
     """Register a scenario in the shared :data:`REGISTRY` (decorator)."""
     return REGISTRY.register(
-        name, spec=spec, description=description, param_names=param_names,
-        param_schema=param_schema,
+        name, spec=spec, description=description, param_schema=param_schema
     )
 
 

@@ -18,14 +18,11 @@ from repro.telemetry.campaign import (
     MissingShardsError,
     RunTimeoutError,
     ShardMismatchError,
-    available_scenarios,
-    get_scenario,
     merge_manifest_files,
     merge_manifests,
     parse_sidecar_record,
     parse_sidecar_text,
     run_campaign,
-    scenario,
     shard_manifest_path,
     shard_run_indices,
     summarize_manifest,
@@ -63,11 +60,9 @@ __all__ = [
     "ShardMismatchError",
     "SpanRecord",
     "SpanTracer",
-    "available_scenarios",
     "compare_manifest_files",
     "compare_manifests",
     "format_comparison",
-    "get_scenario",
     "load_manifest",
     "manifest_to_json",
     "merge_manifest_files",
@@ -76,7 +71,6 @@ __all__ = [
     "parse_sidecar_record",
     "parse_sidecar_text",
     "run_campaign",
-    "scenario",
     "shard_manifest_path",
     "shard_run_indices",
     "snapshot_from_json",

@@ -14,9 +14,7 @@ scenario's template :class:`~repro.scenario.spec.ScenarioSpec` with its
 own seed and parameters, builds a quiet
 :class:`~repro.scenario.context.SimContext` around the run's private
 :class:`~repro.telemetry.registry.MetricsRegistry`, and executes the
-scenario callable.  The legacy :func:`scenario` decorator still accepts
-``fn(seed, params, metrics)`` callables and adapts them onto the
-registry.
+scenario callable.
 
 Determinism contract
 --------------------
@@ -100,26 +98,17 @@ __all__ = [
     "CampaignRunError",
     "MissingShardsError",
     "RunTimeoutError",
-    "ScenarioFn",
     "ShardMismatchError",
-    "available_scenarios",
-    "get_scenario",
     "merge_manifest_files",
     "merge_manifests",
     "parse_sidecar_record",
     "parse_sidecar_text",
     "run_campaign",
-    "scenario",
     "shard_manifest_path",
     "shard_run_indices",
     "sidecar_path",
     "summarize_manifest",
 ]
-
-#: Legacy scenario signature: ``fn(seed, params, metrics) -> outputs``.
-#: New code should register ``fn(ctx)`` callables with
-#: :func:`repro.scenario.scenario` instead.
-ScenarioFn = Callable[[int, Dict[str, object], MetricsRegistry], Dict[str, object]]
 
 
 class RunTimeoutError(RuntimeError):
@@ -157,48 +146,6 @@ class MissingShardsError(ValueError):
         )
         self.missing = list(missing)
         self.count = count
-
-
-def scenario(name: str) -> Callable[[ScenarioFn], ScenarioFn]:
-    """Register a legacy ``fn(seed, params, metrics)`` campaign scenario.
-
-    Kept for backward compatibility; the callable is adapted onto
-    :data:`repro.scenario.REGISTRY` so it is visible to every front end
-    (``python -m repro run`` included).  Raises ``ValueError`` on a
-    duplicate name, exactly as before.
-    """
-
-    def register(fn: ScenarioFn) -> ScenarioFn:
-        def adapter(ctx: SimContext) -> Dict[str, object]:
-            metrics = ctx.metrics
-            if metrics is None:  # pragma: no cover - spec.metrics defaults on
-                metrics = MetricsRegistry()
-            return fn(ctx.spec.seed, dict(ctx.params), metrics)
-
-        adapter.__name__ = getattr(fn, "__name__", name)
-        adapter.__doc__ = fn.__doc__
-        REGISTRY.register(name)(adapter)
-        return fn
-
-    return register
-
-
-def get_scenario(name: str) -> ScenarioFn:
-    """A legacy-shaped ``fn(seed, params, metrics)`` view of a registered
-    scenario.  Raises ``KeyError`` (listing known names) when unknown."""
-    entry = REGISTRY.get(name)
-
-    def runner(
-        seed: int, params: Dict[str, object], metrics: MetricsRegistry
-    ) -> Dict[str, object]:
-        spec = entry.derive_spec(seed, params)
-        return entry.fn(SimContext(spec, metrics=metrics, quiet=True))
-
-    return runner
-
-
-def available_scenarios() -> List[str]:
-    return REGISTRY.names()
 
 
 # ----------------------------------------------------------------------
@@ -407,10 +354,7 @@ class CampaignConfig:
 def _execute_run(payload: Dict[str, object]) -> Dict[str, object]:
     entry = REGISTRY.get(payload["scenario"])  # type: ignore[arg-type]
     metrics = MetricsRegistry()
-    spec = entry.derive_spec(
-        payload["seed"],  # type: ignore[arg-type]
-        payload["params"],  # type: ignore[arg-type]
-    )
+    spec = entry.build_spec(payload["seed"], payload["params"])  # type: ignore[arg-type]
     ctx = SimContext(spec, metrics=metrics, quiet=True)
     start = time.perf_counter()
     outputs = entry.fn(ctx)
@@ -882,23 +826,11 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
     # "0.05" becomes the float every worker (and every shard) agrees on.
     config.validate()
     entry = REGISTRY.get(config.scenario)
-    entry.validate_params({**config.params, **{k: None for k in (config.grid or ())}})
-    if entry.param_schema:
-        config = replace(
-            config,
-            params=entry.coerce_params(config.params),
-            grid=(
-                {
-                    key: [
-                        entry.coerce_params({key: value})[key]
-                        for value in values
-                    ]
-                    for key, values in config.grid.items()
-                }
-                if config.grid
-                else None
-            ),
-        )
+    config = replace(
+        config,
+        params=entry.coerce_params(config.params),
+        grid=entry.coerce_grid(config.grid),
+    )
     full_plan = config.expand()
     payloads = config.shard_payloads()
     shard_meta = (

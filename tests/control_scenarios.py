@@ -19,8 +19,8 @@ from repro.scenario import FloatParam, IntParam, scenario
     "ctl-noop",
     description="deterministic per-seed draws after an optional sleep",
     param_schema={
-        "sleep_s": FloatParam(minimum=0.0),
-        "draws": IntParam(minimum=1),
+        "sleep_s": FloatParam(minimum=0.0, default=0.0),
+        "draws": IntParam(minimum=1, default=4),
     },
 )
 def ctl_noop(ctx):
@@ -32,10 +32,9 @@ def ctl_noop(ctx):
     unsharded, byte for byte" checkable after any amount of fault
     injection.
     """
-    sleep_s = float(ctx.params.get("sleep_s", 0.0))
-    if sleep_s:
-        time.sleep(sleep_s)
-    draws = int(ctx.params.get("draws", 4))
+    if ctx.params["sleep_s"]:
+        time.sleep(ctx.params["sleep_s"])
+    draws = ctx.params["draws"]
     values = ctx.rng.integers(0, 1000, size=draws)
     return {
         "draws": draws,
@@ -44,6 +43,6 @@ def ctl_noop(ctx):
     }
 
 
-@scenario("ctl-boom", description="always raises", param_names=())
+@scenario("ctl-boom", description="always raises")
 def ctl_boom(ctx):
     raise RuntimeError("ctl-boom always fails")

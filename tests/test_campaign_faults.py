@@ -23,12 +23,12 @@ import time
 
 import pytest
 
+from repro.scenario import FloatParam, IntParam, StrParam, scenario
 from repro.telemetry import (
     CampaignConfig,
     CampaignRunError,
     merge_manifests,
     run_campaign,
-    scenario,
 )
 from repro.telemetry.campaign import (
     _pool_context,
@@ -37,54 +37,68 @@ from repro.telemetry.campaign import (
 )
 
 
-@scenario("unit-fault-sleepy")
-def _sleepy(seed, params, metrics):
+@scenario(
+    "unit-fault-sleepy",
+    param_schema={"sleep_s": FloatParam(minimum=0.0, default=0.0)},
+)
+def _sleepy(ctx):
     """Deterministic output after a configurable host-clock sleep —
     slow enough to SIGKILL mid-run, or to trip a run timeout."""
     import numpy as np
 
-    time.sleep(float(params.get("sleep_s", 0.0)))
-    rng = np.random.default_rng(seed)
-    metrics.counter("test.runs").inc()
+    time.sleep(ctx.params["sleep_s"])
+    rng = np.random.default_rng(ctx.spec.seed)
+    ctx.metrics.counter("test.runs").inc()
     return {"value": int(rng.integers(0, 1000))}
 
 
-@scenario("unit-fault-flaky")
-def _flaky(seed, params, metrics):
+@scenario(
+    "unit-fault-flaky",
+    param_schema={
+        "marker": StrParam(),
+        "fail_times": IntParam(minimum=0, default=0),
+    },
+)
+def _flaky(ctx):
     """Raises until a file-backed counter reaches ``fail_times`` —
     file-backed so the count survives pool-worker process boundaries."""
     import numpy as np
 
-    marker = params["marker"]
+    marker = ctx.params["marker"]
     failures = int(open(marker).read() or 0) if os.path.exists(marker) else 0
-    if failures < int(params.get("fail_times", 0)):
+    if failures < ctx.params["fail_times"]:
         with open(marker, "w") as handle:
             handle.write(str(failures + 1))
         raise RuntimeError(f"flaky failure #{failures + 1}")
-    rng = np.random.default_rng(seed)
-    metrics.counter("test.runs").inc()
+    rng = np.random.default_rng(ctx.spec.seed)
+    ctx.metrics.counter("test.runs").inc()
     return {"value": int(rng.integers(0, 1000))}
 
 
 @scenario("unit-fault-boom")
-def _boom(seed, params, metrics):
+def _boom(ctx):
     """Always raises."""
     raise RuntimeError("boom")
 
 
-@scenario("unit-fault-gated")
-def _gated(seed, params, metrics):
+@scenario(
+    "unit-fault-gated",
+    param_schema={
+        "marker": StrParam(),
+        "fail_from": IntParam(default=10**9),
+    },
+)
+def _gated(ctx):
     """Raises for seeds >= ``fail_from`` while the marker file exists —
     lets a test crash a campaign partway, 'fix the bug' (remove the
     marker), and resume."""
     import numpy as np
 
-    if seed >= int(params.get("fail_from", 10**9)) and os.path.exists(
-        params["marker"]
-    ):
+    seed = ctx.spec.seed
+    if seed >= ctx.params["fail_from"] and os.path.exists(ctx.params["marker"]):
         raise RuntimeError(f"gated failure for seed {seed}")
     rng = np.random.default_rng(seed)
-    metrics.counter("test.runs").inc()
+    ctx.metrics.counter("test.runs").inc()
     return {"value": int(rng.integers(0, 1000))}
 
 

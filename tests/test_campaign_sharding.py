@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenario import REGISTRY
+from repro.scenario import REGISTRY, IntParam, scenario
 from repro.telemetry import (
     CampaignConfig,
     MissingShardsError,
@@ -24,20 +24,25 @@ from repro.telemetry import (
     merge_manifest_files,
     merge_manifests,
     run_campaign,
-    scenario,
     shard_manifest_path,
 )
 
 
-@scenario("unit-shard-sum")
-def _unit_shard_scenario(seed, params, metrics):
+@scenario(
+    "unit-shard-sum",
+    param_schema={
+        "offset": IntParam(minimum=0, default=0),
+        "draws": IntParam(minimum=1, default=8),
+    },
+)
+def _unit_shard_scenario(ctx):
     """Cheap deterministic scenario: seeded arithmetic, no simulator."""
     import numpy as np
 
-    rng = np.random.default_rng(seed + int(params.get("offset", 0)))
-    draws = int(params.get("draws", 8))
+    rng = np.random.default_rng(ctx.spec.seed + ctx.params["offset"])
+    draws = ctx.params["draws"]
     values = rng.integers(0, 100, size=draws)
-    metrics.counter("test.draws").inc(draws)
+    ctx.metrics.counter("test.draws").inc(draws)
     return {"total": int(values.sum())}
 
 

@@ -1,14 +1,17 @@
 """Typed parameter schemas: coercion, range checks, and their plumbing.
 
-``param_names`` (covered in ``test_param_validation.py``) catches
-*typos*; schemas catch *wrong values* — and, just as importantly,
-coerce the strings that arrive from ``--param`` and HTTP JSON into
-their declared types before a scenario (or a campaign grid) runs.
-Pinned here: every spec type's conversion and bounds behaviour, the
-registry integration (schema keys become the declared surface, values
-coerce on ``run``), campaign-level coercion of base params and grid
-values, the library scenarios' guard rails, and the CLI error surface.
+A scenario's schema is the one declaration of its parameters.  Its keys
+catch *typos* (covered in ``test_param_validation.py``); its specs catch
+*wrong values* — and, just as importantly, coerce the strings that
+arrive from ``--param`` and HTTP JSON into their declared types before a
+scenario (or a campaign grid) runs; its defaults land in the template
+spec and so in the fingerprint.  Pinned here: every spec type's
+conversion and bounds behaviour, the registry integration, campaign-level
+coercion of base params and grid values, the library scenarios' guard
+rails, and the CLI surface.
 """
+
+import json
 
 import pytest
 
@@ -17,16 +20,24 @@ from repro.__main__ import main
 from repro.scenario import (
     BoolParam,
     ChoiceParam,
+    FloatListParam,
     FloatParam,
     IntParam,
     ParameterValueError,
     ScenarioRegistry,
     StrParam,
     run_scenario,
+    scenario,
 )
 from repro.scenario.registry import RegisteredScenario, UnknownParameterError
 from repro.scenario.spec import ScenarioSpec
 from repro.telemetry import CampaignConfig, run_campaign
+
+
+@scenario("unit-cli-echo", param_schema={"tag": StrParam(default="none")})
+def _echo(ctx):
+    """Reports the type its string parameter arrived as."""
+    return {"tag": ctx.params["tag"], "tag_type": type(ctx.params["tag"]).__name__}
 
 
 class TestSpecCoercion:
@@ -75,6 +86,29 @@ class TestSpecCoercion:
         with pytest.raises(ParameterValueError, match="one of 2, 4, 8"):
             spec.coerce("s", "n", 3)
 
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            ("0,50", [0.0, 50.0]),
+            (" 0, 50 ", [0.0, 50.0]),
+            ("[0, 2.5]", [0.0, 2.5]),
+            ("50", [50.0]),
+            (50, [50.0]),
+            ((0, 900), [0.0, 900.0]),
+        ],
+    )
+    def test_float_list_forms(self, raw, expected):
+        assert FloatListParam(minimum=0.0).coerce("s", "r", raw) == expected
+
+    @pytest.mark.parametrize("bad", ["0,,50", "[0, 50", "", [], "x", [1, True]])
+    def test_float_list_rejects_malformed_values(self, bad):
+        with pytest.raises(ParameterValueError):
+            FloatListParam().coerce("s", "r", bad)
+
+    def test_float_list_range_checks_every_element(self):
+        with pytest.raises(ParameterValueError, match="every element must be >= 0"):
+            FloatListParam(minimum=0.0).coerce("s", "r", "0,-5")
+
     def test_str_passes_strings_only(self):
         assert StrParam().coerce("s", "n", "hi") == "hi"
         with pytest.raises(ParameterValueError):
@@ -118,24 +152,46 @@ class TestRegistryIntegration:
             self._registry().run("schema-demo", params={"typo": 1, "count": 1})
 
     def test_schema_key_outside_param_names_is_a_registration_error(self):
+        # The schema is the only declaration: a default that fails its
+        # own spec, or a default smuggled in through the template spec,
+        # is refused at registration.
         registry = ScenarioRegistry()
-        with pytest.raises(ValueError, match="missing from param_names"):
-            @registry.register(
-                "bad", param_names=("a",), param_schema={"b": IntParam()}
+        with pytest.raises(ParameterValueError, match="'b' of scenario 'bad'"):
+            registry.register("bad", param_schema={"b": IntParam(minimum=1, default=0)})
+        with pytest.raises(ValueError, match="declare parameter defaults"):
+            registry.register(
+                "bad", spec=ScenarioSpec(params={"b": 2}),
+                param_schema={"b": IntParam()},
             )
-            def bad(ctx):
-                return {}
+
+    def test_defaults_are_stamped_into_the_template_spec(self):
+        registry = ScenarioRegistry()
+        registry.register(
+            "defaults", param_schema={"n": IntParam(default=3), "cap": IntParam()}
+        )(lambda ctx: dict(ctx.params))
+        assert registry.get("defaults").spec.params == {"n": 3, "cap": None}
+        assert registry.run("defaults").outputs == {"n": 3, "cap": None}
+        assert registry.run("defaults", params={"n": "5"}).outputs["n"] == 5
 
     def test_fingerprint_covers_the_schema(self):
         def fn(ctx):
             return {}
 
         spec = ScenarioSpec()
-        plain = RegisteredScenario("x", fn, spec, param_names=("n",))
-        schemed = RegisteredScenario(
-            "x", fn, spec, param_names=("n",), param_schema={"n": IntParam()}
-        )
+        plain = RegisteredScenario("x", fn, spec)
+        schemed = RegisteredScenario("x", fn, spec, param_schema={"n": IntParam()})
         assert plain.fingerprint() != schemed.fingerprint()
+
+    def test_changing_a_default_changes_the_fingerprint(self):
+        def fingerprint(default):
+            registry = ScenarioRegistry()
+            registry.register(
+                "x", param_schema={"n": IntParam(default=default)}
+            )(lambda ctx: {})
+            return registry.get("x").fingerprint()
+
+        assert fingerprint(4) == fingerprint(4)
+        assert fingerprint(4) != fingerprint(5)
 
 
 class TestCampaignCoercion:
@@ -202,3 +258,26 @@ class TestCliSurface:
             )
         assert excinfo.value.code == 2
         assert "duration_s" in capsys.readouterr().err
+
+    def test_param_strings_reach_a_str_param_untouched(self, capsys):
+        # The command line passes strings; only the schema decides types.
+        assert main(["run", "unit-cli-echo", "--quiet", "--json",
+                     "--param", "tag=123"]) == 0
+        outputs = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert outputs == {"tag": "123", "tag_type": "str"}
+
+    @pytest.mark.parametrize("rates", ["0,50", "50"])
+    def test_battery_rates_pps_from_the_command_line(self, rates, capsys):
+        assert main(["run", "battery", "--quiet", "--json",
+                     "--param", f"rates_pps={rates}",
+                     "--param", "duration_s=0.5"]) == 0
+        outputs = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert outputs["acks_transmitted"] == outputs["frames_received"] > 0
+
+    def test_list_prints_each_param_with_constraint_and_default(self, capsys):
+        assert main(["run", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "rates_pps" in out and "a list of numbers (>= 0.0)" in out
+        assert "default [0.0, 50.0, 200.0]" in out
+        metro = out.split("wardrive-metro")[1]
+        assert "max_devices" in metro and "default unset" in metro

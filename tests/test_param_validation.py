@@ -1,7 +1,7 @@
 """``--param`` typos fail fast, on every front end.
 
-Scenarios declare their parameter surface at registration
-(``param_names=...``); a run passing any undeclared key raises
+Scenarios declare their parameter surface at registration (the keys
+of ``param_schema``); a run passing any undeclared key raises
 :class:`UnknownParameterError` *before* the scenario executes —
 previously a typo'd key was silently ignored and the scenario ran at
 its defaults, which is the worst possible failure mode for a sweep.
@@ -41,25 +41,34 @@ class TestRegistryValidation:
         assert "takes no parameters" in str(excinfo.value)
 
     def test_every_builtin_declares_its_surface(self):
-        # Other tests may register legacy scenarios (param_names=None)
-        # into the shared REGISTRY, so pin the library's built-ins by
-        # name rather than iterating everything registered.
-        builtins = ("probe", "deauth", "battery", "locate",
-                    "wardrive", "wardrive-full")
-        for name in builtins:
-            assert REGISTRY.get(name).param_names is not None, (
-                f"builtin scenario {name!r} must declare param_names"
-            )
+        # Every scenario the library registers: each parameter has exactly
+        # one schema entry, and its default sits in the template spec.
+        builtins = {
+            name: REGISTRY.get(name) for name in REGISTRY.names()
+            if REGISTRY.get(name).fn.__module__ == "repro.scenario.library"
+        }
+        assert sorted(builtins) == [
+            "battery", "deauth", "locate", "probe", "wardrive",
+            "wardrive-full", "wardrive-metro",
+        ]
+        for name, entry in builtins.items():
+            assert entry.spec.params.keys() == entry.param_schema.keys(), name
+            for key, spec in entry.param_schema.items():
+                assert entry.spec.params[key] == spec.default, (name, key)
+        assert len(builtins["wardrive-metro"].param_schema) == 18
+        assert sum(len(e.param_schema) for e in builtins.values()) == 40
 
     def test_undeclared_legacy_scenarios_skip_the_check(self):
+        # No schema, no parameters: an undeclared scenario rejects every key.
         registry = ScenarioRegistry()
 
         @registry.register("legacy", spec=ScenarioSpec(seed=1))
         def legacy(ctx):
             return {"got": dict(ctx.params)}
 
-        result = registry.run("legacy", params={"whatever": 1}, quiet=True)
-        assert result.outputs["got"] == {"whatever": 1}
+        assert registry.run("legacy", quiet=True).outputs["got"] == {}
+        with pytest.raises(UnknownParameterError, match="takes no parameters"):
+            registry.run("legacy", params={"whatever": 1}, quiet=True)
 
     def test_error_carries_structured_fields(self):
         with pytest.raises(UnknownParameterError) as excinfo:

@@ -5,29 +5,35 @@ import json
 
 import pytest
 
-from repro.telemetry import (
-    CampaignConfig,
+from repro.scenario import (
+    REGISTRY,
+    IntParam,
     available_scenarios,
-    get_scenario,
-    run_campaign,
     scenario,
 )
+from repro.telemetry import CampaignConfig, run_campaign
 from repro.telemetry.campaign import _execute_run
 
 
-@scenario("unit-test-sum")
-def _unit_test_scenario(seed, params, metrics):
+@scenario(
+    "unit-test-sum",
+    param_schema={
+        "draws": IntParam(minimum=1, default=10),
+        "scale": IntParam(default=1),
+    },
+)
+def _unit_test_scenario(ctx):
     """Tiny deterministic scenario: no simulator, just seeded arithmetic."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    draws = int(params.get("draws", 10))
+    rng = np.random.default_rng(ctx.spec.seed)
+    draws = ctx.params["draws"]
     values = rng.integers(0, 100, size=draws)
-    metrics.counter("test.draws").inc(draws)
-    metrics.histogram("test.values", buckets=(10.0, 50.0, 100.0)).observe(
+    ctx.metrics.counter("test.draws").inc(draws)
+    ctx.metrics.histogram("test.values", buckets=(10.0, 50.0, 100.0)).observe(
         float(values[0])
     )
-    return {"total": int(values.sum()), "scale": params.get("scale", 1)}
+    return {"total": int(values.sum()), "scale": ctx.params["scale"]}
 
 
 class TestScenarioRegistry:
@@ -38,11 +44,11 @@ class TestScenarioRegistry:
 
     def test_unknown_scenario_raises_with_known_names(self):
         with pytest.raises(KeyError, match="wardrive"):
-            get_scenario("no-such-scenario")
+            REGISTRY.get("no-such-scenario")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            scenario("unit-test-sum")(lambda seed, params, metrics: {})
+            scenario("unit-test-sum")(lambda ctx: {})
 
 
 class TestExpansion:
@@ -194,14 +200,15 @@ _RESUME_EXECUTIONS = []
 
 
 @scenario("unit-test-resume-probe")
-def _unit_test_resume_probe(seed, params, metrics):
+def _unit_test_resume_probe(ctx):
     """Deterministic scenario that records which (seed, params) executed,
     so the resume tests can prove completed runs are not re-run."""
     import numpy as np
 
-    _RESUME_EXECUTIONS.append((seed, json.dumps(params, sort_keys=True)))
+    seed = ctx.spec.seed
+    _RESUME_EXECUTIONS.append((seed, json.dumps(ctx.params, sort_keys=True)))
     rng = np.random.default_rng(seed)
-    metrics.counter("test.runs").inc()
+    ctx.metrics.counter("test.runs").inc()
     return {"value": int(rng.integers(0, 1000))}
 
 
