@@ -283,9 +283,19 @@ class _ArrivalSpan:
     span, from the frame's destination address (``dest_u64``) against
     the per-receiver MAC mirror carried in ``macs`` / ``mac_arr``.
 
-    ``reasons[i]`` doubles as the corruption flag (``None`` = clean),
-    and ``(span, i)`` tuples are the entries of the receivers'
-    live-arrival lists.
+    ``reasons[i]`` doubles as the corruption flag (``None`` = clean).
+
+    The span also *is* its receivers' air state.  Begin and end slices
+    walk the arrivals in the same (delay, attach-seq) order, so two
+    cursors say which are on the air: arrival ``k`` has started and not
+    ended exactly when ``ended <= k < begun``.  It is on its receiver's
+    air unless an ``attach`` or ``detach`` of that receiver's name since
+    it started *orphaned* it (``orphans``).  While any arrival is on the
+    air the span sits in the medium's live-span list.  Looking a
+    receiver up in the span takes a name -> index map (``index``),
+    built on first use: only spans that meet another arrival, a
+    transmitting receiver, a carrier-sense query or an attach/detach
+    while live ever need one.
     """
 
     __slots__ = (
@@ -296,8 +306,11 @@ class _ArrivalSpan:
         "snrs",
         "fers",
         "reasons",
-        "ongoing_lists",
-        "handles",
+        # Implicit air state (see the class docstring).
+        "begun",
+        "ended",
+        "orphans",
+        "index",
         # Hot-path bindings resolved once per span instead of once per
         # arrival: these references are fixed for the medium's lifetime
         # (the dicts are mutated, never reassigned), so copying them onto
@@ -305,8 +318,6 @@ class _ArrivalSpan:
         # chains per arrival — a win at 10+ receivers per frame.
         "clock",
         "attached",
-        "ongoing_map",
-        "transmitting",
         "ctr_delivered",
         "ctr_dropped",
         "csi_model",
@@ -347,17 +358,13 @@ class _ArrivalSpan:
         self.rssis = rssis
         self.snrs = snrs
         self.fers = fers
-        n = len(radios)
-        self.reasons: List[Optional[CorruptionReason]] = [None] * n
-        self.ongoing_lists: List[Optional[list]] = [None] * n
-        # The exact handle tuples appended to the ongoing lists, kept so
-        # the end phase removes by identity-equal object instead of
-        # re-allocating one per arrival.
-        self.handles: List[Optional[tuple]] = [None] * n
+        self.reasons: List[Optional[CorruptionReason]] = [None] * len(radios)
+        self.begun = 0
+        self.ended = 0
+        self.orphans: Optional[set] = None
+        self.index: Optional[Dict[str, int]] = None
         self.clock = medium.engine.clock
         self.attached = medium._radios
-        self.ongoing_map = medium._ongoing
-        self.transmitting = medium._transmitting
         self.ctr_delivered = medium._ctr_delivered
         self.ctr_dropped = medium._ctr_dropped
         self.csi_model = medium._csi_model
@@ -369,6 +376,25 @@ class _ArrivalSpan:
         self.frame_key = None
         self.due_begin: Optional[List[float]] = None
         self.due_end: Optional[List[float]] = None
+
+    # -- air state ------------------------------------------------------------
+
+    def _index_of(self, name: str) -> Optional[int]:
+        """Index of ``name``'s arrival in this span, if it has one."""
+        index = self.index
+        if index is None:
+            index = self.index = {radio.name: k for k, radio in enumerate(self.radios)}
+        return index.get(name)
+
+    def _on_air(self, name: str) -> int:
+        """Index of ``name``'s arrival if it is on that receiver's air, else -1."""
+        k = self._index_of(name)
+        if k is None or k < self.ended or k >= self.begun:
+            return -1
+        orphans = self.orphans
+        if orphans is not None and k in orphans:
+            return -1
+        return k
 
     # -- slice drains ---------------------------------------------------------
 
@@ -460,16 +486,28 @@ class _ArrivalSpan:
         return j
 
     def begin_slice(self, batch) -> int:
-        """Arrival starts for a run of due items: join each receiver's air state.
+        """Arrival starts for a run of due items: put them on the air.
 
-        The receiver's live-arrival list gains the ``(span, i)`` handle
-        after the half-duplex check and the capture model.  The whole
-        window is computed up front (:meth:`_window`): arrival starts
-        never run user code and never touch the heap, so the yield
-        conditions cannot change mid-run and the per-item time
-        arithmetic and boundary checks vanish.  The clock is written once at the end; the per-item
-        "receiver transmitting" test uses each arrival's own due time,
-        which is exactly the value the clock would have held.
+        Starting arrivals ``i..j-1`` is moving the ``begun`` cursor to
+        ``j``; the work is in the two checks that precede it, each of
+        which costs nothing per arrival unless another radio's state is
+        involved.  Half duplex: only radios still transmitting at the
+        window's first due time can deafen an arrival, so the medium's
+        ``_transmitting`` map is pruned of the rest here, and each
+        survivor other than this span's own sender (never one of its
+        receivers) is looked up in the span.  Capture: only when another
+        span is live can an arrival find company on its receiver's air;
+        then each arrival looks for its receiver in the other live spans
+        and resolves the capture model against what it finds
+        (:meth:`Medium._resolve_overlap`).
+
+        The whole window is computed up front (:meth:`_window`): arrival
+        starts never run user code and never touch the heap, so the
+        yield conditions cannot change mid-run and the per-item time
+        arithmetic and boundary checks vanish.  The clock is written
+        once at the end; the "receiver transmitting" test uses each
+        arrival's own due time, which is exactly the value the clock
+        would have held.
         """
         offsets = batch.offsets
         i = batch.index
@@ -481,27 +519,46 @@ class _ArrivalSpan:
             due = self.due_begin = [base + off + shift for off in offsets]
         medium = self.medium
         j = self._window(due, i, n, medium.engine)
-        radios = self.radios
         reasons = self.reasons
-        ongoing_map = self.ongoing_map
-        ongoing_lists = self.ongoing_lists
-        handles = self.handles
-        transmitting = self.transmitting
-        resolve = medium._resolve_overlap
-        for idx in range(i, j):
-            name = radios[idx].name
-            ongoing = ongoing_map.get(name)
-            if ongoing is None:
-                ongoing = ongoing_map[name] = []
-            tx_end = transmitting.get(name)
-            if tx_end is not None and tx_end > due[idx]:
-                reasons[idx] = CorruptionReason.RECEIVER_TRANSMITTING
-            handle = (self, idx)
-            if ongoing:
-                resolve(ongoing, handle)
-            ongoing.append(handle)
-            ongoing_lists[idx] = ongoing
-            handles[idx] = handle
+        transmitting = medium._transmitting
+        if transmitting:
+            start = due[i]
+            sender = self.transmission.sender
+            stale = None
+            for name, tx_end in transmitting.items():
+                if tx_end <= start:
+                    # Over before this window: it can deafen no arrival
+                    # from now on, and is_transmitting reads it as idle.
+                    if stale is None:
+                        stale = []
+                    stale.append(name)
+                elif name != sender:
+                    k = self._index_of(name)
+                    if k is not None and i <= k < j and tx_end > due[k]:
+                        reasons[k] = CorruptionReason.RECEIVER_TRANSMITTING
+            if stale is not None:
+                for name in stale:
+                    del transmitting[name]
+        live = medium._live
+        if i == 0:
+            live.append(self)
+        if len(live) > 1:
+            others = [span for span in live if span is not self]
+            radios = self.radios
+            resolve = medium._resolve_overlap
+            for idx in range(i, j):
+                name = radios[idx].name
+                company = None
+                for other in others:
+                    k = other._on_air(name)
+                    if k >= 0:
+                        if company is None:
+                            company = []
+                        company.append((other, k))
+                if company is not None:
+                    medium.contended_starts += 1
+                    resolve(company, self, idx)
+        self.begun = j
         clock = self.clock
         t = due[j - 1]
         if t > clock._now:
@@ -511,15 +568,15 @@ class _ArrivalSpan:
     def end_slice(self, batch) -> int:
         """Slice-mode arrival ends: the lane pre-filter dispatch loop.
 
-        For each due arrival: remove the live-arrival handle, skip
-        receivers detached mid-flight, flip the FER coin (one RNG draw per
-        clean arrival with a positive error probability, in arrival
-        order), then classify.  Arrivals a lane consumer fully accounts
+        For each due arrival: skip receivers detached mid-flight, flip
+        the FER coin (one RNG draw per clean arrival with a positive
+        error probability, in arrival order), then classify.  Arrivals a lane consumer fully accounts
         for (``sinks[i](lane, span, i)`` returning ``True``) never
         construct a :class:`Reception`; the rest take the scalar path
         (:meth:`_hand_up`).  Delivered and dropped tallies accumulate
-        locally and flush before every scalar upcall, so any code
-        observing the counters mid-slice sees per-arrival values.
+        locally and flush before every scalar upcall, and the ``ended``
+        cursor moves there too, so any code observing the counters or
+        the air state mid-slice sees per-arrival values.
 
         The drain is windowed (:meth:`_window`): lane consumers never
         touch the engine — they account through span data and their own
@@ -552,8 +609,6 @@ class _ArrivalSpan:
         reasons = self.reasons
         fers = self.fers
         attached = self.attached
-        ongoing_lists = self.ongoing_lists
-        handles = self.handles
         is_group = lane_mode == _LANES_GROUP
         sinks = self.sinks
         for_me = self.for_me
@@ -577,12 +632,6 @@ class _ArrivalSpan:
             j = self._window(due, i, n, engine)
             upcall = -1
             for idx in range(i, j):
-                ongoing = ongoing_lists[idx]
-                if ongoing:
-                    try:
-                        ongoing.remove(handles[idx])
-                    except ValueError:
-                        pass
                 radio = radios[idx]
                 if radio.name not in attached:
                     continue  # detached mid-flight
@@ -607,9 +656,10 @@ class _ArrivalSpan:
                     elif not for_me[idx]:
                         if sink(LANE_NOT_FOR_ME, self, idx):
                             continue
-                # Scalar fallback: sync the clock and the public
-                # counters first, so the upcall observes exactly the
-                # per-item drain's state.
+                # Scalar fallback: sync the clock, the air state and
+                # the public counters first, so the upcall observes
+                # exactly the per-item drain's state.
+                self.ended = idx + 1
                 t = due[idx]
                 if t > clock._now:
                     clock._now = t
@@ -627,7 +677,7 @@ class _ArrivalSpan:
             if upcall < 0:
                 # Clean window: no upcall ran, so the boundary state the
                 # window was computed from is unchanged and j is final.
-                i = j
+                i = self.ended = j
                 t = due[j - 1]
                 if t > clock._now:
                     clock._now = t
@@ -639,6 +689,8 @@ class _ArrivalSpan:
             ctr_delivered.value += n_delivered
         if n_dropped and ctr_dropped is not None:
             ctr_dropped.value += n_dropped
+        if i == n:
+            medium._live.remove(self)
         return i
 
     def _end_slice_scalar(self, batch, due: List[float]) -> int:
@@ -659,18 +711,11 @@ class _ArrivalSpan:
         reasons = self.reasons
         fers = self.fers
         attached = self.attached
-        ongoing_lists = self.ongoing_lists
-        handles = self.handles
         ctr_delivered = self.ctr_delivered
         ctr_dropped = self.ctr_dropped
         rng_draw = medium._rng_draw
         while True:
-            ongoing = ongoing_lists[i]
-            if ongoing:
-                try:
-                    ongoing.remove(handles[i])
-                except ValueError:
-                    pass
+            self.ended = i + 1
             radio = radios[i]
             if radio.name in attached:
                 reason = reasons[i]
@@ -687,6 +732,7 @@ class _ArrivalSpan:
                 self._hand_up(i, fcs_ok, reason)
             i += 1
             if i == n:
+                medium._live.remove(self)
                 return i
             t = due[i]
             if t > clock._now:
@@ -952,9 +998,17 @@ class Medium:
         #: FER model is a pure function of its arguments (all built-ins
         #: are); cached link budgets make SNR values repeat exactly.
         self._fer_cache: Dict[Tuple[float, float, int], float] = {}
-        #: Receiver name -> live in-flight arrivals as (span, index) tuples.
-        self._ongoing: Dict[str, List[Tuple[_ArrivalSpan, int]]] = {}
-        self._transmitting: Dict[str, float] = {}  # radio name -> tx end time
+        #: Spans with arrivals on the air (between their first start and
+        #: their last end), in start order: the medium's air state, read
+        #: through each span's cursors (see :class:`_ArrivalSpan`).
+        self._live: List[_ArrivalSpan] = []
+        #: Arrival starts that found another arrival on their receiver's
+        #: air and went through the capture model.  A plain attribute,
+        #: not a registry counter, so metrics snapshots are unchanged.
+        self.contended_starts = 0
+        #: Radio name -> end of its transmission.  Pruned of ended ones
+        #: by arrival starts, which read it for the half-duplex check.
+        self._transmitting: Dict[str, float] = {}
         self.transmission_count = 0
         #: The vectorized range prefilter solves the default free-space
         #: model in the distance domain; a custom model disables it (the
@@ -981,7 +1035,7 @@ class Medium:
         if name in self._radios:
             raise ValueError(f"radio {name!r} already attached")
         self._radios[name] = radio
-        self._ongoing[name] = []
+        self._orphan(name)
         entry = _RadioEntry(
             radio,
             name,
@@ -1060,8 +1114,23 @@ class Medium:
             # FIFO eviction instead of scanning the cache here.
             self._epoch_reserve[radio_name] = entry.epoch + 1
         self._radios.pop(radio_name, None)
-        self._ongoing.pop(radio_name, None)
+        self._orphan(radio_name)
         self._transmitting.pop(radio_name, None)
+
+    def _orphan(self, name: str) -> None:
+        """Take ``name``'s started arrivals off its air: a new life begins.
+
+        Every attach and every detach of a name starts a fresh air state
+        for it; arrivals that started before stay on the air of nobody.
+        Arrivals that start after a detach share the air of the detached
+        name with each other until the next attach or detach.
+        """
+        for span in self._live:
+            k = span._on_air(name)
+            if k >= 0:
+                if span.orphans is None:
+                    span.orphans = set()
+                span.orphans.add(k)
 
     def retune(self, radio_name: str, channel: int) -> None:
         """Move a radio between channel buckets (no-op when unattached).
@@ -1224,8 +1293,9 @@ class Medium:
 
         Reads the same per-span RSSI arrays the delivery path filled in.
         """
-        for span, i in self._ongoing.get(radio_name, ()):
-            if span.rssis[i] >= cca_threshold_dbm:
+        for span in self._live:
+            k = span._on_air(radio_name)
+            if k >= 0 and span.rssis[k] >= cca_threshold_dbm:
                 return True
         return False
 
@@ -1334,8 +1404,10 @@ class Medium:
         self._transmitting[sender_name] = max(
             self._transmitting.get(sender_name, 0.0), now + duration
         )
-        for span, i in self._ongoing.get(sender_name, ()):
-            span.reasons[i] = CorruptionReason.RECEIVER_TRANSMITTING
+        for span in self._live:
+            k = span._on_air(sender_name)
+            if k >= 0:
+                span.reasons[k] = CorruptionReason.RECEIVER_TRANSMITTING
 
         if self.trace is not None:
             self.trace.add(
@@ -1797,21 +1869,23 @@ class Medium:
     # ------------------------------------------------------------------
     # Capture model
     # ------------------------------------------------------------------
-    def _resolve_overlap(self, ongoing: list, new: Tuple[_ArrivalSpan, int]) -> None:
-        """Apply the capture model between ``new`` and live arrivals."""
+    def _resolve_overlap(
+        self, company: List[Tuple[_ArrivalSpan, int]], span: _ArrivalSpan, i: int
+    ) -> None:
+        """Apply the capture model between arrival ``i`` of ``span`` and
+        the ``(span, index)`` arrivals already on its receiver's air."""
         live = []
         strongest = -math.inf
-        for handle in ongoing:
-            span, j = handle
-            if span.reasons[j] is not None:
+        for other in company:
+            other_span, j = other
+            if other_span.reasons[j] is not None:
                 continue
-            rssi = span.rssis[j]
-            live.append(handle)
+            rssi = other_span.rssis[j]
+            live.append(other)
             if rssi > strongest:
                 strongest = rssi
         if not live:
             return
-        span, i = new
         new_rssi = span.rssis[i]
         if new_rssi >= strongest + self.capture_threshold_db:
             for other, j in live:

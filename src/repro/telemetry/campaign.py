@@ -63,6 +63,7 @@ Three failure modes are first-class:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import multiprocessing
@@ -403,12 +404,19 @@ def _attempt_alarm(timeout_s: Optional[float]) -> Iterator[None]:
 
 
 def _execute_run_guarded(
-    payload: Dict[str, object], policy: Dict[str, object]
+    payload: Dict[str, object], policy: Dict[str, object], collect: bool = False
 ) -> Dict[str, object]:
     """One run under the campaign's fault policy: per-attempt timeout,
     ``retries`` extra attempts with linear backoff, and — when the
     policy records instead of raising — a ``status: "failed"`` record
-    that carries the final error and the attempt count."""
+    that carries the final error and the attempt count.
+
+    Pool workers pass ``collect=True``, so each attempt ends with a full
+    garbage collection: a finished world is cyclic garbage that only a
+    full pass frees, and a worker running back-to-back worlds would
+    otherwise keep several alive at once.  A serial campaign runs in the
+    caller's process, whose whole heap such a pass would walk.
+    """
     timeout_s = policy.get("timeout_s")
     attempts_allowed = int(policy.get("retries", 0)) + 1
     backoff_s = float(policy.get("backoff_s", 0.0))
@@ -425,6 +433,9 @@ def _execute_run_guarded(
             last_error = exc
             if attempt < attempts_allowed and backoff_s > 0.0:
                 time.sleep(backoff_s * attempt)
+        finally:
+            if collect:
+                gc.collect()
     if policy.get("on_error") == "record":
         return {
             "index": payload["index"],
@@ -790,7 +801,7 @@ def _drain_pool(
     surfaces at the matching ``.get()``.  Heartbeats ride the writer's
     own thread, so this loop only moves run records."""
     pending = {
-        p["index"]: pool.apply_async(_execute_run_guarded, (p, policy))
+        p["index"]: pool.apply_async(_execute_run_guarded, (p, policy, True))
         for p in payloads
     }
     while pending:
@@ -883,7 +894,11 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
                 results.append(record)
         else:
             workers = min(config.workers, len(payloads))
-            with _pool_context().Pool(processes=workers) as pool:
+            # Freezing what a forked worker inherits keeps its per-run
+            # collections down to the run's own objects.
+            with _pool_context().Pool(
+                processes=workers, initializer=gc.freeze
+            ) as pool:
                 _drain_pool(pool, payloads, policy, writer, results)
     finally:
         if writer is not None:

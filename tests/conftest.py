@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.devices.access_point import AccessPoint, ApBehavior
 from repro.devices.dongle import MonitorDongle
@@ -15,6 +16,10 @@ from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.trace import FrameTrace
 from repro.sim.world import Position
+
+#: ``--hypothesis-profile=deep``: 20x the default example count, for
+#: fuzzing one test file at a time (CI runs the medium fuzzer this way).
+settings.register_profile("deep", max_examples=2000)
 
 _mac_counter = itertools.count(1)
 

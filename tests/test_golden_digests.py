@@ -23,6 +23,7 @@ from typing import Dict
 import pytest
 
 from repro.scenario import run_scenario
+from repro.sim.medium import Medium
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -70,6 +71,26 @@ def digests(run_id: str) -> Dict[str, str]:
 def test_seeded_run_matches_golden_digests(run_id):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digests(run_id) == golden[run_id]
+
+
+def test_contended_starts_count_the_capture_model_runs(monkeypatch):
+    # Arrival starts that find company on their receiver's air are the
+    # only ones that pay for the capture model, and they stay rare.
+    calls = []
+    resolve = Medium._resolve_overlap
+
+    def counted(self, *args):
+        calls.append(None)
+        return resolve(self, *args)
+
+    monkeypatch.setattr(Medium, "_resolve_overlap", counted)
+    name, params = RUNS["wardrive-full"]
+    result = run_scenario(name, params=dict(params), quiet=True)
+    counters = result.ctx.metrics.snapshot()["counters"]
+    arrivals = counters["medium.frames.delivered"] + counters["medium.frames.dropped"]
+    contended = result.ctx.medium.contended_starts
+    assert contended == len(calls)
+    assert 0 < contended < 0.02 * arrivals
 
 
 def test_every_pinned_run_has_a_golden_entry():

@@ -19,10 +19,12 @@ chunks with random boundaries, and a handler may stop it.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.devices.dongle import RawPsdu
@@ -30,9 +32,10 @@ from repro.mac.ack_engine import AckEngine, AckEngineConfig
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import BeaconFrame, NullDataFrame
 from repro.mac.serialization import serialize
+from repro.phy.plcp import frame_airtime
 from repro.phy.radio import Radio, RadioState
 from repro.sim.engine import Engine
-from repro.sim.medium import Medium
+from repro.sim.medium import Medium, _ArrivalSpan
 from repro.sim.trace import FrameTrace
 from repro.sim.world import Position
 from repro.telemetry.registry import MetricsRegistry
@@ -246,9 +249,7 @@ def _simulate(world, medium_cls):
     }
 
 
-@settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(world=_world)
 def test_production_medium_matches_reference(world):
     production = _simulate(world, Medium)
@@ -282,3 +283,175 @@ def test_fuzzed_worlds_exercise_the_delivery_rules():
     assert result["counters"]["medium.frames.dropped"] > 0
     assert result["counters"]["ack.acks_sent"] > 0
     assert any(dropped_asleep for _, _, dropped_asleep in result["radios"])
+
+
+# ---------------------------------------------------------------------------
+# Scripted edge cases of the air state, so their coverage does not hang
+# on what the fuzzer happens to draw.  Three radios on one channel: the
+# receiver "x" at the origin, with senders "a" 60 m to one side (x is
+# its nearest receiver) and "b" 30 m to the other (within the capture
+# threshold of "a" at x).
+# ---------------------------------------------------------------------------
+
+def _scripted(medium_cls, script):
+    """Run ``script(engine, medium, radios, log)`` to the end; return the log."""
+    engine = Engine(metrics=MetricsRegistry())
+    medium = medium_cls(engine, rng=np.random.default_rng(5))
+    log = []
+    radios = {}
+    for name, x in (("x", 0.0), ("b", -30.0), ("a", 60.0)):
+        radio = Radio(name, medium, Position(x, 0.0), 6)
+        radio.frame_handler = lambda rec, name=name: log.append((
+            name, engine.now, rec.transmission.sender, rec.fcs_ok, rec.collided,
+            rec.while_transmitting,
+        ))
+        radios[name] = radio
+    script(engine, medium, radios, log)
+    engine.run()
+    return log
+
+
+def _both(script):
+    """The scripted log, after checking the two media agree on it."""
+    production = _scripted(Medium, script)
+    assert production == _scripted(ReferenceMedium, script)
+    return production
+
+
+def _at_x(log):
+    """``x``'s receptions as (sender, fcs_ok, collided, while_transmitting)."""
+    return [entry[2:] for entry in log if entry[0] == "x"]
+
+
+def _null_to_x():
+    return NullDataFrame(addr1=_mac(0), addr2=_mac(99))
+
+
+def test_detached_receiver_still_hears_overlapping_arrivals_collide():
+    # x leaves between delivery and the arrival starts, so both
+    # arrivals start on the air of a detached name and collide there;
+    # x is back before they end, so both are handed up, corrupted.
+    def script(engine, medium, radios, log):
+        radios["a"].transmit(_null_to_x(), 6.0)
+        radios["b"].transmit(_null_to_x(), 6.0)
+        engine.call_at(50e-9, lambda: medium.detach("x"))
+        engine.call_at(5e-6, lambda: medium.attach(radios["x"]))
+
+    assert _at_x(_both(script)) == [
+        ("b", False, True, False),
+        ("a", False, True, False),
+    ]
+
+
+def _reattach_mid_arrival(engine, medium, radios, log):
+    # a's arrival starts at x's first attachment; x detaches and
+    # re-attaches while it is on the air, before b's arrival starts.
+    radios["a"].transmit(_null_to_x(), 6.0)
+
+    def reattach():
+        medium.detach("x")
+        medium.attach(radios["x"])
+
+    engine.call_at(1e-6, reattach)
+    engine.call_at(2e-6, lambda: radios["b"].transmit(_null_to_x(), 6.0))
+
+
+def _detach_between_arrivals(engine, medium, radios, log):
+    # Both frames are delivered to an attached x; x detaches after a's
+    # arrival started and before b's does, and is back before both end.
+    radios["a"].transmit(_null_to_x(), 6.0)
+    engine.call_at(300e-9, lambda: radios["b"].transmit(_null_to_x(), 6.0))
+    engine.call_at(350e-9, lambda: medium.detach("x"))
+    engine.call_at(1e-6, lambda: medium.attach(radios["x"]))
+
+
+def _attach_between_arrivals(engine, medium, radios, log):
+    # a's arrival starts while x is detached; x re-attaches before b's
+    # frame is sent.
+    radios["a"].transmit(_null_to_x(), 6.0)
+    engine.call_at(50e-9, lambda: medium.detach("x"))
+    engine.call_at(1e-6, lambda: medium.attach(radios["x"]))
+    engine.call_at(2e-6, lambda: radios["b"].transmit(_null_to_x(), 6.0))
+
+
+@pytest.mark.parametrize(
+    "script",
+    [_reattach_mid_arrival, _detach_between_arrivals, _attach_between_arrivals],
+    ids=["reattach", "detach", "attach"],
+)
+def test_arrivals_do_not_collide_across_an_attach_or_detach(script):
+    # An attach or a detach of x starts a fresh air state for it, so
+    # b's arrival never meets a's and both frames come through clean.
+    assert _at_x(_both(script)) == [
+        ("a", True, False, False),
+        ("b", True, False, False),
+    ]
+
+
+@pytest.mark.parametrize("instant", ["start", "end"])
+@pytest.mark.parametrize("queued", ["before", "after"])
+@pytest.mark.parametrize("action", ["busy", "transmit"])
+def test_queries_at_exactly_an_arrival_start_and_end(instant, queued, action):
+    # A foreign event at exactly the start or end instant of a's arrival
+    # at x, queued before the transmission (so it runs first at that
+    # instant) or after it (so the arrival event runs first).
+    def script(engine, medium, radios, log):
+        start = 60.0 / 299_792_458.0
+        if action == "busy":
+            def act():
+                log.append(("busy", engine.now, medium.is_busy_for("x")))
+        else:
+            def act():
+                radios["x"].transmit(NullDataFrame(addr1=_mac(1), addr2=_mac(0)), 6.0)
+
+        if queued == "before":
+            duration = frame_airtime(_null_to_x().wire_length(), 6.0)
+            engine.call_at(start if instant == "start" else start + duration, act)
+        transmission = radios["a"].transmit(_null_to_x(), 6.0)
+        if queued == "after":
+            at = start if instant == "start" else start + transmission.duration
+            engine.call_at(at, act)
+
+    log = _both(script)
+    on_air = (instant, queued) in (("start", "after"), ("end", "before"))
+    if action == "busy":
+        assert [entry[2] for entry in log if entry[0] == "busy"] == [on_air]
+    else:
+        # Transmitting before the arrival starts, or while it is on the
+        # air, deafens x to it; a transmission after its end does not.
+        deafened = on_air or (instant, queued) == ("start", "before")
+        assert _at_x(log)[0] == ("a", not deafened, False, deafened)
+
+
+def test_air_state_is_empty_and_acyclic_after_a_drained_run():
+    # Spans leave the live list at their last arrival end and hold no
+    # reference cycles, so reference counting alone frees every one.
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        engine = Engine(metrics=MetricsRegistry())
+        medium = Medium(engine, rng=np.random.default_rng(5))
+        radios = [
+            Radio(f"r{k}", medium, Position(10.0 * k, 0.0), 6) for k in range(6)
+        ]
+        for k, radio in enumerate(radios):
+            AckEngine(radio, _mac(k), AckEngineConfig())
+        for step in range(40):
+            sender = radios[step % len(radios)]
+            frame = (
+                BeaconFrame(addr2=_mac(step % 6), ssid="net") if step % 3 else
+                NullDataFrame(addr1=_mac((step + 1) % 6), addr2=_mac(step % 6))
+            )
+            engine.call_at(step * 7e-6, lambda s=sender, f=frame: s.transmit(f, 6.0))
+        engine.call_at(60e-6, lambda: medium.detach("r2"))
+        engine.call_at(90e-6, lambda: medium.attach(radios[2]))
+        engine.run()
+        assert medium.contended_starts > 0
+        assert medium._live == []
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, _ArrivalSpan)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []

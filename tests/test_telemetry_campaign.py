@@ -1,6 +1,7 @@
 """Campaign runner: expansion, manifest schema, and the worker-count
 determinism guarantee."""
 
+import gc
 import json
 
 import pytest
@@ -11,8 +12,9 @@ from repro.scenario import (
     available_scenarios,
     scenario,
 )
+from repro.sim.medium import Medium
 from repro.telemetry import CampaignConfig, run_campaign
-from repro.telemetry.campaign import _execute_run
+from repro.telemetry.campaign import _execute_run, _execute_run_guarded
 
 
 @scenario(
@@ -194,6 +196,24 @@ class TestWardriveDeterminism:
         # straight from the campaign aggregate.
         outputs = manifest["aggregate"]["outputs"]
         assert outputs["responded"] == outputs["probed"] > 0
+
+    def test_a_worker_frees_each_finished_world(self):
+        # A finished world is cyclic garbage; with automatic collection
+        # off, only the per-run collection pool workers ask for frees it.
+        def live_media():
+            return sum(isinstance(obj, Medium) for obj in gc.get_objects())
+
+        payload = {"index": 0, "scenario": "wardrive", "seed": 0, "params": {}}
+        gc.collect()
+        before = live_media()
+        gc.disable()
+        try:
+            record = _execute_run_guarded(payload, {}, collect=True)
+            after = live_media()
+        finally:
+            gc.enable()
+        assert record["status"] == "ok"
+        assert after == before
 
 
 _RESUME_EXECUTIONS = []
