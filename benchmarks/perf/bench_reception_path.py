@@ -1,12 +1,13 @@
 """Reception-path microbenchmark: one transmitter, thousands of receivers.
 
 This isolates the per-arrival cost of the reception pipeline — the span
-scheduling, the vectorized lane pre-filter, and the fused ``AckEngine``
-lane sink — with everything else held trivial: a single sender on one
-channel, a dense field of parked stations each running a real
-:class:`~repro.mac.ack_engine.AckEngine`, and an alternating broadcast /
-unicast traffic mix so all three hot lanes (group-addressed, not-for-me,
-unicast-for-me plus the ACK reply) are exercised.
+scheduling, the vectorized lane pre-filter, and the lane tallies each
+``AckEngine`` publishes a mask for — with everything else held trivial:
+a single sender on one channel, a dense field of parked stations each
+running a real :class:`~repro.mac.ack_engine.AckEngine` (one in
+``SLEEPER_EVERY`` asleep), and an alternating broadcast / unicast
+traffic mix so all three hot lanes (group-addressed, not-for-me,
+unicast-for-me plus the ACK reply) and the sleep drop are exercised.
 
 The same workload runs twice in one record: once on the production
 medium (span scheduling + lanes) and once on the cache-free per-receiver
@@ -14,7 +15,8 @@ reference medium (``tests/reference_medium.py``), which builds a full
 ``Reception`` for every arrival.  Both timings land in the outputs, so
 ``reference_over_production`` — what the batched machinery buys over
 the simple path — is tracked release over release; the gating
-``engine_wall_s`` comes from the production run.
+``engine_wall_s`` comes from the production run.  The two runs must
+agree on every receiver counter, or the bench fails.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ from tests.reference_medium import ReferenceMedium
 CHANNEL = 6
 SEND_INTERVAL_S = 1e-3
 RATE_MBPS = 6.0
+#: Every this many receivers, one sleeps through the run.
+SLEEPER_EVERY = 50
+
+#: Receiver counters production and reference must agree on.
+COUNTERS = (
+    "transmissions",
+    "receptions",
+    "frames_dropped_asleep",
+    "frames_seen",
+    "fcs_failures",
+    "passed_up",
+    "acks_sent",
+)
 
 SENDER_MAC = MacAddress("02:53:4e:44:00:01")
 #: Unicast traffic alternates with broadcast and always targets this
@@ -74,6 +89,8 @@ def _run_mode(
             f"rx{index:05d}", medium, Position(x, y, 1.5), channel=CHANNEL
         )
         engines.append(AckEngine(radio, _receiver_mac(index)))
+        if index % SLEEPER_EVERY == SLEEPER_EVERY - 1:
+            radio.sleep()
         receivers.append(radio)
 
     beacon = BeaconFrame(addr2=SENDER_MAC, ssid="bench")
@@ -99,7 +116,10 @@ def _run_mode(
         "run_s": run_s,
         "transmissions": medium.transmission_count,
         "receptions": sum(radio.frames_delivered for radio in receivers),
+        "frames_dropped_asleep": sum(r.frames_dropped_asleep for r in receivers),
         "frames_seen": sum(e.stats.frames_seen for e in engines),
+        "fcs_failures": sum(e.stats.fcs_failures for e in engines),
+        "passed_up": sum(e.stats.passed_up for e in engines),
         "acks_sent": sum(e.stats.acks_sent for e in engines),
         "events_executed": engine.events_processed,
     }
@@ -117,16 +137,22 @@ def bench_reception_path(quick: bool) -> BenchOutcome:
 
     # Event counts differ by design (two batch entries per transmission
     # against one event per arrival instant); the work must not.
-    counters_match = all(
-        production[key] == reference[key]
-        for key in ("transmissions", "receptions", "frames_seen", "acks_sent")
-    )
+    mismatched = {
+        key: (production[key], reference[key])
+        for key in COUNTERS
+        if production[key] != reference[key]
+    }
+    if mismatched:
+        raise AssertionError(
+            f"counter mismatch (production, reference): {mismatched}"
+        )
     return BenchOutcome(
         outputs={
             "receivers": n_receivers,
             "sim_s": sim_duration,
             "transmissions": production["transmissions"],
             "receptions": production["receptions"],
+            "frames_dropped_asleep": production["frames_dropped_asleep"],
             "frames_seen": production["frames_seen"],
             "acks_sent": production["acks_sent"],
             "events_executed": production["events_executed"],
@@ -135,7 +161,6 @@ def bench_reception_path(quick: bool) -> BenchOutcome:
             "reference_over_production": (
                 reference["run_s"] / max(production["run_s"], 1e-9)
             ),
-            "counters_match": int(counters_match),
         },
         metrics=metrics,
         setup_s=production["setup_s"] + reference["setup_s"],

@@ -41,7 +41,7 @@ class DeviceKind(enum.Enum):
 
 
 #: Mirror of the `_dispatch_frame` management-subtype switch, used by the
-#: passivity probe to find which handler a frame type routes to.
+#: passivity verdict to find which handler a frame type routes to.
 _MGMT_HANDLERS = {
     frame_types.SUBTYPE_BEACON: "on_beacon",
     frame_types.SUBTYPE_PROBE_REQUEST: "on_probe_request",
@@ -51,6 +51,11 @@ _MGMT_HANDLERS = {
     frame_types.SUBTYPE_ASSOC_RESPONSE: "on_assoc_response",
     frame_types.SUBTYPE_DEAUTH: "on_deauth",
 }
+
+#: Every (ftype, subtype) pair a frame can carry.
+_FRAME_KEYS = tuple(
+    (ftype, subtype) for ftype in FrameType for subtype in range(16)
+)
 
 
 class Device:
@@ -103,22 +108,22 @@ class Device:
                 self.radio, self.engine, power_save
             )
         # Handler installation comes after the accountant/power-save
-        # wiring so the passivity contracts below read settled state.
-        # The batch fast lanes may skip a contractually-passive handler
-        # entirely; both probes are conservative — any override or any
-        # attached accounting falls back to the scalar path.
-        if type(self)._dispatch_frame is Device._dispatch_frame:
+        # wiring so the passivity promises below read settled state.
+        # Arrivals a promise covers are tallied without calling the
+        # handler; both promises are conservative — any override or any
+        # attached accounting keeps the scalar path.
+        cls = type(self)
+        if cls._dispatch_frame is Device._dispatch_frame:
             self.ack_engine.install_mac_handler(
-                self._dispatch_frame, passive_probe=self._dispatch_is_passive
+                self._dispatch_frame, passive_keys=cls._passive_group_keys()
             )
         else:
             self.ack_engine.install_mac_handler(self._dispatch_frame)
-        if type(self)._account_frame is Device._account_frame:
-            self.ack_engine.install_sniffer(
-                self._account_frame, passive_check=self._sniffer_is_passive
-            )
-        else:
-            self.ack_engine.install_sniffer(self._account_frame)
+        self.ack_engine.install_sniffer(
+            self._account_frame,
+            passive=cls._account_frame is Device._account_frame
+            and self._sniffer_is_passive(),
+        )
         self._sequence = itertools.count(int(rng.integers(0, 4096)))
         self.unsolicited_data_frames = 0
         self.fake_frames_discarded = 0
@@ -146,51 +151,47 @@ class Device:
         self.transmitter.send(frame, rate_mbps, on_complete, retry_limit)
 
     # ------------------------------------------------------------------
-    # Batch-lane passivity contracts
+    # Passivity promises for the reception lanes
     # ------------------------------------------------------------------
     def _sniffer_is_passive(self) -> bool:
         """True while :meth:`_account_frame` would observably do nothing.
 
         Only consulted when the method is not overridden (see __init__);
         the base implementation touches state solely through the
-        accountant and the power-save controller.
+        accountant and the power-save controller, both settled before
+        the promise is made.
         """
         return self.accountant is None and self.power_save is None
 
-    #: (ftype, subtype) -> whether the base dispatch table routes it to a
-    #: handler this class doesn't override.  Keyed per class (populated
-    #: lazily on each class's own dict, never inherited), since overrides
-    #: differ per subclass while the verdict is identical across
-    #: instances.
-    _dispatch_passive_cache: dict
+    #: The frozen set of :meth:`_passive_group_keys`, stored on each
+    #: class's own dict (never inherited): overrides differ per subclass
+    #: while the verdict is identical across instances.
+    _passive_group_keys_memo: frozenset
 
-    def _dispatch_is_passive(self, key: tuple) -> bool:
-        """True if :meth:`_dispatch_frame` is a no-op for this frame type.
+    @classmethod
+    def _passive_group_keys(cls) -> frozenset:
+        """The ``(ftype, subtype)`` keys :meth:`_dispatch_frame` ignores.
 
-        Group-addressed frames of a passive type — beacons at idle
-        stations are the wardrive's dominant traffic — can then be
-        accounted for without ever constructing the frame's Reception.
+        Group-addressed frames of these types — beacons at idle stations
+        are the wardrive's dominant traffic — are then tallied without
+        ever constructing their Reception.  Evaluated once per class.
         """
-        cls = type(self)
-        cache = cls.__dict__.get("_dispatch_passive_cache")
-        if cache is None:
-            cache = {}
-            cls._dispatch_passive_cache = cache
-        verdict = cache.get(key)
-        if verdict is None:
-            ftype, subtype = key
-            if ftype is FrameType.MANAGEMENT:
-                name = _MGMT_HANDLERS.get(subtype, "on_management")
-                verdict = getattr(cls, name) is getattr(Device, name)
-            elif ftype is FrameType.CONTROL:
-                # _dispatch_frame has no control branch at all.
-                verdict = True
-            else:
-                # DATA (and anything unknown): the base on_data counts
-                # unsolicited frames, so it is never passive.
-                verdict = False
-            cache[key] = verdict
-        return verdict
+        keys = cls.__dict__.get("_passive_group_keys_memo")
+        if keys is None:
+            keys = frozenset(key for key in _FRAME_KEYS if cls._dispatch_is_passive(key))
+            cls._passive_group_keys_memo = keys
+        return keys
+
+    @classmethod
+    def _dispatch_is_passive(cls, key: tuple) -> bool:
+        """True if :meth:`_dispatch_frame` is a no-op for this frame type."""
+        ftype, subtype = key
+        if ftype is FrameType.MANAGEMENT:
+            name = _MGMT_HANDLERS.get(subtype, "on_management")
+            return getattr(cls, name) is getattr(Device, name)
+        # _dispatch_frame has no control branch at all; the base on_data
+        # counts unsolicited frames, so DATA is never passive.
+        return ftype is FrameType.CONTROL
 
     # ------------------------------------------------------------------
     # Receive-side accounting (every decoded frame, ours or not)

@@ -23,20 +23,43 @@ Figure 3 deauthenticates the attacker and still acknowledges its frames.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Collection, Dict, Optional, Tuple
 
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import AckFrame, CtsFrame, Frame, FrameType
 from repro.mac.serialization import FrameFormatError, deserialize
 from repro.phy.constants import Band, sifs
 from repro.phy.plcp import cts_airtime
-from repro.phy.radio import Radio, _SLEEP
+from repro.phy.radio import Radio
 from repro.phy.rates import ack_rate_for
-from repro.sim.medium import LANE_FCS_FAIL, LANE_NOT_FOR_ME, Reception
+from repro.sim.medium import (
+    GROUP_LANES_MASK,
+    LANE_FCS_FAIL,
+    LANE_NOT_FOR_ME,
+    TALLY_FCS_FAIL,
+    TALLY_GROUP,
+    TALLY_NOT_FOR_ME,
+    Reception,
+    group_lane,
+)
 
 #: How many (transmitter, sequence) pairs the duplicate cache remembers.
 _DUPLICATE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _group_mask(keys: frozenset) -> int:
+    """Group-lane mask of a set of passive ``(ftype, subtype)`` keys.
+
+    Cached: callers hand the same set for every instance of a device
+    class, so an install is one lookup.
+    """
+    mask = 0
+    for ftype, subtype in keys:
+        mask |= 1 << group_lane(ftype, subtype)
+    return mask
 
 
 @dataclass
@@ -88,6 +111,14 @@ class AckEngine:
     management frames that survive duplicate filtering) and
     :attr:`control_handler` (ACK/CTS addressed to us, consumed by the
     retransmitting transmitter).
+
+    Most arrivals at a receiver end in counter arithmetic: a failed FCS,
+    clean unicast for another MAC, a group frame nobody above acts on.
+    The engine publishes which of those lanes it can take as tallies
+    (:meth:`Radio.publish_lanes`), and republishes whenever an input of
+    that verdict changes: a handler assignment or installation, or a
+    passivity promise.  :attr:`stats` folds the tallies back in, so the
+    counters read exactly as if every arrival had taken the scalar path.
     """
 
     def __init__(
@@ -100,7 +131,7 @@ class AckEngine:
         self.radio = radio
         self.mac_address = MacAddress(mac_address)
         self.config = config if config is not None else AckEngineConfig()
-        self.stats = AckEngineStats()
+        self._stats = AckEngineStats()
         # Default to the simulation-wide registry threaded through the
         # engine/medium, so instrumenting the Engine instruments every
         # device's ACK automaton with shared counters.
@@ -121,23 +152,14 @@ class AckEngine:
                 "SIFS unless a validation ablation delays it",
                 buckets=(10.0, 16.0, 25.0, 50.0, 100.0, 250.0, 1000.0),
             )
-        self.mac_handler: Optional[Callable[[Frame, Reception], None]] = None
+        self._mac_handler: Optional[Callable[[Frame, Reception], None]] = None
         self.control_handler: Optional[Callable[[Frame, Reception], None]] = None
-        self.sniffer_handler: Optional[Callable[[Frame, Reception], None]] = None
-        # Passivity contracts for the batched reception fast lanes (see
-        # install_sniffer / install_mac_handler).  The identity fields
-        # remember which handler the contract was made for: code that
-        # later assigns `sniffer_handler` / `mac_handler` directly (tests
-        # do) breaks the identity match and every arrival falls back to
-        # the scalar path — never an incorrect fast verdict.
-        self._passive_sniffer: Optional[Callable] = None
-        self._sniffer_passive_check: Optional[Callable[[], bool]] = None
-        self._passive_mac: Optional[Callable] = None
-        self._mac_passive_probe: Optional[Callable[[tuple], bool]] = None
-        #: (ftype, subtype) -> probe verdict, cleared when the contract
-        #: is reinstalled.  The probe itself memoizes per device class;
-        #: this engine-local mirror just skips the call on the hot lane.
-        self._passive_keys: Dict[tuple, bool] = {}
+        self._sniffer_handler: Optional[Callable[[Frame, Reception], None]] = None
+        # Passivity promises (see install_sniffer / install_mac_handler),
+        # dropped whenever the handler they were made for is replaced.
+        self._sniffer_passive = False
+        #: Group lanes the MAC handler promised to ignore.
+        self._mac_group_mask = 0
         self._duplicate_cache: Dict[Tuple[MacAddress, int, int], None] = {}
         # Hot-path caches: the config flag and own-address bytes are
         # immutable after construction and read on every reception.
@@ -148,123 +170,118 @@ class AckEngine:
         # scalar path keeps its exact address-match semantics.
         self._group_mac = bool(self._mac_value[0] & 0x01)
         radio.frame_handler = self._on_reception
-        # Assigning frame_handler cleared the batch hook; install ours
-        # after it, plus the receive MAC the medium's vectorized
-        # pre-filter classifies against.  The radio attached before this
-        # engine existed, so tell the medium the addressing changed.
-        radio.frame_handler_batch = self._on_reception_lane
+        # Claim a lane list of our own, so the tallies in it are ours,
+        # and publish the receive MAC the medium's vectorized pre-filter
+        # classifies against.  The radio attached before this engine
+        # existed, so tell the medium the addressing changed.
+        self._lanes = radio.claim_lanes()
+        #: Lane tallies already folded into ``_stats``.
+        self._folded = [0, 0, 0]
         radio.rx_mac_u64 = int.from_bytes(self._mac_value, "big")
-        medium = getattr(radio, "medium", None)
-        if medium is not None:
-            note = getattr(medium, "note_addressing_changed", None)
-            if note is not None:
-                note(radio.name)
+        radio.medium.note_addressing_changed(radio.name)
+        self._publish_lanes()
+
+    @property
+    def stats(self) -> AckEngineStats:
+        """The counters, with the arrivals the medium tallied folded in."""
+        stats = self._stats
+        lanes = self._lanes
+        folded = self._folded
+        fcs = lanes[TALLY_FCS_FAIL] - folded[0]
+        other = lanes[TALLY_NOT_FOR_ME] - folded[1]
+        group = lanes[TALLY_GROUP] - folded[2]
+        if fcs or other or group:
+            stats.frames_seen += fcs + other + group
+            stats.fcs_failures += fcs
+            stats.passed_up += group
+            folded[:] = lanes[TALLY_FCS_FAIL:]
+        return stats
 
     # ------------------------------------------------------------------
-    # Handler installation (batch-lane passivity contracts)
+    # Handlers and the lane mask
     # ------------------------------------------------------------------
+    @property
+    def sniffer_handler(self) -> Optional[Callable[[Frame, Reception], None]]:
+        """Called with every decoded frame, ours or not."""
+        return self._sniffer_handler
+
+    @sniffer_handler.setter
+    def sniffer_handler(self, handler) -> None:
+        self.install_sniffer(handler)
+
+    @property
+    def mac_handler(self) -> Optional[Callable[[Frame, Reception], None]]:
+        """Called with the group frames and our unicast frames."""
+        return self._mac_handler
+
+    @mac_handler.setter
+    def mac_handler(self, handler) -> None:
+        self.install_mac_handler(handler)
+
     def install_sniffer(
         self,
-        handler: Callable[[Frame, Reception], None],
-        passive_check: Optional[Callable[[], bool]] = None,
+        handler: Optional[Callable[[Frame, Reception], None]],
+        passive: bool = False,
     ) -> None:
-        """Set :attr:`sniffer_handler`, optionally with a passivity contract.
+        """Set :attr:`sniffer_handler`, with a passivity promise.
 
-        ``passive_check()`` returning ``True`` promises that ``handler``
-        currently has no observable effect for any frame, so the batched
-        fast lanes may skip invoking it.  It is re-evaluated per span
-        (cheap attribute checks), letting passivity change at runtime.
+        ``passive=True`` promises that ``handler`` currently has no
+        observable effect for any frame, so arrivals that would reach it
+        and nothing else may be tallied without calling it.  Call again
+        with the same handler to push a changed promise.
         """
-        self.sniffer_handler = handler
-        self._passive_sniffer = handler if passive_check is not None else None
-        self._sniffer_passive_check = passive_check
+        self._sniffer_handler = handler
+        self._sniffer_passive = passive
+        self._publish_lanes()
 
     def install_mac_handler(
         self,
-        handler: Callable[[Frame, Reception], None],
-        passive_probe: Optional[Callable[[tuple], bool]] = None,
+        handler: Optional[Callable[[Frame, Reception], None]],
+        passive_keys: Collection[tuple] = frozenset(),
     ) -> None:
-        """Set :attr:`mac_handler`, optionally with a passivity contract.
+        """Set :attr:`mac_handler`, with a passivity promise.
 
-        ``passive_probe((ftype, subtype))`` returning ``True`` promises
-        that ``handler`` is a no-op for group frames of that type — the
-        wardrive's dominant traffic (beacons heard by hundreds of idle
-        stations), which then never leaves the counter-only fast lane.
+        ``passive_keys`` holds the ``(ftype, subtype)`` pairs for which
+        ``handler`` is a no-op on group frames — beacons heard by idle
+        stations are the wardrive's dominant traffic — so those arrivals
+        are tallied without building their :class:`Reception`.  Pass the
+        same frozen set for every instance of a class: its lane mask is
+        computed once.
         """
-        self.mac_handler = handler
-        self._passive_mac = handler if passive_probe is not None else None
-        self._mac_passive_probe = passive_probe
-        self._passive_keys = {}
+        self._mac_handler = handler
+        self._mac_group_mask = _group_mask(frozenset(passive_keys))
+        self._publish_lanes()
+
+    def _publish_lanes(self) -> None:
+        """Tell the radio which lanes are pure counter arithmetic here.
+
+        A failed FCS always is.  Clean not-for-me unicast is, unless the
+        engine is promiscuous or a sniffer without a passivity promise
+        would see it.  A clean group frame also reaches the MAC handler,
+        so its lane needs that handler absent or passive for its frame
+        type, and an own MAC without the group bit (a group-bit own
+        address would need the exact address comparison of the scalar
+        path).  Nothing is published once another handler owns the radio.
+        """
+        radio = self.radio
+        if radio.lanes is not self._lanes or radio.frame_handler != self._on_reception:
+            return
+        mask = 1 << LANE_FCS_FAIL
+        sniffer = self._sniffer_handler
+        if not self._promiscuous and (sniffer is None or self._sniffer_passive):
+            mask |= 1 << LANE_NOT_FOR_ME
+            if not self._group_mac:
+                if self._mac_handler is None:
+                    mask |= GROUP_LANES_MASK
+                else:
+                    mask |= self._mac_group_mask
+        radio.publish_lanes(mask)
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _on_reception_lane(self, lane: int, span, index: int) -> bool:
-        """Batched fast path: account for a pre-classified arrival.
-
-        Installed as the radio's ``frame_handler_batch``, which the
-        medium caches directly as the delivery sink — so the radio-level
-        contract (the sleep drop, the ``frames_delivered`` bump) is
-        applied here rather than in :meth:`Radio.on_reception_batch`.
-        Consumes the lanes whose scalar handling is pure counter
-        arithmetic — below-FCS, clean-but-not-for-me, and group frames
-        whose handlers are contractually passive — and returns ``False``
-        for everything else (for-me unicast with its ACK scheduling,
-        promiscuous capture, any non-passive handler), sending the
-        medium through the byte-identical scalar path instead.  Mutates
-        nothing before returning ``False``.
-        """
-        radio = self.radio
-        if radio._state is _SLEEP:
-            radio.frames_dropped_asleep += 1
-            return True
-        stats = self.stats
-        if lane == LANE_FCS_FAIL:
-            stats.frames_seen += 1
-            stats.fcs_failures += 1
-            radio.frames_delivered += 1
-            return True
-        if self._promiscuous:
-            return False
-        sniffer = self.sniffer_handler
-        if sniffer is not None and (
-            sniffer is not self._passive_sniffer
-            or not self._sniffer_passive_check()
-        ):
-            return False
-        if lane == LANE_NOT_FOR_ME:
-            stats.frames_seen += 1
-            radio.frames_delivered += 1
-            return True
-        # LANE_GROUP: delivered to the MAC handler in the scalar path —
-        # consumable only when that handler is contractually passive for
-        # this frame type (or absent).
-        if self._group_mac:
-            return False
-        handler = self.mac_handler
-        if handler is None:
-            stats.frames_seen += 1
-            stats.passed_up += 1
-            radio.frames_delivered += 1
-            return True
-        key = span.frame_key
-        if handler is self._passive_mac and key is not None:
-            # The probe's verdict is structural (which methods the device
-            # class overrides) and permanently memoized per class, so the
-            # per-engine memo here cannot go stale ahead of it.
-            verdict = self._passive_keys.get(key)
-            if verdict is None:
-                verdict = self._mac_passive_probe(key)
-                self._passive_keys[key] = verdict
-            if verdict:
-                stats.frames_seen += 1
-                stats.passed_up += 1
-                radio.frames_delivered += 1
-                return True
-        return False
-
     def _on_reception(self, reception: Reception) -> None:
-        stats = self.stats
+        stats = self._stats
         stats.frames_seen += 1
         if not reception.fcs_ok:
             # The PHY silently discards frames that fail the CRC; nothing
@@ -290,18 +307,17 @@ class AckEngine:
         if frame is None:
             stats.fcs_failures += 1
             return
-        if self.sniffer_handler is not None:
-            self.sniffer_handler(frame, reception)
+        sniffer = self._sniffer_handler
+        if sniffer is not None:
+            sniffer(frame, reception)
         if self._promiscuous:
             # Monitor-mode interfaces capture everything and answer nothing.
             return
         addr1 = frame.addr1
         if addr1._value != self._mac_value:
             if addr1._value[0] & 0x01:  # group bit: multicast/broadcast
-                # _pass_up inlined: group frames dominate the wardrive
-                # receive path (beacons/probes heard by hundreds of radios).
                 stats.passed_up += 1
-                handler = self.mac_handler
+                handler = self._mac_handler
                 if handler is not None:
                     handler(frame, reception)
             return
@@ -350,7 +366,7 @@ class AckEngine:
 
         def send() -> None:
             self.radio.transmit(cts, rate)
-            self.stats.cts_sent += 1
+            self._stats.cts_sent += 1
             if self._ctr_cts is not None:
                 self._ctr_cts.inc()
 
@@ -376,15 +392,15 @@ class AckEngine:
                 )
             legitimate, decode_time = validator(frame)
             if not legitimate:
-                self.stats.acks_suppressed_by_validation += 1
+                self._stats.acks_suppressed_by_validation += 1
                 return
             if decode_time > gap:
-                self.stats.late_acks += 1
+                self._stats.late_acks += 1
             gap = max(gap, decode_time)
 
         def send() -> None:
             self.radio.transmit(ack, rate)
-            self.stats.acks_sent += 1
+            self._stats.acks_sent += 1
             if self._ctr_acks is not None:
                 self._ctr_acks.inc()
 
@@ -402,17 +418,13 @@ class AckEngine:
         if frame.retry and key is not None and key in self._duplicate_cache:
             # Duplicates are *still acknowledged* (the ACK already went out
             # above); they are merely not delivered twice.
-            self.stats.duplicates_dropped += 1
+            self._stats.duplicates_dropped += 1
             return
         if key is not None:
             self._duplicate_cache[key] = None
             while len(self._duplicate_cache) > _DUPLICATE_CACHE_SIZE:
                 self._duplicate_cache.pop(next(iter(self._duplicate_cache)))
-        self.stats.passed_up += 1
-        if self.mac_handler is not None:
-            self.mac_handler(frame, reception)
-
-    def _pass_up(self, frame: Frame, reception: Reception) -> None:
-        self.stats.passed_up += 1
-        if self.mac_handler is not None:
-            self.mac_handler(frame, reception)
+        self._stats.passed_up += 1
+        handler = self._mac_handler
+        if handler is not None:
+            handler(frame, reception)

@@ -11,6 +11,12 @@ Frame semantics live one layer up: the radio delivers every finished
 the MAC's ACK engine) and, while asleep, delivers nothing — which is how
 the power-save threshold of ~10 packets/s emerges in the battery-drain
 experiment.
+
+Arrivals the MAC promised to ignore never become a ``Reception``: the
+MAC publishes a lane mask (:meth:`Radio.publish_lanes`) and the medium
+counts those arrivals in the radio's lane list instead.  The radio
+zeroes the mask while asleep, so a sleeping radio's arrivals always take
+:meth:`Radio.on_reception` and its sleep drop.
 """
 
 from __future__ import annotations
@@ -19,7 +25,14 @@ import enum
 from typing import Callable, List, Optional, Union
 
 from repro.phy.plcp import frame_airtime
-from repro.sim.medium import Medium, Reception, Transmission
+from repro.sim.medium import (
+    TALLY_FCS_FAIL,
+    TALLY_GROUP,
+    TALLY_NOT_FOR_ME,
+    Medium,
+    Reception,
+    Transmission,
+)
 from repro.sim.world import Position
 
 PositionProvider = Union[Position, Callable[[float], Position]]
@@ -74,23 +87,19 @@ class Radio:
         self._state = RadioState.IDLE
         self._state_listeners: List[Callable[[RadioState, float], None]] = []
         self._frame_handler: Optional[Callable[[Reception], None]] = None
-        #: Lane-aware fast sink for the medium's batched reception path:
-        #: ``f(lane, span, index) -> bool`` (True = arrival fully
-        #: accounted for without a Reception).  The hook owns the whole
-        #: per-arrival radio contract — sleep drop and the
-        #: ``frames_delivered`` bump included — so the medium may cache
-        #: it directly as the delivery sink.  Installed alongside
-        #: ``frame_handler`` by the ACK engine; assigning
-        #: ``frame_handler`` clears it (and notifies the medium), so code
-        #: that swaps in a bare scalar handler (tests do) can never leave
-        #: a stale fast path behind.
-        self.frame_handler_batch: Optional[Callable[[int, object, int], bool]] = None
         #: Receive MAC as a 48-bit big-endian integer, published by the
         #: ACK engine for the medium's vectorized address pre-filter;
         #: ``None`` until a MAC layer claims the radio.
         self.rx_mac_u64: Optional[int] = None
+        #: ``[mask, fcs_fail, not_for_me, group]``: the lane mask the
+        #: medium tests each arrival against (0 while asleep) and the
+        #: tallies it bumps for the arrivals the mask lets it consume.
+        #: A MAC layer claims a fresh list (:meth:`claim_lanes`).
+        self.lanes: list = [0, 0, 0, 0]
+        #: The published mask, kept while asleep to restore on waking.
+        self._lane_mask = 0
         self.frames_sent = 0
-        self.frames_delivered = 0
+        self._frames_delivered = 0
         self.frames_dropped_asleep = 0
         medium.attach(self)
 
@@ -146,46 +155,59 @@ class Radio:
 
     @frame_handler.setter
     def frame_handler(self, handler: Optional[Callable[[Reception], None]]) -> None:
+        # The published mask was a promise about the previous handler;
+        # whoever installs the new one publishes afresh.
         self._frame_handler = handler
-        # A new scalar handler invalidates any batch fast path installed
-        # for the previous one; the installer re-sets it afterwards.  The
-        # medium caches the batch hook inside its delivery lists, so
-        # clearing an installed hook must also bump the channel's cache
-        # version (note_addressing_changed covers exactly that).
-        if self.frame_handler_batch is not None:
-            self.frame_handler_batch = None
-            self.medium.note_addressing_changed(self.name)
+        self.publish_lanes(0)
+
+    @property
+    def frames_delivered(self) -> int:
+        """Arrivals delivered awake: handed up, or tallied in the lanes."""
+        lanes = self.lanes
+        return (
+            self._frames_delivered
+            + lanes[TALLY_FCS_FAIL]
+            + lanes[TALLY_NOT_FOR_ME]
+            + lanes[TALLY_GROUP]
+        )
+
+    def claim_lanes(self) -> list:
+        """Give a new MAC layer a fresh lane list, with an empty mask.
+
+        The previous list's tallies fold into ``frames_delivered``; its
+        mask is zeroed, so arrivals already in flight with the old list
+        take the scalar path to the new handler.  The caller reports the
+        change (:meth:`Medium.note_addressing_changed`) so delivery lists
+        pick up the new list.
+        """
+        old = self.lanes
+        old[0] = 0
+        self._frames_delivered += (
+            old[TALLY_FCS_FAIL] + old[TALLY_NOT_FOR_ME] + old[TALLY_GROUP]
+        )
+        self.lanes = lanes = [0, 0, 0, 0]
+        self._lane_mask = 0
+        return lanes
+
+    def publish_lanes(self, mask: int) -> None:
+        """Set the lane mask: bit ``c`` lets the medium tally lane ``c``.
+
+        See :data:`repro.sim.medium.LANE_FCS_FAIL`.  Only the MAC layer
+        behind ``frame_handler`` may publish a mask, and only for lanes
+        whose entire scalar effect is the matching tally.
+        """
+        self._lane_mask = mask
+        self.lanes[0] = 0 if self._state is _SLEEP else mask
 
     def on_reception(self, reception: Reception) -> None:
         """Medium callback: route a finished arrival to the MAC."""
         if self._state is _SLEEP:
             self.frames_dropped_asleep += 1
             return
-        self.frames_delivered += 1
+        self._frames_delivered += 1
         handler = self._frame_handler
         if handler is not None:
             handler(reception)
-
-    def on_reception_batch(self, lane: int, span, index: int) -> bool:
-        """Lane-classified fast path for one arrival of a batched span.
-
-        Returns ``True`` when the arrival is fully accounted for without
-        a :class:`Reception` object.  An installed ``frame_handler_batch``
-        owns the whole verdict — including the sleep drop and the
-        ``frames_delivered`` bump, which lets the medium cache the hook
-        itself as the delivery sink and skip this wrapper entirely.  With
-        no hook installed, the sleep drop is applied here and everything
-        else returns ``False`` to the byte-identical scalar path (which
-        re-applies the sleep check, so nothing here may consume the
-        arrival first).
-        """
-        handler = self.frame_handler_batch
-        if handler is not None:
-            return handler(lane, span, index)
-        if self._state is _SLEEP:
-            self.frames_dropped_asleep += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # State machine
@@ -210,6 +232,8 @@ class Radio:
         if state is self._state:
             return
         self._state = state
+        # Asleep, every arrival is dropped: no lane may count it.
+        self.lanes[0] = 0 if state is _SLEEP else self._lane_mask
         now = self.medium.engine.now
         for listener in self._state_listeners:
             listener(state, now)

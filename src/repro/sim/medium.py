@@ -154,6 +154,15 @@ class RadioPort(Protocol):
         ``channel`` attribute after attaching will be indexed under its
         old channel.  :class:`~repro.phy.radio.Radio` wraps ``channel``
         in a property that notifies its medium automatically.
+    ``rx_mac_u64`` / ``lanes``
+        The receive MAC as a 48-bit integer and the lane list
+        ``[mask, fcs_fail, not_for_me, group]`` (see
+        :data:`LANE_FCS_FAIL`), read when a delivery list is resolved.
+        Arrivals whose lane bit is set in ``lanes[0]`` are tallied in
+        the list instead of handed to ``on_reception``.  Replacing
+        either attribute must be reported via
+        :meth:`Medium.note_addressing_changed`; the mask may change in
+        place at any time.
     """
 
     name: str
@@ -228,15 +237,40 @@ class Reception:
         return self.end - self.start
 
 
-#: Reception lanes handed to ``Radio.on_reception_batch`` by the batched
-#: reception path.  A lane names the *verdict* of the vectorized
+#: Reception lanes.  A lane names the *verdict* of the arrival-end
 #: pre-filter for one arrival, computed before any :class:`Reception`
-#: object exists; a consumer that can fully account for the arrival from
-#: the lane alone (counters only, no observable side effects) returns
-#: ``True`` and the medium skips ``Reception`` construction entirely.
+#: object exists.  Each receiving radio carries a lane list
+#: ``[mask, fcs_fail, not_for_me, group]`` (``Radio.lanes``).  Bit ``c``
+#: of ``mask`` is the receiver's promise that an arrival in lane ``c``
+#: has no effect beyond one count in the matching tally, so the medium
+#: bumps that tally and builds no ``Reception``.  A clear bit sends the
+#: arrival down the scalar path.
 LANE_FCS_FAIL = 0  # frame corrupted (collision, half-duplex, FER coin)
 LANE_NOT_FOR_ME = 1  # clean unicast addressed to a different MAC
-LANE_GROUP = 2  # clean group-addressed (broadcast/multicast) frame
+LANE_GROUP = 2  # clean group-addressed frame without a keyed lane (below)
+#: Clean group-addressed frames of each ``(ftype, subtype)`` (2-bit type,
+#: 4-bit subtype) have a lane of their own, so a receiver can promise
+#: passivity per frame type: see :func:`group_lane`.
+_GROUP_LANE_BASE = 3
+#: Every group lane, keyed or not.
+GROUP_LANES_MASK = (1 << LANE_GROUP) | (((1 << 64) - 1) << _GROUP_LANE_BASE)
+
+#: Tally slots of a lane list (slot 0 is the mask).
+TALLY_FCS_FAIL = 1
+TALLY_NOT_FOR_ME = 2
+TALLY_GROUP = 3
+
+#: Lane list of a port that publishes none: nothing is consumable, so
+#: its tallies are never written.
+_NO_LANES = (0, 0, 0, 0)
+
+
+def group_lane(ftype: int, subtype: int) -> int:
+    """Lane code of a clean group-addressed frame of type ``(ftype, subtype)``."""
+    if 0 <= ftype < 4 and 0 <= subtype < 16:
+        return _GROUP_LANE_BASE + 16 * ftype + subtype
+    return LANE_GROUP
+
 
 #: Span-level lane classification states (``_ArrivalSpan.lane_mode``).
 _LANES_UNSET = 0  # not classified yet (first arrival end computes it)
@@ -253,22 +287,6 @@ _NO_MAC = 0xFFFF_FFFF_FFFF_FFFF
 _GROUP_BIT = 1 << 40
 
 
-def _batch_sink(radio):
-    """The per-arrival batch sink cached in delivery lists.
-
-    An installed ``frame_handler_batch`` owns the whole radio contract
-    (sleep drop, delivered accounting — see :class:`repro.phy.radio.
-    Radio`), so it is cached directly and the ``on_reception_batch``
-    wrapper drops out of the hot path.  Changing either hook bumps the
-    channel version (``note_addressing_changed``), which re-captures the
-    sink here.
-    """
-    sink = getattr(radio, "frame_handler_batch", None)
-    if sink is not None:
-        return sink
-    return getattr(radio, "on_reception_batch", None)
-
-
 class _ArrivalSpan:
     """Every arrival of one transmission, struct-of-arrays style.
 
@@ -281,7 +299,9 @@ class _ArrivalSpan:
     end slice routes each arrival through the lane pre-filter before any
     :class:`Reception` exists.  Lanes are classified lazily, once per
     span, from the frame's destination address (``dest_u64``) against
-    the per-receiver MAC mirror carried in ``macs`` / ``mac_arr``.
+    the per-receiver MAC mirror carried in ``macs`` / ``mac_arr``; each
+    arrival's lane is then tested against its receiver's published lane
+    list (``lanes``).
 
     ``reasons[i]`` doubles as the corruption flag (``None`` = clean).
 
@@ -318,20 +338,21 @@ class _ArrivalSpan:
         # chains per arrival — a win at 10+ receivers per frame.
         "clock",
         "attached",
+        "detaches",
         "ctr_delivered",
         "ctr_dropped",
         "csi_model",
         # Reception lane state: per-receiver MAC mirror (uint64
-        # ints, _NO_MAC when unknown), pre-resolved on_reception_batch
-        # bound methods (None for ports without one), optional numpy
-        # view of `macs` for one-comparison classification, and the
-        # lazily computed verdicts.
+        # ints, _NO_MAC when unknown), per-receiver lane lists (see
+        # LANE_FCS_FAIL), optional numpy view of `macs` for
+        # one-comparison classification, and the lazily computed
+        # verdicts.
         "macs",
-        "sinks",
+        "lanes",
         "mac_arr",
         "lane_mode",
         "for_me",
-        "frame_key",
+        "group_bit",
         # Per-batch absolute due times (`base + offset + shift`, computed
         # with the engine's exact left-associated float adds), cached on
         # first slice call so window boundaries are bisections instead of
@@ -349,7 +370,7 @@ class _ArrivalSpan:
         snrs: List[float],
         fers: Optional[List[float]],
         macs: List[int],
-        sinks: list,
+        lanes: list,
         mac_arr: Optional[np.ndarray],
     ) -> None:
         self.medium = medium
@@ -365,15 +386,18 @@ class _ArrivalSpan:
         self.index: Optional[Dict[str, int]] = None
         self.clock = medium.engine.clock
         self.attached = medium._radios
+        # Every receiver is attached now; only a later detach can change
+        # that, so end slices check names only once the count moves.
+        self.detaches = medium.detach_count
         self.ctr_delivered = medium._ctr_delivered
         self.ctr_dropped = medium._ctr_dropped
         self.csi_model = medium._csi_model
         self.macs = macs
-        self.sinks = sinks
+        self.lanes = lanes
         self.mac_arr = mac_arr
         self.lane_mode = _LANES_UNSET
         self.for_me: Optional[List[bool]] = None
-        self.frame_key = None
+        self.group_bit = 0
         self.due_begin: Optional[List[float]] = None
         self.due_end: Optional[List[float]] = None
 
@@ -406,14 +430,14 @@ class _ArrivalSpan:
         ``RawPsdu``) yields it as a 48-bit big-endian integer, or
         ``None`` when unparseable — then, as whenever a CSI model is
         installed (its per-arrival invocation has its own RNG ordering),
-        every arrival takes the scalar path.  A group destination makes
-        the whole span ``LANE_GROUP``; a unicast destination is compared
-        against the receiver-MAC mirror — one numpy comparison when the
-        cached array is available — splitting the span into for-me
-        (scalar) and ``LANE_NOT_FOR_ME`` arrivals.
+        every arrival takes the scalar path.  A group destination puts
+        every clean arrival in the frame type's group lane
+        (:func:`group_lane`); a unicast destination is compared against
+        the receiver-MAC mirror — one numpy comparison when the cached
+        array is available — splitting the span into for-me (scalar) and
+        ``LANE_NOT_FOR_ME`` arrivals.
         """
         mode = _LANES_SCALAR
-        self.frame_key = None
         if self.csi_model is None:
             frame = self.transmission.frame
             hook = getattr(frame, "dest_u64", None)
@@ -421,8 +445,11 @@ class _ArrivalSpan:
             if dest is not None:
                 if dest & _GROUP_BIT:
                     ftype = getattr(frame, "ftype", None)
-                    if ftype is not None:
-                        self.frame_key = (ftype, frame.subtype)
+                    lane = (
+                        LANE_GROUP if ftype is None
+                        else group_lane(ftype, frame.subtype)
+                    )
+                    self.group_bit = 1 << lane
                     mode = _LANES_GROUP
                 else:
                     arr = self.mac_arr
@@ -570,22 +597,26 @@ class _ArrivalSpan:
 
         For each due arrival: skip receivers detached mid-flight, flip
         the FER coin (one RNG draw per clean arrival with a positive
-        error probability, in arrival order), then classify.  Arrivals a lane consumer fully accounts
-        for (``sinks[i](lane, span, i)`` returning ``True``) never
-        construct a :class:`Reception`; the rest take the scalar path
+        error probability, in arrival order), then classify.  An arrival
+        whose lane bit is set in its receiver's lane mask is one tally
+        bump (``lanes[i][slot] += 1``) and never constructs a
+        :class:`Reception`; the rest take the scalar path
         (:meth:`_hand_up`).  Delivered and dropped tallies accumulate
         locally and flush before every scalar upcall, and the ``ended``
         cursor moves there too, so any code observing the counters or
         the air state mid-slice sees per-arrival values.
 
-        The drain is windowed (:meth:`_window`): lane consumers never
-        touch the engine — they account through span data and their own
-        counters (the contract on ``frame_handler_batch``) — so the
-        yield conditions only change at scalar upcalls, and the window
-        is recomputed exactly there.  The clock advances lazily: nothing
-        in a fast-lane run can observe it, so it is written to the
-        arrival's due time only before an upcall and at the window end,
-        landing on the same final value a per-item drain produces.
+        The detached-receiver name lookup runs only once the medium's
+        detach count has moved since the span was built: until then
+        every receiver is still attached.
+
+        The drain is windowed (:meth:`_window`): a tally bump runs no
+        code, so the yield conditions only change at scalar upcalls, and
+        the window is recomputed exactly there.  The clock advances
+        lazily: nothing in a fast-lane run can observe it, so it is
+        written to the arrival's due time only before an upcall and at
+        the window end, landing on the same final value a per-item drain
+        produces.
         """
         offsets = batch.offsets
         i = batch.index
@@ -609,9 +640,15 @@ class _ArrivalSpan:
         reasons = self.reasons
         fers = self.fers
         attached = self.attached
-        is_group = lane_mode == _LANES_GROUP
-        sinks = self.sinks
+        lanes = self.lanes
         for_me = self.for_me
+        if lane_mode == _LANES_GROUP:
+            ok_bit = self.group_bit
+            ok_slot = TALLY_GROUP
+        else:
+            ok_bit = 1 << LANE_NOT_FOR_ME
+            ok_slot = TALLY_NOT_FOR_ME
+        fail_bit = 1 << LANE_FCS_FAIL
         ctr_delivered = self.ctr_delivered
         ctr_dropped = self.ctr_dropped
         n_delivered = 0
@@ -630,10 +667,10 @@ class _ArrivalSpan:
                 ):
                     break
             j = self._window(due, i, n, engine)
+            check_attached = medium.detach_count != self.detaches
             upcall = -1
             for idx in range(i, j):
-                radio = radios[idx]
-                if radio.name not in attached:
+                if check_attached and radios[idx].name not in attached:
                     continue  # detached mid-flight
                 reason = reasons[idx]
                 fcs_ok = reason is None
@@ -643,19 +680,17 @@ class _ArrivalSpan:
                         fcs_ok = False
                 if fcs_ok:
                     n_delivered += 1
+                    if for_me is None or not for_me[idx]:
+                        rx_lanes = lanes[idx]
+                        if rx_lanes[0] & ok_bit:
+                            rx_lanes[ok_slot] += 1
+                            continue
                 else:
                     n_dropped += 1
-                sink = sinks[idx]
-                if sink is not None:
-                    if not fcs_ok:
-                        if sink(LANE_FCS_FAIL, self, idx):
-                            continue
-                    elif is_group:
-                        if sink(LANE_GROUP, self, idx):
-                            continue
-                    elif not for_me[idx]:
-                        if sink(LANE_NOT_FOR_ME, self, idx):
-                            continue
+                    rx_lanes = lanes[idx]
+                    if rx_lanes[0] & fail_bit:
+                        rx_lanes[TALLY_FCS_FAIL] += 1
+                        continue
                 # Scalar fallback: sync the clock, the air state and
                 # the public counters first, so the upcall observes
                 # exactly the per-item drain's state.
@@ -716,8 +751,7 @@ class _ArrivalSpan:
         rng_draw = medium._rng_draw
         while True:
             self.ended = i + 1
-            radio = radios[i]
-            if radio.name in attached:
+            if medium.detach_count == self.detaches or radios[i].name in attached:
                 reason = reasons[i]
                 fcs_ok = reason is None
                 if fcs_ok and fers is not None:
@@ -945,6 +979,10 @@ class Medium:
         self._rng_buf: List[float] = []
         self._rng_pos = 0
         self._radios: Dict[str, RadioPort] = {}
+        #: Detaches so far.  An arrival span built since the last one
+        #: knows all its receivers are attached and skips the per-arrival
+        #: name lookup (see :meth:`_ArrivalSpan.end_slice`).
+        self.detach_count = 0
         self._entries: Dict[str, _RadioEntry] = {}
         self._channels: Dict[int, List[_RadioEntry]] = {}
         self._attach_seq = 0
@@ -961,7 +999,7 @@ class Medium:
         #: Per-channel changelog of bucket mutations since the last
         #: un-patchable one: ``(version_after_bump, op, entry)`` with op
         #: ``"+"`` (attach), ``"-"`` (detach) or ``"m"`` (receive MAC /
-        #: batch sink changed).  Lets a stale warm delivery list advance
+        #: lane list changed).  Lets a stale warm delivery list advance
         #: by replaying only the changed members instead of re-resolving
         #: the whole bucket — the dominant cold-path cause at city scale
         #: is lazy activation attaching/detaching a handful of radios
@@ -978,7 +1016,7 @@ class Medium:
         #: receiver list of the sender's last transmission on that channel
         #: at that power, sorted by arrival order (delay, then attachment
         #: order), as the 11-tuple (bucket_version, tx_epoch, delays,
-        #: attach_seqs, radios, rssis, snrs, fer_lists, macs, sinks,
+        #: attach_seqs, radios, rssis, snrs, fer_lists, macs, lanes,
         #: mac_arr) of parallel lists, so a warm transmission reuses
         #: whole delivery arrays without re-deriving SNR.  Mobile
         #: receivers are deliberately excluded: they
@@ -1085,19 +1123,23 @@ class Medium:
         self._tx_observers.append(observer)
 
     def note_addressing_changed(self, radio_name: str) -> None:
-        """Invalidate caches after ``radio_name`` changed its receive MAC.
+        """Invalidate caches after ``radio_name`` changed its receive MAC
+        or its lane list.
 
         An :class:`~repro.mac.ack_engine.AckEngine` publishes its MAC
-        onto the radio (``rx_mac_u64``) *after* the radio attached, so
-        any SoA mirror or delivery list resolved in between carries a
-        stale/absent address.  Bumping the bucket version forces both to
-        rebuild before the next classification.
+        (``rx_mac_u64``) and a fresh lane list (``lanes``) onto the radio
+        *after* the radio attached, so any SoA mirror or delivery list
+        resolved in between carries a stale address and list.  Bumping
+        the bucket version forces both to rebuild before the next
+        classification.  Lane *masks* change in place inside the list,
+        so they need no notice.
         """
         entry = self._entries.get(radio_name)
         if entry is not None:
             self._bump_bucket(entry.channel, "m", entry)
 
     def detach(self, radio_name: str) -> None:
+        self.detach_count += 1
         entry = self._entries.pop(radio_name, None)
         if entry is not None:
             bucket = self._channels.get(entry.channel)
@@ -1547,7 +1589,7 @@ class Medium:
         rssis = list(cached[5])
         snrs = list(cached[6])
         macs = list(cached[8])
-        sinks = list(cached[9])
+        lanes = list(cached[9])
         noise_floor = self.noise_floor_dbm
         for _v, op, e in log[idx:]:
             if e.name == sender_name or e.static_pos is None:
@@ -1577,7 +1619,7 @@ class Medium:
                 snrs.insert(lo, rssi - noise_floor)
                 rx_mac = getattr(radio, "rx_mac_u64", None)
                 macs.insert(lo, _NO_MAC if rx_mac is None else rx_mac)
-                sinks.insert(lo, _batch_sink(radio))
+                lanes.insert(lo, getattr(radio, "lanes", _NO_LANES))
             else:
                 try:
                     k = seqs.index(e.seq)
@@ -1590,12 +1632,12 @@ class Medium:
                     del rssis[k]
                     del snrs[k]
                     del macs[k]
-                    del sinks[k]
-                else:  # "m": receive MAC / batch sink changed
+                    del lanes[k]
+                else:  # "m": receive MAC / lane list changed
                     radio = e.radio
                     rx_mac = getattr(radio, "rx_mac_u64", None)
                     macs[k] = _NO_MAC if rx_mac is None else rx_mac
-                    sinks[k] = _batch_sink(radio)
+                    lanes[k] = getattr(radio, "lanes", _NO_LANES)
         mac_arr = np.array(macs, dtype=np.uint64) if len(macs) > 64 else None
         fresh = (
             version,
@@ -1607,7 +1649,7 @@ class Medium:
             snrs,
             {},
             macs,
-            sinks,
+            lanes,
             mac_arr,
         )
         self._cache_delivery((sender_name, channel, power_dbm), fresh)
@@ -1671,7 +1713,9 @@ class Medium:
             rssi = power_dbm - loss
             if rssi < radio.rx_sensitivity_dbm:
                 continue
-            c_targets.append((delay, rx.seq, radio, rssi, rx_mac, _batch_sink(radio)))
+            c_targets.append(
+                (delay, rx.seq, radio, rssi, rx_mac, getattr(radio, "lanes", _NO_LANES))
+            )
         n = len(c_targets)
         mac_arr = None
         if n <= 64:
@@ -1686,18 +1730,18 @@ class Medium:
             rssis = []
             snrs = []
             macs = []
-            sinks = []
+            lanes = []
             noise_floor = self.noise_floor_dbm
-            for delay, seq, radio, rssi, rx_mac, sink in c_targets:
+            for delay, seq, radio, rssi, rx_mac, rx_lanes in c_targets:
                 delays.append(delay)
                 seqs.append(seq)
                 radios.append(radio)
                 rssis.append(rssi)
                 snrs.append(rssi - noise_floor)
                 macs.append(rx_mac)
-                sinks.append(sink)
+                lanes.append(rx_lanes)
         else:
-            c_delays, c_seqs, c_radios, c_rssis, c_macs, c_sinks = zip(*c_targets)
+            c_delays, c_seqs, c_radios, c_rssis, c_macs, c_lanes = zip(*c_targets)
             delay_arr = np.asarray(c_delays)
             order = np.lexsort((np.asarray(c_seqs), delay_arr))
             delays = delay_arr[order].tolist()
@@ -1709,12 +1753,12 @@ class Medium:
             # identically to the scalar `rssi - noise_floor`.
             snrs = (rssi_arr - self.noise_floor_dbm).tolist()
             macs = [c_macs[k] for k in order]
-            sinks = [c_sinks[k] for k in order]
+            lanes = [c_lanes[k] for k in order]
             # Large static lists get a numpy view of the MAC column
             # so lane classification is one vectorized comparison.
             mac_arr = np.array(macs, dtype=np.uint64)
         return (
-            version, tx_epoch, delays, seqs, radios, rssis, snrs, {}, macs, sinks, mac_arr
+            version, tx_epoch, delays, seqs, radios, rssis, snrs, {}, macs, lanes, mac_arr
         )
 
     def _deliver(
@@ -1774,7 +1818,7 @@ class Medium:
         snrs = cached_delivery[6]
         fer_lists = cached_delivery[7]
         macs = cached_delivery[8]
-        sinks = cached_delivery[9]
+        lanes = cached_delivery[9]
         mac_arr = cached_delivery[10]
         fers: Optional[List[float]] = None
         if self._fer is not None:
@@ -1818,7 +1862,7 @@ class Medium:
                 rssi = power_dbm - loss
                 if rssi < radio.rx_sensitivity_dbm:
                     continue
-                # MAC / sink capture happens at merge-insert below, so
+                # MAC / lane capture happens at merge-insert below, so
                 # out-of-range mobiles never pay for it.
                 mobile_targets.append((delay, rx.seq, radio, rssi))
             if mobile_targets:
@@ -1832,7 +1876,7 @@ class Medium:
                 rssis = list(rssis)
                 snrs = list(snrs)
                 macs = list(macs)
-                sinks = list(sinks)
+                lanes = list(lanes)
                 mac_arr = None  # merged copies diverge from the cached array
                 if fers is not None:
                     fers = list(fers)
@@ -1853,7 +1897,7 @@ class Medium:
                     rssis.insert(lo, rssi)
                     rx_mac = getattr(radio, "rx_mac_u64", None)
                     macs.insert(lo, _NO_MAC if rx_mac is None else rx_mac)
-                    sinks.insert(lo, _batch_sink(radio))
+                    lanes.insert(lo, getattr(radio, "lanes", _NO_LANES))
                     snr = rssi - noise_floor
                     snrs.insert(lo, snr)
                     if fers is not None:
@@ -1861,7 +1905,7 @@ class Medium:
         if not delays:
             return
         span = _ArrivalSpan(
-            self, transmission, radios, rssis, snrs, fers, macs, sinks, mac_arr
+            self, transmission, radios, rssis, snrs, fers, macs, lanes, mac_arr
         )
         engine.post_batch(EventBatch(engine, span.begin_slice, now, 0.0, delays))
         engine.post_batch(EventBatch(engine, span.end_slice, now, duration, delays))

@@ -1,22 +1,41 @@
-"""Edge cases of the ACK engine's batched reception lanes.
+"""The ACK engine's reception lanes.
 
-The vectorized medium pre-classifies arrivals into lanes and the engine's
-``_on_reception_lane`` consumes the counter-only ones.  These tests pin
-the boundaries where the fast path must refuse and defer to the scalar
-path — a (nonstandard) group-bit own MAC — plus the duplicate cache's
-exact eviction threshold and the ACK-but-don't-deliver retry semantics
-on the production medium and on the lane-free reference medium.
+The medium pre-classifies arrivals into lanes and tallies those the
+receiver's published lane mask covers instead of building a
+``Reception``.  These tests pin the mask an engine publishes for each
+receiver configuration — where it must refuse and defer to the scalar
+path, such as a (nonstandard) group-bit own MAC — against the lane-free
+reference medium, plus the duplicate cache's exact eviction threshold
+and the ACK-but-don't-deliver retry semantics.
 """
+
+from dataclasses import asdict
 
 import pytest
 
-from repro.mac.ack_engine import _DUPLICATE_CACHE_SIZE, AckEngine
+from repro.devices.station import Station
+from repro.mac.ack_engine import _DUPLICATE_CACHE_SIZE, AckEngine, AckEngineConfig
 from repro.mac.addresses import ATTACKER_FAKE_MAC, MacAddress
-from repro.mac.frames import BeaconFrame, NullDataFrame
+from repro.mac.frames import (
+    SUBTYPE_BEACON,
+    SUBTYPE_PROBE_REQUEST,
+    BeaconFrame,
+    FrameType,
+    NullDataFrame,
+    ProbeRequestFrame,
+)
 from repro.phy.radio import Radio
 from repro.sim.engine import Engine
-from repro.sim.medium import LANE_GROUP, LANE_NOT_FOR_ME, Medium, Reception, Transmission
+from repro.sim.medium import (
+    LANE_GROUP,
+    LANE_NOT_FOR_ME,
+    Medium,
+    Reception,
+    Transmission,
+    group_lane,
+)
 from repro.sim.world import Position
+from tests.conftest import fresh_mac
 from tests.reference_medium import ReferenceMedium
 
 #: First octet 0x01: the individual/group bit is set, which no standard
@@ -25,10 +44,8 @@ GROUP_MAC = MacAddress("01:aa:bb:cc:dd:ee")
 SENDER_MAC = MacAddress("02:11:22:33:44:55")
 
 
-class _Span:
-    """Minimal stand-in for an arrival span on the direct lane calls."""
-
-    frame_key = (0, 8)
+ALL_FRAME_KEYS = frozenset((ftype, subtype) for ftype in FrameType for subtype in range(16))
+PROBE_REQUEST_KEY = (FrameType.MANAGEMENT, SUBTYPE_PROBE_REQUEST)
 
 
 def _reception(frame) -> Reception:
@@ -43,16 +60,18 @@ class TestGroupBitMac:
         radio = Radio("victim", medium, Position(0, 0))
         victim = AckEngine(radio, GROUP_MAC)
         assert victim._group_mac is True
-        # The group lane would need an exact own-address comparison to
-        # stay correct for a group-bit MAC; the lane must return False
-        # (scalar path) and mutate nothing.
-        assert victim._on_reception_lane(LANE_GROUP, _Span(), 0) is False
-        assert victim.stats.frames_seen == 0
-        assert radio.frames_delivered == 0
+        mask = radio.lanes[0]
+        # No group lane, keyed or not: it would need an exact
+        # own-address comparison to stay correct for a group-bit MAC, so
+        # those arrivals take the scalar path.
+        assert not mask & (1 << LANE_GROUP)
+        assert not mask & (1 << group_lane(FrameType.MANAGEMENT, SUBTYPE_BEACON))
         # Not-for-me stays consumable: the scalar path would also only
         # bump counters for a clean unicast addressed elsewhere.
-        assert victim._on_reception_lane(LANE_NOT_FOR_ME, _Span(), 0) is True
-        assert victim.stats.frames_seen == 1
+        assert mask & (1 << LANE_NOT_FOR_ME)
+        # Publishing counts nothing.
+        assert victim.stats.frames_seen == 0
+        assert radio.frames_delivered == 0
 
     def test_broadcast_still_delivered(self, engine, medium):
         radio = Radio("victim", medium, Position(0, 0))
@@ -158,3 +177,129 @@ class TestRetryDuplicatesAcrossModes:
         assert victim.stats.acks_sent == 2
         assert len(delivered) == 1
         assert victim.stats.duplicates_dropped == 1
+
+
+# ---------------------------------------------------------------------------
+# Published lane masks against the lane-free reference medium: every
+# receiver configuration x every lane, each run on both media.
+# ---------------------------------------------------------------------------
+
+RX_MAC = MacAddress("02:aa:00:00:00:01")
+OTHER_MAC = MacAddress("02:aa:00:00:00:02")
+
+#: Receiver configuration -> the lanes the production medium tallies for it.
+CONFIGS = {
+    "plain": set(),
+    "default": {"collision", "not_for_me", "beacon", "probe_request"},
+    "promiscuous": {"collision"},
+    "group_bit_mac": {"collision", "not_for_me"},
+    "passive_sniffer": {"collision", "not_for_me", "beacon", "probe_request"},
+    "active_sniffer": {"collision"},
+    "probe_request_handler": {"collision", "not_for_me", "beacon"},
+    "asleep": set(),
+    "woken": {"collision", "not_for_me", "beacon", "probe_request"},
+    "frame_handler_swapped": set(),
+    "mac_handler_swapped": {"collision", "not_for_me"},
+}
+LANES = ("collision", "not_for_me", "beacon", "probe_request")
+
+
+def _receiver(config, radio, log):
+    """Set ``radio`` up as ``config``; return its engine, if any."""
+
+    def record(tag):
+        return lambda *args: log.append((tag, type(args[0]).__name__))
+
+    if config == "plain":
+        radio.frame_handler = record("phy")
+        return None
+    ack = AckEngine(
+        radio,
+        GROUP_MAC if config == "group_bit_mac" else RX_MAC,
+        AckEngineConfig(promiscuous=config == "promiscuous"),
+    )
+    if config == "passive_sniffer":
+        ack.install_sniffer(lambda frame, reception: None, passive=True)
+    elif config == "active_sniffer":
+        ack.install_sniffer(record("sniff"))
+    elif config == "probe_request_handler":
+        # Acts on probe requests only, and promises so for the rest.
+        ack.install_mac_handler(
+            lambda frame, reception: (
+                (frame.ftype, frame.subtype) != PROBE_REQUEST_KEY
+                or log.append(("mac", type(frame).__name__))
+            ),
+            passive_keys=ALL_FRAME_KEYS - {PROBE_REQUEST_KEY},
+        )
+    elif config == "asleep":
+        radio.sleep()
+    elif config == "woken":
+        radio.sleep()
+        radio.wake()
+    elif config == "frame_handler_swapped":
+        radio.frame_handler = record("phy")
+    elif config == "mac_handler_swapped":
+        ack.install_mac_handler(lambda frame, reception: None, passive_keys=ALL_FRAME_KEYS)
+        ack.mac_handler = record("mac")
+    return ack
+
+
+def _lane_run(medium_cls, config, lane):
+    engine = Engine()
+    medium = medium_cls(engine)
+    log = []
+    radio = Radio("rx", medium, Position(0.0, 0.0))
+    ack = _receiver(config, radio, log)
+    # "b" is close enough to "a" at rx for their frames to collide.
+    a = Radio("a", medium, Position(60.0, 0.0))
+    b = Radio("b", medium, Position(-30.0, 0.0))
+    for k in range(3):
+        if lane == "collision":
+            frames = [(a, NullDataFrame(addr1=RX_MAC, addr2=SENDER_MAC)),
+                      (b, NullDataFrame(addr1=RX_MAC, addr2=SENDER_MAC))]
+        elif lane == "not_for_me":
+            frames = [(a, NullDataFrame(addr1=OTHER_MAC, addr2=SENDER_MAC))]
+        elif lane == "beacon":
+            frames = [(a, BeaconFrame(addr2=SENDER_MAC, ssid="net"))]
+        else:
+            frames = [(a, ProbeRequestFrame(addr2=SENDER_MAC))]
+        for sender, frame in frames:
+            engine.call_at(2e-3 * k, lambda s=sender, f=frame: s.transmit(f, 6.0))
+    engine.run()
+    observed = {
+        "log": log,
+        "stats": None if ack is None else asdict(ack.stats),
+        "radio": (radio.frames_delivered, radio.frames_dropped_asleep),
+    }
+    return observed, sum(radio.lanes[1:])
+
+
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_published_lanes_match_reference(config, lane):
+    production, tallied = _lane_run(Medium, config, lane)
+    reference, _ = _lane_run(ReferenceMedium, config, lane)
+    assert production == reference
+    # The tallies show which arrivals skipped the scalar path: the
+    # published mask is neither too wide (the comparison above) nor
+    # narrower than the configuration allows.
+    assert (tallied > 0) == (lane in CONFIGS[config])
+
+
+def test_group_passivity_evaluated_once_per_class_and_key(medium, rng):
+    calls = []
+
+    class QuietStation(Station):
+        @classmethod
+        def _dispatch_is_passive(cls, key):
+            calls.append(key)
+            return super()._dispatch_is_passive(key)
+
+    stations = [
+        QuietStation(mac=fresh_mac(), medium=medium, position=Position(k, 0), rng=rng)
+        for k in range(4)
+    ]
+    # One verdict per frame key for the class, none per further engine.
+    assert len(calls) == len(ALL_FRAME_KEYS)
+    assert set(calls) == ALL_FRAME_KEYS
+    assert len({station.radio.lanes[0] for station in stations}) == 1

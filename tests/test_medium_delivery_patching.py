@@ -129,12 +129,12 @@ class TestAddressingChanges:
         engine, medium, sender = sim
         radio = Radio("station", medium, Position(5, 0))
         AckEngine(radio, MacAddress("02:aa:bb:cc:dd:02"))
-        _tx_and_run(engine, sender)  # cache now holds the fused lane sink
+        _tx_and_run(engine, sender)  # cache now holds the engine's lane list
         received = []
         radio.frame_handler = received.append
-        # The assignment must clear the batch hook *and* invalidate the
-        # cached sink: the next arrival has to surface as a Reception to
-        # the plain handler, not vanish into the stale fast lane.
+        # The assignment must zero the engine's published lane mask,
+        # which the cached list shares: the next arrival has to surface
+        # as a Reception to the plain handler, not vanish into a tally.
         _tx_and_run(engine, sender)
         assert len(received) == 1
         assert radio.frames_delivered == 2

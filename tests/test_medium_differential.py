@@ -9,7 +9,8 @@ the medium's metrics counters, and the engine clock after every run.
 
 A world mixes static and mobile radios on two or three channels, plain
 handlers, ACK engines (with a lane-passive MAC handler, promiscuous, or
-with a sniffer switched between active and passive), a sleeping
+with a sniffer switched between active and passive, each switch pushed
+to the engine as a new passivity promise), a sleeping
 station, an unattached sender, an optional CSI model with its own RNG,
 a custom path-loss model and a FER model.  Scripted actions retune, detach, re-attach and reposition radios
 mid-run, put stations to sleep, and queue foreign events at exactly the
@@ -30,7 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.devices.dongle import RawPsdu
 from repro.mac.ack_engine import AckEngine, AckEngineConfig
 from repro.mac.addresses import MacAddress
-from repro.mac.frames import BeaconFrame, NullDataFrame
+from repro.mac.frames import BeaconFrame, FrameType, NullDataFrame
 from repro.mac.serialization import serialize
 from repro.phy.plcp import frame_airtime
 from repro.phy.radio import Radio, RadioState
@@ -48,6 +49,7 @@ OPS = (
     "attach", "reposition", "sleep", "wake", "listen", "stop",
 )
 FOREIGN = ("transmit", "busy", "detach", "stop")
+ALL_FRAME_KEYS = frozenset((ftype, subtype) for ftype in FrameType for subtype in range(16))
 
 _radio = st.tuples(
     st.sampled_from(KINDS),
@@ -124,6 +126,7 @@ def _simulate(world, medium_cls):
 
     radios, engines = [], []
     listening = set()  # sniffers currently active; the rest promise passivity
+    sniffers = {}  # name -> the engine whose sniffer passivity "listen" flips
     for k, (kind, x, y, speed, ch, sens, power) in enumerate(world["radios"]):
         name = f"r{k}"
         radio = Radio(
@@ -138,20 +141,21 @@ def _simulate(world, medium_cls):
             handler = lambda frame, rec, name=name: record(name, "mac", rec, frame)
             if kind == "sniffer":
                 listening.add(name)
+                sniffers[name] = ack
                 ack.install_sniffer(
                     lambda frame, rec, name=name: (
                         name not in listening or record(name, "sniff", rec, frame)
                     ),
-                    passive_check=lambda name=name: name not in listening,
+                    passive=False,
                 )
             elif kind == "ack":
-                # Passive for group frames (the probe's promise), so the
-                # lanes may consume beacons without calling it.
+                # Passive for every group frame type (the promise), so
+                # the lanes may consume beacons without calling it.
                 ack.install_mac_handler(
                     lambda frame, rec, name=name: (
                         not frame.addr1.is_unicast or record(name, "mac", rec, frame)
                     ),
-                    passive_probe=lambda key: True,
+                    passive_keys=ALL_FRAME_KEYS,
                 )
             else:
                 ack.mac_handler = handler
@@ -223,7 +227,14 @@ def _simulate(world, medium_cls):
         elif op == "wake":
             radio.wake()
         elif op == "listen":
+            # Flip the sniffer between active and passive mid-run and
+            # push the new promise.
             listening.symmetric_difference_update({radio.name})
+            ack = sniffers.get(radio.name)
+            if ack is not None:
+                ack.install_sniffer(
+                    ack.sniffer_handler, passive=radio.name not in listening
+                )
         elif op == "stop":
             engine.stop()
 
@@ -388,6 +399,20 @@ def test_arrivals_do_not_collide_across_an_attach_or_detach(script):
     ]
 
 
+@pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "no_lanes"])
+def test_receiver_detached_mid_flight_hears_nothing(lanes):
+    # x leaves while a's frame is on its air and stays away, so it gets
+    # nothing, on the lane drain and on the per-item drain of a frame
+    # without lanes alike; b still hears the frame.
+    frame = _null_to_x() if lanes else RawPsdu(b"\x00\x01garbage")
+
+    def script(engine, medium, radios, log):
+        radios["a"].transmit(frame, 6.0)
+        engine.call_at(1e-6, lambda: medium.detach("x"))
+
+    assert [entry[0] for entry in _both(script)] == ["b"]
+
+
 @pytest.mark.parametrize("instant", ["start", "end"])
 @pytest.mark.parametrize("queued", ["before", "after"])
 @pytest.mark.parametrize("action", ["busy", "transmit"])
@@ -421,6 +446,102 @@ def test_queries_at_exactly_an_arrival_start_and_end(instant, queued, action):
         # air, deafens x to it; a transmission after its end does not.
         deafened = on_air or (instant, queued) == ("start", "before")
         assert _at_x(log)[0] == ("a", not deafened, False, deafened)
+
+
+# ---------------------------------------------------------------------------
+# Lane masks that change while a span is in flight.  "x" at the origin
+# runs an ACK engine whose MAC handler promises passivity for every group
+# frame, so a beacon from "a" (60 m away) is tallied, not handed up,
+# unless something between the arrival's start (200 ns) and end changes
+# that.  Each script acts at 1 us, inside the first of two beacons.
+# ---------------------------------------------------------------------------
+
+def _in_flight(medium_cls, script):
+    """Run ``script``; return what is observable and the lane tally."""
+    engine = Engine(metrics=MetricsRegistry())
+    medium = medium_cls(engine, rng=np.random.default_rng(5))
+    log = []
+    x = Radio("x", medium, Position(0.0, 0.0), 6)
+    ack = AckEngine(x, _mac(0))
+    ack.install_mac_handler(lambda frame, rec: None, passive_keys=ALL_FRAME_KEYS)
+    a = Radio("a", medium, Position(60.0, 0.0), 6)
+
+    def record(tag):
+        return lambda *args: log.append((tag, engine.now, type(args[0]).__name__))
+
+    def at(time, action):
+        engine.call_at(time, action)
+
+    script(x, ack, medium, at, record)
+    for k in range(2):
+        at(1e-3 * k, lambda: a.transmit(BeaconFrame(addr2=_mac(1), ssid="net"), 6.0))
+    engine.run()
+    observed = (log, asdict(ack.stats), x.frames_delivered, x.frames_dropped_asleep)
+    return observed, sum(x.lanes[1:])
+
+
+def _sleep(x, ack, medium, at, record):
+    # The first beacon ends while x sleeps; x is awake for the second.
+    at(1e-6, x.sleep)
+    at(0.5e-3, x.wake)
+
+
+def _wake(x, ack, medium, at, record):
+    x.sleep()
+    at(1e-6, x.wake)
+
+
+def _swap_frame_handler(x, ack, medium, at, record):
+    at(1e-6, lambda: setattr(x, "frame_handler", record("phy")))
+
+
+def _swap_mac_handler(x, ack, medium, at, record):
+    at(1e-6, lambda: setattr(ack, "mac_handler", record("mac")))
+
+
+def _swap_sniffer(x, ack, medium, at, record):
+    ack.install_sniffer(lambda frame, rec: None, passive=True)
+    at(1e-6, lambda: setattr(ack, "sniffer_handler", record("sniff")))
+
+
+def _push_passivity(x, ack, medium, at, record):
+    listening = []
+    sniffer = lambda frame, rec: listening and record("sniff")(frame, rec)
+    ack.install_sniffer(sniffer, passive=True)
+
+    def listen():
+        listening.append(True)
+        ack.install_sniffer(sniffer, passive=False)
+
+    at(1e-6, listen)
+
+
+def _detach(x, ack, medium, at, record):
+    at(1e-6, lambda: medium.detach("x"))
+
+
+@pytest.mark.parametrize(
+    "script, tallied",
+    [
+        (_sleep, 1),
+        (_wake, 2),
+        (_swap_frame_handler, 0),
+        (_swap_mac_handler, 0),
+        (_swap_sniffer, 0),
+        (_push_passivity, 0),
+        (_detach, 0),
+    ],
+    ids=[
+        "sleep", "wake", "frame_handler", "mac_handler", "sniffer_handler",
+        "passivity", "detach",
+    ],
+)
+def test_lane_mask_changes_while_a_span_is_in_flight(script, tallied):
+    production, production_tallied = _in_flight(Medium, script)
+    reference, _ = _in_flight(ReferenceMedium, script)
+    assert production == reference
+    # Beacons the published mask still covered were tallied, not handed up.
+    assert production_tallied == tallied
 
 
 def test_air_state_is_empty_and_acyclic_after_a_drained_run():
