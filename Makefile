@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench perf perf-full perf-compare perf-report demo examples examples-smoke campaign-smoke campaign-shard-smoke control-smoke metro-smoke metro-chaos-smoke docs-check clean
+.PHONY: install test coverage bench perf-ab demo examples examples-smoke campaign-smoke campaign-shard-smoke control-smoke metro-smoke metro-chaos-smoke docs-check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -26,30 +26,40 @@ coverage:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
-# Perf microbenchmark suite (docs/performance.md): one BENCH_<name>.json
-# per benchmark under benchmarks/perf/results.  quick mode is what CI
-# runs; full mode is the full-scale wardrive/battery reproduction.
-perf:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/perf/run_perf.py --quick
-
-perf-full:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/perf/run_perf.py --full
-
-# Compare the latest results against the checked-in baselines.  Gating
-# by default: the build fails when any quick-mode bench regresses past
-# MAX_REGRESSION (25% — tolerant of shared-runner noise; timing reads
-# the engine's own run counter, not harness wall clock).  Pass
-# MAX_REGRESSION= (empty) for a record-only comparison.
-MAX_REGRESSION ?= 1.25
-perf-compare:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/perf/compare.py \
-		benchmarks/perf/baselines benchmarks/perf/results \
-		$(if $(MAX_REGRESSION),--max-regression $(MAX_REGRESSION),)
-
-# Human-readable summary of the latest results vs the baselines
-# (never fails the build; perf-compare is the gate).
-perf-report:
-	PYTHONPATH=src:. $(PYTHON) tools/perf_report.py
+# Perf gate: an A/B run of the end-to-end benchmark (benchmarks/e2e)
+# against the commit BASE, on this machine.  BASE is checked out into a
+# temporary worktree and gets this tree's benchmarks/e2e and
+# BENCHMARK.json, so both sides run the same benchmark code.  census and
+# flood each run in A B B A order (A = BASE, B = this tree) and the
+# gate is `compare.py A1 B1 || compare.py A2 B2`: a `differs` row
+# (digest, failed count, exact count) fails both pairs, and a `worse`
+# row fails the gate only when it shows up in both.  A run whose
+# correctness gate fails still writes its result file, so compare.py
+# judges its failed count.  Result files land in
+# benchmarks/e2e/out/perf-ab/.
+perf-ab:
+	@test -n "$(BASE)" || { echo "perf-ab: set BASE=<rev>, the commit to compare against (e.g. make perf-ab BASE=origin/main)" >&2; exit 2; }
+	@set -e; \
+	tmp=$$(mktemp -d); base=$$tmp/base; out=benchmarks/e2e/out/perf-ab; \
+	trap 'git worktree remove --force "$$base" 2>/dev/null; rm -rf "$$tmp"; git worktree prune' EXIT; \
+	git worktree add --detach "$$base" "$(BASE)"; \
+	rm -rf "$$base/benchmarks/e2e" "$$out"; mkdir -p "$$base/benchmarks" "$$out"; \
+	tar -cf - --exclude=benchmarks/e2e/out benchmarks/e2e BENCHMARK.json | tar -xf - -C "$$base"; \
+	status=0; \
+	for w in census flood; do \
+		for run in a1 b1 b2 a2; do \
+			case $$run in a*) tree=$$base;; *) tree=.;; esac; \
+			echo "== perf-ab: $$w $$run"; \
+			$(PYTHON) "$$tree/benchmarks/e2e/run.py" --workload $$w --seed 0 --trace 0 \
+				--out "$$out/$$w-$$run.json" || true; \
+		done; \
+		$(PYTHON) benchmarks/e2e/compare.py "$$out/$$w-a1.json" "$$out/$$w-b1.json" \
+			|| $(PYTHON) benchmarks/e2e/compare.py "$$out/$$w-a2.json" "$$out/$$w-b2.json" \
+			|| status=1; \
+	done; \
+	if [ $$status = 0 ]; then echo "perf-ab OK against $(BASE)"; \
+	else echo "perf-ab FAILED against $(BASE)" >&2; fi; \
+	exit $$status
 
 demo:
 	$(PYTHON) -m repro probe
@@ -123,5 +133,5 @@ metro-chaos-smoke:
 	$(PYTHON) -c "from repro.scenario import run_scenario; base=dict(metro_scale=1.0, blocks_x=10, blocks_y=8, max_devices=400, epoch_s=20.0, tiles_x=2, tiles_y=2, tile_workers=2); killed=run_scenario('wardrive-metro', seed=0, quiet=True, params=dict(base, chaos_kill_worker=0, chaos_kill_epoch=1, chaos_kill_phase='mid')); calm=run_scenario('wardrive-metro', seed=0, quiet=True, params=base); keys=('population','vendors','discovered','probed','responded','vendors_responded'); bad=[k for k in keys if killed.outputs[k]!=calm.outputs[k]]; assert not bad, f'recovered != undisturbed on {bad}'; assert killed.outputs['recoveries'] >= 1, 'chaos kill did not trigger a recovery'; print('metro chaos smoke OK:', killed.outputs['recoveries'], 'recovery,', killed.outputs['responded'], 'responded == undisturbed')"
 
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis benchmarks/e2e/out
 	find . -name __pycache__ -type d -exec rm -rf {} +

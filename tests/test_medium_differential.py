@@ -576,3 +576,103 @@ def test_air_state_is_empty_and_acyclic_after_a_drained_run():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert leaked == []
+
+
+# ---------------------------------------------------------------------------
+# A dense static field.  The fuzzed and scripted worlds hold at most six
+# radios; a census street holds hundreds.  Here one sender alternates
+# beacons with unicast frames to receiver 0 (which, with an ACK engine,
+# answers) across 300 parked receivers on a deterministic scatter.
+# Sensitivities rotate so the field straddles the range limit, and one
+# receiver in SLEEPER_EVERY is a radio asleep for the whole run.  Shape
+# "sink" fills the rest of the field with bare RadioPort sinks (no
+# lanes, so every arrival is a full Reception); shape "ack" gives every
+# receiver an ACK engine, so most arrivals end in lane tallies.
+# ---------------------------------------------------------------------------
+
+DENSE_RECEIVERS = 300
+DENSE_TRANSMISSIONS = 40
+SLEEPER_EVERY = 50
+#: At -55 dBm a 20 dBm sender reaches about 55 m; at -92 dBm, the field.
+DENSE_SENSITIVITIES = (-92.0, -70.0, -55.0)
+
+
+class _SinkRadio:
+    """Bare RadioPort: a static position and a reception count, no MAC."""
+
+    frames_dropped_asleep = 0
+
+    def __init__(self, name: str, position: Position, sensitivity: float) -> None:
+        self.name = name
+        self.channel = 6
+        self.rx_sensitivity_dbm = sensitivity
+        self.static_position = position
+        self.frames_delivered = 0
+
+    def current_position(self, time: float) -> Position:
+        return self.static_position
+
+    def on_reception(self, reception) -> None:
+        self.frames_delivered += 1
+
+
+def _rx_mac(index: int) -> MacAddress:
+    return MacAddress(b"\x02\x10" + index.to_bytes(4, "big"))
+
+
+def _dense_field(shape, medium_cls):
+    """Run the field on ``medium_cls``; return what is observable and the lane tally."""
+    engine = Engine(metrics=MetricsRegistry())
+    medium = medium_cls(engine, rng=np.random.default_rng(5))
+    sender = Radio("tx", medium, Position(0.0, 0.0, 10.0), 6)
+    engines = [AckEngine(sender, _mac(0xFE))]
+    receivers = []
+    for index in range(DENSE_RECEIVERS):
+        name = f"rx{index:03d}"
+        position = Position(10.0 + (index * 37) % 300, 10.0 + (index * 73) % 200, 1.5)
+        sensitivity = DENSE_SENSITIVITIES[index % len(DENSE_SENSITIVITIES)]
+        sleeper = index % SLEEPER_EVERY == SLEEPER_EVERY - 1
+        if shape == "sink" and not sleeper:
+            radio = _SinkRadio(name, position, sensitivity)
+            medium.attach(radio)
+        else:
+            radio = Radio(name, medium, position, 6, rx_sensitivity_dbm=sensitivity)
+            if shape == "ack":
+                engines.append(AckEngine(radio, _rx_mac(index)))
+            if sleeper:
+                radio.sleep()
+        receivers.append(radio)
+
+    beacon = BeaconFrame(addr2=_mac(0xFE), ssid="net")
+    unicast = NullDataFrame(addr1=_rx_mac(0), addr2=_mac(0xFE))
+    for k in range(DENSE_TRANSMISSIONS):
+        frame = unicast if k % 2 else beacon
+        engine.call_at(k * 1e-3, lambda frame=frame: sender.transmit(frame, 6.0))
+    engine.run()
+    observed = {
+        "transmissions": medium.transmission_count,
+        "radios": [(r.frames_delivered, r.frames_dropped_asleep) for r in receivers],
+        "stats": [asdict(ack.stats) for ack in engines],
+        "clock": engine.now,
+    }
+    return observed, sum(sum(r.lanes[1:]) for r in receivers if isinstance(r, Radio))
+
+
+@pytest.mark.parametrize("shape", ["sink", "ack"])
+def test_dense_field_matches_reference(shape):
+    production, tallied = _dense_field(shape, Medium)
+    reference, _ = _dense_field(shape, ReferenceMedium)
+    assert production == reference
+    # The field reaches both sides of the range gate and the sleep drop.
+    awake = [
+        delivered
+        for index, (delivered, _) in enumerate(production["radios"])
+        if index % SLEEPER_EVERY != SLEEPER_EVERY - 1
+    ]
+    assert 0 < awake.count(0) < len(awake)
+    assert sum(dropped for _, dropped in production["radios"]) > 0
+    if shape == "ack":
+        assert sum(stats["acks_sent"] for stats in production["stats"]) > 0
+        assert tallied > 0
+    else:
+        assert tallied == 0
