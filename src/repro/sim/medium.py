@@ -23,7 +23,7 @@ It only reads three optional cosmetic hooks (``trace_source``,
 Fast path
 ---------
 ``transmit()`` is the simulator's hottest loop (it runs once per frame
-per attached radio), so the medium maintains two structures that make the
+per attached radio), so the medium keeps three structures that make the
 common city-scale case — thousands of *stationary* radios — cheap:
 
 * a **per-channel radio index**: radios are bucketed by channel, in
@@ -31,49 +31,59 @@ common city-scale case — thousands of *stationary* radios — cheap:
   radios.  Radios that retune must notify the medium (:meth:`retune`);
   :class:`~repro.phy.radio.Radio` does this automatically through its
   ``channel`` property.
-* a **link-budget cache**: per ``(tx, rx)`` pair the path loss and
-  propagation delay are cached and keyed on each endpoint's *position
-  epoch*.  A radio that advertises a ``static_position`` never bumps its
-  epoch, so static↔static links are computed exactly once; mobile radios
-  (``static_position is None``) are re-read every transmission and bump
-  their epoch whenever the observed position changes, invalidating every
-  cached link through them.
+* a **pair-budget memo** on the radio entries: path loss and
+  propagation delay of each evaluated link, kept while both radios stay
+  attached and in place.  Under the default free-space model the
+  distance is bit-symmetric, so one evaluation serves both directions
+  and is stored on both endpoints.  A detach, a reposition, or a mobile
+  radio (``static_position is None``, re-read every transmission)
+  observed somewhere new drops that radio's budgets on both ends.
+* **live delivery lists**: each attached sender keeps, per transmit
+  power, the in-range *static* receivers of its channel in arrival
+  order.  Its first transmission resolves the list cold; from then on
+  ``attach``, ``detach``, ``retune``, ``reposition`` and
+  ``note_addressing_changed`` push each change straight into the lists
+  it affects, so a repeat transmission is a list lookup.  A sender's
+  lists die with it, and with any move of it.
 
-The cache requires ``path_loss_db`` to be a pure function of the two
-positions, which all built-in models are.  Note one deliberate behaviour
-refinement for *stateful* models with bounded memory (e.g.
-:class:`~repro.channel.propagation.ShadowedPathLoss` past its eviction
-bound): the medium now re-uses the first computed link budget instead of
-re-invoking the model after it evicted the link, so shadowing stays
-consistent for as long as the link stays cached.
+The memo requires ``path_loss_db`` to be a pure function of the two
+positions, which all built-in models are.  A *stateful* model (e.g.
+:class:`~repro.channel.propagation.ShadowedPathLoss`, which draws a
+shadowing offset the first time it sees a link) is evaluated once per
+link while the link is memoized, and the medium keeps that first budget
+even after the model evicted the link.  The order in which the medium
+first evaluates links — at a cold resolution, at an attach push, or at
+an ad-hoc query — is not part of its contract: a stateful model may
+deal its draws to different links from one revision to the next.
 
 Delivery (struct-of-arrays)
 ---------------------------
-Every transmission takes one delivery path.  The medium keeps a
-per-channel **struct-of-arrays mirror** of the radio index
-(:class:`_ChannelSoA`: contiguous numpy arrays of positions, noise
-floors, sensitivities, frequencies, and static/mobile flags, rebuilt
-lazily whenever the channel's bucket version changes) and evaluates a
-whole delivery list per transmission instead of per receiver:
+Every transmission takes one delivery path.  For a cold resolution the
+medium builds a per-channel **struct-of-arrays mirror** of the radio
+index (:class:`_ChannelSoA`: contiguous numpy arrays of positions, noise
+floors, sensitivities, frequencies, and static/mobile flags, dropped by
+every bucket change) and evaluates a whole delivery list at once:
 
-* cold delivery resolution prefilters the channel with one vectorized
-  range test (free-space model only: a conservative numpy distance
-  bound with a wide safety margin, so every receiver the exact scalar
-  math could accept survives the filter), resolves only the candidates
-  through the scalar link-budget cache, and orders them with one
-  ``np.lexsort`` instead of a tuple sort;
-* the delivery cache stores **parallel arrays** (delays, attach seqs,
-  radios, RSSIs, SNRs) rather than per-receiver tuples, so a warm
-  transmission reuses them wholesale;
-* SNR and frame-error probabilities are precomputed per transmission
-  from those arrays, and all arrivals are folded into one
-  :class:`_ArrivalSpan` carried by two
-  :class:`~repro.sim.engine.EventBatch` heap entries (arrival starts and
-  arrival ends), which drain in slices through the reception lanes.
+* the resolution prefilters the channel with one vectorized range test
+  (free-space model only: a conservative numpy distance bound with a
+  wide safety margin, so every receiver the exact scalar math could
+  accept survives the filter), takes the survivors' exact scalar link
+  budgets, and orders them with one ``np.lexsort`` instead of a tuple
+  sort;
+* a live list (:class:`_Delivery`) holds **parallel arrays** (delays,
+  attach seqs, radios, RSSIs, MACs, lane lists) rather than per-receiver
+  tuples, so a warm transmission hands them to its arrivals wholesale;
+  a push into a list that a transmission already handed out copies it
+  first, so arrivals in flight never see it change;
+* frame-error probabilities are derived per list from those arrays,
+  and all arrivals are folded into one :class:`_ArrivalSpan` carried by
+  two :class:`~repro.sim.engine.EventBatch` heap entries (arrival
+  starts and arrival ends), which drain in slices through the reception
+  lanes.
 
-An unattached sender (legal: it just cannot receive) has no position
-epoch to key caches on, so its delivery list is resolved the same way
-but never cached.
+An unattached sender (legal: it just cannot receive) has no entry to
+keep lists or budgets on, so its delivery list is resolved the same way
+every time and kept nowhere.
 
 Per-pair path loss and propagation delay always come from the same
 scalar model calls (numpy's transcendental kernels differ from libm by
@@ -83,14 +93,14 @@ sort) plus the provably conservative prefilter.  Two checks pin the
 behaviour: ``tests/test_golden_digests.py`` compares seeded scenario
 runs against checked-in sha256 digests of their traces and outputs, and
 a hypothesis fuzzer (``tests/test_medium_differential.py``) runs random
-small worlds against ``tests/reference_medium.py``, a cache-free
-per-receiver loop with one engine event per arrival instant.
+small worlds, plus scripted dense and churning fields, against
+``tests/reference_medium.py``, a cache-free per-receiver loop with one
+engine event per arrival instant.
 
-One contract the arrays add for :class:`RadioPort` implementors:
+One contract the lists add for :class:`RadioPort` implementors:
 ``rx_sensitivity_dbm`` must stay constant while the radio is attached
-(detach/re-attach to change it) — the SoA mirror snapshots it per
-bucket version, exactly as the delivery-list cache already froze
-in-range verdicts across transmissions.
+(detach/re-attach to change it) — live lists and the SoA mirror keep
+the in-range verdicts made with it.
 """
 
 from __future__ import annotations
@@ -98,8 +108,9 @@ from __future__ import annotations
 import enum
 import math
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -116,14 +127,9 @@ DEFAULT_NOISE_FLOOR_DBM = -95.0
 #: captured successfully.
 DEFAULT_CAPTURE_THRESHOLD_DB = 10.0
 
-#: Upper bound on cached (tx, rx) link budgets; beyond it the oldest entry
-#: is dropped (FIFO), mirroring ShadowedPathLoss's own memory bound.
+#: Upper bound on memoized frame-error probabilities; beyond it the oldest
+#: entry is dropped (FIFO).
 LINK_CACHE_MAX_ENTRIES = 1_000_000
-
-#: Per-channel bucket changelog length; a delivery list staler than this
-#: many bucket mutations resolves cold (at that point a full re-scan is
-#: competitive with replaying the log anyway).
-_BUCKET_LOG_MAX = 128
 
 
 class CorruptionReason(enum.Enum):
@@ -148,7 +154,8 @@ class RadioPort(Protocol):
         A :class:`Position` promising that ``current_position`` returns
         this exact position forever (or ``None``/absent for mobile
         radios).  Static radios skip the per-transmission position read
-        and their link budgets are cached permanently.
+        and their link budgets are memoized for as long as both ends
+        stay attached and in place.
     ``channel`` **changes** must be reported via
         :meth:`Medium.retune`; a radio that silently mutates a plain
         ``channel`` attribute after attaching will be indexed under its
@@ -157,7 +164,7 @@ class RadioPort(Protocol):
     ``rx_mac_u64`` / ``lanes``
         The receive MAC as a 48-bit integer and the lane list
         ``[mask, fcs_fail, not_for_me, group]`` (see
-        :data:`LANE_FCS_FAIL`), read when a delivery list is resolved.
+        :data:`LANE_FCS_FAIL`), read when a radio joins a delivery list.
         Arrivals whose lane bit is set in ``lanes[0]`` are tallied in
         the list instead of handed to ``on_reception``.  Replacing
         either attribute must be reported via
@@ -291,7 +298,7 @@ class _ArrivalSpan:
     """Every arrival of one transmission, struct-of-arrays style.
 
     The medium resolves a transmission's whole delivery list up front —
-    parallel arrays of radios, RSSIs, SNRs, and frame-error
+    parallel arrays of radios, RSSIs and frame-error
     probabilities — and schedules *one* span behind two
     :class:`~repro.sim.engine.EventBatch` heap entries.  The span is the
     *slice handler* of both (``begin_slice`` / ``end_slice``): each takes
@@ -323,7 +330,6 @@ class _ArrivalSpan:
         "transmission",
         "radios",
         "rssis",
-        "snrs",
         "fers",
         "reasons",
         # Implicit air state (see the class docstring).
@@ -367,7 +373,6 @@ class _ArrivalSpan:
         transmission: Transmission,
         radios: List[RadioPort],
         rssis: List[float],
-        snrs: List[float],
         fers: Optional[List[float]],
         macs: List[int],
         lanes: list,
@@ -377,7 +382,6 @@ class _ArrivalSpan:
         self.transmission = transmission
         self.radios = radios
         self.rssis = rssis
-        self.snrs = snrs
         self.fers = fers
         self.reasons: List[Optional[CorruptionReason]] = [None] * len(radios)
         self.begun = 0
@@ -385,7 +389,7 @@ class _ArrivalSpan:
         self.orphans: Optional[set] = None
         self.index: Optional[Dict[str, int]] = None
         self.clock = medium.engine.clock
-        self.attached = medium._radios
+        self.attached = medium._entries
         # Every receiver is attached now; only a later detach can change
         # that, so end slices check names only once the count moves.
         self.detaches = medium.detach_count
@@ -433,7 +437,7 @@ class _ArrivalSpan:
         every arrival takes the scalar path.  A group destination puts
         every clean arrival in the frame type's group lane
         (:func:`group_lane`); a unicast destination is compared against
-        the receiver-MAC mirror — one numpy comparison when the cached
+        the receiver-MAC mirror — one numpy comparison when the list's
         array is available — splitting the span into for-me (scalar) and
         ``LANE_NOT_FOR_ME`` arrivals.
         """
@@ -464,6 +468,7 @@ class _ArrivalSpan:
         """Scalar path for arrival ``i``: build the Reception and hand it up."""
         transmission = self.transmission
         radio = self.radios[i]
+        rssi = self.rssis[i]
         now = self.clock._now
         csi = None
         csi_model = self.csi_model
@@ -474,8 +479,8 @@ class _ArrivalSpan:
             Reception(
                 transmission.frame,
                 transmission,
-                self.rssis[i],
-                self.snrs[i],
+                rssi,
+                rssi - self.medium.noise_floor_dbm,
                 transmission.start,
                 now,
                 fcs_ok,
@@ -781,21 +786,168 @@ class _ArrivalSpan:
                 clock._now = t
 
 
+#: Sort key of attach-ordered entry lists (channel buckets, mobiles).
+_BY_SEQ = attrgetter("seq")
+
+
+def _arrival_slot(delays: List[float], seqs: List[int], delay: float, seq: int) -> int:
+    """Index at which an arrival sorts into a delivery list by (delay, attach seq)."""
+    k = bisect_left(delays, delay)
+    n = len(delays)
+    while k < n and delays[k] == delay and seqs[k] < seq:
+        k += 1  # exact delay ties are rare
+    return k
+
+
+def _addressing(radio: RadioPort) -> Tuple[int, list]:
+    """A receiver's MAC mirror value and lane list, as delivery lists hold them."""
+    mac = getattr(radio, "rx_mac_u64", None)
+    return (_NO_MAC if mac is None else mac), getattr(radio, "lanes", _NO_LANES)
+
+
 class _RadioEntry:
-    """Per-radio index record: channel bucket membership + position epoch."""
+    """Per-radio index record: bucket membership, pair budgets, delivery lists.
 
-    __slots__ = ("radio", "name", "seq", "channel", "epoch", "static_pos", "last_pos")
+    ``links`` memoizes path loss and delay per peer entry: ``links[peer]``
+    is the ``(loss_db, delay_s)`` budget of the link from this radio to
+    ``peer``.  Under free space the distance is bit-symmetric, so one
+    tuple is stored on both endpoints; under a custom model the peer
+    keeps a ``None`` marker instead, so either endpoint can drop the
+    pair.  ``lists`` maps a transmit power to this sender's live
+    :class:`_Delivery` on its channel.  Both die with the entry (detach),
+    and with a move (reposition, or a mobile radio observed elsewhere).
+    """
 
-    def __init__(
-        self, radio: RadioPort, name: str, seq: int, channel: int, epoch: int
-    ) -> None:
+    __slots__ = ("radio", "name", "seq", "channel", "static_pos", "last_pos", "links", "lists")
+
+    def __init__(self, radio: RadioPort, name: str, seq: int, channel: int) -> None:
         self.radio = radio
         self.name = name
         self.seq = seq  # attachment order; buckets stay sorted by it
         self.channel = channel
-        self.epoch = epoch
         self.static_pos: Optional[Position] = getattr(radio, "static_position", None)
         self.last_pos: Optional[Position] = self.static_pos
+        self.links: Dict["_RadioEntry", Optional[Tuple[float, float]]] = {}
+        self.lists: Dict[float, "_Delivery"] = {}
+
+    def forget(self) -> None:
+        """Drop this radio's pair budgets, on both endpoints, and its lists."""
+        for peer in self.links:
+            if peer is not self:
+                peer.links.pop(self, None)
+        self.links = {}
+        self.lists = {}
+
+    def observe(self, position: Position) -> None:
+        """Record a mobile radio's current position; a move drops its
+        budgets and lists."""
+        last = self.last_pos
+        if position is not last and position != last:
+            self.last_pos = position
+            if self.links or self.lists:
+                self.forget()
+
+
+class _Delivery:
+    """One sender's live delivery list on its channel at one transmit power.
+
+    Parallel columns over the in-range *static* receivers, in arrival
+    order (delay, then attach seq): delays, attach seqs, radios, RSSIs,
+    MAC mirror values and lane lists.  ``fers`` memoizes the
+    frame-error column per ``(rate, length)``; ``mac_arr`` is the numpy
+    view of ``macs``, built on demand above 64 receivers.
+
+    The medium pushes every attach, detach, retune, reposition and
+    addressing change into the lists it affects (:meth:`insert`,
+    :meth:`remove`, :meth:`readdress`).  A transmission hands the
+    columns to its :class:`_ArrivalSpan` and ``EventBatch`` by reference
+    and marks them ``shared``, so the first push after it copies them:
+    at most one copy per transmission, and the arrivals in flight never
+    see a list change under them.
+    """
+
+    __slots__ = (
+        "power", "delays", "seqs", "radios", "rssis", "macs", "lanes",
+        "fers", "mac_arr", "shared",
+    )
+
+    def __init__(
+        self,
+        power: float,
+        delays: List[float],
+        seqs: List[int],
+        radios: List[RadioPort],
+        rssis: List[float],
+        macs: List[int],
+        lanes: list,
+    ) -> None:
+        self.power = power
+        self.delays = delays
+        self.seqs = seqs
+        self.radios = radios
+        self.rssis = rssis
+        self.macs = macs
+        self.lanes = lanes
+        self.fers: Dict[Tuple[float, int], List[float]] = {}
+        self.mac_arr: Optional[np.ndarray] = None
+        self.shared = False
+
+    def find(self, delay: float, seq: int) -> int:
+        """Index of the receiver with attach seq ``seq`` at ``delay``, or -1."""
+        k = _arrival_slot(self.delays, self.seqs, delay, seq)
+        return k if k < len(self.seqs) and self.seqs[k] == seq else -1
+
+    def writable(self) -> bool:
+        """Prepare the columns for a push; True when they had to be copied.
+
+        Resets the derived ``fers`` memo and ``mac_arr`` (a span keeps
+        the objects it already read).
+        """
+        if self.fers:
+            self.fers = {}
+        self.mac_arr = None
+        if not self.shared:
+            return False
+        self.shared = False
+        self.delays = list(self.delays)
+        self.seqs = list(self.seqs)
+        self.radios = list(self.radios)
+        self.rssis = list(self.rssis)
+        self.macs = list(self.macs)
+        self.lanes = list(self.lanes)
+        return True
+
+    def insert(
+        self, delay: float, seq: int, radio: RadioPort, rssi: float, mac: int, lanes: list
+    ) -> bool:
+        """Push one receiver in at its arrival slot; True when it copied."""
+        copied = self.writable()
+        k = _arrival_slot(self.delays, self.seqs, delay, seq)
+        self.delays.insert(k, delay)
+        self.seqs.insert(k, seq)
+        self.radios.insert(k, radio)
+        self.rssis.insert(k, rssi)
+        self.macs.insert(k, mac)
+        self.lanes.insert(k, lanes)
+        return copied
+
+    def remove(self, k: int) -> bool:
+        """Pull receiver ``k`` out; True when it copied."""
+        copied = self.writable()
+        del self.delays[k]
+        del self.seqs[k]
+        del self.radios[k]
+        del self.rssis[k]
+        del self.macs[k]
+        del self.lanes[k]
+        return copied
+
+    def readdress(self, k: int, mac: int, lanes: list) -> bool:
+        """Write receiver ``k``'s new MAC and lane list; True when it copied."""
+        copied = self.writable()
+        self.macs[k] = mac
+        self.lanes[k] = lanes
+        return copied
 
 
 class _ChannelSoA:
@@ -807,17 +959,15 @@ class _ChannelSoA:
     receiver noise floors and carrier frequencies (uniform today — one
     medium, one band — but carried per receiver so heterogeneous
     front-ends only have to change this constructor), attachment
-    sequence numbers, and the static/mobile flag.  Rebuilt lazily
-    whenever the channel's bucket version moves; ``entries`` snapshots
-    the bucket so a rebuild can never race an attach/detach (those bump
-    the version).
+    sequence numbers, and the static/mobile flag.  Built lazily for a
+    cold resolution and dropped by every attach, detach, retune and
+    reposition on the channel; ``entries`` snapshots the bucket.
 
-    The arrays snapshot ``rx_sensitivity_dbm`` per bucket version, which
-    is why :class:`RadioPort` requires it constant while attached.
+    The arrays snapshot ``rx_sensitivity_dbm``, which is why
+    :class:`RadioPort` requires it constant while attached.
     """
 
     __slots__ = (
-        "version",
         "entries",
         "count",
         "seqs",
@@ -826,19 +976,15 @@ class _ChannelSoA:
         "freq_hz",
         "xyz",
         "static_mask",
-        "mac_u64",
-        "mac_list",
         "limit2_by_power",
     )
 
     def __init__(
         self,
-        version: int,
         bucket: List[_RadioEntry],
         noise_floor_dbm: float,
         frequency_hz: float,
     ) -> None:
-        self.version = version
         entries = list(bucket)
         self.entries = entries
         n = len(entries)
@@ -847,19 +993,10 @@ class _ChannelSoA:
         self.sens_dbm = np.empty(n, dtype=np.float64)
         self.xyz = np.empty((n, 3), dtype=np.float64)
         self.static_mask = np.empty(n, dtype=bool)
-        #: Receiver MAC mirror for the batched-reception pre-filter: the
-        #: address each radio answers to (``rx_mac_u64``, published by
-        #: its AckEngine) as a uint64, ``_NO_MAC`` when unadvertised.
-        #: Snapshot per bucket version like every other column;
-        #: :meth:`Medium.note_addressing_changed` bumps the version when
-        #: an address is (re)published after attach.
-        self.mac_u64 = np.empty(n, dtype=np.uint64)
         xyz = self.xyz
         for i, e in enumerate(entries):
             self.seqs[i] = e.seq
             self.sens_dbm[i] = e.radio.rx_sensitivity_dbm
-            mac = getattr(e.radio, "rx_mac_u64", None)
-            self.mac_u64[i] = _NO_MAC if mac is None else mac
             pos = e.static_pos
             if pos is None:
                 self.static_mask[i] = False
@@ -869,9 +1006,6 @@ class _ChannelSoA:
                 xyz[i, 0] = pos.x
                 xyz[i, 1] = pos.y
                 xyz[i, 2] = pos.z
-        #: Python-int view of ``mac_u64`` so the cold delivery scan can
-        #: copy addresses without per-element numpy boxing.
-        self.mac_list: List[int] = self.mac_u64.tolist()
         self.noise_dbm = np.full(n, noise_floor_dbm)
         self.freq_hz = np.full(n, frequency_hz)
         #: power_dbm -> squared range-gate limit (slack included); the
@@ -908,7 +1042,7 @@ class Medium:
     path_loss_db:
         ``f(tx_pos, rx_pos) -> dB``.  Defaults to free space at
         ``frequency_hz``.  Must be a pure function of the two positions
-        (the link-budget cache memoizes it per position epoch).
+        (the medium memoizes it per pair of attached radios).
     fer:
         ``f(snr_db, rate_mbps, length_bytes) -> probability``; defaults to
         lossless above sensitivity.
@@ -978,64 +1112,31 @@ class Medium:
         #: never steals draws from anyone else.
         self._rng_buf: List[float] = []
         self._rng_pos = 0
-        self._radios: Dict[str, RadioPort] = {}
         #: Detaches so far.  An arrival span built since the last one
         #: knows all its receivers are attached and skips the per-arrival
         #: name lookup (see :meth:`_ArrivalSpan.end_slice`).
         self.detach_count = 0
+        #: Attached radios by name, in attachment order.
         self._entries: Dict[str, _RadioEntry] = {}
         self._channels: Dict[int, List[_RadioEntry]] = {}
         self._attach_seq = 0
-        #: Next epoch to hand a (re-)attaching radio of a given name; kept
-        #: across detach so a re-attached radio never aliases stale cache
-        #: entries computed for its previous life.
-        self._epoch_reserve: Dict[str, int] = {}
-        #: (tx_name, rx_name) -> (tx_epoch, rx_epoch, path_loss_db, delay_s)
-        self._link_cache: Dict[Tuple[str, str], Tuple[int, int, float, float]] = {}
-        #: Per-channel version counter: bumped on attach/detach/retune and
-        #: whenever a member radio's position epoch bumps.  Guards the
-        #: delivery-list cache below.
-        self._bucket_version: Dict[int, int] = {}
-        #: Per-channel changelog of bucket mutations since the last
-        #: un-patchable one: ``(version_after_bump, op, entry)`` with op
-        #: ``"+"`` (attach), ``"-"`` (detach) or ``"m"`` (receive MAC /
-        #: lane list changed).  Lets a stale warm delivery list advance
-        #: by replaying only the changed members instead of re-resolving
-        #: the whole bucket — the dominant cold-path cause at city scale
-        #: is lazy activation attaching/detaching a handful of radios
-        #: between transmissions.  ``None`` means the channel saw a
-        #: mutation the patcher can't replay (retune, reposition) and
-        #: every stale list must resolve cold once.  Within one list the
-        #: versions are consecutive, so coverage is a single index
-        #: computation.
-        self._bucket_log: Dict[int, Optional[list]] = {}
         #: Per-channel list of *mobile* member entries (static_pos None),
         #: re-read every transmission to detect movement.
         self._mobiles: Dict[int, List[_RadioEntry]] = {}
-        #: (sender, channel, power_dbm) -> the resolved in-range *static*
-        #: receiver list of the sender's last transmission on that channel
-        #: at that power, sorted by arrival order (delay, then attachment
-        #: order), as the 11-tuple (bucket_version, tx_epoch, delays,
-        #: attach_seqs, radios, rssis, snrs, fer_lists, macs, lanes,
-        #: mac_arr) of parallel lists, so a warm transmission reuses
-        #: whole delivery arrays without re-deriving SNR.  Mobile
-        #: receivers are deliberately excluded: they
-        #: are re-resolved every transmission from the link-budget cache,
-        #: so a moving receiver (the wardrive rig) no longer invalidates
-        #: every sender's warm list.  The channel is part of the key
-        #: because each channel's version counter is independent: a
-        #: retuned sender must never validate an old channel's list
-        #: against the new channel's counter.  While nothing in the
-        #: bucket changes, a repeat transmission skips the whole
-        #: per-receiver scan.  FIFO-capped at ``LINK_CACHE_MAX_ENTRIES``
-        #: like the link and FER caches.
-        self._delivery_cache: Dict[Tuple[str, int, float], tuple] = {}
+        #: Link-budget memo tallies: a delivery-list entry reused or a
+        #: budget found in the pair memo is a hit, a model evaluation
+        #: by an attached sender a miss.
         self.link_cache_hits = 0
         self.link_cache_misses = 0
         #: (snr, rate, length) -> frame-error probability.  Assumes the
         #: FER model is a pure function of its arguments (all built-ins
-        #: are); cached link budgets make SNR values repeat exactly.
+        #: are); memoized link budgets make SNR values repeat exactly.
         self._fer_cache: Dict[Tuple[float, float, int], float] = {}
+        #: Pushes that had to copy a delivery list first, because a
+        #: transmission since the last copy handed it to its arrival span
+        #: (:meth:`_Delivery.writable`).  A plain attribute like
+        #: ``contended_starts``.
+        self.held_copies = 0
         #: Spans with arrivals on the air (between their first start and
         #: their last end), in start order: the medium's air state, read
         #: through each span's cursors (see :class:`_ArrivalSpan`).
@@ -1054,9 +1155,12 @@ class Medium:
         #: downstream).  ``_path_loss`` is fixed at construction, so this
         #: flag cannot go stale.
         self._free_space = path_loss_db is None
-        #: channel -> _ChannelSoA mirror, rebuilt when the bucket version
-        #: moves.
+        #: channel -> _ChannelSoA mirror, dropped by every bucket change.
         self._soa_cache: Dict[int, _ChannelSoA] = {}
+        #: (power_dbm, sensitivity_dbm) -> squared free-space range with
+        #: the slack of :meth:`_ChannelSoA.limit2`: the scalar range gate
+        #: of an attach push.
+        self._reach2: Dict[Tuple[float, float], float] = {}
         #: Transmit taps (``add_transmit_observer``).  Called with each
         #: Transmission record after it is built but before delivery;
         #: observers must not mutate medium state.  The tiled partition
@@ -1070,46 +1174,21 @@ class Medium:
     def attach(self, radio: RadioPort) -> None:
         """Connect a radio; its name must be unique on this medium."""
         name = radio.name
-        if name in self._radios:
+        if name in self._entries:
             raise ValueError(f"radio {name!r} already attached")
-        self._radios[name] = radio
         self._orphan(name)
-        entry = _RadioEntry(
-            radio,
-            name,
-            self._attach_seq,
-            int(radio.channel),
-            self._epoch_reserve.get(name, 0),
-        )
+        entry = _RadioEntry(radio, name, self._attach_seq, int(radio.channel))
         self._attach_seq += 1
         self._entries[name] = entry
         # Attach sequence numbers only grow, so appending keeps each
         # bucket sorted by attachment order — the iteration order the
         # pre-index medium had (dict insertion order filtered by channel).
         self._channels.setdefault(entry.channel, []).append(entry)
+        self._soa_cache.pop(entry.channel, None)
         if entry.static_pos is None:
             self._mobiles.setdefault(entry.channel, []).append(entry)
-        self._bump_bucket(entry.channel, "+", entry)
-
-    def _bump_bucket(self, channel: int, op: Optional[str] = None, entry=None) -> None:
-        """Invalidate cached delivery lists targeting ``channel``.
-
-        ``op``/``entry`` record the mutation in the channel changelog so
-        stale warm lists can be patched instead of fully re-resolved;
-        calling with no ``op`` poisons the log (full resolve required).
-        """
-        self._bucket_version[channel] = version = (
-            self._bucket_version.get(channel, 0) + 1
-        )
-        if op is None:
-            self._bucket_log[channel] = None
-            return
-        log = self._bucket_log.get(channel)
-        if log is None:
-            log = self._bucket_log[channel] = []
-        log.append((version, op, entry))
-        if len(log) > _BUCKET_LOG_MAX:
-            del log[: len(log) - _BUCKET_LOG_MAX]
+        else:
+            self._push_in(entry)
 
     def add_transmit_observer(self, observer: Callable[[Transmission], None]) -> None:
         """Register a read-only tap called with every :class:`Transmission`.
@@ -1123,39 +1202,32 @@ class Medium:
         self._tx_observers.append(observer)
 
     def note_addressing_changed(self, radio_name: str) -> None:
-        """Invalidate caches after ``radio_name`` changed its receive MAC
-        or its lane list.
+        """Update delivery lists after ``radio_name`` changed its receive
+        MAC or its lane list.
 
         An :class:`~repro.mac.ack_engine.AckEngine` publishes its MAC
         (``rx_mac_u64``) and a fresh lane list (``lanes``) onto the radio
-        *after* the radio attached, so any SoA mirror or delivery list
-        resolved in between carries a stale address and list.  Bumping
-        the bucket version forces both to rebuild before the next
-        classification.  Lane *masks* change in place inside the list,
-        so they need no notice.
+        *after* the radio attached, so every live list that already
+        holds the radio gets both written in.  Lane *masks* change in
+        place inside the list, so they need no notice.
         """
         entry = self._entries.get(radio_name)
-        if entry is not None:
-            self._bump_bucket(entry.channel, "m", entry)
+        if entry is None:
+            return
+        mac, lanes = _addressing(entry.radio)
+        for delivery, k in self._holding(entry):
+            self.held_copies += delivery.readdress(k, mac, lanes)
 
     def detach(self, radio_name: str) -> None:
         self.detach_count += 1
         entry = self._entries.pop(radio_name, None)
         if entry is not None:
-            bucket = self._channels.get(entry.channel)
-            if bucket is not None:
-                bucket.remove(entry)
-            mobiles = self._mobiles.get(entry.channel)
-            if mobiles is not None and entry in mobiles:
-                mobiles.remove(entry)
-            self._bump_bucket(entry.channel, "-", entry)
-            # Reserve a fresh epoch for any future radio with this name so
-            # cached link budgets from this life can never be reused.  The
-            # same epoch mismatch retires this sender's own stale delivery
-            # lists if the name ever transmits again, so they are left to
-            # FIFO eviction instead of scanning the cache here.
-            self._epoch_reserve[radio_name] = entry.epoch + 1
-        self._radios.pop(radio_name, None)
+            self._pull_out(entry)
+            entry.forget()
+            self._channels[entry.channel].remove(entry)
+            self._soa_cache.pop(entry.channel, None)
+            if entry.static_pos is None:
+                self._mobiles[entry.channel].remove(entry)
         self._orphan(radio_name)
         self._transmitting.pop(radio_name, None)
 
@@ -1179,7 +1251,9 @@ class Medium:
 
         Must be called whenever an attached radio's channel changes;
         :class:`~repro.phy.radio.Radio` calls it from its ``channel``
-        setter.  The radio keeps its attachment order in the new bucket.
+        setter.  The radio keeps its attachment order in the new bucket,
+        leaves the lists of the old channel and joins those of the new
+        one; its own lists served the old channel and go.
         """
         entry = self._entries.get(radio_name)
         if entry is None:
@@ -1187,39 +1261,22 @@ class Medium:
         channel = int(channel)
         if entry.channel == channel:
             return
+        self._pull_out(entry)
+        entry.lists = {}
         old_channel = entry.channel
-        old_bucket = self._channels.get(old_channel)
-        if old_bucket is not None:
-            old_bucket.remove(entry)
+        self._channels[old_channel].remove(entry)
+        self._soa_cache.pop(old_channel, None)
         mobile = entry.static_pos is None
         if mobile:
-            old_mobiles = self._mobiles.get(old_channel)
-            if old_mobiles is not None and entry in old_mobiles:
-                old_mobiles.remove(entry)
+            self._mobiles[old_channel].remove(entry)
         entry.channel = channel
-        bucket = self._channels.setdefault(channel, [])
+        self._soa_cache.pop(channel, None)
         # Insert preserving attachment order (retunes are rare; scans hot).
-        lo, hi = 0, len(bucket)
-        seq = entry.seq
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bucket[mid].seq < seq:
-                lo = mid + 1
-            else:
-                hi = mid
-        bucket.insert(lo, entry)
+        insort(self._channels.setdefault(channel, []), entry, key=_BY_SEQ)
         if mobile:
-            mobiles = self._mobiles.setdefault(channel, [])
-            lo, hi = 0, len(mobiles)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if mobiles[mid].seq < seq:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            mobiles.insert(lo, entry)
-        self._bump_bucket(old_channel)
-        self._bump_bucket(channel)
+            insort(self._mobiles.setdefault(channel, []), entry, key=_BY_SEQ)
+        else:
+            self._push_in(entry)
 
     def reposition(
         self, radio_name: str, static: Optional[Position]
@@ -1227,9 +1284,10 @@ class Medium:
         """Re-classify a radio whose position *provider* was replaced.
 
         ``static`` is the new fixed position, or ``None`` if the radio
-        became mobile.  Cached link budgets and delivery lists involving
-        the radio are invalidated; mobility-tracking membership is kept
-        in sync.  No-op when unattached.
+        became mobile.  The radio leaves every delivery list, drops its
+        pair budgets and its own lists, and — if static — is pushed back
+        into the lists it now reaches; mobility-tracking membership is
+        kept in sync.  No-op when unattached.
         :class:`~repro.phy.radio.Radio` calls this from its ``_position``
         setter, so code that swaps a radio's provider mid-simulation
         (e.g. the localization attack walking its dongle between anchors)
@@ -1238,96 +1296,173 @@ class Medium:
         entry = self._entries.get(radio_name)
         if entry is None:
             return
+        self._pull_out(entry)
+        entry.forget()
+        was_mobile = entry.static_pos is None
         entry.static_pos = static
         entry.last_pos = static
-        entry.epoch += 1
-        mobiles = self._mobiles.setdefault(entry.channel, [])
+        self._soa_cache.pop(entry.channel, None)
         if static is None:
-            if entry not in mobiles:
-                lo, hi = 0, len(mobiles)
-                seq = entry.seq
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if mobiles[mid].seq < seq:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                mobiles.insert(lo, entry)
-        elif entry in mobiles:
-            mobiles.remove(entry)
-        self._bump_bucket(entry.channel)
+            if not was_mobile:
+                insort(self._mobiles.setdefault(entry.channel, []), entry, key=_BY_SEQ)
+        else:
+            if was_mobile:
+                self._mobiles[entry.channel].remove(entry)
+            self._push_in(entry)
+
+    # ------------------------------------------------------------------
+    # Pushes into live delivery lists
+    # ------------------------------------------------------------------
+    def _push_in(self, entry: _RadioEntry) -> None:
+        """Insert static ``entry`` into every live list on its channel it is in range of.
+
+        Each sender's budget to ``entry`` comes from the same scalar
+        model call a cold resolution makes, through the pair memo; under
+        free space a conservative squared-distance gate (the slack of
+        :meth:`_ChannelSoA.limit2`) first skips the senders it cannot
+        reach, so the memo holds only near pairs.
+        """
+        position = entry.static_pos
+        radio = entry.radio
+        sensitivity = radio.rx_sensitivity_dbm
+        seq = entry.seq
+        mac = lanes = None
+        free_space = self._free_space
+        for sender in self._channels[entry.channel]:
+            lists = sender.lists
+            if not lists or sender is entry:
+                continue
+            tx_position = sender.last_pos
+            if free_space:
+                dx = tx_position.x - position.x
+                dy = tx_position.y - position.y
+                dz = tx_position.z - position.z
+                d2 = dx * dx + dy * dy + dz * dz
+                for power in lists:
+                    if d2 <= self._range2(power, sensitivity):
+                        break
+                else:
+                    continue  # out of reach at every power it sends at
+            loss, delay = self._link_budget(sender, tx_position, entry, position)
+            for delivery in lists.values():
+                rssi = delivery.power - loss
+                if rssi < sensitivity:
+                    continue
+                if mac is None:
+                    mac, lanes = _addressing(radio)
+                self.held_copies += delivery.insert(delay, seq, radio, rssi, mac, lanes)
+
+    def _range2(self, power_dbm: float, sensitivity_dbm: float) -> float:
+        """Squared free-space range of one (power, sensitivity) pair, with slack."""
+        key = (power_dbm, sensitivity_dbm)
+        limit2 = self._reach2.get(key)
+        if limit2 is None:
+            wavelength = 299_792_458.0 / self.frequency_hz
+            dmax = max(
+                (wavelength / (4.0 * math.pi))
+                * 10.0 ** ((power_dbm - sensitivity_dbm) / 20.0),
+                1.0,
+            )
+            limit2 = self._reach2[key] = dmax * dmax * (1.0 + 1e-9) + 1e-9
+        return limit2
+
+    def _holding(self, entry: _RadioEntry):
+        """``(delivery, index)`` of every live list that holds ``entry``.
+
+        A list holds a receiver only through a budget from its sender,
+        so the candidates are ``entry``'s memo peers on its channel, and
+        the memoized delay locates it by bisection.
+        """
+        if entry.static_pos is None:
+            return  # mobiles are merged per transmission, never listed
+        channel = entry.channel
+        seq = entry.seq
+        sensitivity = entry.radio.rx_sensitivity_dbm
+        for sender in entry.links:
+            if not sender.lists or sender.channel != channel or sender is entry:
+                continue
+            budget = sender.links.get(entry)
+            if budget is None:
+                continue
+            loss, delay = budget
+            for delivery in sender.lists.values():
+                if delivery.power - loss >= sensitivity:
+                    k = delivery.find(delay, seq)
+                    if k >= 0:
+                        yield delivery, k
+
+    def _pull_out(self, entry: _RadioEntry) -> None:
+        """Remove ``entry`` from every live list that holds it."""
+        for delivery, k in self._holding(entry):
+            self.held_copies += delivery.remove(k)
 
     @property
     def radio_names(self) -> List[str]:
-        return sorted(self._radios)
+        return sorted(self._entries)
 
     def has_radio(self, name: str) -> bool:
         """O(1) membership check (``radio_names`` sorts the whole set)."""
-        return name in self._radios
+        return name in self._entries
 
     def __contains__(self, name: str) -> bool:
-        return name in self._radios
+        return name in self._entries
 
     def radio(self, name: str) -> RadioPort:
-        return self._radios[name]
+        return self._entries[name].radio
 
     @property
     def link_cache_size(self) -> int:
-        return len(self._link_cache)
+        """Entries of the pair-budget memo, over every attached radio.
+
+        Under free space each pair counts once per endpoint.
+        """
+        return sum(len(entry.links) for entry in self._entries.values())
 
     def invalidate_link_cache(self) -> None:
-        """Drop every cached link budget (e.g. after swapping models)."""
-        self._link_cache.clear()
-        self._delivery_cache.clear()
+        """Drop every memoized link budget and delivery list (e.g. after
+        swapping models)."""
+        for entry in self._entries.values():
+            entry.links = {}
+            entry.lists = {}
         self._fer_cache.clear()
 
     # ------------------------------------------------------------------
     # Channel state queries
     # ------------------------------------------------------------------
-    def _observed_position(
-        self, entry: _RadioEntry, radio: RadioPort, time: float
-    ) -> Position:
-        """Current position with the same epoch discipline as transmit().
+    def _observed_position(self, entry: _RadioEntry, time: float) -> Position:
+        """Current position with the same move discipline as transmit().
 
         Static radios return their pinned position; mobile radios are
-        re-read, and an observed move bumps the epoch exactly like the
-        per-transmission prescan does, so query-path and delivery-path
-        budgets can never disagree about where a radio is.
+        re-read, and an observed move drops their budgets exactly like
+        the per-transmission prescan does, so query-path and delivery-
+        path budgets can never disagree about where a radio is.
         """
         static = entry.static_pos
         if static is not None:
             return static
-        position = radio.current_position(time)
-        last = entry.last_pos
-        if position is not last and position != last:
-            entry.last_pos = position
-            entry.epoch += 1
+        position = entry.radio.current_position(time)
+        entry.observe(position)
         return position
 
     def rssi_between(self, tx_name: str, rx_name: str, time: float) -> float:
-        """Would-be RSSI of a 20 dBm transmission between two radios.
+        """Would-be RSSI of a 20 dBm transmission between two attached radios.
 
-        Resolved through the same epoch-keyed link-budget store
-        ``transmit()`` uses, so an ad-hoc query returns exactly the loss
-        a delivery would see (including frozen shadowing for stateful
-        path-loss models) instead of re-invoking the model out of band.
-        Unattached radios fall back to a fresh model call — they have no
-        epoch to key a cache entry on.
+        Resolved through the same pair-budget memo ``transmit()`` uses,
+        so an ad-hoc query returns exactly the loss a delivery would see
+        (including frozen shadowing for stateful path-loss models)
+        instead of re-invoking the model out of band.  Raises
+        :class:`KeyError` naming a radio that is not attached.
         """
-        tx = self._radios[tx_name]
-        rx = self._radios[rx_name]
-        tx_entry = self._entries.get(tx_name)
-        rx_entry = self._entries.get(rx_name)
-        if tx_entry is None or rx_entry is None:
-            loss = self._path_loss(
-                tx.current_position(time), rx.current_position(time)
-            )
-            return 20.0 - loss
-        tx_position = self._observed_position(tx_entry, tx, time)
-        rx_position = self._observed_position(rx_entry, rx, time)
-        loss, _ = self._link_budget(
-            tx_name, tx_entry.epoch, tx_position, rx_entry, rx_position
-        )
+        entries = []
+        for name in (tx_name, rx_name):
+            entry = self._entries.get(name)
+            if entry is None:
+                raise KeyError(f"radio {name!r} is not attached to this medium")
+            entries.append(entry)
+        tx, rx = entries
+        tx_position = self._observed_position(tx, time)
+        rx_position = self._observed_position(rx, time)
+        loss, _ = self._link_budget(tx, tx_position, rx, rx_position)
         return 20.0 - loss
 
     def is_busy_for(self, radio_name: str, cca_threshold_dbm: float = -82.0) -> bool:
@@ -1404,24 +1539,16 @@ class Medium:
             self.retune(sender_name, channel)
         if entry is None:
             # Unattached senders are legal (they just cannot receive);
-            # with no epoch to key on, their links bypass every cache.
+            # with no entry to keep them on, their links bypass the memo.
             tx_position = sender.current_position(now)
-            tx_epoch = -1
         else:
-            static = entry.static_pos
-            if static is not None:
-                tx_position = static
-            else:
+            tx_position = entry.static_pos
+            if tx_position is None:
+                # Mobile radios never appear in (static-only) delivery
+                # lists, so a move drops only this radio's own budgets
+                # and lists; every other sender's list stays valid.
                 tx_position = sender.current_position(now)
-                last = entry.last_pos
-                if tx_position is not last and tx_position != last:
-                    # Mobile radios never appear in cached (static-only)
-                    # delivery lists, so movement only bumps the epoch —
-                    # invalidating cached link budgets through this radio
-                    # — and leaves every warm delivery list valid.
-                    entry.last_pos = tx_position
-                    entry.epoch += 1
-            tx_epoch = entry.epoch
+                entry.observe(tx_position)
         transmission = Transmission(
             sender=sender_name,
             frame=frame,
@@ -1465,8 +1592,7 @@ class Medium:
             self._deliver(
                 engine,
                 now,
-                sender_name,
-                tx_epoch,
+                entry,
                 tx_position,
                 channel,
                 power_dbm,
@@ -1479,62 +1605,61 @@ class Medium:
     # Delivery (struct-of-arrays)
     # ------------------------------------------------------------------
     def _channel_soa(self, channel: int) -> _ChannelSoA:
-        """The channel's SoA mirror, rebuilt iff the bucket version moved."""
-        version = self._bucket_version.get(channel, 0)
+        """The channel's SoA mirror, built on first use after a bucket change."""
         soa = self._soa_cache.get(channel)
-        if soa is None or soa.version != version:
-            soa = _ChannelSoA(
-                version,
+        if soa is None:
+            soa = self._soa_cache[channel] = _ChannelSoA(
                 self._channels.get(channel) or [],
                 self.noise_floor_dbm,
                 self.frequency_hz,
             )
-            self._soa_cache[channel] = soa
         return soa
 
     def _link_budget(
         self,
-        sender_name: str,
-        tx_epoch: int,
+        tx: Optional[_RadioEntry],
         tx_position: Position,
         rx: _RadioEntry,
         rx_position: Position,
     ) -> Tuple[float, float]:
         """``(path loss dB, propagation delay s)`` of one link.
 
-        Looked up in, or computed into, the epoch-keyed link-budget cache
-        (FIFO-capped); ``tx_epoch < 0`` — an unattached sender — bypasses
-        the cache and the hit/miss tallies.  Under the default free-space
-        model the loss and the delay share one ``distance_to()`` result,
-        bit-identical to ``free_space_path_loss_db`` plus
-        ``propagation_delay_to``.
+        Looked up in, or computed into, the pair-budget memo on the two
+        entries (see :class:`_RadioEntry`); an unattached sender
+        (``tx is None``) bypasses the memo and the hit/miss tallies.
+        Under the default free-space model the loss and the delay share
+        one ``distance_to()`` result, bit-identical to
+        ``free_space_path_loss_db`` plus ``propagation_delay_to``, and
+        bit-symmetric in the endpoints.
         """
-        if tx_epoch >= 0:
-            key = (sender_name, rx.name)
-            cached = self._link_cache.get(key)
-            if cached is not None and cached[0] == tx_epoch and cached[1] == rx.epoch:
+        if tx is not None:
+            budget = tx.links.get(rx)
+            if budget is not None:
                 self.link_cache_hits += 1
-                return cached[2], cached[3]
+                return budget
         if self._free_space:
             distance = tx_position.distance_to(rx_position)
             wavelength = 299_792_458.0 / self.frequency_hz
             loss = 20.0 * math.log10(4.0 * math.pi * max(distance, 1.0) / wavelength)
-            delay = distance / 299_792_458.0
+            budget = (loss, distance / 299_792_458.0)
+            if tx is not None:
+                tx.links[rx] = rx.links[tx] = budget
         else:
-            loss = self._path_loss(tx_position, rx_position)
-            delay = tx_position.propagation_delay_to(rx_position)
-        if tx_epoch >= 0:
-            cache = self._link_cache
-            if len(cache) >= LINK_CACHE_MAX_ENTRIES:
-                cache.pop(next(iter(cache)))
-            cache[key] = (tx_epoch, rx.epoch, loss, delay)
+            budget = (
+                self._path_loss(tx_position, rx_position),
+                tx_position.propagation_delay_to(rx_position),
+            )
+            if tx is not None:
+                tx.links[rx] = budget
+                rx.links.setdefault(tx, None)
+        if tx is not None:
             self.link_cache_misses += 1
-        return loss, delay
+        return budget
 
     def _fer_probability(self, snr: float, rate: float, length: int) -> float:
         """Frame-error probability, memoized per ``(snr, rate, length)``.
 
-        The FER model is assumed pure (all built-ins are); cached link
+        The FER model is assumed pure (all built-ins are); memoized link
         budgets make SNR values repeat exactly.
         """
         key = (snr, rate, length)
@@ -1547,124 +1672,14 @@ class Medium:
             fer_cache[key] = probability
         return probability
 
-    def _cache_delivery(self, key: Tuple[str, int, float], delivery: tuple) -> None:
-        delivery_cache = self._delivery_cache
-        if len(delivery_cache) >= LINK_CACHE_MAX_ENTRIES:
-            delivery_cache.pop(next(iter(delivery_cache)))
-        delivery_cache[key] = delivery
-
-    def _patch_delivery(
-        self,
-        cached: tuple,
-        version: int,
-        channel: int,
-        sender_name: str,
-        tx_epoch: int,
-        tx_position: Position,
-        power_dbm: float,
-    ) -> Optional[tuple]:
-        """Advance a stale delivery list by replaying the bucket changelog.
-
-        Returns the re-cached 11-tuple, or ``None`` when the changelog
-        cannot cover the gap (poisoned, trimmed, or absent) and a full
-        cold resolution is required.  The replay produces exactly the
-        list a cold resolution would: additions get the same scalar link
-        budget through the same cache and the same ``(delay, attach
-        seq)`` binary insert the mobile merge uses (unique seqs make
-        that order identical to the full sort), removals and addressing
-        updates locate members by attachment seq.  Only static members
-        matter — mobiles are re-resolved every transmission — and only
-        attach/detach/addressing mutations are replayable; position and
-        channel changes poison the log.
-        """
-        log = self._bucket_log.get(channel)
-        if log is None:
-            return None
-        idx = cached[0] + 1 - log[0][0]
-        if idx < 0:
-            return None
-        delays = list(cached[2])
-        seqs = list(cached[3])
-        radios = list(cached[4])
-        rssis = list(cached[5])
-        snrs = list(cached[6])
-        macs = list(cached[8])
-        lanes = list(cached[9])
-        noise_floor = self.noise_floor_dbm
-        for _v, op, e in log[idx:]:
-            if e.name == sender_name or e.static_pos is None:
-                continue  # the sender itself / a mobile: never listed
-            if op == "+":
-                radio = e.radio
-                loss, delay = self._link_budget(
-                    sender_name, tx_epoch, tx_position, e, e.static_pos
-                )
-                rssi = power_dbm - loss
-                if rssi < radio.rx_sensitivity_dbm:
-                    continue
-                seq = e.seq
-                lo, hi = 0, len(delays)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if delays[mid] < delay or (
-                        delays[mid] == delay and seqs[mid] < seq
-                    ):
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                delays.insert(lo, delay)
-                seqs.insert(lo, seq)
-                radios.insert(lo, radio)
-                rssis.insert(lo, rssi)
-                snrs.insert(lo, rssi - noise_floor)
-                rx_mac = getattr(radio, "rx_mac_u64", None)
-                macs.insert(lo, _NO_MAC if rx_mac is None else rx_mac)
-                lanes.insert(lo, getattr(radio, "lanes", _NO_LANES))
-            else:
-                try:
-                    k = seqs.index(e.seq)
-                except ValueError:
-                    continue  # was out of range for this sender
-                if op == "-":
-                    del delays[k]
-                    del seqs[k]
-                    del radios[k]
-                    del rssis[k]
-                    del snrs[k]
-                    del macs[k]
-                    del lanes[k]
-                else:  # "m": receive MAC / lane list changed
-                    radio = e.radio
-                    rx_mac = getattr(radio, "rx_mac_u64", None)
-                    macs[k] = _NO_MAC if rx_mac is None else rx_mac
-                    lanes[k] = getattr(radio, "lanes", _NO_LANES)
-        mac_arr = np.array(macs, dtype=np.uint64) if len(macs) > 64 else None
-        fresh = (
-            version,
-            tx_epoch,
-            delays,
-            seqs,
-            radios,
-            rssis,
-            snrs,
-            {},
-            macs,
-            lanes,
-            mac_arr,
-        )
-        self._cache_delivery((sender_name, channel, power_dbm), fresh)
-        return fresh
-
     def _resolve_static(
         self,
-        version: int,
-        sender_name: str,
-        tx_epoch: int,
+        entry: Optional[_RadioEntry],
         tx_position: Position,
         channel: int,
         power_dbm: float,
-    ) -> tuple:
-        """Cold resolution of the in-range *static* receivers, as an 11-tuple.
+    ) -> _Delivery:
+        """Cold resolution of the in-range *static* receivers.
 
         One vectorized range gate over the channel's SoA mirror picks the
         candidate receivers; the survivors get the exact scalar link
@@ -1674,7 +1689,7 @@ class Medium:
         small lists) orders the list by (delay, attach seq).
         """
         soa = self._channel_soa(channel)
-        soa_macs = soa.mac_list
+        entries = soa.entries
         if soa.count and self._free_space:
             # Vectorized range gate.  In exact arithmetic the
             # free-space in-range test  power − loss(d) ≥ sens  is
@@ -1691,82 +1706,61 @@ class Medium:
             # (they are re-resolved per transmission anyway).
             diff = soa.xyz - (tx_position.x, tx_position.y, tx_position.z)
             d2 = np.einsum("ij,ij->i", diff, diff)
-            entries = soa.entries
-            candidates = [
-                (entries[j], soa_macs[j])
-                for j in np.flatnonzero(d2 <= soa.limit2(power_dbm))
-            ]
+            candidates = [entries[j] for j in np.flatnonzero(d2 <= soa.limit2(power_dbm))]
         else:
-            candidates = [
-                (e, soa_macs[j])
-                for j, e in enumerate(soa.entries)
-                if e.static_pos is not None
-            ]
+            candidates = [e for e in entries if e.static_pos is not None]
         c_targets: List[tuple] = []
-        for rx, rx_mac in candidates:
-            if rx.name == sender_name:
+        links = entry.links if entry is not None else {}
+        hits = 0
+        for rx in candidates:
+            if rx is entry:
                 continue
             radio = rx.radio
-            loss, delay = self._link_budget(
-                sender_name, tx_epoch, tx_position, rx, rx.static_pos
-            )
+            budget = links.get(rx)
+            if budget is None:
+                loss, delay = self._link_budget(entry, tx_position, rx, rx.static_pos)
+            else:
+                loss, delay = budget  # the memo lookup of _link_budget, inlined
+                hits += 1
             rssi = power_dbm - loss
             if rssi < radio.rx_sensitivity_dbm:
                 continue
-            c_targets.append(
-                (delay, rx.seq, radio, rssi, rx_mac, getattr(radio, "lanes", _NO_LANES))
-            )
-        n = len(c_targets)
-        mac_arr = None
-        if n <= 64:
+            c_targets.append((delay, rx.seq, radio, rssi))
+        self.link_cache_hits += hits
+        if len(c_targets) <= 64:
             # Tuple sort: identical (delay, seq) order to the lexsort
             # below (seqs are unique so later fields never compare),
-            # and cheaper than five numpy round-trips at typical
+            # and cheaper than four numpy round-trips at typical
             # neighbourhood sizes.
             c_targets.sort()
-            delays = []
-            seqs = []
-            radios = []
-            rssis = []
-            snrs = []
-            macs = []
-            lanes = []
-            noise_floor = self.noise_floor_dbm
-            for delay, seq, radio, rssi, rx_mac, rx_lanes in c_targets:
-                delays.append(delay)
-                seqs.append(seq)
-                radios.append(radio)
-                rssis.append(rssi)
-                snrs.append(rssi - noise_floor)
-                macs.append(rx_mac)
-                lanes.append(rx_lanes)
+            delays = [target[0] for target in c_targets]
+            seqs = [target[1] for target in c_targets]
+            radios = [target[2] for target in c_targets]
+            rssis = [target[3] for target in c_targets]
         else:
-            c_delays, c_seqs, c_radios, c_rssis, c_macs, c_lanes = zip(*c_targets)
+            c_delays, c_seqs, c_radios, c_rssis = zip(*c_targets)
             delay_arr = np.asarray(c_delays)
             order = np.lexsort((np.asarray(c_seqs), delay_arr))
             delays = delay_arr[order].tolist()
             seqs = [c_seqs[k] for k in order]
             radios = [c_radios[k] for k in order]
-            rssi_arr = np.asarray(c_rssis)[order]
-            rssis = rssi_arr.tolist()
-            # IEEE-exact: elementwise double subtraction rounds
-            # identically to the scalar `rssi - noise_floor`.
-            snrs = (rssi_arr - self.noise_floor_dbm).tolist()
-            macs = [c_macs[k] for k in order]
-            lanes = [c_lanes[k] for k in order]
-            # Large static lists get a numpy view of the MAC column
-            # so lane classification is one vectorized comparison.
-            mac_arr = np.array(macs, dtype=np.uint64)
-        return (
-            version, tx_epoch, delays, seqs, radios, rssis, snrs, {}, macs, lanes, mac_arr
+            rssis = [c_rssis[k] for k in order]
+        addressing = [_addressing(radio) for radio in radios]
+        return _Delivery(
+            power_dbm,
+            delays,
+            seqs,
+            radios,
+            rssis,
+            [mac for mac, _ in addressing],
+            [lanes for _, lanes in addressing],
         )
 
     def _deliver(
         self,
         engine: Engine,
         now: float,
-        sender_name: str,
-        tx_epoch: int,
+        entry: Optional[_RadioEntry],
         tx_position: Position,
         channel: int,
         power_dbm: float,
@@ -1775,59 +1769,46 @@ class Medium:
     ) -> None:
         """Resolve and schedule a whole delivery list, struct-of-arrays style.
 
-        Stage 1: the sender's cached static list on this channel at this
-        power — warm as is, patched from the bucket changelog, or
-        resolved cold (:meth:`_resolve_static`); an unattached sender
-        (``tx_epoch < 0``) always resolves cold and caches nothing.
+        Stage 1: the sender's live static list on its channel at this
+        power (:class:`_Delivery`), resolved cold on first use
+        (:meth:`_resolve_static`) and kept up to date by pushes since;
+        an unattached sender (``entry`` None) resolves cold every time
+        and keeps nothing.
 
         Stage 2 (every transmission): frame-error probabilities are
         derived from the SNR array; mobile receivers are re-resolved and
-        merge-inserted; the whole list is scheduled as one
-        :class:`_ArrivalSpan` behind two ``EventBatch`` entries.
+        merge-inserted into span-private copies; the whole list is
+        scheduled as one :class:`_ArrivalSpan` behind two
+        ``EventBatch`` entries.
         """
-        version = self._bucket_version.get(channel, 0)
-        cached_delivery = None
-        if tx_epoch >= 0:
-            delivery_key = (sender_name, channel, power_dbm)
-            cached_delivery = self._delivery_cache.get(delivery_key)
-            if cached_delivery is not None:
-                if cached_delivery[1] != tx_epoch:
-                    cached_delivery = None
-                elif cached_delivery[0] != version:
-                    cached_delivery = self._patch_delivery(
-                        cached_delivery,
-                        version,
-                        channel,
-                        sender_name,
-                        tx_epoch,
-                        tx_position,
-                        power_dbm,
-                    )
-            if cached_delivery is not None:
-                self.link_cache_hits += len(cached_delivery[2])
-        if cached_delivery is None:
-            cached_delivery = self._resolve_static(
-                version, sender_name, tx_epoch, tx_position, channel, power_dbm
-            )
-            if tx_epoch >= 0:
-                self._cache_delivery(delivery_key, cached_delivery)
-        delays = cached_delivery[2]
-        seqs = cached_delivery[3]
-        radios = cached_delivery[4]
-        rssis = cached_delivery[5]
-        snrs = cached_delivery[6]
-        fer_lists = cached_delivery[7]
-        macs = cached_delivery[8]
-        lanes = cached_delivery[9]
-        mac_arr = cached_delivery[10]
+        if entry is None:
+            delivery = self._resolve_static(None, tx_position, channel, power_dbm)
+        else:
+            delivery = entry.lists.get(power_dbm)
+            if delivery is None:
+                delivery = entry.lists[power_dbm] = self._resolve_static(
+                    entry, tx_position, channel, power_dbm
+                )
+            else:
+                self.link_cache_hits += len(delivery.delays)
+        delays = delivery.delays
+        seqs = delivery.seqs
+        radios = delivery.radios
+        rssis = delivery.rssis
+        macs = delivery.macs
+        lanes = delivery.lanes
+        mac_arr = delivery.mac_arr
+        if mac_arr is None and len(macs) > 64:
+            # Large static lists get a numpy view of the MAC column so
+            # lane classification is one vectorized comparison.
+            mac_arr = delivery.mac_arr = np.array(macs, dtype=np.uint64)
         fers: Optional[List[float]] = None
         if self._fer is not None:
             # Per-receiver frame-error probabilities for the static list,
-            # derived through the (snr, rate, length) memo and cached on
-            # the delivery entry per (rate, length), so a warm
-            # transmission reuses the whole list.  The RNG draw that
-            # applies a probability happens at the arrival end, in
-            # arrival order.
+            # derived through the (snr, rate, length) memo and kept on
+            # the list per (rate, length) until its next push.  The RNG
+            # draw that applies a probability happens at the arrival
+            # end, in arrival order.
             rx_cache = transmission.rx_cache
             if rx_cache is None:
                 rx_cache = transmission.rx_cache = {}
@@ -1837,10 +1818,14 @@ class Medium:
                 length = (getter() or 0) if getter is not None else 0
                 rx_cache["len"] = length
             rate = transmission.rate_mbps
+            fer_lists = delivery.fers
             fers = fer_lists.get((rate, length))
             if fers is None:
                 fer_probability = self._fer_probability
-                fers = [fer_probability(snr, rate, length) for snr in snrs]
+                noise_floor = self.noise_floor_dbm
+                fers = [
+                    fer_probability(rssi - noise_floor, rate, length) for rssi in rssis
+                ]
                 if len(fer_lists) >= 8:
                     fer_lists.pop(next(iter(fer_lists)))
                 fer_lists[(rate, length)] = fers
@@ -1848,17 +1833,12 @@ class Medium:
         if mobiles:
             mobile_targets = []
             for rx in mobiles:
-                if rx.name == sender_name:
+                if rx is entry:
                     continue
                 radio = rx.radio
                 rx_position = radio.current_position(now)
-                last = rx.last_pos
-                if rx_position is not last and rx_position != last:
-                    rx.last_pos = rx_position
-                    rx.epoch += 1
-                loss, delay = self._link_budget(
-                    sender_name, tx_epoch, tx_position, rx, rx_position
-                )
+                rx.observe(rx_position)
+                loss, delay = self._link_budget(entry, tx_position, rx, rx_position)
                 rssi = power_dbm - loss
                 if rssi < radio.rx_sensitivity_dbm:
                     continue
@@ -1868,45 +1848,38 @@ class Medium:
             if mobile_targets:
                 # Merge-insert by (delay, attach_seq): identical order to
                 # a concatenate-then-sort (seqs are unique, so the sort
-                # never compares further fields).  The cached lists stay
+                # never compares further fields).  The live list stays
                 # untouched; the merged copies are span-private.
                 delays = list(delays)
                 seqs = list(seqs)
                 radios = list(radios)
                 rssis = list(rssis)
-                snrs = list(snrs)
                 macs = list(macs)
                 lanes = list(lanes)
-                mac_arr = None  # merged copies diverge from the cached array
+                mac_arr = None  # the merged copies diverge from the list's array
                 if fers is not None:
                     fers = list(fers)
                 noise_floor = self.noise_floor_dbm
                 for delay, seq, radio, rssi in mobile_targets:
-                    lo, hi = 0, len(delays)
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if delays[mid] < delay or (
-                            delays[mid] == delay and seqs[mid] < seq
-                        ):
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    delays.insert(lo, delay)
-                    seqs.insert(lo, seq)
-                    radios.insert(lo, radio)
-                    rssis.insert(lo, rssi)
-                    rx_mac = getattr(radio, "rx_mac_u64", None)
-                    macs.insert(lo, _NO_MAC if rx_mac is None else rx_mac)
-                    lanes.insert(lo, getattr(radio, "lanes", _NO_LANES))
-                    snr = rssi - noise_floor
-                    snrs.insert(lo, snr)
+                    k = _arrival_slot(delays, seqs, delay, seq)
+                    delays.insert(k, delay)
+                    seqs.insert(k, seq)
+                    radios.insert(k, radio)
+                    rssis.insert(k, rssi)
+                    rx_mac, rx_lanes = _addressing(radio)
+                    macs.insert(k, rx_mac)
+                    lanes.insert(k, rx_lanes)
                     if fers is not None:
-                        fers.insert(lo, self._fer_probability(snr, rate, length))
+                        fers.insert(
+                            k, self._fer_probability(rssi - noise_floor, rate, length)
+                        )
         if not delays:
             return
         span = _ArrivalSpan(
-            self, transmission, radios, rssis, snrs, fers, macs, lanes, mac_arr
+            self, transmission, radios, rssis, fers, macs, lanes, mac_arr
         )
+        if radios is delivery.radios:
+            delivery.shared = True  # the span reads the live columns in place
         engine.post_batch(EventBatch(engine, span.begin_slice, now, 0.0, delays))
         engine.post_batch(EventBatch(engine, span.end_slice, now, duration, delays))
 

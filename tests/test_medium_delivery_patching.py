@@ -1,13 +1,12 @@
-"""Incremental delivery-list patching under mid-run topology churn.
+"""Live delivery lists under mid-run topology churn.
 
-The vectorized medium caches, per (sender, channel, position-epoch), the
-fully-resolved delivery lists — including each receiver's cached batch
-sink.  Attach/detach/addressing changes append to a per-channel
-changelog that later transmissions replay onto the cached lists instead
-of rebuilding them.  These tests drive every op through the public API
-(attach, detach, retune, reposition, AckEngine installation, plain
+The medium keeps each sender's resolved delivery lists on its radio
+entry and pushes every attach, detach, retune, reposition and
+addressing change straight into the lists it affects, instead of
+re-resolving them.  These tests drive every mutation through the public
+API (attach, detach, retune, reposition, AckEngine installation, plain
 ``frame_handler`` assignment) and assert on observable delivery — so a
-stale patch can never hide behind implementation details.
+stale list can never hide behind implementation details.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from repro.mac.addresses import MacAddress
 from repro.mac.frames import NullDataFrame
 from repro.phy.radio import Radio
 from repro.sim.engine import Engine
-from repro.sim.medium import _BUCKET_LOG_MAX, Medium
+from repro.sim.medium import Medium
 from repro.sim.world import Position
 
 
@@ -46,7 +45,7 @@ class TestPatchOps:
     def test_attach_after_cache_primed(self, sim):
         engine, medium, sender = sim
         early = Radio("early", medium, Position(5, 0))
-        _tx_and_run(engine, sender)  # primes the delivery cache
+        _tx_and_run(engine, sender)  # resolves the sender's live list
         late = Radio("late", medium, Position(6, 0))
         _tx_and_run(engine, sender)
         assert early.frames_delivered == 2
@@ -84,15 +83,15 @@ class TestPatchOps:
         _tx_and_run(engine, sender)
         assert mover.frames_delivered == 2
 
-    def test_changelog_overflow_falls_back_to_rebuild(self, sim):
+    def test_long_mutation_burst_between_transmissions(self, sim):
         engine, medium, sender = sim
         stayer = Radio("stayer", medium, Position(5, 0))
         _tx_and_run(engine, sender)
-        # More ops than the changelog retains: replay cannot cover the
-        # cached version anymore, so the lists must rebuild from scratch.
+        # A 200-mutation burst between two transmissions: every one is
+        # pushed into the sender's live list on its own.
         extras = [
             Radio(f"extra{i:04d}", medium, Position(5 + (i % 40), 1 + i // 40))
-            for i in range(_BUCKET_LOG_MAX + 8)
+            for i in range(200)
         ]
         _tx_and_run(engine, sender)
         assert stayer.frames_delivered == 2
@@ -105,8 +104,8 @@ class TestAddressingChanges:
         radio = Radio("station", medium, Position(5, 0))
         _tx_and_run(engine, sender)
         assert radio.frames_delivered == 1
-        # Installing the ACK engine publishes rx_mac_u64 and the batch
-        # sink; the cached delivery lists must pick both up ("m" op).
+        # Installing the ACK engine publishes rx_mac_u64 and a lane
+        # list; the live delivery list must pick both up.
         station = AckEngine(radio, MacAddress("02:aa:bb:cc:dd:01"))
         _tx_and_run(engine, sender)
         assert radio.frames_delivered == 2
@@ -129,20 +128,20 @@ class TestAddressingChanges:
         engine, medium, sender = sim
         radio = Radio("station", medium, Position(5, 0))
         AckEngine(radio, MacAddress("02:aa:bb:cc:dd:02"))
-        _tx_and_run(engine, sender)  # cache now holds the engine's lane list
+        _tx_and_run(engine, sender)  # the live list now holds the engine's lane list
         received = []
         radio.frame_handler = received.append
         # The assignment must zero the engine's published lane mask,
-        # which the cached list shares: the next arrival has to surface
+        # which the live list shares: the next arrival has to surface
         # as a Reception to the plain handler, not vanish into a tally.
         _tx_and_run(engine, sender)
         assert len(received) == 1
         assert radio.frames_delivered == 2
 
     def test_patched_lists_match_fresh_medium(self):
-        # The same choreography on a patched medium and on a fresh one
-        # (caches never primed before the final state) delivers
-        # identically — the patch path cannot drift from the rebuild.
+        # The same choreography on a medium with live lists and on a
+        # fresh one (no list resolved before the final state) delivers
+        # identically — pushes cannot drift from a cold resolution.
         def run(prime_first: bool):
             engine = Engine()
             medium = Medium(engine)

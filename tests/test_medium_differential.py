@@ -676,3 +676,156 @@ def test_dense_field_matches_reference(shape):
         assert tallied > 0
     else:
         assert tallied == 0
+
+
+# ---------------------------------------------------------------------------
+# Dense churn.  CHURN_RADIOS parked ACK-engine radios share one channel, so
+# a sender's live delivery list passes 64 entries (and its MAC column
+# gets a numpy view) while the same radio objects leave and rejoin in
+# bursts between transmissions from many senders.  A receiver drives
+# through the field, one radio retunes away, one is moved far off, and
+# one radio leaves and another rejoins while a frame is in flight to
+# them, so those pushes land in a list an arrival span is still reading
+# (the driving receiver is away then: a mobile in range would give the
+# span a private merged copy instead).
+# ---------------------------------------------------------------------------
+
+CHURN_RADIOS = 80
+CHURN_SENDERS = 60  # radios 0..59 send; the churned radios are 60..79
+CHURN_TRANSMISSIONS = 48
+CHURN_SPACING = 400e-6
+#: Sensitivities rotate so the farthest pairs of the field fall out of range.
+CHURN_SENSITIVITIES = (-92.0, -75.0, -60.0)
+#: Radios from this index on get their ACK engine mid-run, so the MAC and
+#: lane list they publish must reach lists that already hold them.
+LATE_ENGINES = CHURN_SENDERS - 6
+
+
+def _dense_churn(medium_cls):
+    """Run the churned field on ``medium_cls``; return what is observable.
+
+    On the production medium also return, for the in-flight detach and
+    attach: whether the frame's span was reading the sender's live list,
+    whether the span's receivers stayed as they were, and whether the
+    live list is a separate copy afterwards.
+    """
+    engine = Engine(metrics=MetricsRegistry())
+    trace = FrameTrace()
+    medium = medium_cls(engine, trace=trace, rng=np.random.default_rng(5))
+    log = []
+    radios, engines = [], []
+    for index in range(CHURN_RADIOS):
+        position = Position(5.0 + (index * 37) % 130, 5.0 + (index * 53) % 95, 1.5)
+        sensitivity = CHURN_SENSITIVITIES[index % len(CHURN_SENSITIVITIES)]
+        radio = Radio(f"c{index:02d}", medium, position, 6, rx_sensitivity_dbm=sensitivity)
+        if index < LATE_ENGINES:
+            engines.append(AckEngine(radio, _rx_mac(index)))
+        radios.append(radio)
+
+    def drive(t):
+        if 13e-3 < t < 16e-3:
+            return Position(5000.0, 5000.0, 1.5)  # out of everybody's range
+        return Position(-20.0 + 8000.0 * t, 50.0, 1.5)
+
+    rover = Radio("rover", medium, drive, 6)
+    rover.frame_handler = lambda rec: log.append((
+        engine.now, rec.transmission.sender, rec.rssi_dbm, rec.snr_db, rec.fcs_ok,
+        rec.collided, rec.while_transmitting,
+    ))
+    in_flight = []
+
+    def mutate_in_flight(sender, mutation):
+        if medium_cls is not Medium:
+            return mutation()
+        (delivery,) = medium._entries[sender.name].lists.values()
+        (span,) = [s for s in medium._live if s.transmission.sender == sender.name]
+        held = span.radios is delivery.radios
+        before = list(span.radios)
+        mutation()
+        in_flight.append((held, span.radios == before, delivery.radios is not span.radios))
+
+    def send(k):
+        index = (k * 7) % CHURN_SENDERS
+        if k % 3:
+            frame = BeaconFrame(addr2=_rx_mac(index), ssid="net")
+        else:
+            target = (k * 11) % CHURN_RADIOS
+            frame = NullDataFrame(addr1=_rx_mac(target), addr2=_rx_mac(index))
+        radios[index].transmit(frame, 6.0)
+
+    def burst(group, leave):
+        for radio in group:
+            if leave:
+                medium.detach(radio.name)
+            else:
+                medium.attach(radio)
+
+    for k in range(CHURN_TRANSMISSIONS):
+        engine.call_at(k * CHURN_SPACING, lambda k=k: send(k))
+    for index in range(LATE_ENGINES, CHURN_RADIOS):
+        engine.call_at(5.5 * CHURN_SPACING, lambda index=index: engines.append(
+            AckEngine(radios[index], _rx_mac(index))))
+    # Bursts: ten radios leave after one transmission and rejoin after
+    # the next, and five leave and rejoin within one event.
+    for b, start in enumerate((2, 9, 16, 23, 30)):
+        group = radios[CHURN_SENDERS + 5 * (b % 4): CHURN_SENDERS + 5 * (b % 4) + 10]
+        at = (start + 0.5) * CHURN_SPACING
+        engine.call_at(at, lambda g=group: burst(g, True))
+        engine.call_at(at + CHURN_SPACING, lambda g=group: burst(g, False))
+        quick = radios[CHURN_SENDERS + 15 - b: CHURN_SENDERS + 20 - b]
+        engine.call_at(at + 1.5 * CHURN_SPACING, lambda g=quick: (burst(g, True), burst(g, False)))
+    # While transmission 36's frame is on the air: a receiver leaves,
+    # then another one rejoins.
+    sender = radios[(36 * 7) % CHURN_SENDERS]
+    victim, joiner = radios[CHURN_RADIOS - 1], radios[CHURN_RADIOS - 2]
+    engine.call_at(35.5 * CHURN_SPACING, lambda: medium.detach(joiner.name))
+    engine.call_at(36 * CHURN_SPACING + 20e-6, lambda: mutate_in_flight(
+        sender, lambda: medium.detach(victim.name)))
+    engine.call_at(36 * CHURN_SPACING + 40e-6, lambda: mutate_in_flight(
+        sender, lambda: medium.attach(joiner)))
+    engine.call_at(40.5 * CHURN_SPACING, lambda: medium.attach(victim))
+    # One retune away and one move out of everybody's range.
+    engine.call_at(12.5 * CHURN_SPACING, lambda: setattr(radios[CHURN_SENDERS + 2], "channel", 11))
+    engine.call_at(20.5 * CHURN_SPACING, lambda: setattr(
+        radios[CHURN_SENDERS + 3], "_position", Position(400.0, 400.0, 1.5)))
+    engine.run()
+    counters = {
+        key: value
+        for key, value in engine.metrics.snapshot()["counters"].items()
+        if not key.startswith("engine.")
+    }
+    observed = {
+        "log": log,
+        "trace": trace.to_jsonl(),
+        "counters": counters,
+        "stats": [asdict(ack.stats) for ack in engines],
+        "radios": [
+            (r.frames_sent, r.frames_delivered, r.frames_dropped_asleep) for r in radios
+        ],
+        "transmissions": medium.transmission_count,
+        "clock": engine.now,
+    }
+    return observed, in_flight, medium
+
+
+def test_dense_churn_matches_reference():
+    production, in_flight, medium = _dense_churn(Medium)
+    reference, _, _ = _dense_churn(ReferenceMedium)
+    assert production == reference
+    # The in-flight detach pushed into the list the frame's span was
+    # reading: it copied the list first, so the span's receivers stayed
+    # as they were, through the attach that followed too.
+    assert in_flight == [(True, True, True), (False, True, True)]
+    assert medium.held_copies > 0
+    assert production["log"] and production["counters"]["ack.acks_sent"] > 0
+    # Lists past 64 receivers, so their MAC columns were vectorized, and
+    # every list carries each receiver's current MAC and lane list.
+    lists = [
+        delivery for entry in medium._entries.values() for delivery in entry.lists.values()
+    ]
+    assert max(len(delivery.radios) for delivery in lists) > 64
+    for delivery in lists:
+        assert delivery.macs == [radio.rx_mac_u64 for radio in delivery.radios]
+        assert all(
+            lanes is radio.lanes for radio, lanes in zip(delivery.radios, delivery.lanes)
+        )

@@ -117,15 +117,29 @@ class TestChannelIndex:
         assert seen[2] < seen[0] - 30.0  # ~-80 dBm, not the stale ~-40 dBm
         assert seen[2] == pytest.approx(seen[1], abs=1.0)
 
-    def test_delivery_cache_is_fifo_capped(self, engine, monkeypatch):
-        monkeypatch.setattr("repro.sim.medium.LINK_CACHE_MAX_ENTRIES", 2)
+    def test_lists_and_budgets_die_with_their_radio(self, engine):
         medium = Medium(engine)
-        Radio("rx", medium, Position(5, 0))
-        senders = [Radio(f"tx{i}", medium, Position(0, i)) for i in range(4)]
-        for i, sender in enumerate(senders):
-            sender.transmit(_frame(src=f"02:00:00:00:02:0{i}"), 6.0)
+        tx = Radio("tx", medium, Position(0, 0))
+        receivers = [Radio(f"rx{i}", medium, Position(5 + i, i)) for i in range(4)]
+        # Every radio sends, so each holds live lists and pair budgets.
+        for i, radio in enumerate([tx, *receivers]):
+            radio.transmit(_frame(src=f"02:00:00:00:02:0{i}"), 6.0)
             engine.run_until(engine.now + 0.01)
-        assert len(medium._delivery_cache) <= 2
+        assert medium.link_cache_size > 0
+        for radio in receivers:
+            medium.detach(radio.name)
+        assert medium.link_cache_size == 0
+        live = [
+            radio
+            for entry in medium._entries.values()
+            for delivery in entry.lists.values()
+            for radio in delivery.radios
+        ]
+        assert live == []
+        medium.attach(receivers[2])
+        tx.transmit(_frame(), 6.0)
+        engine.run_until(engine.now + 0.01)
+        assert [r.frames_delivered for r in receivers] == [4, 4, 5, 4]
 
     def test_attach_mid_run_invalidates_delivery_lists(self, engine):
         medium = Medium(engine)

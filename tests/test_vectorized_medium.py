@@ -157,6 +157,16 @@ class TestQueryPathsMatchDelivery:
         assert len(seen) == 1
         assert seen[0] == before == after
 
+    def test_rssi_between_names_an_unattached_radio(self, engine):
+        medium = Medium(engine)
+        Radio("a", medium, Position(0, 0))
+        Radio("b", medium, Position(5, 0))
+        medium.detach("b")
+        with pytest.raises(KeyError, match="'b' is not attached"):
+            medium.rssi_between("a", "b", 0.0)
+        with pytest.raises(KeyError, match="'ghost' is not attached"):
+            medium.rssi_between("ghost", "a", 0.0)
+
     def test_is_busy_for_uses_delivered_rssi(self, engine):
         medium = Medium(engine)
         tx = Radio("tx", medium, Position(0, 0), tx_power_dbm=20.0)
