@@ -39,61 +39,53 @@ Package map:
 ==================  ====================================================
 """
 
-from repro.core import (
-    AckMonitor,
-    BatteryDrainAttack,
-    DefenseAnalysis,
-    FakeFrameInjector,
-    KeystrokeInferenceAttack,
-    PoliteWiFiProbe,
-    ProbeResult,
-    SingleDeviceSensingHub,
-    WardriveConfig,
-    WardrivePipeline,
-)
-from repro.devices import (
-    AccessPoint,
-    Esp32CsiSniffer,
-    Esp8266Device,
-    MonitorDongle,
-    Station,
-)
-from repro.mac import ATTACKER_FAKE_MAC, MacAddress
-from repro.sim import Engine, FrameTrace, Medium, Position
-from repro.telemetry import (
-    CampaignConfig,
-    MetricsRegistry,
-    SpanTracer,
-    run_campaign,
-)
+import importlib
+
+#: Every public name and the package it comes from.  Names resolve on
+#: first access (PEP 562), so ``import repro.scenario`` or ``from repro
+#: import Engine`` loads only the modules that run needs.
+_EXPORTS = {
+    "ATTACKER_FAKE_MAC": "repro.mac",
+    "AccessPoint": "repro.devices",
+    "AckMonitor": "repro.core",
+    "BatteryDrainAttack": "repro.core",
+    "CampaignConfig": "repro.telemetry",
+    "DefenseAnalysis": "repro.core",
+    "Engine": "repro.sim",
+    "Esp32CsiSniffer": "repro.devices",
+    "Esp8266Device": "repro.devices",
+    "FakeFrameInjector": "repro.core",
+    "FrameTrace": "repro.sim",
+    "KeystrokeInferenceAttack": "repro.core",
+    "MacAddress": "repro.mac",
+    "Medium": "repro.sim",
+    "MetricsRegistry": "repro.telemetry",
+    "MonitorDongle": "repro.devices",
+    "PoliteWiFiProbe": "repro.core",
+    "Position": "repro.sim",
+    "ProbeResult": "repro.core",
+    "SingleDeviceSensingHub": "repro.core",
+    "SpanTracer": "repro.telemetry",
+    "Station": "repro.devices",
+    "WardriveConfig": "repro.core",
+    "WardrivePipeline": "repro.core",
+    "run_campaign": "repro.telemetry",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ATTACKER_FAKE_MAC",
-    "AccessPoint",
-    "AckMonitor",
-    "BatteryDrainAttack",
-    "CampaignConfig",
-    "DefenseAnalysis",
-    "Engine",
-    "Esp32CsiSniffer",
-    "Esp8266Device",
-    "FakeFrameInjector",
-    "FrameTrace",
-    "KeystrokeInferenceAttack",
-    "MacAddress",
-    "Medium",
-    "MetricsRegistry",
-    "MonitorDongle",
-    "PoliteWiFiProbe",
-    "Position",
-    "ProbeResult",
-    "SingleDeviceSensingHub",
-    "SpanTracer",
-    "Station",
-    "WardriveConfig",
-    "WardrivePipeline",
-    "__version__",
-    "run_campaign",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

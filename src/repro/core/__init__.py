@@ -18,40 +18,45 @@ acknowledges.  On top of it:
   preventable" analysis, quantified.
 """
 
-from repro.core.battery import BatteryDrainAttack, PowerSweepPoint
-from repro.core.defenses import DefenseAnalysis, DeadlineRow
-from repro.core.injector import FakeFrameInjector, InjectionStream
-from repro.core.keystroke import KeystrokeInferenceAttack, KeystrokeAttackResult
-from repro.core.localization import (
-    AckRangingSensor,
-    LocalizationAttack,
-    LocalizationResult,
-    RangingMeasurement,
-    trilaterate,
-)
-from repro.core.monitor import AckMonitor
-from repro.core.probe import PoliteWiFiProbe, ProbeResult
-from repro.core.sensing_app import SingleDeviceSensingHub
-from repro.core.wardrive import WardrivePipeline, WardriveConfig
+import importlib
 
-__all__ = [
-    "AckMonitor",
-    "AckRangingSensor",
-    "LocalizationAttack",
-    "LocalizationResult",
-    "RangingMeasurement",
-    "trilaterate",
-    "BatteryDrainAttack",
-    "DeadlineRow",
-    "DefenseAnalysis",
-    "FakeFrameInjector",
-    "InjectionStream",
-    "KeystrokeAttackResult",
-    "KeystrokeInferenceAttack",
-    "PoliteWiFiProbe",
-    "PowerSweepPoint",
-    "ProbeResult",
-    "SingleDeviceSensingHub",
-    "WardriveConfig",
-    "WardrivePipeline",
-]
+#: Every public name and the module that defines it, resolved on first
+#: access (PEP 562): a wardrive run does not load the keystroke, sensing
+#: or localization attacks.
+_EXPORTS = {
+    "AckMonitor": "repro.core.monitor",
+    "AckRangingSensor": "repro.core.localization",
+    "LocalizationAttack": "repro.core.localization",
+    "LocalizationResult": "repro.core.localization",
+    "RangingMeasurement": "repro.core.localization",
+    "trilaterate": "repro.core.localization",
+    "BatteryDrainAttack": "repro.core.battery",
+    "DeadlineRow": "repro.core.defenses",
+    "DefenseAnalysis": "repro.core.defenses",
+    "FakeFrameInjector": "repro.core.injector",
+    "InjectionStream": "repro.core.injector",
+    "KeystrokeAttackResult": "repro.core.keystroke",
+    "KeystrokeInferenceAttack": "repro.core.keystroke",
+    "PoliteWiFiProbe": "repro.core.probe",
+    "PowerSweepPoint": "repro.core.battery",
+    "ProbeResult": "repro.core.probe",
+    "SingleDeviceSensingHub": "repro.core.sensing_app",
+    "WardriveConfig": "repro.core.wardrive",
+    "WardrivePipeline": "repro.core.wardrive",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

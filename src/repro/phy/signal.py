@@ -10,6 +10,7 @@ scanner uses a verify thread instead of assuming delivery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +19,19 @@ import numpy as np
 from repro.phy.rates import rate_info
 from repro.sim.world import Position
 
-try:  # Vectorized erfc when SciPy is present; scalar fallback otherwise.
-    from scipy.special import erfc as _erfc_array
-except ImportError:  # pragma: no cover - depends on the environment
-    _erfc_array = None
+
+@functools.cache
+def _vector_erfc():
+    """SciPy's array ``erfc``, or ``None`` without SciPy.
+
+    Imported on the first :meth:`SnrFerModel.batch` call, not with this
+    module: SciPy is optional, and no scenario needs it.
+    """
+    try:
+        from scipy.special import erfc
+    except ImportError:
+        return None
+    return erfc
 
 
 def free_space_path_loss_db(distance_m, frequency_hz: float):
@@ -138,16 +148,20 @@ class SnrFerModel:
     ) -> np.ndarray:
         """Vectorized FER for an array of SNRs at one (rate, length).
 
-        Mirrors :meth:`__call__` elementwise.  With SciPy present the
-        Q-function runs vectorized (agreement within a few ULP of the
-        scalar ``math.erfc`` form); without it, elements fall back to
-        the scalar path.  The medium's delivery path memoizes the
-        scalar form per distinct SNR, which keeps seeded traces
-        byte-identical — this form serves bulk evaluation and the
-        model-level tests.
+        Mirrors :meth:`__call__` elementwise.  SciPy is optional: with
+        it, the Q-function runs vectorized (agreement within a few ULP
+        of the scalar ``math.erfc`` form); without it, elements fall
+        back to the scalar path, bit-identical to :meth:`__call__`.
+        ``scipy.special`` is imported on the first call, not at
+        start-up (the start-up budget test, ``tests/test_startup.py``,
+        fails if ``import repro.scenario`` loads it).  The medium's
+        delivery path memoizes the scalar form per distinct SNR, which
+        keeps seeded traces byte-identical — this form serves bulk
+        evaluation and the model-level tests.
         """
         snr_arr = np.atleast_1d(np.asarray(snr_db, dtype=float))
-        if _erfc_array is None:
+        erfc = _vector_erfc()
+        if erfc is None:
             return np.array(
                 [self(s, rate_mbps, length_bytes) for s in snr_arr.tolist()]
             )
@@ -158,13 +172,13 @@ class SnrFerModel:
         snr = 10.0 ** (effective / 10.0)
         modulation = info.modulation
         if modulation in ("BPSK", "DBPSK", "CCK"):
-            ber = 0.5 * _erfc_array(np.sqrt(2.0 * snr) / math.sqrt(2.0))
+            ber = 0.5 * erfc(np.sqrt(2.0 * snr) / math.sqrt(2.0))
         elif modulation in ("QPSK", "DQPSK"):
-            ber = 0.5 * _erfc_array(np.sqrt(snr) / math.sqrt(2.0))
+            ber = 0.5 * erfc(np.sqrt(snr) / math.sqrt(2.0))
         elif modulation == "16-QAM":
-            ber = 0.75 * 0.5 * _erfc_array(np.sqrt(snr / 5.0) / math.sqrt(2.0))
+            ber = 0.75 * 0.5 * erfc(np.sqrt(snr / 5.0) / math.sqrt(2.0))
         elif modulation == "64-QAM":
-            ber = (7.0 / 12.0) * 0.5 * _erfc_array(
+            ber = (7.0 / 12.0) * 0.5 * erfc(
                 np.sqrt(snr / 21.0) / math.sqrt(2.0)
             )
         else:  # pragma: no cover - rate tables only carry the above

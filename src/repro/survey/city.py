@@ -73,8 +73,9 @@ class CityConfig:
     #: Hard cap on the generated population (``None`` = no cap).  Applied
     #: after census scaling by evenly subsampling the spec list, so a
     #: capped city keeps the full city's AP/client mix and spatial spread
-    #: — the quick-mode knob the CI perf job uses to exercise the
-    #: full-scale wardrive configuration without the full device count.
+    #: — the knob the e2e benchmark's ``metro`` workload uses
+    #: (``max_devices=500``) to run the full census's street grid and
+    #: tile geometry without the full device count.
     max_devices: Optional[int] = None
 
 

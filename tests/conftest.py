@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,27 @@ from repro.sim.world import Position
 settings.register_profile("deep", max_examples=2000)
 
 _mac_counter = itertools.count(1)
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(code: str, timeout: float = 60.0) -> str:
+    """Run ``code`` in a new interpreter with ``src`` first on its path.
+
+    For checks about what gets imported, which this process (already
+    holding every module earlier tests loaded) cannot answer.  Asserts a
+    zero exit and returns stdout.
+    """
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
 
 
 def fresh_mac(prefix: int = 0x02) -> MacAddress:

@@ -9,6 +9,7 @@ bit-exact reference the medium's delivery path uses.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.phy.signal import (
 )
 from repro.sim.medium import free_space_path_loss_db as free_space_positions
 from repro.sim.world import Position
+from tests.conftest import run_fresh
 
 
 class TestFreeSpaceArrayForm:
@@ -72,28 +74,50 @@ class TestSnrFerBatch:
         fers = SnrFerModel().batch(np.linspace(-20.0, 60.0, 17), 54.0, 1500)
         assert np.all(fers >= 0.0) and np.all(fers <= 1.0)
 
+    @pytest.fixture
+    def scipy_absent(self, monkeypatch):
+        # ``None`` in ``sys.modules`` makes ``import scipy.special`` raise
+        # ImportError; clearing the loader's cache on both sides makes it
+        # retry the import under the patch and again after it.
+        from repro.phy.signal import _vector_erfc
+
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        _vector_erfc.cache_clear()
+        yield
+        _vector_erfc.cache_clear()
+
     @pytest.mark.parametrize("rate,length", [(1.0, 64), (6.0, 300), (54.0, 1500)])
-    def test_scipy_absent_fallback_bit_identical(self, monkeypatch, rate, length):
+    def test_scipy_absent_fallback_bit_identical(self, scipy_absent, rate, length):
         # Without SciPy, batch() must degrade to the scalar loop — not a
         # divergent numpy reimplementation.  Bit-identity (not allclose)
         # on a seeded sweep pins that the fallback *is* the scalar path.
-        import repro.phy.signal as signal
-
-        monkeypatch.setattr(signal, "_erfc_array", None)
         model = SnrFerModel()
         snrs = np.random.default_rng(1234).uniform(-10.0, 45.0, size=64)
         fallback = model.batch(snrs, rate, length)
         scalar = np.array([model(s, rate, length) for s in snrs.tolist()])
         assert np.array_equal(fallback, scalar)
 
-    def test_scipy_absent_fallback_accepts_scalar_input(self, monkeypatch):
-        import repro.phy.signal as signal
-
-        monkeypatch.setattr(signal, "_erfc_array", None)
+    def test_scipy_absent_fallback_accepts_scalar_input(self, scipy_absent):
         model = SnrFerModel()
         out = model.batch(12.0, 6.0, 300)
         assert out.shape == (1,)
         assert float(out[0]) == model(12.0, 6.0, 300)
+
+    def test_scipy_loaded_on_first_batch_call(self):
+        # A fresh interpreter: this one may have imported SciPy already.
+        pytest.importorskip("scipy.special")
+        run_fresh("""
+import sys
+import numpy as np
+from repro.phy.signal import SnrFerModel
+assert "scipy.special" not in sys.modules, "scipy.special loaded at import"
+model = SnrFerModel()
+snrs = np.linspace(-5.0, 35.0, 41)
+batch = model.batch(snrs, 54.0, 300)
+assert "scipy.special" in sys.modules, "batch() did not take the SciPy path"
+scalar = np.array([model(s, 54.0, 300) for s in snrs.tolist()])
+assert np.allclose(batch, scalar, rtol=1e-9, atol=1e-12)
+""")
 
 
 class TestShadowedBatch:
