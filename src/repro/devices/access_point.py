@@ -25,6 +25,7 @@ from repro.crypto.ccmp import CcmpError, CcmpSession
 from repro.crypto.wpa2 import FourWayHandshake, derive_pmk, tk_of
 from repro.devices.base import Device, DeviceKind
 from repro.mac import llc
+from repro.mac.ack_engine import WILDCARD_PROBE_KEY
 from repro.mac.addresses import BROADCAST, MacAddress
 from repro.mac.frames import (
     AssocResponseFrame,
@@ -38,9 +39,14 @@ from repro.mac.frames import (
 from repro.sim.medium import Reception
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApBehavior:
-    """Per-chipset AP personality knobs."""
+    """Per-chipset AP personality knobs.
+
+    Frozen: an AP's passivity promise is computed from its behavior, so
+    a change is a new object assigned to :attr:`AccessPoint.behavior`,
+    which republishes the promise.
+    """
 
     beacon_interval: float = 0.1024
     deauth_on_unknown: bool = False
@@ -102,6 +108,40 @@ class AccessPoint(Device):
         self.data_handler = None
 
     @property
+    def behavior(self) -> ApBehavior:
+        return self._behavior
+
+    @behavior.setter
+    def behavior(self, behavior: ApBehavior) -> None:
+        self._behavior = behavior
+        self._publish_passivity()
+
+    def _publish_passivity(self) -> None:
+        """Promise passivity on wildcard probe requests while ignoring them.
+
+        :meth:`on_probe_request` returns at once for a wildcard probe
+        (``Frame.is_wildcard_probe``) unless
+        ``behavior.respond_to_wildcard_probe``, so those arrivals are
+        tallied without building their Reception: in the synthetic city
+        they are most of what an AP hears.  The promise needs neither
+        ``_dispatch_frame`` nor ``on_probe_request`` overridden and the
+        handler installed at construction still in place; every
+        ``behavior`` assignment republishes it.
+        """
+        cls = type(self)
+        ack_engine = self.ack_engine
+        if (
+            cls._dispatch_frame is not Device._dispatch_frame
+            or cls.on_probe_request is not AccessPoint.on_probe_request
+            or ack_engine.mac_handler != self._dispatch_frame
+        ):
+            return
+        keys = cls._passive_group_keys()
+        if not self._behavior.respond_to_wildcard_probe:
+            keys = keys | {WILDCARD_PROBE_KEY}
+        ack_engine.install_mac_handler(self._dispatch_frame, passive_keys=keys)
+
+    @property
     def _pmk(self) -> bytes:
         pmk = self._pmk_bytes
         if pmk is None:
@@ -140,10 +180,10 @@ class AccessPoint(Device):
         self.engine.call_after(self.behavior.beacon_interval, self._beacon_tick)
 
     def on_probe_request(self, frame: Frame, reception: Reception) -> None:
-        requested = getattr(frame, "ssid", "")
-        if requested not in ("", self.ssid):
-            return
-        if requested == "" and not self.behavior.respond_to_wildcard_probe:
+        if frame.is_wildcard_probe():
+            if not self.behavior.respond_to_wildcard_probe:
+                return
+        elif getattr(frame, "ssid", "") != self.ssid:
             return
         if frame.addr2 is None:
             return

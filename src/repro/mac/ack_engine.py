@@ -28,7 +28,13 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Optional, Tuple
 
 from repro.mac.addresses import MacAddress
-from repro.mac.frames import AckFrame, CtsFrame, Frame, FrameType
+from repro.mac.frames import (
+    SUBTYPE_PROBE_REQUEST,
+    AckFrame,
+    CtsFrame,
+    Frame,
+    FrameType,
+)
 from repro.mac.serialization import FrameFormatError, deserialize
 from repro.phy.constants import Band, sifs
 from repro.phy.plcp import cts_airtime
@@ -38,6 +44,7 @@ from repro.sim.medium import (
     GROUP_LANES_MASK,
     LANE_FCS_FAIL,
     LANE_NOT_FOR_ME,
+    LANE_WILDCARD_PROBE,
     TALLY_FCS_FAIL,
     TALLY_GROUP,
     TALLY_NOT_FOR_ME,
@@ -48,17 +55,27 @@ from repro.sim.medium import (
 #: How many (transmitter, sequence) pairs the duplicate cache remembers.
 _DUPLICATE_CACHE_SIZE = 64
 
+#: Passive key of the probe requests for any network alone (empty SSID,
+#: :data:`~repro.sim.medium.LANE_WILDCARD_PROBE`), next to the
+#: ``(ftype, subtype)`` keys of whole frame types.
+WILDCARD_PROBE_KEY = (FrameType.MANAGEMENT, SUBTYPE_PROBE_REQUEST, "")
+
 
 @functools.lru_cache(maxsize=64)
 def _group_mask(keys: frozenset) -> int:
-    """Group-lane mask of a set of passive ``(ftype, subtype)`` keys.
+    """Group-lane mask of a set of passive keys.
 
     Cached: callers hand the same set for every instance of a device
     class, so an install is one lookup.
     """
     mask = 0
-    for ftype, subtype in keys:
-        mask |= 1 << group_lane(ftype, subtype)
+    for key in keys:
+        if key[:2] == WILDCARD_PROBE_KEY[:2]:
+            # Passive for every probe request is passive for the
+            # wildcard ones too.
+            mask |= 1 << LANE_WILDCARD_PROBE
+        if key != WILDCARD_PROBE_KEY:
+            mask |= 1 << group_lane(*key)
     return mask
 
 
@@ -244,9 +261,10 @@ class AckEngine:
         ``passive_keys`` holds the ``(ftype, subtype)`` pairs for which
         ``handler`` is a no-op on group frames — beacons heard by idle
         stations are the wardrive's dominant traffic — so those arrivals
-        are tallied without building their :class:`Reception`.  Pass the
-        same frozen set for every instance of a class: its lane mask is
-        computed once.
+        are tallied without building their :class:`Reception`.
+        :data:`WILDCARD_PROBE_KEY` covers the probe requests with an
+        empty SSID alone.  Pass the same frozen set for every instance
+        of a class: its lane mask is computed once.
         """
         self._mac_handler = handler
         self._mac_group_mask = _group_mask(frozenset(passive_keys))

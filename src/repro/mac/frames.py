@@ -107,6 +107,20 @@ class Frame:
         """
         return int.from_bytes(self.addr1._value, "big")
 
+    def is_wildcard_probe(self) -> bool:
+        """True for a probe request for any network (an empty SSID).
+
+        The medium gives clean group-addressed ones a reception lane of
+        their own, so an AP that ignores them can say so while it still
+        answers probes for its own SSID; the AP decides with this same
+        test.
+        """
+        return (
+            self.ftype == FrameType.MANAGEMENT
+            and self.subtype == SUBTYPE_PROBE_REQUEST
+            and getattr(self, "ssid", "") == ""
+        )
+
     @property
     def is_management(self) -> bool:
         return self.ftype is FrameType.MANAGEMENT

@@ -58,7 +58,8 @@ class MacTransmitter:
 
     One logical frame is in flight at a time; submissions made while busy
     queue up in FIFO order.  Completion is reported through the per-send
-    callback and recorded in :attr:`history`.
+    callback only: the transmitter keeps no record of a completed frame,
+    so a long run holds none of the frames it has sent.
     """
 
     def __init__(
@@ -79,7 +80,6 @@ class MacTransmitter:
         self.use_dcf = use_dcf
         self.engine: Engine = radio.medium.engine
         self._dcf = DcfTimer(self.engine, rng, band)
-        self.history: List[TxAttempt] = []
         self._queue: List[tuple] = []
         self._busy = False
         self._current_frame: Optional[Frame] = None
@@ -183,7 +183,6 @@ class MacTransmitter:
             completed_at=self.engine.now,
             rate_mbps=self._current_rate,
         )
-        self.history.append(attempt)
         callback = self._current_callback
         self._current_frame = None
         self._current_callback = None

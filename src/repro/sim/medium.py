@@ -259,8 +259,17 @@ LANE_GROUP = 2  # clean group-addressed frame without a keyed lane (below)
 #: 4-bit subtype) have a lane of their own, so a receiver can promise
 #: passivity per frame type: see :func:`group_lane`.
 _GROUP_LANE_BASE = 3
+#: Clean group-addressed probe requests for any network (empty SSID, the
+#: frame's ``is_wildcard_probe`` hook) have a lane apart from the other
+#: probe requests: an AP that ignores them can promise passivity there
+#: and still answer probes for its own SSID.
+LANE_WILDCARD_PROBE = _GROUP_LANE_BASE + 64
 #: Every group lane, keyed or not.
-GROUP_LANES_MASK = (1 << LANE_GROUP) | (((1 << 64) - 1) << _GROUP_LANE_BASE)
+GROUP_LANES_MASK = (
+    (1 << LANE_GROUP)
+    | (((1 << 64) - 1) << _GROUP_LANE_BASE)
+    | (1 << LANE_WILDCARD_PROBE)
+)
 
 #: Tally slots of a lane list (slot 0 is the mask).
 TALLY_FCS_FAIL = 1
@@ -436,10 +445,11 @@ class _ArrivalSpan:
         installed (its per-arrival invocation has its own RNG ordering),
         every arrival takes the scalar path.  A group destination puts
         every clean arrival in the frame type's group lane
-        (:func:`group_lane`); a unicast destination is compared against
-        the receiver-MAC mirror — one numpy comparison when the list's
-        array is available — splitting the span into for-me (scalar) and
-        ``LANE_NOT_FOR_ME`` arrivals.
+        (:func:`group_lane`), or a wildcard probe request's in
+        :data:`LANE_WILDCARD_PROBE`; a unicast destination is compared
+        against the receiver-MAC mirror — one numpy comparison when the
+        list's array is available — splitting the span into for-me
+        (scalar) and ``LANE_NOT_FOR_ME`` arrivals.
         """
         mode = _LANES_SCALAR
         if self.csi_model is None:
@@ -449,10 +459,12 @@ class _ArrivalSpan:
             if dest is not None:
                 if dest & _GROUP_BIT:
                     ftype = getattr(frame, "ftype", None)
-                    lane = (
-                        LANE_GROUP if ftype is None
-                        else group_lane(ftype, frame.subtype)
-                    )
+                    if ftype is None:
+                        lane = LANE_GROUP
+                    elif frame.is_wildcard_probe():
+                        lane = LANE_WILDCARD_PROBE
+                    else:
+                        lane = group_lane(ftype, frame.subtype)
                     self.group_bit = 1 << lane
                     mode = _LANES_GROUP
                 else:

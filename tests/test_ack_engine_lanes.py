@@ -4,15 +4,18 @@ The medium pre-classifies arrivals into lanes and tallies those the
 receiver's published lane mask covers instead of building a
 ``Reception``.  These tests pin the mask an engine publishes for each
 receiver configuration — where it must refuse and defer to the scalar
-path, such as a (nonstandard) group-bit own MAC — against the lane-free
-reference medium, plus the duplicate cache's exact eviction threshold
+path, such as a (nonstandard) group-bit own MAC — and the promises
+devices make (a station's, and an access point's on wildcard probe
+requests) against the lane-free reference medium, plus the duplicate cache's exact eviction threshold
 and the ACK-but-don't-deliver retry semantics.
 """
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from repro.devices.access_point import AccessPoint, ApBehavior
 from repro.devices.station import Station
 from repro.mac.ack_engine import _DUPLICATE_CACHE_SIZE, AckEngine, AckEngineConfig
 from repro.mac.addresses import ATTACKER_FAKE_MAC, MacAddress
@@ -29,6 +32,7 @@ from repro.sim.engine import Engine
 from repro.sim.medium import (
     LANE_GROUP,
     LANE_NOT_FOR_ME,
+    TALLY_GROUP,
     Medium,
     Reception,
     Transmission,
@@ -186,30 +190,84 @@ class TestRetryDuplicatesAcrossModes:
 
 RX_MAC = MacAddress("02:aa:00:00:00:01")
 OTHER_MAC = MacAddress("02:aa:00:00:00:02")
+#: The network an AP receiver serves.
+AP_SSID = "net"
 
+#: Every probe lane: "probe_request" is a wildcard probe (empty SSID),
+#: the other two are directed probes for the AP's own and another SSID.
+PROBE_LANES = {"probe_request", "own_ssid_probe", "other_ssid_probe"}
 #: Receiver configuration -> the lanes the production medium tallies for it.
 CONFIGS = {
     "plain": set(),
-    "default": {"collision", "not_for_me", "beacon", "probe_request"},
+    "default": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
     "promiscuous": {"collision"},
     "group_bit_mac": {"collision", "not_for_me"},
-    "passive_sniffer": {"collision", "not_for_me", "beacon", "probe_request"},
+    "passive_sniffer": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
     "active_sniffer": {"collision"},
     "probe_request_handler": {"collision", "not_for_me", "beacon"},
     "asleep": set(),
-    "woken": {"collision", "not_for_me", "beacon", "probe_request"},
+    "woken": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
     "frame_handler_swapped": set(),
     "mac_handler_swapped": {"collision", "not_for_me"},
+    # Devices: of the probe lanes, only a station and an AP that ignores
+    # wildcard probes may tally any.
+    "station": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
+    "silent_ap": {"collision", "not_for_me", "beacon", "probe_request"},
+    "responding_ap": {"collision", "not_for_me", "beacon"},
+    "probe_logging_ap": {"collision", "not_for_me", "beacon"},
 }
-LANES = ("collision", "not_for_me", "beacon", "probe_request")
+LANES = ("collision", "not_for_me", "beacon", "probe_request", "own_ssid_probe",
+         "other_ssid_probe")
+#: The (configuration, lane) pairs whose receiver answers the probes.
+ANSWERED = {
+    ("silent_ap", "own_ssid_probe"),
+    ("responding_ap", "probe_request"),
+    ("responding_ap", "own_ssid_probe"),
+    ("probe_logging_ap", "own_ssid_probe"),
+}
 
 
-def _receiver(config, radio, log):
-    """Set ``radio`` up as ``config``; return its engine, if any."""
+class _ProbeLoggingAp(AccessPoint):
+    """Ignores wildcard probes too, but overrides the handler: no promise."""
+
+    def on_probe_request(self, frame, reception):
+        self.log.append(("probe", frame.ssid))
+        super().on_probe_request(frame, reception)
+
+
+def _ap(cls, medium, behavior):
+    return cls(
+        mac=RX_MAC, medium=medium, position=Position(0.0, 0.0),
+        rng=np.random.default_rng(3), ssid=AP_SSID, behavior=behavior,
+    )
+
+
+def _receiver(config, medium, log):
+    """Attach the receiver ``config`` at the origin; return its radio and engine."""
 
     def record(tag):
         return lambda *args: log.append((tag, type(args[0]).__name__))
 
+    silent = ApBehavior(respond_to_wildcard_probe=False)
+    if config == "station":
+        device = Station(
+            mac=RX_MAC, medium=medium, position=Position(0.0, 0.0),
+            rng=np.random.default_rng(3),
+        )
+        return device.radio, device.ack_engine
+    if config.endswith("_ap"):
+        if config == "probe_logging_ap":
+            device = _ap(_ProbeLoggingAp, medium, silent)
+            device.log = log
+        else:
+            device = _ap(AccessPoint, medium, ApBehavior() if config == "responding_ap" else silent)
+        return device.radio, device.ack_engine
+    radio = Radio("rx", medium, Position(0.0, 0.0))
+    return radio, _configure(config, radio, record)
+
+
+def _configure(config, radio, record):
+    """Set the bare ``radio`` up as ``config``; return its engine, if any."""
     if config == "plain":
         radio.frame_handler = record("phy")
         return None
@@ -227,7 +285,7 @@ def _receiver(config, radio, log):
         ack.install_mac_handler(
             lambda frame, reception: (
                 (frame.ftype, frame.subtype) != PROBE_REQUEST_KEY
-                or log.append(("mac", type(frame).__name__))
+                or record("mac")(frame)
             ),
             passive_keys=ALL_FRAME_KEYS - {PROBE_REQUEST_KEY},
         )
@@ -244,12 +302,15 @@ def _receiver(config, radio, log):
     return ack
 
 
+def _probe(ssid=""):
+    return ProbeRequestFrame(addr2=SENDER_MAC, ssid=ssid)
+
+
 def _lane_run(medium_cls, config, lane):
     engine = Engine()
     medium = medium_cls(engine)
     log = []
-    radio = Radio("rx", medium, Position(0.0, 0.0))
-    ack = _receiver(config, radio, log)
+    radio, ack = _receiver(config, medium, log)
     # "b" is close enough to "a" at rx for their frames to collide.
     a = Radio("a", medium, Position(60.0, 0.0))
     b = Radio("b", medium, Position(-30.0, 0.0))
@@ -261,15 +322,19 @@ def _lane_run(medium_cls, config, lane):
             frames = [(a, NullDataFrame(addr1=OTHER_MAC, addr2=SENDER_MAC))]
         elif lane == "beacon":
             frames = [(a, BeaconFrame(addr2=SENDER_MAC, ssid="net"))]
+        elif lane == "own_ssid_probe":
+            frames = [(a, _probe(AP_SSID))]
+        elif lane == "other_ssid_probe":
+            frames = [(a, _probe("elsewhere"))]
         else:
-            frames = [(a, ProbeRequestFrame(addr2=SENDER_MAC))]
+            frames = [(a, _probe())]
         for sender, frame in frames:
             engine.call_at(2e-3 * k, lambda s=sender, f=frame: s.transmit(f, 6.0))
     engine.run()
     observed = {
         "log": log,
         "stats": None if ack is None else asdict(ack.stats),
-        "radio": (radio.frames_delivered, radio.frames_dropped_asleep),
+        "radio": (radio.frames_sent, radio.frames_delivered, radio.frames_dropped_asleep),
     }
     return observed, sum(radio.lanes[1:])
 
@@ -284,6 +349,41 @@ def test_published_lanes_match_reference(config, lane):
     # published mask is neither too wide (the comparison above) nor
     # narrower than the configuration allows.
     assert (tallied > 0) == (lane in CONFIGS[config])
+    # Only an AP answers a probe, and only one it is meant to.
+    assert (production["radio"][0] > 0) == ((config, lane) in ANSWERED)
+
+
+@pytest.mark.parametrize("respond_after", [True, False], ids=["wakes_up", "falls_silent"])
+def test_replacing_ap_behavior_republishes_the_promise(respond_after):
+    # Three wildcard probes, 10 ms apart; the AP's behavior is replaced
+    # between the first and the second.  The prober acknowledges probe
+    # responses, so each answered probe gets exactly one.
+    def run(medium_cls):
+        engine = Engine()
+        medium = medium_cls(engine)
+        ap = _ap(AccessPoint, medium, ApBehavior(respond_to_wildcard_probe=not respond_after))
+        prober = Radio("prober", medium, Position(20.0, 0.0))
+        heard = []
+        AckEngine(prober, SENDER_MAC).mac_handler = (
+            lambda frame, reception: heard.append((engine.now, type(frame).__name__))
+        )
+        for k in range(3):
+            engine.call_at(10e-3 * k, lambda: prober.transmit(_probe(), 6.0))
+        engine.call_at(5e-3, lambda: setattr(
+            ap, "behavior", ApBehavior(respond_to_wildcard_probe=respond_after)))
+        engine.run()
+        return (heard, asdict(ap.ack_engine.stats)), ap.radio.lanes[TALLY_GROUP]
+
+    production, tallied = run(Medium)
+    assert production == run(ReferenceMedium)[0]
+    heard, _ = production
+    answered = [at for at, kind in heard if kind == "ProbeResponseFrame"]
+    if respond_after:
+        assert len(answered) == 2 and min(answered) > 10e-3
+        assert tallied == 1
+    else:
+        assert len(answered) == 1 and max(answered) < 5e-3
+        assert tallied == 2
 
 
 def test_group_passivity_evaluated_once_per_class_and_key(medium, rng):

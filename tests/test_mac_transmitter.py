@@ -1,4 +1,7 @@
-"""MacTransmitter: ACK-gated completion, retries, queueing."""
+"""MacTransmitter: ACK-gated completion, retries, queueing, retention."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from repro.mac.addresses import MacAddress
 from repro.mac.frames import BeaconFrame, NullDataFrame
 from repro.mac.transmitter import MacTransmitter, TxOutcome
 from repro.phy.radio import Radio
+from repro.sim.engine import Engine
+from repro.sim.medium import Medium
 from repro.sim.world import Position
 
 SENDER = MacAddress("02:01:01:01:01:01")
@@ -85,14 +90,39 @@ class TestQueueing:
         assert sequences == [100, 101, 102]
 
     def test_history_records_everything(self, engine, sender, responder):
+        # Every completed frame is reported through its callback.
+        attempts = []
         for _ in range(3):
-            sender.send(_data_to_responder())
+            sender.send(_data_to_responder(), on_complete=attempts.append)
         engine.run_until(1.0)
-        assert len(sender.history) == 3
-        assert all(a.outcome is TxOutcome.ACKED for a in sender.history)
+        assert len(attempts) == 3
+        assert all(a.outcome is TxOutcome.ACKED for a in attempts)
 
     def test_busy_flag(self, engine, sender, responder):
         sender.send(_data_to_responder())
         assert sender.busy
         engine.run_until(1.0)
         assert not sender.busy
+
+
+class TestRetention:
+    def test_completed_frames_are_not_retained(self, rng):
+        # Nothing keeps a sent frame once its callback has run: a
+        # beaconing city sends tens of thousands of them per run.  No
+        # frame trace here, since a trace keeps its own records.
+        engine = Engine()
+        medium = Medium(engine)
+        radio = Radio(str(SENDER), medium, Position(0, 0))
+        sender = MacTransmitter(radio, AckEngine(radio, SENDER), SENDER, rng)
+        AckEngine(Radio(str(RESPONDER), medium, Position(5, 0)), RESPONDER)
+        refs, outcomes = [], []
+        for index in range(300):
+            frame = _data_to_responder() if index % 100 == 0 else BeaconFrame(addr2=SENDER)
+            refs.append(weakref.ref(frame))
+            sender.send(frame, on_complete=lambda attempt: outcomes.append(attempt.outcome))
+            del frame
+        engine.run_until(5.0)
+        assert outcomes.count(TxOutcome.ACKED) == 3
+        assert outcomes.count(TxOutcome.BROADCAST) == 297
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []

@@ -10,9 +10,12 @@ the medium's metrics counters, and the engine clock after every run.
 A world mixes static and mobile radios on two or three channels, plain
 handlers, ACK engines (with a lane-passive MAC handler, promiscuous, or
 with a sniffer switched between active and passive, each switch pushed
-to the engine as a new passivity promise), a sleeping
+to the engine as a new passivity promise), access points that answer
+wildcard probe requests or ignore them, a sleeping
 station, an unattached sender, an optional CSI model with its own RNG,
-a custom path-loss model and a FER model.  Scripted actions retune, detach, re-attach and reposition radios
+a custom path-loss model and a FER model.  Scripted actions send
+wildcard and directed probe requests, flip an AP between answering and
+ignoring wildcard probes, retune, detach, re-attach and reposition radios
 mid-run, put stations to sleep, and queue foreign events at exactly the
 start or end time of an arrival.  The engine advances in ``run_until``
 chunks with random boundaries, and a handler may stop it.
@@ -21,6 +24,7 @@ chunks with random boundaries, and a handler may stop it.
 from __future__ import annotations
 
 import gc
+import json
 import math
 from dataclasses import asdict
 
@@ -28,28 +32,34 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.devices.access_point import AccessPoint, ApBehavior
 from repro.devices.dongle import RawPsdu
 from repro.mac.ack_engine import AckEngine, AckEngineConfig
 from repro.mac.addresses import MacAddress
-from repro.mac.frames import BeaconFrame, FrameType, NullDataFrame
+from repro.mac.frames import BeaconFrame, FrameType, NullDataFrame, ProbeRequestFrame
 from repro.mac.serialization import serialize
 from repro.phy.plcp import frame_airtime
 from repro.phy.radio import Radio, RadioState
 from repro.sim.engine import Engine
-from repro.sim.medium import Medium, _ArrivalSpan
+from repro.sim.medium import TALLY_GROUP, Medium, _ArrivalSpan
 from repro.sim.trace import FrameTrace
 from repro.sim.world import Position
 from repro.telemetry.registry import MetricsRegistry
 from tests.reference_medium import ReferenceMedium
 
 CHANNELS = (1, 6, 11)
-KINDS = ("plain", "ack", "promiscuous", "sniffer")
+KINDS = ("plain", "ack", "promiscuous", "sniffer", "ap", "silent_ap")
 OPS = (
     "unicast", "broadcast", "raw", "ghost", "tie", "retune", "detach",
-    "attach", "reposition", "sleep", "wake", "listen", "stop",
+    "attach", "reposition", "sleep", "wake", "listen", "stop", "probe",
+    "behave",
 )
 FOREIGN = ("transmit", "busy", "detach", "stop")
 ALL_FRAME_KEYS = frozenset((ftype, subtype) for ftype in FrameType for subtype in range(16))
+#: The SSID every access point serves; probes ask for it, for no network
+#: (wildcard) or for another one.
+SSID = "net"
+PROBED_SSIDS = ("", SSID, "elsewhere")
 
 _radio = st.tuples(
     st.sampled_from(KINDS),
@@ -82,6 +92,14 @@ _world = st.fixed_dictionaries(
 
 def _mac(k: int) -> MacAddress:
     return MacAddress(f"02:00:00:00:00:{k:02x}")
+
+
+def _behavior(respond: bool) -> ApBehavior:
+    return ApBehavior(respond_to_wildcard_probe=respond)
+
+
+def _probe(sender: int, arg: int) -> ProbeRequestFrame:
+    return ProbeRequestFrame(addr2=_mac(sender), ssid=PROBED_SSIDS[arg % len(PROBED_SSIDS)])
 
 
 def _provider(x: float, y: float, speed):
@@ -127,7 +145,19 @@ def _simulate(world, medium_cls):
     radios, engines = [], []
     listening = set()  # sniffers currently active; the rest promise passivity
     sniffers = {}  # name -> the engine whose sniffer passivity "listen" flips
+    aps = {}  # radio name -> access point, whose behavior "behave" flips
     for k, (kind, x, y, speed, ch, sens, power) in enumerate(world["radios"]):
+        if kind.endswith("ap"):
+            ap = AccessPoint(
+                mac=_mac(k), medium=medium, position=_provider(x, y, speed),
+                rng=np.random.default_rng(k), channel=channels[ch % len(channels)],
+                tx_power_dbm=power, rx_sensitivity_dbm=sens, ssid=SSID,
+                behavior=_behavior(kind == "ap"),
+            )
+            aps[ap.radio.name] = ap
+            engines.append(ap.ack_engine)
+            radios.append(ap.radio)
+            continue
         name = f"r{k}"
         radio = Radio(
             name, medium, _provider(x, y, speed), channels[ch % len(channels)],
@@ -199,7 +229,7 @@ def _simulate(world, medium_cls):
     def act(op, target, arg):
         radio = pick(target)
         attached = medium.has_radio(radio.name)
-        if op in ("unicast", "broadcast", "raw", "tie") and not attached:
+        if op in ("unicast", "broadcast", "raw", "tie", "probe") and not attached:
             return
         if op == "unicast":
             radio.transmit(null_to(arg), 6.0 if arg & 1 else 24.0)
@@ -237,6 +267,11 @@ def _simulate(world, medium_cls):
                 )
         elif op == "stop":
             engine.stop()
+        elif op == "probe":
+            radio.transmit(_probe(target, arg), 6.0)
+        elif op == "behave" and radio.name in aps:
+            ap = aps[radio.name]
+            ap.behavior = _behavior(not ap.behavior.respond_to_wildcard_probe)
 
     for time_us, op, target, arg in world["actions"]:
         engine.call_at(time_us * 1e-6, lambda op=op, t=target, a=arg: act(op, t, a))
@@ -294,6 +329,37 @@ def test_fuzzed_worlds_exercise_the_delivery_rules():
     assert result["counters"]["medium.frames.dropped"] > 0
     assert result["counters"]["ack.acks_sent"] > 0
     assert any(dropped_asleep for _, _, dropped_asleep in result["radios"])
+
+
+def test_fuzzed_worlds_exercise_the_probe_lanes():
+    # A fixed quiet world (no CSI model, no FER, so every group frame
+    # takes a lane): r0 sends a wildcard probe, a probe for the APs' SSID
+    # and one for another SSID, then the silent AP r1 is flipped to
+    # answer wildcard probes and r0 sends one more.
+    world = {
+        "radios": [
+            ("ack", 0, 0, None, 0, -92.0, 20.0),
+            ("silent_ap", 10, 0, None, 0, -92.0, 20.0),
+            ("ap", 0, 10, None, 0, -92.0, 20.0),
+            ("ack", 20, 0, None, 0, -92.0, 20.0),
+        ],
+        "channels": 2, "csi": False, "path_loss": False, "fer": False, "stop_after": None,
+        "actions": [(1000 + 2000 * k, "probe", 0, k) for k in range(3)]
+        + [(7000, "behave", 1, 0), (9000, "probe", 0, 0)],
+        "chunks": [8000],
+    }
+    result = _simulate(world, Medium)
+    assert result == _simulate(world, ReferenceMedium)
+    answered = {}
+    for line in result["trace"].splitlines():
+        if "Probe Response" in line:
+            record = json.loads(line)
+            answered.setdefault(record["source"], {}).setdefault(record["info"], record["time"])
+    times = {ap: sorted(responses.values()) for ap, responses in answered.items()}
+    # The responding AP answers the first two probes; the silent one the
+    # probe for its SSID and, once flipped, the last wildcard probe.
+    assert [t < 7e-3 for t in times[str(_mac(1))]] == [True, False]
+    assert [t < 7e-3 for t in times[str(_mac(2))]] == [True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -581,18 +647,23 @@ def test_air_state_is_empty_and_acyclic_after_a_drained_run():
 # ---------------------------------------------------------------------------
 # A dense static field.  The fuzzed and scripted worlds hold at most six
 # radios; a census street holds hundreds.  Here one sender alternates
-# beacons with unicast frames to receiver 0 (which, with an ACK engine,
-# answers) across 300 parked receivers on a deterministic scatter.
-# Sensitivities rotate so the field straddles the range limit, and one
-# receiver in SLEEPER_EVERY is a radio asleep for the whole run.  Shape
-# "sink" fills the rest of the field with bare RadioPort sinks (no
-# lanes, so every arrival is a full Reception); shape "ack" gives every
-# receiver an ACK engine, so most arrivals end in lane tallies.
+# unicast frames to receiver 0 (which, with an ACK engine, answers) with
+# group frames: beacons, wildcard probe requests and directed ones, for
+# the field's SSID and for another, across 300 parked receivers on a
+# deterministic scatter.  Sensitivities rotate so the field straddles
+# the range limit, and one receiver in SLEEPER_EVERY is a radio asleep
+# for the whole run.  Shape "sink" fills the rest of the field with bare
+# RadioPort sinks (no lanes, so every arrival is a full Reception);
+# shape "ack" gives every receiver an ACK engine, so most arrivals end
+# in lane tallies, and makes one in AP_EVERY an access point that
+# ignores wildcard probes (the synthetic city's) and answers the others
+# for its SSID.
 # ---------------------------------------------------------------------------
 
 DENSE_RECEIVERS = 300
-DENSE_TRANSMISSIONS = 40
+DENSE_TRANSMISSIONS = 48
 SLEEPER_EVERY = 50
+AP_EVERY = 10
 #: At -55 dBm a 20 dBm sender reaches about 55 m; at -92 dBm, the field.
 DENSE_SENSITIVITIES = (-92.0, -70.0, -55.0)
 
@@ -621,7 +692,8 @@ def _rx_mac(index: int) -> MacAddress:
 
 
 def _dense_field(shape, medium_cls):
-    """Run the field on ``medium_cls``; return what is observable and the lane tally."""
+    """Run the field on ``medium_cls``; return what is observable, the
+    lane tally, and the group tally of the APs."""
     engine = Engine(metrics=MetricsRegistry())
     medium = medium_cls(engine, rng=np.random.default_rng(5))
     sender = Radio("tx", medium, Position(0.0, 0.0, 10.0), 6)
@@ -635,6 +707,14 @@ def _dense_field(shape, medium_cls):
         if shape == "sink" and not sleeper:
             radio = _SinkRadio(name, position, sensitivity)
             medium.attach(radio)
+        elif shape == "ack" and index % AP_EVERY == AP_EVERY // 2:
+            ap = AccessPoint(
+                mac=_rx_mac(index), medium=medium, position=position,
+                rng=np.random.default_rng(index), rx_sensitivity_dbm=sensitivity,
+                ssid=SSID, behavior=_behavior(False),
+            )
+            engines.append(ap.ack_engine)
+            radio = ap.radio
         else:
             radio = Radio(name, medium, position, 6, rx_sensitivity_dbm=sensitivity)
             if shape == "ack":
@@ -643,10 +723,12 @@ def _dense_field(shape, medium_cls):
                 radio.sleep()
         receivers.append(radio)
 
-    beacon = BeaconFrame(addr2=_mac(0xFE), ssid="net")
     unicast = NullDataFrame(addr1=_rx_mac(0), addr2=_mac(0xFE))
+    group = [BeaconFrame(addr2=_mac(0xFE), ssid=SSID)] + [
+        _probe(0xFE, arg) for arg in range(len(PROBED_SSIDS))
+    ]
     for k in range(DENSE_TRANSMISSIONS):
-        frame = unicast if k % 2 else beacon
+        frame = unicast if k % 2 else group[k // 2 % len(group)]
         engine.call_at(k * 1e-3, lambda frame=frame: sender.transmit(frame, 6.0))
     engine.run()
     observed = {
@@ -655,13 +737,18 @@ def _dense_field(shape, medium_cls):
         "stats": [asdict(ack.stats) for ack in engines],
         "clock": engine.now,
     }
-    return observed, sum(sum(r.lanes[1:]) for r in receivers if isinstance(r, Radio))
+    ap_group_tally = sum(
+        r.lanes[TALLY_GROUP] for index, r in enumerate(receivers)
+        if shape == "ack" and index % AP_EVERY == AP_EVERY // 2
+    )
+    lanes = sum(sum(r.lanes[1:]) for r in receivers if isinstance(r, Radio))
+    return observed, lanes, ap_group_tally
 
 
 @pytest.mark.parametrize("shape", ["sink", "ack"])
 def test_dense_field_matches_reference(shape):
-    production, tallied = _dense_field(shape, Medium)
-    reference, _ = _dense_field(shape, ReferenceMedium)
+    production, tallied, ap_tallied = _dense_field(shape, Medium)
+    reference, _, _ = _dense_field(shape, ReferenceMedium)
     assert production == reference
     # The field reaches both sides of the range gate and the sleep drop.
     awake = [
@@ -674,8 +761,12 @@ def test_dense_field_matches_reference(shape):
     if shape == "ack":
         assert sum(stats["acks_sent"] for stats in production["stats"]) > 0
         assert tallied > 0
+        # The APs tallied wildcard probes (and beacons), and answered the
+        # probes for their SSID: those responses were acknowledged.
+        assert ap_tallied > 0
+        assert production["stats"][0]["acks_sent"] > 0
     else:
-        assert tallied == 0
+        assert tallied == ap_tallied == 0
 
 
 # ---------------------------------------------------------------------------
