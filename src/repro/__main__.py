@@ -102,18 +102,16 @@ _DEMOS = {
 
 
 def _parse_seeds(text: str):
-    """``"8"`` means seeds 0..7; ``"3,5,9"`` means exactly those seeds."""
+    """``"8"`` is a seed count (seeds 0..7); ``"3,5,9"`` are exactly those
+    seeds.  The campaign spec parser expands and checks both."""
     try:
         if "," in text:
             return [int(part) for part in text.split(",") if part.strip()]
-        count = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a seed count or comma-separated seeds, got {text!r}"
         ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError("need at least one seed")
-    return list(range(count))
 
 
 def _parse_param(text: str):
@@ -266,10 +264,10 @@ def _merge_campaign(argv) -> int:
     return 0 if merged["complete"] and not merged["failed_runs"] else 1
 
 
-def _drive_campaign(argv) -> int:
-    """``python -m repro campaign drive`` — run a whole sharded fleet."""
-    from repro.control import DriverConfig, DriverError, drive_campaign
-    from repro.telemetry import summarize_manifest
+def _drive_command(argv):
+    """Parse ``python -m repro campaign drive`` into (parser, args,
+    DriverConfig), validated; nothing is spawned."""
+    from repro.control import DriverConfig
 
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign drive",
@@ -279,25 +277,18 @@ def _drive_campaign(argv) -> int:
         "into OUT_DIR/manifest.json (byte-identical aggregate to an "
         "unsharded run)",
     )
-    parser.add_argument(
-        "--scenario", required=True, help="registered scenario to run"
+    _add_campaign_flags(
+        parser,
+        scenario={"required": True, "help": "registered scenario to run"},
+        heartbeat={
+            "default": 0.5,
+            "help": "shard sidecar heartbeat interval (default: 0.5)",
+        },
     )
     parser.add_argument(
         "--out-dir", required=True, metavar="DIR",
         help="campaign directory: spec, shard manifests + sidecars, "
         "driver.json, and the merged manifest.json land here",
-    )
-    parser.add_argument(
-        "--seeds", type=_parse_seeds, default=[0],
-        help="seed count (N -> seeds 0..N-1) or explicit comma list",
-    )
-    parser.add_argument(
-        "--param", action="append", type=_parse_param, default=[],
-        metavar="KEY=VALUE", help="scenario parameter (repeatable)",
-    )
-    parser.add_argument(
-        "--grid", action="append", type=_parse_grid, default=[],
-        metavar="KEY=V1,V2", help="sweep a parameter (repeatable)",
     )
     parser.add_argument(
         "--shards", type=int, default=2,
@@ -306,23 +297,6 @@ def _drive_campaign(argv) -> int:
     parser.add_argument(
         "--workers-per-shard", type=int, default=1,
         help="pool workers inside each shard (default: 1)",
-    )
-    parser.add_argument("--name", default="", help="campaign name")
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-attempt budget for one run (default: none)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0,
-        help="per-run retry budget inside each shard (default: 0)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "record"), default="raise",
-        help="shard behaviour after a run exhausts its retries",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=0.5, metavar="SECONDS",
-        help="shard sidecar heartbeat interval (default: 0.5)",
     )
     parser.add_argument(
         "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
@@ -354,6 +328,30 @@ def _drive_campaign(argv) -> int:
         "--quiet", action="store_true", help="suppress per-event narration"
     )
     args = parser.parse_args(argv)
+    config = DriverConfig(
+        campaign=_campaign_config(parser, args, {}),
+        out_dir=args.out_dir,
+        shards=args.shards,
+        workers_per_shard=args.workers_per_shard,
+        heartbeat_timeout_s=args.heartbeat_timeout,
+        slice_retries=args.slice_retries,
+        scenario_modules=args.scenario_module,
+        chaos_kill_shard=args.chaos_kill_shard,
+        chaos_stop_shard=args.chaos_stop_shard,
+    )
+    try:
+        config.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return parser, args, config
+
+
+def _drive_campaign(argv) -> int:
+    """``python -m repro campaign drive`` — run a whole sharded fleet."""
+    from repro.control import DriverError, drive_campaign
+    from repro.telemetry import summarize_manifest
+
+    _, args, config = _drive_command(argv)
 
     def narrate(event):
         if args.quiet:
@@ -371,29 +369,6 @@ def _drive_campaign(argv) -> int:
         }.get(event["kind"], lambda: json.dumps(event, sort_keys=True))
         print(f"[drive] {label}: {detail()}")
 
-    config = DriverConfig(
-        scenario=args.scenario,
-        out_dir=args.out_dir,
-        seeds=args.seeds,
-        params=dict(args.param),
-        grid=dict(args.grid) if args.grid else None,
-        name=args.name,
-        run_timeout_s=args.timeout,
-        retries=args.retries,
-        on_error=args.on_error,
-        heartbeat_s=args.heartbeat,
-        shards=args.shards,
-        workers_per_shard=args.workers_per_shard,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        slice_retries=args.slice_retries,
-        scenario_modules=args.scenario_module,
-        chaos_kill_shard=args.chaos_kill_shard,
-        chaos_stop_shard=args.chaos_stop_shard,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        parser.error(str(exc))
     try:
         result = drive_campaign(config, on_event=narrate)
     except DriverError as exc:
@@ -476,24 +451,135 @@ def _compare_campaign(argv) -> int:
     return 0 if report["match"] else 1
 
 
-def _build_campaign_config(parser, args, shard_index, shard_count):
-    """The CampaignConfig for ``python -m repro campaign``, from flags or
-    from ``--spec-file`` (which owns the campaign definition; flags then
-    only carry per-invocation knobs and run-policy overrides)."""
-    from repro.telemetry import CampaignConfig
+def _add_campaign_flags(parser, scenario, heartbeat) -> None:
+    """Declare the flags that define a campaign, shared by ``campaign``
+    and ``campaign drive``: one per campaign spec field, each stored
+    under that field's name.  ``scenario`` and ``heartbeat`` hold each
+    command's own keywords (default, choices, help) for those flags."""
+    parser.add_argument("--scenario", **scenario)
+    parser.add_argument(
+        "--seeds", type=_parse_seeds, default=None,
+        help="seed count (N -> seeds 0..N-1) or explicit comma list",
+    )
+    parser.add_argument(
+        "--param", dest="params", action="append", type=_parse_param,
+        default=[], metavar="KEY=VALUE",
+        help="scenario parameter (repeatable)",
+    )
+    parser.add_argument(
+        "--grid", action="append", type=_parse_grid, default=[],
+        metavar="KEY=V1,V2", help="sweep a parameter over these values "
+        "(repeatable; the campaign runs the cross product per seed)",
+    )
+    parser.add_argument("--name", default=None, help="campaign name for the manifest")
+    parser.add_argument(
+        "--timeout", dest="run_timeout_s", type=float, default=None,
+        metavar="SECONDS",
+        help="per-attempt wall-clock budget for one run (default: none)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=None, metavar="N",
+        help="extra attempts for a run that raises or times out "
+        "(default: 0)",
+    )
+    parser.add_argument(
+        "--retry-backoff", dest="retry_backoff_s", type=float, default=None,
+        metavar="SECONDS",
+        help="sleep SECONDS * attempt between retries (default: 0)",
+    )
+    parser.add_argument(
+        "--on-error", choices=("raise", "record"), default=None,
+        help="after retries are exhausted: abort the campaign ('raise', "
+        "default) or record the failed run in the manifest ('record')",
+    )
+    parser.add_argument(
+        "--heartbeat", dest="heartbeat_s", type=float, metavar="SECONDS",
+        **heartbeat,
+    )
 
-    overrides = {
-        "workers": args.workers,
-        "output_path": args.out,
-        "resume": args.resume,
-        "shard_index": shard_index,
-        "shard_count": shard_count,
-    }
+
+def _campaign_config(parser, args, spec, **overrides):
+    """The CampaignConfig of both campaign commands: the campaign flags
+    given on the command line over ``spec`` (a spec file's content, or
+    the command's defaults), read by the spec parser.  ``overrides`` are
+    the per-process knobs; a bad value is a usage error."""
+    from repro.telemetry.campaign import SPEC_FIELDS, CampaignConfig
+
+    flags = {key: getattr(args, key) for key in SPEC_FIELDS}
+    flags["params"] = dict(flags["params"]) or None
+    flags["grid"] = dict(flags["grid"]) or None
+    given = {key: value for key, value in flags.items() if value is not None}
+    if given.get("heartbeat_s", 1.0) <= 0:
+        given["heartbeat_s"] = None  # --heartbeat 0 disables heartbeats
+    try:
+        config = CampaignConfig.from_spec_dict({**spec, **given}, **overrides)
+        config.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return config
+
+
+def _campaign_command(argv):
+    """Parse ``python -m repro campaign`` into (parser, args,
+    CampaignConfig), validated; nothing is run."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro campaign",
+        description="Fan a scenario out across seeds and aggregate metrics "
+        "(subcommands: merge shard manifests, drive a whole sharded "
+        "fleet, status a campaign directory, compare two manifests)",
+    )
+    _add_campaign_flags(
+        parser,
+        scenario={
+            "default": None,
+            "choices": available_scenarios(),
+            "help": "registered scenario to run (default: wardrive)",
+        },
+        heartbeat={
+            "default": None,
+            "help": "interval between liveness records in the sidecar "
+            "(default: 30; 0 disables)",
+        },
+    )
+    parser.add_argument(
+        "--spec-file", default=None, metavar="PATH",
+        help="read the campaign definition (scenario, seeds, params, "
+        "grid, run policy) from this JSON spec instead of flags; the "
+        "control-plane driver hands every shard the same spec so "
+        "values cross the process boundary typed, not re-parsed "
+        "(--name and run-policy flags override the spec's)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (default: 1 = run inline)",
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="PATH",
+        help="write the JSON run manifest here (per-run records stream "
+        "to PATH.runs.jsonl as runs complete); with --shard i/N the "
+        "manifest lands at PATH's shard sibling (out.shardIofN.json)",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="reuse (seed, params) runs already recorded in the JSONL "
+        "sidecar (or manifest) at --out instead of re-executing them "
+        "(per shard when --shard is given)",
+    )
+    parser.add_argument(
+        "--shard", type=_parse_shard, default=None, metavar="I/N",
+        help="run only shard I of an N-way deterministic split of the "
+        "run plan (1-based; run the other shards elsewhere, then "
+        "`campaign merge`)",
+    )
+    args = parser.parse_args(argv)
+    if args.resume and not args.out:
+        parser.error("--resume requires --out (the manifest to resume from)")
+    spec = {"scenario": "wardrive", "heartbeat_s": 30.0}
     if args.spec_file is not None:
         for flag, value in (
             ("--scenario", args.scenario),
-            ("--seeds", args.seeds),
-            ("--param", args.param),
+            ("--seeds", args.seeds is not None),
+            ("--param", args.params),
             ("--grid", args.grid),
         ):
             if value:
@@ -509,34 +595,18 @@ def _build_campaign_config(parser, args, shard_index, shard_count):
             parser.error(f"cannot read campaign spec {args.spec_file}: {exc}")
         if not isinstance(spec, dict):
             parser.error(f"campaign spec {args.spec_file} is not a JSON object")
-        if args.name:
-            overrides["name"] = args.name
-        # Run-policy flags, when given, override the spec's policy.
-        if args.timeout is not None:
-            overrides["run_timeout_s"] = args.timeout
-        if args.retries is not None:
-            overrides["retries"] = args.retries
-        if args.retry_backoff is not None:
-            overrides["retry_backoff_s"] = args.retry_backoff
-        if args.on_error is not None:
-            overrides["on_error"] = args.on_error
-        if args.heartbeat is not None:
-            overrides["heartbeat_s"] = args.heartbeat if args.heartbeat > 0 else None
-        return CampaignConfig.from_spec_dict(spec, **overrides)
-    heartbeat = 30.0 if args.heartbeat is None else args.heartbeat
-    return CampaignConfig(
-        scenario=args.scenario or "wardrive",
-        seeds=args.seeds if args.seeds is not None else [0],
-        params=dict(args.param),
-        grid=dict(args.grid) if args.grid else None,
-        name=args.name,
-        run_timeout_s=args.timeout,
-        retries=args.retries or 0,
-        retry_backoff_s=args.retry_backoff or 0.0,
-        on_error=args.on_error or "raise",
-        heartbeat_s=heartbeat if heartbeat > 0 else None,
-        **overrides,
+    shard_index, shard_count = args.shard if args.shard else (None, 1)
+    config = _campaign_config(
+        parser,
+        args,
+        spec,
+        workers=args.workers,
+        output_path=args.out,
+        resume=args.resume,
+        shard_index=shard_index,
+        shard_count=shard_count,
     )
+    return parser, args, config
 
 
 def _run_campaign(argv) -> int:
@@ -548,99 +618,10 @@ def _run_campaign(argv) -> int:
         return _campaign_status(argv[1:])
     if argv and argv[0] == "compare":
         return _compare_campaign(argv[1:])
-    from repro.telemetry import (
-        CampaignConfig,
-        CampaignRunError,
-        run_campaign,
-        shard_manifest_path,
-        summarize_manifest,
-    )
+    from repro.telemetry import CampaignRunError, run_campaign, summarize_manifest
+    from repro.telemetry.campaign import _effective_output_path
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro campaign",
-        description="Fan a scenario out across seeds and aggregate metrics "
-        "(subcommands: merge shard manifests, drive a whole sharded "
-        "fleet, status a campaign directory, compare two manifests)",
-    )
-    parser.add_argument(
-        "--scenario", default=None, choices=available_scenarios(),
-        help="registered scenario to run (default: wardrive)",
-    )
-    parser.add_argument(
-        "--spec-file", default=None, metavar="PATH",
-        help="read the campaign definition (scenario, seeds, params, "
-        "grid, run policy) from this JSON spec instead of flags; the "
-        "control-plane driver hands every shard the same spec so "
-        "values cross the process boundary typed, not re-parsed",
-    )
-    parser.add_argument(
-        "--seeds", type=_parse_seeds, default=None,
-        help="seed count (N -> seeds 0..N-1) or explicit comma list",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default: 1 = run inline)",
-    )
-    parser.add_argument(
-        "--param", action="append", type=_parse_param, default=[],
-        metavar="KEY=VALUE", help="scenario parameter (repeatable)",
-    )
-    parser.add_argument(
-        "--grid", action="append", type=_parse_grid, default=[],
-        metavar="KEY=V1,V2", help="sweep a parameter over these values "
-        "(repeatable; the campaign runs the cross product per seed)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the JSON run manifest here (per-run records stream "
-        "to PATH.runs.jsonl as runs complete); with --shard i/N the "
-        "manifest lands at PATH's shard sibling (out.shardIofN.json)",
-    )
-    parser.add_argument("--name", default="", help="campaign name for the manifest")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse (seed, params) runs already recorded in the JSONL "
-        "sidecar (or manifest) at --out instead of re-executing them "
-        "(per shard when --shard is given)",
-    )
-    parser.add_argument(
-        "--shard", type=_parse_shard, default=None, metavar="I/N",
-        help="run only shard I of an N-way deterministic split of the "
-        "run plan (1-based; run the other shards elsewhere, then "
-        "`campaign merge`)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-attempt wall-clock budget for one run (default: none)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="extra attempts for a run that raises or times out "
-        "(default: 0)",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=None, metavar="SECONDS",
-        help="sleep SECONDS * attempt between retries (default: 0)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "record"), default=None,
-        help="after retries are exhausted: abort the campaign ('raise', "
-        "default) or record the failed run in the manifest ('record')",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="interval between liveness records in the sidecar "
-        "(default: 30; 0 disables)",
-    )
-    args = parser.parse_args(argv)
-    if args.resume and not args.out:
-        parser.error("--resume requires --out (the manifest to resume from)")
-    shard_index, shard_count = args.shard if args.shard else (None, 1)
-    try:
-        config = _build_campaign_config(parser, args, shard_index, shard_count)
-        config.validate()  # surface config errors as usage errors
-    except ValueError as exc:
-        parser.error(str(exc))
+    parser, args, config = _campaign_command(argv)
     try:
         manifest = run_campaign(config)
     except CampaignRunError as exc:
@@ -654,9 +635,7 @@ def _run_campaign(argv) -> int:
         return 1
     except ValueError as exc:
         parser.error(str(exc))
-    out_path = args.out
-    if out_path and shard_index is not None:
-        out_path = shard_manifest_path(out_path, shard_index, shard_count)
+    out_path = _effective_output_path(config)
     if manifest.get("resumed_runs"):
         print(f"[resumed: {manifest['resumed_runs']} run(s) reused from {out_path}]")
     print(summarize_manifest(manifest))

@@ -54,13 +54,14 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import repro
 from repro.scenario.registry import SCENARIO_MODULES_ENV
 from repro.telemetry.campaign import (
     CampaignConfig,
+    _is_run_record,
     merge_manifest_files,
     shard_manifest_path,
     sidecar_path,
@@ -83,32 +84,25 @@ class DriverError(RuntimeError):
 
 @dataclass
 class DriverConfig:
-    """One driven campaign: the spec, the fleet shape, and the policies.
+    """One driven campaign: the campaign, the fleet shape, and the
+    driver's failure policy.
 
-    The campaign fields (``scenario`` ... ``on_error``) mirror
-    :class:`~repro.telemetry.campaign.CampaignConfig`; the rest shape
-    the fleet (``shards``, ``workers_per_shard``) and the driver's
-    failure policy (``heartbeat_timeout_s``, ``slice_retries``).
+    ``campaign`` is what every shard runs a slice of; its transport
+    knobs (workers, output path, resume, shard) are the driver's to set.
+    The rest shape the fleet (``shards``, ``workers_per_shard``) and the
+    driver's failure policy (``heartbeat_timeout_s``, ``slice_retries``).
     """
 
-    scenario: str
+    #: Shard subprocesses heartbeat at ``campaign.heartbeat_s``, which
+    #: must be set and well under ``heartbeat_timeout_s`` or every shard
+    #: looks dead.
+    campaign: CampaignConfig
     out_dir: Union[str, pathlib.Path]
-    seeds: Sequence[int] = (0,)
-    params: Dict[str, object] = field(default_factory=dict)
-    grid: Optional[Dict[str, Sequence[object]]] = None
-    name: str = ""
-    run_timeout_s: Optional[float] = None
-    retries: int = 0
-    retry_backoff_s: float = 0.0
-    on_error: str = "raise"
-    #: Shard subprocesses heartbeat at this interval (must be well under
-    #: ``heartbeat_timeout_s`` or every shard looks dead).
-    heartbeat_s: float = 0.5
     shards: int = 2
     workers_per_shard: int = 1
     #: A shard with no sidecar record for this long is declared dead,
     #: SIGKILLed, and relaunched.  Keep it a comfortable multiple of
-    #: ``heartbeat_s``.
+    #: ``campaign.heartbeat_s``.
     heartbeat_timeout_s: float = 30.0
     #: Until a shard's *first* sidecar record, the effective timeout is
     #: ``max(heartbeat_timeout_s, startup_grace_s)``: interpreter boot
@@ -134,20 +128,23 @@ class DriverConfig:
     chaos_stop_shard: Optional[int] = None
 
     def validate(self) -> None:
+        self.campaign.validate()
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards!r}")
         if self.workers_per_shard < 1:
             raise ValueError(
                 f"workers_per_shard must be >= 1, got {self.workers_per_shard!r}"
             )
-        if self.heartbeat_s <= 0:
+        heartbeat_s = self.campaign.heartbeat_s
+        if heartbeat_s is None:
             raise ValueError(
-                f"heartbeat_s must be positive, got {self.heartbeat_s!r}"
+                "a driven campaign needs heartbeat_s: the driver tells a "
+                "slow shard from a dead one by its heartbeats"
             )
-        if self.heartbeat_timeout_s <= self.heartbeat_s:
+        if self.heartbeat_timeout_s <= heartbeat_s:
             raise ValueError(
                 f"heartbeat_timeout_s ({self.heartbeat_timeout_s!r}) must "
-                f"exceed heartbeat_s ({self.heartbeat_s!r}), else live "
+                f"exceed heartbeat_s ({heartbeat_s!r}), else live "
                 f"shards look dead"
             )
         if self.poll_s <= 0:
@@ -169,21 +166,6 @@ class DriverConfig:
                     f"{knob} must be a shard index in [0, {self.shards}), "
                     f"got {value!r}"
                 )
-
-    def campaign_config(self) -> CampaignConfig:
-        """The campaign every shard runs a slice of."""
-        return CampaignConfig(
-            scenario=self.scenario,
-            seeds=list(self.seeds),
-            params=dict(self.params),
-            grid=dict(self.grid) if self.grid else None,
-            name=self.name,
-            run_timeout_s=self.run_timeout_s,
-            retries=self.retries,
-            retry_backoff_s=self.retry_backoff_s,
-            on_error=self.on_error,
-            heartbeat_s=self.heartbeat_s,
-        )
 
 
 class _Shard:
@@ -258,8 +240,7 @@ def drive_campaign(
     (``reassignments``, per-shard ``attempts``).
     """
     config.validate()
-    campaign = config.campaign_config()
-    campaign.validate()
+    campaign = config.campaign
     plan_runs = len(campaign.expand())
     _check_scenario(config)
 
@@ -325,8 +306,8 @@ def drive_campaign(
         write_status(
             {
                 "state": state,
-                "campaign": config.name or config.scenario,
-                "scenario": config.scenario,
+                "campaign": campaign.name or campaign.scenario,
+                "scenario": campaign.scenario,
                 "shard_count": config.shards,
                 "plan_runs": plan_runs,
                 "started_unix": started,
@@ -382,11 +363,7 @@ def drive_campaign(
                 if records:
                     shard.last_activity = now
                     shard.saw_output = True
-                    shard.runs += sum(
-                        1
-                        for r in records
-                        if r.get("kind") is None and "seed" in r
-                    )
+                    shard.runs += sum(map(_is_run_record, records))
                 if shard.chaos_pending and shard.runs >= 1:
                     shard.chaos_pending = False
                     if shard.index == config.chaos_kill_shard:
@@ -470,6 +447,6 @@ def _check_scenario(config: DriverConfig) -> None:
     from repro.scenario.registry import UnknownScenarioError
 
     try:
-        REGISTRY.get(config.scenario)
+        REGISTRY.get(config.campaign.scenario)
     except UnknownScenarioError as exc:
         raise DriverError(str(exc)) from None

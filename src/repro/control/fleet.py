@@ -29,7 +29,11 @@ import re
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.telemetry.campaign import CampaignConfig, parse_sidecar_text
+from repro.telemetry.campaign import (
+    CampaignConfig,
+    _is_run_record,
+    parse_sidecar_text,
+)
 
 __all__ = ["fleet_status", "render_fleet_status"]
 
@@ -52,10 +56,6 @@ def _read_json(path: pathlib.Path) -> Optional[Dict[str, object]]:
     except (OSError, ValueError):
         return None
     return data if isinstance(data, dict) else None
-
-
-def _is_run_record(record: Dict[str, object]) -> bool:
-    return record.get("kind") is None and "seed" in record and "params" in record
 
 
 def _inspect_sidecar(path: pathlib.Path) -> Dict[str, object]:
@@ -150,25 +150,18 @@ def fleet_status(
     spec = _read_json(directory / "campaign.json")
     driver = _read_json(directory / "driver.json")
 
+    config: Optional[CampaignConfig] = None
     plan_runs: Optional[int] = None
-    heartbeat_s: Optional[float] = None
-    scenario: Optional[str] = None
-    campaign_name: Optional[str] = None
-    tiling: Optional[Dict[str, object]] = None
     if spec is not None:
         try:
             config = CampaignConfig.from_spec_dict(spec)
             plan_runs = len(config.expand())
-            heartbeat_s = config.heartbeat_s
-            scenario = config.scenario
-            campaign_name = config.name or config.scenario
-            tiling = _tiling_of(config)
         except ValueError:
-            spec = None  # a broken spec degrades to sidecar-only status
+            config = None  # a broken spec degrades to sidecar-only status
     if stall_after_s is None:
         stall_after_s = (
-            _STALL_HEARTBEATS * heartbeat_s
-            if heartbeat_s
+            _STALL_HEARTBEATS * config.heartbeat_s
+            if config and config.heartbeat_s
             else _DEFAULT_STALL_AFTER_S
         )
 
@@ -264,13 +257,13 @@ def fleet_status(
 
     return {
         "dir": str(directory),
-        "campaign": campaign_name,
-        "scenario": scenario,
+        "campaign": config and (config.name or config.scenario),
+        "scenario": config and config.scenario,
         "generated_unix": now,
         "stall_after_s": stall_after_s,
         "plan_runs": plan_runs,
         "shard_count": shard_count,
-        "tiling": tiling,
+        "tiling": config and _tiling_of(config),
         "state": overall,
         "driver": (
             {

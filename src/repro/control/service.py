@@ -32,35 +32,26 @@ import json
 import pathlib
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Union
 
 from repro.control.driver import DriverConfig, drive_campaign
 from repro.control.fleet import fleet_status
-from repro.scenario import REGISTRY, available_scenarios
+from repro.scenario import available_scenarios
 from repro.scenario.params import ParameterValueError
 from repro.scenario.registry import UnknownParameterError, UnknownScenarioError
+from repro.telemetry.campaign import SPEC_FIELDS, CampaignConfig
 from repro.telemetry.export import load_manifest, status_to_json
 
 __all__ = ["ControlService", "make_server", "main"]
 
-#: Request keys `submit` understands; everything else is a 400, so a
-#: typo ("worker") cannot silently fall back to a default.
-_SUBMIT_KEYS = frozenset(
-    {
-        "scenario",
-        "seeds",
-        "params",
-        "grid",
-        "name",
-        "shards",
-        "workers_per_shard",
-        "run_timeout_s",
-        "retries",
-        "retry_backoff_s",
-        "on_error",
-    }
-)
+#: Request keys `submit` understands: the campaign spec (whose heartbeat
+#: interval is the service's to set) plus the fleet shape.  Everything
+#: else is a 400, so a typo ("worker") cannot silently fall back to a
+#: default.
+_FLEET_KEYS = ("shards", "workers_per_shard")
+_SUBMIT_KEYS = frozenset(SPEC_FIELDS) - {"heartbeat_s"} | set(_FLEET_KEYS)
 
 
 class UnknownJobError(KeyError):
@@ -77,27 +68,22 @@ class ControlService:
     def __init__(
         self,
         root: Union[str, pathlib.Path],
-        shards: int = 2,
-        workers_per_shard: int = 1,
         heartbeat_s: float = 0.5,
-        heartbeat_timeout_s: float = 30.0,
-        poll_s: float = 0.2,
-        slice_retries: int = 1,
-        scenario_modules: tuple = (),
-        extra_pythonpath: tuple = (),
+        **fleet: object,
     ) -> None:
+        """``heartbeat_s`` is every job's shard heartbeat interval;
+        ``fleet`` takes :class:`~repro.control.driver.DriverConfig`'s
+        fleet fields (``shards``, ``heartbeat_timeout_s``, ...), with its
+        defaults, for every job.  A submission may override ``shards``
+        and ``workers_per_shard``."""
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.defaults = {
-            "shards": shards,
-            "workers_per_shard": workers_per_shard,
-            "heartbeat_s": heartbeat_s,
-            "heartbeat_timeout_s": heartbeat_timeout_s,
-            "poll_s": poll_s,
-            "slice_retries": slice_retries,
-            "scenario_modules": tuple(scenario_modules),
-            "extra_pythonpath": tuple(extra_pythonpath),
-        }
+        # Each job's DriverConfig is this one with its own campaign and
+        # directory; building it now rejects an unknown fleet field here
+        # rather than at the first submission.
+        self.template = DriverConfig(
+            CampaignConfig("", heartbeat_s=heartbeat_s), self.root, **fleet
+        )
         self._jobs: Dict[str, Dict[str, object]] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -110,7 +96,10 @@ class ControlService:
 
         Raises ``ValueError`` (including the scenario/parameter
         subclasses) on anything wrong with the request — the handler
-        maps those to ``400`` — *before* any process is spawned.
+        maps those to ``400`` — *before* any process is spawned: the
+        spec's keys and types, the run policy, and every param and grid
+        value against the scenario's schema, as ``run_campaign`` checks
+        them.
         """
         if not isinstance(request, dict):
             raise ValueError("campaign submission must be a JSON object")
@@ -120,55 +109,25 @@ class ControlService:
                 f"unknown submission key(s): {', '.join(unknown)}; "
                 f"valid: {', '.join(sorted(_SUBMIT_KEYS))}"
             )
-        scenario = request.get("scenario")
-        if not scenario or not isinstance(scenario, str):
-            raise ValueError("submission needs a 'scenario' (string)")
-        entry = REGISTRY.get(scenario)  # raises UnknownScenarioError
-        params = dict(request.get("params") or {})
-        params = entry.coerce_params(params)
-        grid = request.get("grid") or None
-        if grid is not None:
-            if not isinstance(grid, dict) or not all(
-                isinstance(v, list) and v for v in grid.values()
-            ):
-                raise ValueError(
-                    "'grid' must map parameter names to non-empty value lists"
-                )
-            grid = entry.coerce_grid(grid)
-        seeds = _parse_seeds(request.get("seeds", [0]))
-        shards = int(request.get("shards") or self.defaults["shards"])
-        workers = int(
-            request.get("workers_per_shard")
-            or self.defaults["workers_per_shard"]
-        )
+        spec = {k: v for k, v in request.items() if k not in _FLEET_KEYS}
+        campaign = CampaignConfig.from_spec_dict(
+            spec, heartbeat_s=self.template.campaign.heartbeat_s
+        ).coerced()
+        shape = {k: request[k] for k in _FLEET_KEYS if request.get(k) is not None}
+        for key, value in shape.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key!r} must be an integer, got {value!r}")
         with self._lock:
             job_id = f"job-{next(self._ids):04d}"
         job_dir = self.root / job_id
-        config = DriverConfig(
-            scenario=scenario,
-            out_dir=job_dir,
-            seeds=seeds,
-            params=params,
-            grid=grid,
-            name=str(request.get("name") or ""),
-            run_timeout_s=request.get("run_timeout_s"),
-            retries=int(request.get("retries") or 0),
-            retry_backoff_s=float(request.get("retry_backoff_s") or 0.0),
-            on_error=str(request.get("on_error") or "raise"),
-            heartbeat_s=self.defaults["heartbeat_s"],
-            shards=shards,
-            workers_per_shard=workers,
-            heartbeat_timeout_s=self.defaults["heartbeat_timeout_s"],
-            poll_s=self.defaults["poll_s"],
-            slice_retries=self.defaults["slice_retries"],
-            scenario_modules=self.defaults["scenario_modules"],
-            extra_pythonpath=self.defaults["extra_pythonpath"],
+        config = replace(
+            self.template, campaign=campaign, out_dir=job_dir, **shape
         )
         config.validate()
         job: Dict[str, object] = {
             "id": job_id,
             "dir": str(job_dir),
-            "scenario": scenario,
+            "scenario": campaign.scenario,
             "state": "running",
             "error": None,
             "submitted_unix": time.time(),
@@ -240,21 +199,6 @@ class ControlService:
         with self._lock:
             ids = sorted(self._jobs)
         return [self.describe(job_id) for job_id in ids]
-
-
-def _parse_seeds(raw: object) -> List[int]:
-    """``8`` -> seeds 0..7 (matching the CLI); ``[3, 5]`` -> exactly those."""
-    if isinstance(raw, bool):
-        raise ValueError("'seeds' must be an integer count or a list of ints")
-    if isinstance(raw, int):
-        if raw < 1:
-            raise ValueError("'seeds' count must be >= 1")
-        return list(range(raw))
-    if isinstance(raw, list) and raw and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in raw
-    ):
-        return list(raw)
-    raise ValueError("'seeds' must be an integer count or a non-empty int list")
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,7 @@ __all__ = [
     "CampaignRunError",
     "MissingShardsError",
     "RunTimeoutError",
+    "SPEC_FIELDS",
     "ShardMismatchError",
     "merge_manifest_files",
     "merge_manifests",
@@ -243,6 +244,29 @@ class CampaignConfig:
             raise ValueError(
                 f"heartbeat_s must be positive, got {self.heartbeat_s!r}"
             )
+        for key, values in (self.grid or {}).items():
+            if len(values) == 0:
+                raise ValueError(
+                    f"grid axis {key!r} has no values, so the campaign "
+                    f"would run nothing"
+                )
+
+    def coerced(self) -> "CampaignConfig":
+        """This config, validated, with ``params`` and every grid value
+        coerced through the scenario's param schema.
+
+        These are the checks a campaign fails fast on before anything
+        forks or spawns: config consistency, unknown scenario, unknown
+        parameter names (base params and every swept grid key), bad
+        values.  Coercion makes a CLI string like "0.05" the float every
+        worker (and every shard) agrees on."""
+        self.validate()
+        entry = REGISTRY.get(self.scenario)
+        return replace(
+            self,
+            params=entry.coerce_params(self.params),
+            grid=entry.coerce_grid(self.grid),
+        )
 
     def expand(self) -> List[Dict[str, object]]:
         """The ordered **full** run plan (index, scenario, seed, params),
@@ -291,61 +315,100 @@ class CampaignConfig:
         }
 
     def to_spec_dict(self) -> Dict[str, object]:
-        """The JSON-safe *campaign spec*: what to run, minus this
-        process's transport knobs (shard, output path, resume, worker
-        count).  The control plane writes this to ``campaign.json`` and
-        every shard subprocess reads it back with
+        """The JSON-safe *campaign spec*: the :data:`SPEC_FIELDS`, i.e.
+        what to run, minus this process's transport knobs (shard, output
+        path, resume, worker count).  The control plane writes this to
+        ``campaign.json`` and every shard subprocess reads it back with
         :meth:`from_spec_dict`, so parameter values cross the process
         boundary as JSON — not as re-parsed command-line strings."""
-        return {
-            "scenario": self.scenario,
-            "seeds": [int(seed) for seed in self.seeds],
-            "params": dict(self.params),
-            "grid": (
-                {k: list(v) for k, v in self.grid.items()} if self.grid else None
-            ),
-            "name": self.name,
-            "run_timeout_s": self.run_timeout_s,
-            "retries": self.retries,
-            "retry_backoff_s": self.retry_backoff_s,
-            "on_error": self.on_error,
-            "heartbeat_s": self.heartbeat_s,
-        }
+        spec = {key: getattr(self, key) for key in SPEC_FIELDS}
+        spec["seeds"] = [int(seed) for seed in self.seeds]
+        spec["params"] = dict(self.params)
+        spec["grid"] = (
+            {k: list(v) for k, v in self.grid.items()} if self.grid else None
+        )
+        return spec
 
     @classmethod
     def from_spec_dict(
         cls, spec: Dict[str, object], **overrides: object
     ) -> "CampaignConfig":
-        """Rebuild a config from :meth:`to_spec_dict` output; unknown
-        keys raise so a typo in a submitted spec cannot silently become
-        a default.  ``overrides`` supplies the per-process knobs
-        (``shard_index``, ``output_path``, ``workers``, ...)."""
-        known = {
-            "scenario", "seeds", "params", "grid", "name", "run_timeout_s",
-            "retries", "retry_backoff_s", "on_error", "heartbeat_s",
-        }
-        unknown = sorted(set(spec) - known)
+        """Rebuild a config from a campaign spec — :meth:`to_spec_dict`
+        output, a spec file, or a service submission.
+
+        Unknown keys raise so a typo cannot silently become a default; a
+        value of the wrong type raises ``ValueError`` naming its key; an
+        absent or ``null`` key takes the field's default.  ``seeds`` may
+        be a count (``3`` -> seeds 0, 1, 2) or a non-empty list of ints,
+        as on the command line.  Range checks are :meth:`validate`'s.
+        ``overrides`` supplies the per-process knobs (``shard_index``,
+        ``output_path``, ``workers``, ...)."""
+        unknown = sorted(set(spec) - set(SPEC_FIELDS))
         if unknown:
             raise ValueError(
                 f"unknown campaign spec key(s): {', '.join(unknown)}; "
-                f"valid: {', '.join(sorted(known))}"
+                f"valid: {', '.join(sorted(SPEC_FIELDS))}"
             )
-        if "scenario" not in spec or not spec["scenario"]:
+        kwargs: Dict[str, object] = {}
+        for key in SPEC_FIELDS:
+            value = spec.get(key)
+            if value is None:
+                continue
+            accepts, convert, expected = _SPEC_TYPES[key]
+            if not accepts(value):
+                raise ValueError(f"{key!r} must be {expected}, got {value!r}")
+            kwargs[key] = convert(value)
+        if "scenario" not in kwargs:
             raise ValueError("campaign spec needs a 'scenario'")
-        kwargs: Dict[str, object] = {
-            "scenario": spec["scenario"],
-            "seeds": list(spec.get("seeds") or [0]),
-            "params": dict(spec.get("params") or {}),
-            "grid": dict(spec["grid"]) if spec.get("grid") else None,
-            "name": spec.get("name") or "",
-            "run_timeout_s": spec.get("run_timeout_s"),
-            "retries": int(spec.get("retries") or 0),
-            "retry_backoff_s": float(spec.get("retry_backoff_s") or 0.0),
-            "on_error": spec.get("on_error") or "raise",
-            "heartbeat_s": spec.get("heartbeat_s"),
-        }
         kwargs.update(overrides)
         return cls(**kwargs)
+
+
+#: The campaign spec: the :class:`CampaignConfig` fields that define
+#: *what* runs, in ``campaign.json`` order.  The CLI's campaign flags,
+#: the driver's ``campaign.json`` and the service's submissions all
+#: speak these keys; the remaining fields are per-process knobs.
+SPEC_FIELDS = (
+    "scenario", "seeds", "params", "grid", "name",
+    "run_timeout_s", "retries", "retry_backoff_s", "on_error", "heartbeat_s",
+)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_text(value: object) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+#: Per spec key: (accepts the JSON value?, its field value, what it must be).
+_SPEC_TYPES: Dict[str, Tuple[Callable, Callable, str]] = {
+    "scenario": (_is_text, str, "a scenario name"),
+    "seeds": (
+        lambda v: (_is_int(v) and v >= 1)
+        or (isinstance(v, list) and v != [] and all(map(_is_int, v))),
+        lambda v: list(range(v)) if _is_int(v) else list(v),
+        "a count >= 1 or a non-empty list of ints",
+    ),
+    "params": (lambda v: isinstance(v, dict), dict, "an object"),
+    "grid": (
+        lambda v: isinstance(v, dict)
+        and all(isinstance(values, list) for values in v.values()),
+        lambda v: {k: list(values) for k, values in v.items()} or None,
+        "an object mapping parameter names to value lists",
+    ),
+    "name": (lambda v: isinstance(v, str), str, "a string"),
+    "run_timeout_s": (_is_number, float, "a number of seconds"),
+    "retries": (_is_int, int, "an integer"),
+    "retry_backoff_s": (_is_number, float, "a number of seconds"),
+    "on_error": (_is_text, str, "'raise' or 'record'"),
+    "heartbeat_s": (_is_number, float, "a number of seconds"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -693,6 +756,9 @@ def parse_sidecar_text(text: str) -> List[Dict[str, object]]:
 
 
 def _is_run_record(record: Dict[str, object]) -> bool:
+    """A sidecar record that is one run's result (not the meta line or
+    a heartbeat); ``--resume``, the driver and ``campaign status`` all
+    count runs with this."""
     return (
         record.get("kind") is None and "seed" in record and "params" in record
     )
@@ -830,18 +896,8 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
     """
     from repro import __version__  # deferred: repro/__init__ imports telemetry
 
-    # Fail fast before forking workers: config consistency, unknown
-    # scenario, unknown parameter names (base params and every swept
-    # grid key), then typed coercion — base params and each grid value
-    # go through the scenario's param schema, so a CLI string like
-    # "0.05" becomes the float every worker (and every shard) agrees on.
-    config.validate()
+    config = config.coerced()  # fail fast, before forking workers
     entry = REGISTRY.get(config.scenario)
-    config = replace(
-        config,
-        params=entry.coerce_params(config.params),
-        grid=entry.coerce_grid(config.grid),
-    )
     full_plan = config.expand()
     payloads = config.shard_payloads()
     shard_meta = (

@@ -32,6 +32,7 @@ import pytest
 import tests.control_scenarios  # noqa: F401 - registers ctl-* scenarios
 from repro.control import DriverConfig, DriverError, drive_campaign
 from repro.telemetry import CampaignConfig, run_campaign
+from repro.telemetry.campaign import SPEC_FIELDS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -40,14 +41,22 @@ PARAMS = {"draws": 3}
 
 
 def _driver_config(tmp_path, **overrides):
-    """A fast test fleet; chaos/timeout knobs come in via overrides."""
-    defaults = dict(
+    """A fast test fleet; chaos/timeout knobs come in via overrides.
+    Overrides named after a campaign spec field go to the campaign, the
+    rest to the fleet."""
+    campaign = dict(
         scenario="ctl-noop",
-        out_dir=tmp_path / "fleet",
         seeds=SEEDS,
         params=dict(PARAMS),
-        shards=2,
         heartbeat_s=0.1,
+    )
+    campaign.update(
+        {key: overrides.pop(key) for key in SPEC_FIELDS if key in overrides}
+    )
+    defaults = dict(
+        campaign=CampaignConfig(**campaign),
+        out_dir=tmp_path / "fleet",
+        shards=2,
         # Generous: only the timeout-specific tests tighten this.
         heartbeat_timeout_s=60.0,
         poll_s=0.05,

@@ -152,6 +152,16 @@ class TestValidation:
         assert code == 400
         assert "unknown submission key" in body["error"]
 
+    def test_bad_run_policy_is_400_before_any_job(self, server):
+        code, body = _post(
+            server,
+            "/api/campaigns",
+            {"scenario": "ctl-noop", "on_error": "bogus"},
+        )
+        assert code == 400
+        assert "on_error" in body["error"]
+        assert _get(server, "/api/campaigns") == (200, {"campaigns": []})
+
     def test_non_object_body_is_400(self, server):
         code, body = _post(server, "/api/campaigns", [1, 2, 3])
         assert code == 400
@@ -179,6 +189,15 @@ class TestServiceApi:
             service.submit({"scenario": "ctl-noop", "grid": {"draws": []}})
         with pytest.raises(ValueError, match="JSON object"):
             service.submit("not a dict")
+        # The run policy is checked here too, not in the driver thread.
+        for bad in (
+            {"on_error": "bogus"},
+            {"run_timeout_s": -1},
+            {"retries": -1},
+        ):
+            (key,) = bad
+            with pytest.raises(ValueError, match=key):
+                service.submit({"scenario": "ctl-noop", **bad})
         assert service.list_jobs() == []  # nothing was started
 
     def test_manifest_before_merge_raises_file_not_found(self, service):

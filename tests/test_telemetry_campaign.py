@@ -14,7 +14,11 @@ from repro.scenario import (
 )
 from repro.sim.medium import Medium
 from repro.telemetry import CampaignConfig, run_campaign
-from repro.telemetry.campaign import _execute_run, _execute_run_guarded
+from repro.telemetry.campaign import (
+    SPEC_FIELDS,
+    _execute_run,
+    _execute_run_guarded,
+)
 
 
 @scenario(
@@ -76,6 +80,52 @@ class TestExpansion:
             CampaignConfig(
                 scenario="unit-test-sum", seeds=[0], workers=0
             ).expand()
+
+
+class TestSpecDict:
+    """``from_spec_dict`` is the one reader of a campaign spec (spec
+    files, ``campaign.json``, service submissions): a seed count means
+    what it means on the command line, and a malformed value is a
+    ``ValueError`` that names its key."""
+
+    def test_round_trip_covers_every_spec_field(self):
+        config = CampaignConfig(
+            scenario="unit-test-sum", seeds=(2, 4), params={"draws": 3},
+            grid={"scale": (1, 2)}, name="rt", run_timeout_s=5.0,
+            retries=1, retry_backoff_s=0.5, on_error="record",
+            heartbeat_s=1.0, workers=3,
+        )
+        spec = config.to_spec_dict()
+        assert tuple(spec) == SPEC_FIELDS
+        assert CampaignConfig.from_spec_dict(spec).to_spec_dict() == spec
+
+    def test_seed_count_expands_like_the_cli(self):
+        config = CampaignConfig.from_spec_dict(
+            {"scenario": "unit-test-sum", "seeds": 3}
+        )
+        assert config.seeds == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seeds", 0),
+            ("seeds", [0.5]),
+            ("seeds", [True]),
+            ("params", [1]),
+        ],
+    )
+    def test_malformed_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            CampaignConfig.from_spec_dict(
+                {"scenario": "unit-test-sum", key: value}
+            )
+
+    def test_empty_grid_axis_is_rejected_by_validate(self):
+        config = CampaignConfig.from_spec_dict(
+            {"scenario": "battery", "grid": {"duration_s": []}}
+        )
+        with pytest.raises(ValueError, match="duration_s"):
+            config.validate()
 
 
 class TestExecution:
