@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench perf-ab demo examples examples-smoke campaign-smoke campaign-shard-smoke control-smoke metro-smoke metro-chaos-smoke docs-check clean
+.PHONY: install test coverage bench perf-ab demo examples examples-smoke campaign-smoke campaign-shard-smoke metro-smoke metro-chaos-smoke docs-check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -105,18 +105,6 @@ campaign-shard-smoke:
 	$(PYTHON) -m repro campaign --scenario battery --seeds 4 --shard 2/2 --out /tmp/shard_split.json > /dev/null
 	$(PYTHON) -m repro campaign merge /tmp/shard_split.shard1of2.json /tmp/shard_split.shard2of2.json --out /tmp/shard_merged.json > /dev/null
 	$(PYTHON) -c "import json; a=json.load(open('/tmp/shard_ref.json'))['aggregate']; b=json.load(open('/tmp/shard_merged.json'))['aggregate']; assert json.dumps(a,sort_keys=True)==json.dumps(b,sort_keys=True), 'sharded aggregate mismatch'; print('campaign shard smoke OK:', b['runs'], 'runs across 2 shards')"
-
-# End-to-end check of the control plane (docs/control-plane.md): drive
-# a 2-shard battery sweep with one shard deliberately SIGKILLed mid-run
-# (--chaos-kill-shard), let the driver steal the dead slice, and verify
-# the auto-merged manifest matches an unsharded reference run —
-# identity, aggregate, and per-run outputs — via `campaign compare`.
-control-smoke:
-	rm -rf /tmp/control_smoke && $(PYTHON) -m repro campaign drive --scenario battery --seeds 4 --param duration_s=2.0 --shards 2 --out-dir /tmp/control_smoke --heartbeat 0.2 --chaos-kill-shard 0 --quiet > /dev/null
-	$(PYTHON) -m repro campaign status /tmp/control_smoke
-	$(PYTHON) -m repro campaign --scenario battery --seeds 4 --param duration_s=2.0 --out /tmp/control_smoke_ref.json > /dev/null
-	$(PYTHON) -m repro campaign compare /tmp/control_smoke/manifest.json /tmp/control_smoke_ref.json
-	@echo "control smoke OK: killed shard's slice was stolen and the merge matches"
 
 # CI-sized check of the tiled partition runner (docs/partitioning.md):
 # the same quick-mode metro census on a 2x2 tile grid across 2 worker

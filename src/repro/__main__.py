@@ -27,12 +27,10 @@ which shards across machines and merges the results::
         --out manifest.json        # on box 2
     python -m repro campaign merge manifest.shard*.json --out manifest.json
 
-and the control plane (see ``docs/control-plane.md``), which runs the
-whole sharded fleet — spawn, monitor, restart dead shards, merge —
-from one command::
+and the control plane (see ``docs/control-plane.md``), which watches
+a campaign from its directory, diffs two manifests, and takes
+submissions over HTTP::
 
-    python -m repro campaign drive --scenario wardrive --seeds 8 \
-        --shards 4 --out-dir sweep/
     python -m repro campaign status sweep/
     python -m repro campaign compare sweep/manifest.json other.json
     python -m repro serve --root campaign-jobs
@@ -264,148 +262,30 @@ def _merge_campaign(argv) -> int:
     return 0 if merged["complete"] and not merged["failed_runs"] else 1
 
 
-def _drive_command(argv):
-    """Parse ``python -m repro campaign drive`` into (parser, args,
-    DriverConfig), validated; nothing is spawned."""
-    from repro.control import DriverConfig
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro campaign drive",
-        description="Spawn, monitor, and merge an N-shard campaign: dead "
-        "shards (crash or heartbeat silence) are relaunched on their "
-        "slice with --resume, and the shard manifests are auto-merged "
-        "into OUT_DIR/manifest.json (byte-identical aggregate to an "
-        "unsharded run)",
-    )
-    _add_campaign_flags(
-        parser,
-        scenario={"required": True, "help": "registered scenario to run"},
-        heartbeat={
-            "default": 0.5,
-            "help": "shard sidecar heartbeat interval (default: 0.5)",
-        },
-    )
-    parser.add_argument(
-        "--out-dir", required=True, metavar="DIR",
-        help="campaign directory: spec, shard manifests + sidecars, "
-        "driver.json, and the merged manifest.json land here",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=2,
-        help="shard subprocesses to split the plan across (default: 2)",
-    )
-    parser.add_argument(
-        "--workers-per-shard", type=int, default=1,
-        help="pool workers inside each shard (default: 1)",
-    )
-    parser.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="declare a shard dead after this much sidecar silence and "
-        "reassign its slice (default: 30)",
-    )
-    parser.add_argument(
-        "--slice-retries", type=int, default=1, metavar="N",
-        help="relaunches allowed per shard before the drive fails "
-        "(default: 1)",
-    )
-    parser.add_argument(
-        "--scenario-module", action="append", default=[], metavar="MODULE",
-        help="extra module shard subprocesses import for scenario "
-        "registration (repeatable; sets REPRO_SCENARIO_MODULES)",
-    )
-    parser.add_argument(
-        "--chaos-kill-shard", type=int, default=None, metavar="I",
-        help="fault injection: SIGKILL 0-based shard I after its first "
-        "run, to exercise slice reassignment (used by `make "
-        "control-smoke`)",
-    )
-    parser.add_argument(
-        "--chaos-stop-shard", type=int, default=None, metavar="I",
-        help="fault injection: SIGSTOP (hang) 0-based shard I after its "
-        "first run",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-event narration"
-    )
-    args = parser.parse_args(argv)
-    config = DriverConfig(
-        campaign=_campaign_config(parser, args, {}),
-        out_dir=args.out_dir,
-        shards=args.shards,
-        workers_per_shard=args.workers_per_shard,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        slice_retries=args.slice_retries,
-        scenario_modules=args.scenario_module,
-        chaos_kill_shard=args.chaos_kill_shard,
-        chaos_stop_shard=args.chaos_stop_shard,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        parser.error(str(exc))
-    return parser, args, config
-
-
-def _drive_campaign(argv) -> int:
-    """``python -m repro campaign drive`` — run a whole sharded fleet."""
-    from repro.control import DriverError, drive_campaign
-    from repro.telemetry import summarize_manifest
-
-    _, args, config = _drive_command(argv)
-
-    def narrate(event):
-        if args.quiet:
-            return
-        shard = event.get("shard")
-        label = f"shard {shard + 1}/{args.shards}" if shard is not None else "fleet"
-        detail = {
-            "spawn": lambda: f"spawned (pid {event['pid']}, attempt {event['attempt']})",
-            "done": lambda: f"finished its slice ({event['runs']} new run(s))",
-            "dead": lambda: f"declared dead: {event['reason']}",
-            "reassign": lambda: f"slice reassigned (attempt {event['attempt']})",
-            "chaos-kill": lambda: "chaos: SIGKILL",
-            "chaos-stop": lambda: "chaos: SIGSTOP",
-            "merged": lambda: f"merged {event['runs']} run(s) -> {event['manifest']}",
-        }.get(event["kind"], lambda: json.dumps(event, sort_keys=True))
-        print(f"[drive] {label}: {detail()}")
-
-    try:
-        result = drive_campaign(config, on_event=narrate)
-    except DriverError as exc:
-        print(f"drive failed: {exc}", file=sys.stderr)
-        print(
-            "[completed runs are preserved in the shard sidecars; re-run "
-            "the same drive to resume]",
-            file=sys.stderr,
-        )
-        return 1
-    manifest = result["manifest"]
-    if result["reassignments"]:
-        print(f"[{result['reassignments']} slice reassignment(s) during the drive]")
-    print(summarize_manifest(manifest))
-    print(f"\n[merged manifest written to {result['manifest_path']}]")
-    return 0 if manifest["complete"] and not manifest["failed_runs"] else 1
-
-
 def _campaign_status(argv) -> int:
-    """``python -m repro campaign status <dir>`` — fleet view from disk."""
+    """``python -m repro campaign status <dir>`` — status from disk."""
     from repro.control import fleet_status, render_fleet_status
     from repro.telemetry import status_to_json
 
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign status",
-        description="Reconstruct fleet status for a campaign directory "
-        "from its sidecars (plus campaign.json/driver.json when "
-        "present); works against running, finished, and crashed fleets",
+        description="Reconstruct a campaign's status from the sidecars "
+        "in its directory (plus campaign.json when present); works "
+        "against running, finished, and crashed campaigns, sharded or not",
     )
-    parser.add_argument("dir", help="campaign directory (the drive's --out-dir)")
+    parser.add_argument(
+        "dir",
+        help="campaign directory: where --out wrote the manifest and its "
+        ".runs.jsonl sidecar (for a serve job, its job directory)",
+    )
     parser.add_argument(
         "--json", action="store_true", help="print the snapshot as JSON"
     )
     parser.add_argument(
         "--stall-after", type=float, default=None, metavar="SECONDS",
         help="report a shard as stalled after this much silence "
-        "(default: 4 heartbeat intervals, or 30s without a spec)",
+        "(default: 4 heartbeat intervals, as the sidecar records them; "
+        "30s when heartbeats are off)",
     )
     args = parser.parse_args(argv)
     try:
@@ -416,7 +296,7 @@ def _campaign_status(argv) -> int:
         print(status_to_json(status), end="")
     else:
         print(render_fleet_status(status))
-    return 1 if status["state"] == "failed" else 0
+    return 0
 
 
 def _compare_campaign(argv) -> int:
@@ -451,12 +331,14 @@ def _compare_campaign(argv) -> int:
     return 0 if report["match"] else 1
 
 
-def _add_campaign_flags(parser, scenario, heartbeat) -> None:
-    """Declare the flags that define a campaign, shared by ``campaign``
-    and ``campaign drive``: one per campaign spec field, each stored
-    under that field's name.  ``scenario`` and ``heartbeat`` hold each
-    command's own keywords (default, choices, help) for those flags."""
-    parser.add_argument("--scenario", **scenario)
+def _add_campaign_flags(parser) -> None:
+    """Declare the flags that define a campaign: one per campaign spec
+    field, each stored under that field's name and defaulting to
+    ``None`` (so a spec file's value stands unless a flag is given)."""
+    parser.add_argument(
+        "--scenario", default=None, choices=available_scenarios(),
+        help="registered scenario to run (default: wardrive)",
+    )
     parser.add_argument(
         "--seeds", type=_parse_seeds, default=None,
         help="seed count (N -> seeds 0..N-1) or explicit comma list",
@@ -493,16 +375,18 @@ def _add_campaign_flags(parser, scenario, heartbeat) -> None:
         "default) or record the failed run in the manifest ('record')",
     )
     parser.add_argument(
-        "--heartbeat", dest="heartbeat_s", type=float, metavar="SECONDS",
-        **heartbeat,
+        "--heartbeat", dest="heartbeat_s", type=float, default=None,
+        metavar="SECONDS",
+        help="interval between liveness records in the sidecar "
+        "(default: 30; 0 disables)",
     )
 
 
 def _campaign_config(parser, args, spec, **overrides):
-    """The CampaignConfig of both campaign commands: the campaign flags
-    given on the command line over ``spec`` (a spec file's content, or
-    the command's defaults), read by the spec parser.  ``overrides`` are
-    the per-process knobs; a bad value is a usage error."""
+    """The campaign flags given on the command line over ``spec`` (a
+    spec file's content, or the defaults), read by the spec parser.
+    ``overrides`` are the per-process knobs; a bad value is a usage
+    error."""
     from repro.telemetry.campaign import SPEC_FIELDS, CampaignConfig
 
     flags = {key: getattr(args, key) for key in SPEC_FIELDS}
@@ -525,29 +409,17 @@ def _campaign_command(argv):
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
         description="Fan a scenario out across seeds and aggregate metrics "
-        "(subcommands: merge shard manifests, drive a whole sharded "
-        "fleet, status a campaign directory, compare two manifests)",
+        "(subcommands: merge shard manifests, status a campaign "
+        "directory, compare two manifests)",
     )
-    _add_campaign_flags(
-        parser,
-        scenario={
-            "default": None,
-            "choices": available_scenarios(),
-            "help": "registered scenario to run (default: wardrive)",
-        },
-        heartbeat={
-            "default": None,
-            "help": "interval between liveness records in the sidecar "
-            "(default: 30; 0 disables)",
-        },
-    )
+    _add_campaign_flags(parser)
     parser.add_argument(
         "--spec-file", default=None, metavar="PATH",
         help="read the campaign definition (scenario, seeds, params, "
-        "grid, run policy) from this JSON spec instead of flags; the "
-        "control-plane driver hands every shard the same spec so "
-        "values cross the process boundary typed, not re-parsed "
-        "(--name and run-policy flags override the spec's)",
+        "grid, run policy) from this JSON spec instead of flags; "
+        "`serve` hands every job its spec this way, so values cross "
+        "the process boundary typed, not re-parsed (--name and "
+        "run-policy flags override the spec's)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -612,8 +484,6 @@ def _campaign_command(argv):
 def _run_campaign(argv) -> int:
     if argv and argv[0] == "merge":
         return _merge_campaign(argv[1:])
-    if argv and argv[0] == "drive":
-        return _drive_campaign(argv[1:])
     if argv and argv[0] == "status":
         return _campaign_status(argv[1:])
     if argv and argv[0] == "compare":

@@ -1,42 +1,24 @@
-"""Campaign control plane: drive, watch, and serve sharded campaigns.
+"""Campaign control plane: watch and serve campaigns.
 
-``repro.telemetry.campaign`` (PR 6) gave campaigns a deterministic
-N-way shard split, streaming JSONL sidecars, and an identity-validated
-merge — but left a human in the loop: start N processes by hand, watch
-them, restart the one that died, run ``campaign merge``.  This package
-is that human, mechanized (see ``docs/control-plane.md``):
+``repro.telemetry.campaign`` runs a campaign — one supervised worker
+pool, streaming JSONL sidecars, ``--resume``, and an identity-validated
+shard merge.  This package adds what a person at a campaign box wants
+on top of it (see ``docs/control-plane.md``):
 
-* **driver** (:mod:`repro.control.driver`) — spawns every shard as a
-  subprocess, tails their sidecars, declares a silent shard dead on
-  heartbeat timeout, relaunches its slice (``--resume`` makes the steal
-  exact: the round-robin split is deterministic, completed runs are
-  replayed from the sidecar), and auto-merges the shard manifests
-  through the same identity-validation path as ``campaign merge`` —
-  so a driven campaign with a SIGKILLed shard still produces an
-  aggregate byte-identical to an unsharded run;
-* **fleet** (:mod:`repro.control.fleet`) — a point-in-time fleet view
+* **fleet** (:mod:`repro.control.fleet`) — a point-in-time view
   reconstructed from the sidecars alone, so ``campaign status <dir>``
-  works against a running fleet, a crashed one, or a finished one,
-  with no driver cooperation required;
-* **tailer** (:mod:`repro.control.tailer`) — incremental JSONL reader
-  the driver watches sidecars with (complete lines only; a torn
-  trailing line is left unconsumed until its newline arrives);
+  works against a running campaign, a crashed one, or a finished one,
+  whether it ran as one process or as ``--shard i/N`` slices;
 * **service** (:mod:`repro.control.service`) — a stdlib-only HTTP JSON
-  facade (``python -m repro serve``): submit a campaign spec, poll
-  fleet status, fetch the merged manifest.
+  facade (``python -m repro serve``): submit a campaign spec, poll its
+  status, fetch its manifest.
 """
 
-from repro.control.driver import DriverConfig, DriverError, drive_campaign
 from repro.control.fleet import fleet_status, render_fleet_status
 from repro.control.service import ControlService, make_server
-from repro.control.tailer import SidecarTailer
 
 __all__ = [
     "ControlService",
-    "DriverConfig",
-    "DriverError",
-    "SidecarTailer",
-    "drive_campaign",
     "fleet_status",
     "make_server",
     "render_fleet_status",

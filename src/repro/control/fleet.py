@@ -1,25 +1,23 @@
-"""Fleet status reconstructed from a campaign directory's artifacts.
+"""Campaign status reconstructed from a campaign directory's artifacts.
 
-``campaign status <dir>`` must answer "how is my sweep doing?" against
-a fleet it does not control: shards launched by the driver, by hand on
-N machines, or long dead.  So :func:`fleet_status` takes *no* live
-handles — it reads what's on disk:
+``campaign status <dir>`` must answer "how is my sweep doing?" for a
+campaign it does not control: one ``campaign`` process, shards run by
+hand on N machines, a ``serve`` job, or any of them long dead.  So
+:func:`fleet_status` takes *no* live handles — it reads what's on disk:
 
 * ``*.runs.jsonl`` sidecars — per-shard progress (run records), shard
-  identity (the ``campaign-meta`` line), and liveness (heartbeats +
-  file mtime);
-* ``campaign.json`` — the campaign spec, if the driver (or a human)
-  wrote one: names the scenario and sizes the full run plan;
-* ``driver.json`` — the driver's own status snapshot, if a driver is
-  (or was) attached: contributes attempt counts and failure verdicts
-  the sidecars alone can't know.
+  identity and heartbeat interval (the ``campaign-meta`` line), and
+  liveness (heartbeats + file mtime);
+* ``campaign.json`` — the campaign spec, if one was written (``serve``
+  writes one per job): names the scenario and sizes the full run plan.
 
-Both JSON files are optional; sidecars alone produce a usable view.
-A missing sidecar for a known shard reads as ``pending``, a torn
-trailing line is skipped (shared sidecar parsing), and a shard whose
-last sign of life is older than the stall threshold reads as
-``stalled`` — which is a *suspicion*, not a verdict; only the driver
-(which can see process exits) marks a shard ``failed``.
+The spec is optional; sidecars alone produce a usable view.  A shard
+whose manifest exists is ``done`` with nothing pending, a missing
+sidecar for a known shard reads as ``pending``, a torn trailing line is
+skipped (shared sidecar parsing), and a shard whose last sign of life
+is older than the stall threshold reads as ``stalled`` — a
+*suspicion*, not a verdict: from disk, a dead process and a wedged one
+look alike.
 """
 
 from __future__ import annotations
@@ -37,7 +35,8 @@ from repro.telemetry.campaign import (
 
 __all__ = ["fleet_status", "render_fleet_status"]
 
-#: Fallback stall threshold when no spec declares a heartbeat interval.
+#: Fallback stall threshold when neither the sidecars nor the spec
+#: declare a heartbeat interval.
 _DEFAULT_STALL_AFTER_S = 30.0
 
 #: Stalled = no activity for this many heartbeat intervals.
@@ -69,6 +68,7 @@ def _inspect_sidecar(path: pathlib.Path) -> Dict[str, object]:
         "failed": 0,
         "completed": None,
         "pending": None,
+        "heartbeat_s": None,
         "last_heartbeat_unix": None,
         "last_activity_unix": None,
     }
@@ -85,6 +85,7 @@ def _inspect_sidecar(path: pathlib.Path) -> Dict[str, object]:
             if isinstance(shard, dict):
                 info["shard_index"] = shard.get("index")
                 info["shard_count"] = shard.get("count")
+            info["heartbeat_s"] = record.get("heartbeat_s")
         elif kind == "heartbeat":
             info["last_heartbeat_unix"] = record.get("unix")
             info["completed"] = record.get("completed")
@@ -136,11 +137,12 @@ def fleet_status(
     stall_after_s: Optional[float] = None,
     now: Optional[float] = None,
 ) -> Dict[str, object]:
-    """A point-in-time fleet snapshot for one campaign directory.
+    """A point-in-time snapshot of one campaign directory.
 
     ``stall_after_s`` overrides the stall threshold (default: four
-    heartbeat intervals when the spec declares one, else 30s); ``now``
-    pins the clock for tests.  The result is JSON-safe and serialized
+    heartbeat intervals, as the sidecars' meta lines or else the spec
+    declare them; 30s when neither does); ``now`` pins the clock for
+    tests.  The result is JSON-safe and serialized
     canonically by :func:`repro.telemetry.export.status_to_json`.
     """
     directory = pathlib.Path(campaign_dir)
@@ -148,7 +150,6 @@ def fleet_status(
         raise ValueError(f"not a campaign directory: {directory}")
     now = time.time() if now is None else now
     spec = _read_json(directory / "campaign.json")
-    driver = _read_json(directory / "driver.json")
 
     config: Optional[CampaignConfig] = None
     plan_runs: Optional[int] = None
@@ -158,34 +159,33 @@ def fleet_status(
             plan_runs = len(config.expand())
         except ValueError:
             config = None  # a broken spec degrades to sidecar-only status
-    if stall_after_s is None:
-        stall_after_s = (
-            _STALL_HEARTBEATS * config.heartbeat_s
-            if config and config.heartbeat_s
-            else _DEFAULT_STALL_AFTER_S
-        )
-
     observed = [
         _inspect_sidecar(path)
         for path in sorted(directory.glob("*.runs.jsonl"))
     ]
-    shard_count: Optional[int] = None
-    if driver and isinstance(driver.get("shard_count"), int):
-        shard_count = driver["shard_count"]
-    else:
-        counts = {
-            info["shard_count"]
+    if stall_after_s is None:
+        # The writers' own intervals first: a --heartbeat flag may have
+        # overridden the spec's.
+        beats = [
+            float(info["heartbeat_s"])
             for info in observed
-            if isinstance(info["shard_count"], int)
-        }
-        if len(counts) == 1:
-            shard_count = counts.pop()
-
-    driver_shards: Dict[int, Dict[str, object]] = {}
-    if driver:
-        for entry in driver.get("shards", []):
-            if isinstance(entry, dict) and isinstance(entry.get("index"), int):
-                driver_shards[entry["index"]] = entry
+            if isinstance(info["heartbeat_s"], (int, float))
+            and info["heartbeat_s"] > 0
+        ]
+        heartbeat_s = max(beats) if beats else (config and config.heartbeat_s)
+        stall_after_s = (
+            _STALL_HEARTBEATS * heartbeat_s
+            if heartbeat_s
+            else _DEFAULT_STALL_AFTER_S
+        )
+    shard_count: Optional[int] = None
+    counts = {
+        info["shard_count"]
+        for info in observed
+        if isinstance(info["shard_count"], int)
+    }
+    if len(counts) == 1:
+        shard_count = counts.pop()
 
     by_index: Dict[Optional[int], Dict[str, object]] = {
         info["shard_index"]: info for info in observed
@@ -199,7 +199,6 @@ def fleet_status(
     shards: List[Dict[str, object]] = []
     for index in indices:
         info = by_index.get(index)
-        from_driver = driver_shards.get(index) if isinstance(index, int) else None
         if info is None:
             entry: Dict[str, object] = {
                 "index": index,
@@ -209,6 +208,7 @@ def fleet_status(
                 "failed": 0,
                 "completed": None,
                 "pending": None,
+                "heartbeat_s": None,
                 "last_heartbeat_unix": None,
                 "last_activity_unix": None,
                 "age_s": None,
@@ -230,26 +230,17 @@ def fleet_status(
                 "age_s": age,
                 "manifest": str(manifest) if manifest.exists() else None,
             }
+            if state == "done":
+                entry["pending"] = 0  # the last heartbeat predates the end
             entry.pop("shard_index")
             entry.pop("shard_count")
             entry["index"] = index
-        if from_driver:
-            # The driver has ground truth the sidecars lack: exit codes
-            # (failed beats stalled) and relaunch attempts.
-            if from_driver.get("state") == "failed":
-                entry["state"] = "failed"
-            if "attempts" in from_driver:
-                entry["attempts"] = from_driver["attempts"]
         shards.append(entry)
 
     merged = directory / "manifest.json"
     states = [s["state"] for s in shards]
-    if driver and driver.get("state") in ("done", "failed"):
-        overall = driver["state"]
-    elif shards and all(state == "done" for state in states):
+    if shards and all(state == "done" for state in states):
         overall = "done" if merged.exists() else "merge-pending"
-    elif "failed" in states:
-        overall = "failed"
     elif "stalled" in states:
         overall = "stalled"
     else:
@@ -265,15 +256,6 @@ def fleet_status(
         "shard_count": shard_count,
         "tiling": config and _tiling_of(config),
         "state": overall,
-        "driver": (
-            {
-                "state": driver.get("state"),
-                "reassignments": driver.get("reassignments"),
-                "updated_unix": driver.get("updated_unix"),
-            }
-            if driver
-            else None
-        ),
         "shards": shards,
         "merged_manifest": str(merged) if merged.exists() else None,
     }
@@ -305,19 +287,13 @@ def render_fleet_status(status: Dict[str, object]) -> str:
             "tiling   : "
             + ", ".join(f"{key}={value}" for key, value in tiling.items())
         )
-    driver = status.get("driver")
-    if driver:
-        lines.append(
-            f"driver   : {driver['state']}, "
-            f"{driver.get('reassignments') or 0} slice reassignment(s)"
-        )
     shards = status["shards"]
     if not shards:
         lines.append("(no shard sidecars found)")
         return "\n".join(lines)
     lines.append(
         f"{'SHARD':<7} {'STATE':<9} {'RUNS':>5} {'FAILED':>7} "
-        f"{'PENDING':>8} {'LAST ACTIVITY':<15} {'ATTEMPTS':>8}"
+        f"{'PENDING':>8} {'LAST ACTIVITY'}"
     )
     count = status["shard_count"]
     for shard in shards:
@@ -332,8 +308,7 @@ def render_fleet_status(status: Dict[str, object]) -> str:
             f"{label:<7} {shard['state']:<9} {shard['runs']:>5} "
             f"{shard['failed']:>7} "
             f"{pending if pending is not None else '-':>8} "
-            f"{_age_text(shard['age_s']):<15} "
-            f"{shard.get('attempts', '-'):>8}"
+            f"{_age_text(shard['age_s'])}"
         )
     merged = status["merged_manifest"]
     lines.append(

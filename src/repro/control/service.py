@@ -1,25 +1,30 @@
 """``python -m repro serve``: a JSON submission service for campaigns.
 
 A deliberately small, stdlib-only (``http.server``) facade over the
-driver, for the "campaign box" workflow: one long-lived process on the
-machine with the cores, and collaborators submit sweeps with ``curl``
-instead of shelling in.  Endpoints (see ``docs/control-plane.md``):
+campaign runner, for the "campaign box" workflow: one long-lived process
+on the machine with the cores, and collaborators submit sweeps with
+``curl`` instead of shelling in.  Endpoints (see
+``docs/control-plane.md``):
 
 * ``GET  /api/health``            — liveness + registered scenarios;
 * ``GET  /api/campaigns``         — every job this service has run;
 * ``POST /api/campaigns``         — submit a campaign spec (JSON body);
   replies ``201`` with the job id, or ``400`` naming the invalid field
   (unknown scenario, bad parameter value, unknown spec key);
-* ``GET  /api/campaigns/<id>``    — job state + the same fleet snapshot
-  ``campaign status`` prints (read from disk, not driver memory);
-* ``GET  /api/campaigns/<id>/manifest`` — the merged manifest, ``404``
-  until the drive completes.
+* ``GET  /api/campaigns/<id>``    — job state + the same snapshot
+  ``campaign status`` prints (read from disk, not service memory);
+* ``GET  /api/campaigns/<id>/manifest`` — the job's manifest, ``404``
+  until the campaign completes.
 
 Each submission gets a directory under the service root
-(``<root>/job-0001/...``) and a daemon thread running
-:func:`~repro.control.driver.drive_campaign`; jobs survive as
-*directories*, so anything the service reports can be re-derived after
-a restart with ``campaign status``.
+(``<root>/job-0001/``) holding its spec, ``campaign.json``, and runs as
+one ``python -m repro campaign --spec-file <job>/campaign.json --out
+<job>/manifest.json --workers W`` subprocess whose output goes to
+``<job>/campaign.log``.  The job is ``done`` when that process exits 0
+with its manifest written, and ``failed`` otherwise, with the exit code
+and the log tail.  The campaign's own pool retries runs whose worker
+died.  Jobs survive as *directories*, so anything the service reports
+can be re-derived after a restart with ``campaign status``.
 
 This is an operational convenience, not a security boundary: bind it
 to localhost (the default) or a trusted network only.
@@ -29,29 +34,49 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import threading
 import time
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Union
 
-from repro.control.driver import DriverConfig, drive_campaign
+import repro
 from repro.control.fleet import fleet_status
 from repro.scenario import available_scenarios
 from repro.scenario.params import ParameterValueError
 from repro.scenario.registry import UnknownParameterError, UnknownScenarioError
 from repro.telemetry.campaign import SPEC_FIELDS, CampaignConfig
-from repro.telemetry.export import load_manifest, status_to_json
+from repro.telemetry.export import load_manifest, status_to_json, write_status
 
 __all__ = ["ControlService", "make_server", "main"]
 
-#: Request keys `submit` understands: the campaign spec (whose heartbeat
-#: interval is the service's to set) plus the fleet shape.  Everything
-#: else is a 400, so a typo ("worker") cannot silently fall back to a
-#: default.
-_FLEET_KEYS = ("shards", "workers_per_shard")
-_SUBMIT_KEYS = frozenset(SPEC_FIELDS) - {"heartbeat_s"} | set(_FLEET_KEYS)
+#: Request keys `submit` understands: the campaign spec, whose heartbeat
+#: interval is the service's to set.  Everything else is a 400, so a
+#: typo ("worker") cannot silently fall back to a default.
+_SUBMIT_KEYS = frozenset(SPEC_FIELDS) - {"heartbeat_s"}
+
+
+def _subprocess_env() -> Dict[str, str]:
+    """A job's environment: this one, with repro's own ``src`` first on
+    ``PYTHONPATH`` so the job runs the same repro as the service."""
+    env = dict(os.environ)
+    src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_dir, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def _log_tail(path: pathlib.Path, lines: int = 15) -> str:
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return "(no campaign log)"
+    tail = text.strip().splitlines()[-lines:]
+    return "\n".join(tail) if tail else "(campaign log empty)"
 
 
 class UnknownJobError(KeyError):
@@ -69,21 +94,20 @@ class ControlService:
         self,
         root: Union[str, pathlib.Path],
         heartbeat_s: float = 0.5,
-        **fleet: object,
+        workers: int = 1,
     ) -> None:
-        """``heartbeat_s`` is every job's shard heartbeat interval;
-        ``fleet`` takes :class:`~repro.control.driver.DriverConfig`'s
-        fleet fields (``shards``, ``heartbeat_timeout_s``, ...), with its
-        defaults, for every job.  A submission may override ``shards``
-        and ``workers_per_shard``."""
+        """``heartbeat_s`` is every job's sidecar heartbeat interval and
+        ``workers`` the size of every job's campaign pool."""
+        if heartbeat_s <= 0:
+            raise ValueError(
+                f"heartbeat_s must be positive, got {heartbeat_s!r}"
+            )
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers!r}")
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # Each job's DriverConfig is this one with its own campaign and
-        # directory; building it now rejects an unknown fleet field here
-        # rather than at the first submission.
-        self.template = DriverConfig(
-            CampaignConfig("", heartbeat_s=heartbeat_s), self.root, **fleet
-        )
+        self.heartbeat_s = heartbeat_s
+        self.workers = workers
         self._jobs: Dict[str, Dict[str, object]] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -92,7 +116,7 @@ class ControlService:
     # Job lifecycle
     # ------------------------------------------------------------------
     def submit(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Validate a submission, start its driver thread, return the job.
+        """Validate a submission, start its campaign, return the job.
 
         Raises ``ValueError`` (including the scenario/parameter
         subclasses) on anything wrong with the request — the handler
@@ -109,50 +133,62 @@ class ControlService:
                 f"unknown submission key(s): {', '.join(unknown)}; "
                 f"valid: {', '.join(sorted(_SUBMIT_KEYS))}"
             )
-        spec = {k: v for k, v in request.items() if k not in _FLEET_KEYS}
         campaign = CampaignConfig.from_spec_dict(
-            spec, heartbeat_s=self.template.campaign.heartbeat_s
+            request, heartbeat_s=self.heartbeat_s
         ).coerced()
-        shape = {k: request[k] for k in _FLEET_KEYS if request.get(k) is not None}
-        for key, value in shape.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{key!r} must be an integer, got {value!r}")
         with self._lock:
             job_id = f"job-{next(self._ids):04d}"
         job_dir = self.root / job_id
-        config = replace(
-            self.template, campaign=campaign, out_dir=job_dir, **shape
-        )
-        config.validate()
+        job_dir.mkdir(parents=True, exist_ok=True)
+        write_status(campaign.to_spec_dict(), job_dir / "campaign.json")
         job: Dict[str, object] = {
             "id": job_id,
             "dir": str(job_dir),
             "scenario": campaign.scenario,
             "state": "running",
             "error": None,
+            "exit_code": None,
             "submitted_unix": time.time(),
             "finished_unix": None,
         }
         with self._lock:
             self._jobs[job_id] = job
-        thread = threading.Thread(
+        threading.Thread(
             target=self._run_job,
-            args=(job, config),
-            name=f"drive-{job_id}",
+            args=(job, job_dir),
+            name=f"campaign-{job_id}",
             daemon=True,
-        )
-        thread.start()
-        job["_thread"] = thread
+        ).start()
         return self.describe(job_id)
 
-    def _run_job(self, job: Dict[str, object], config: DriverConfig) -> None:
+    def _run_job(self, job: Dict[str, object], job_dir: pathlib.Path) -> None:
+        log_path = job_dir / "campaign.log"
         try:
-            drive_campaign(config)
-        except Exception as exc:  # noqa: BLE001 - job boundary
+            with open(log_path, "w", encoding="utf-8") as log:
+                code = subprocess.run(
+                    [
+                        sys.executable, "-m", "repro", "campaign",
+                        "--spec-file", str(job_dir / "campaign.json"),
+                        "--out", str(job_dir / "manifest.json"),
+                        "--workers", str(self.workers),
+                    ],
+                    stdout=log,
+                    stderr=subprocess.STDOUT,
+                    env=_subprocess_env(),
+                ).returncode
+        except OSError as exc:  # no log file, or no process to start
             job["state"] = "failed"
-            job["error"] = str(exc)
+            job["error"] = f"cannot start the campaign: {exc}"
         else:
-            job["state"] = "done"
+            job["exit_code"] = code
+            if code == 0 and (job_dir / "manifest.json").exists():
+                job["state"] = "done"
+            else:
+                job["state"] = "failed"
+                job["error"] = (
+                    f"campaign exited with code {code}; last log lines:\n"
+                    f"{_log_tail(log_path)}"
+                )
         job["finished_unix"] = time.time()
 
     # ------------------------------------------------------------------
@@ -166,10 +202,10 @@ class ControlService:
                 raise UnknownJobError(f"unknown campaign job {job_id!r}") from None
 
     def describe(self, job_id: str) -> Dict[str, object]:
-        """The job record (sans thread handle) plus navigation links."""
+        """The job record plus navigation links."""
         job = self._get(job_id)
         return {
-            **{k: v for k, v in job.items() if not k.startswith("_")},
+            **job,
             "links": {
                 "status": f"/api/campaigns/{job_id}",
                 "manifest": f"/api/campaigns/{job_id}/manifest",
@@ -177,7 +213,7 @@ class ControlService:
         }
 
     def status(self, job_id: str) -> Dict[str, object]:
-        """Job record + on-disk fleet snapshot (same source of truth as
+        """Job record + on-disk status snapshot (same source of truth as
         ``campaign status <dir>``)."""
         described = self.describe(job_id)
         job_dir = pathlib.Path(described["dir"])
@@ -187,12 +223,10 @@ class ControlService:
         return described
 
     def manifest(self, job_id: str) -> Dict[str, object]:
-        """The merged manifest; ``FileNotFoundError`` until it exists."""
+        """The job's manifest; ``FileNotFoundError`` until it exists."""
         path = pathlib.Path(self._get(job_id)["dir"]) / "manifest.json"
         if not path.exists():
-            raise FileNotFoundError(
-                f"campaign {job_id} has no merged manifest yet"
-            )
+            raise FileNotFoundError(f"campaign {job_id} has no manifest yet")
         return load_manifest(path)
 
     def list_jobs(self) -> List[Dict[str, object]]:
@@ -292,8 +326,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
-        description="HTTP JSON service: submit campaigns, poll fleet "
-        "status, fetch merged manifests (see docs/control-plane.md)",
+        description="HTTP JSON service: submit campaigns, poll their "
+        "status, fetch their manifests (see docs/control-plane.md)",
     )
     parser.add_argument(
         "--root", default="campaign-jobs", metavar="DIR",
@@ -302,17 +336,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8642)
     parser.add_argument(
-        "--shards", type=int, default=2,
-        help="shard subprocesses per submitted campaign (default: 2)",
-    )
-    parser.add_argument(
-        "--workers-per-shard", type=int, default=1,
-        help="pool workers inside each shard (default: 1)",
+        "--workers", type=int, default=2,
+        help="pool workers per submitted campaign (default: 2)",
     )
     args = parser.parse_args(argv)
-    service = ControlService(
-        args.root, shards=args.shards, workers_per_shard=args.workers_per_shard
-    )
+    try:
+        service = ControlService(args.root, workers=args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
     server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"repro control service on http://{host}:{port} (root: {args.root})")

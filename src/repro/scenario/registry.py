@@ -58,8 +58,8 @@ __all__ = [
 
 #: Comma-separated module paths imported (for their registration side
 #: effects) alongside the built-ins.  This is how out-of-tree scenarios
-#: reach subprocesses that only know a scenario *name* — the control
-#: plane's shard workers, ``python -m repro serve`` submissions, and the
+#: reach subprocesses that only know a scenario *name* — the
+#: ``campaign`` subprocess of a ``python -m repro serve`` job, and the
 #: perf benchmarks' throwaway scenarios.
 SCENARIO_MODULES_ENV = "REPRO_SCENARIO_MODULES"
 
@@ -263,8 +263,8 @@ class ScenarioRegistry:
         import repro.scenario.library  # noqa: F401
 
         # Out-of-tree scenario modules (comma-separated module paths).
-        # This is how a control-plane shard subprocess — which receives
-        # only a scenario *name* on its command line — learns about
+        # This is how a campaign subprocess — which receives only a
+        # scenario *name* in its spec or on its command line — learns about
         # scenarios registered outside repro.scenario.library.
         extra = os.environ.get(SCENARIO_MODULES_ENV, "")
         for module_name in (m.strip() for m in extra.split(",")):

@@ -45,8 +45,8 @@ proves out for shards):
   produces the same messages in the same order.
 
 Fault tolerance (``PartitionConfig.supervise``, on by default): the
-parent supervises every tile worker the way the campaign control plane
-supervises shards.  Workers emit wall-clock heartbeats over their pipe;
+parent supervises every tile worker.  Workers emit wall-clock
+heartbeats over their pipe;
 the parent declares a worker dead when its process exits without a
 result or goes silent past ``heartbeat_timeout_s`` while epoch output
 is due (a slow-but-alive worker keeps heartbeating and is never
@@ -893,7 +893,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 class _TileFleet:
     """Spawns the worker processes and relaunches the ones that die.
 
-    The recovery move mirrors the campaign control plane's: SIGKILL
+    The recovery move: SIGKILL
     whatever is left of the dead worker, respawn it on the *same* tiles
     (chaos stripped), hand it the recorded inbox backlog so it can
     replay itself back to the failure epoch, and validate the replayed

@@ -44,7 +44,7 @@ under-count.
 
 Fault tolerance
 ---------------
-Three failure modes are first-class:
+Four failure modes are first-class:
 
 * **a run hangs** — ``run_timeout_s`` arms a per-attempt alarm inside
   the worker; a timed-out attempt raises :class:`RunTimeoutError` and is
@@ -54,15 +54,22 @@ Three failure modes are first-class:
   either re-raised (``on_error="raise"``) or recorded in the manifest as
   a ``status: "failed"`` run with the error surfaced
   (``on_error="record"``), never swallowed;
+* **a worker dies** — the pool hands each worker one run at a time and
+  watches every worker's pipe and process sentinel, so a worker killed
+  mid-run (SIGKILL, the OOM killer, a segfault) costs the run it held
+  one attempt: the run goes to a fresh worker while attempts remain,
+  and then follows ``on_error`` with an error naming the run's seed,
+  params and the signal;
 * **the whole worker box dies** — per-run records stream to an
   append-only JSONL sidecar as runs complete, with periodic
-  ``heartbeat`` records so a stalled worker is distinguishable from a
+  ``heartbeat`` records so a stalled campaign is distinguishable from a
   slow one; ``--resume`` replays the sidecar (tolerating the torn final
   line a SIGKILL leaves) and re-executes only what is missing.
 """
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import json
@@ -121,8 +128,8 @@ class CampaignRunError(RuntimeError):
     """A run failed every attempt and the campaign is set to re-raise.
 
     The message carries the run identity (index, seed, params) and the
-    final error; kept to a single string so it pickles cleanly across
-    the pool boundary.
+    final error, or the signal that killed the run's worker; a pool
+    worker sends back just this string.
     """
 
 
@@ -317,10 +324,11 @@ class CampaignConfig:
     def to_spec_dict(self) -> Dict[str, object]:
         """The JSON-safe *campaign spec*: the :data:`SPEC_FIELDS`, i.e.
         what to run, minus this process's transport knobs (shard, output
-        path, resume, worker count).  The control plane writes this to
-        ``campaign.json`` and every shard subprocess reads it back with
-        :meth:`from_spec_dict`, so parameter values cross the process
-        boundary as JSON — not as re-parsed command-line strings."""
+        path, resume, worker count).  ``python -m repro serve`` writes
+        this to each job's ``campaign.json``, and the job's ``campaign
+        --spec-file`` subprocess reads it back with :meth:`from_spec_dict`,
+        so parameter values cross the process boundary as JSON — not as
+        re-parsed command-line strings."""
         spec = {key: getattr(self, key) for key in SPEC_FIELDS}
         spec["seeds"] = [int(seed) for seed in self.seeds]
         spec["params"] = dict(self.params)
@@ -366,7 +374,7 @@ class CampaignConfig:
 
 #: The campaign spec: the :class:`CampaignConfig` fields that define
 #: *what* runs, in ``campaign.json`` order.  The CLI's campaign flags,
-#: the driver's ``campaign.json`` and the service's submissions all
+#: spec files (``campaign.json``) and the service's submissions all
 #: speak these keys; the remaining fields are per-process knobs.
 SPEC_FIELDS = (
     "scenario", "seeds", "params", "grid", "name",
@@ -466,13 +474,47 @@ def _attempt_alarm(timeout_s: Optional[float]) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
+def _run_label(payload: Dict[str, object]) -> str:
+    """``run 3 (seed=3, params={...})``: how errors name a run."""
+    params = json.dumps(payload["params"], sort_keys=True, default=str)
+    return f"run {payload['index']} (seed={payload['seed']}, params={params})"
+
+
+def _failed_record(
+    payload: Dict[str, object],
+    attempts: int,
+    duration_s: float,
+    error_type: str,
+    message: str,
+) -> Dict[str, object]:
+    """The manifest record of a run that failed every attempt."""
+    return {
+        "index": payload["index"],
+        "seed": payload["seed"],
+        "params": payload["params"],
+        "spec": None,
+        "duration_s": duration_s,
+        "metrics": MetricsRegistry().snapshot(),
+        "outputs": {},
+        "status": "failed",
+        "attempts": attempts,
+        "error": {"type": error_type, "message": message},
+    }
+
+
 def _execute_run_guarded(
-    payload: Dict[str, object], policy: Dict[str, object], collect: bool = False
+    payload: Dict[str, object],
+    policy: Dict[str, object],
+    collect: bool = False,
+    lost: int = 0,
 ) -> Dict[str, object]:
     """One run under the campaign's fault policy: per-attempt timeout,
     ``retries`` extra attempts with linear backoff, and — when the
     policy records instead of raising — a ``status: "failed"`` record
     that carries the final error and the attempt count.
+
+    ``lost`` counts attempts already spent on workers that died under
+    this run; they count against ``retries`` like any failed attempt.
 
     Pool workers pass ``collect=True``, so each attempt ends with a full
     garbage collection: a finished world is cyclic garbage that only a
@@ -483,9 +525,11 @@ def _execute_run_guarded(
     timeout_s = policy.get("timeout_s")
     attempts_allowed = int(policy.get("retries", 0)) + 1
     backoff_s = float(policy.get("backoff_s", 0.0))
+    if lost and backoff_s > 0.0:
+        time.sleep(backoff_s * lost)
     start = time.perf_counter()
     last_error: Optional[BaseException] = None
-    for attempt in range(1, attempts_allowed + 1):
+    for attempt in range(lost + 1, attempts_allowed + 1):
         try:
             with _attempt_alarm(timeout_s):
                 record = _execute_run(payload)
@@ -500,25 +544,15 @@ def _execute_run_guarded(
             if collect:
                 gc.collect()
     if policy.get("on_error") == "record":
-        return {
-            "index": payload["index"],
-            "seed": payload["seed"],
-            "params": payload["params"],
-            "spec": None,
-            "duration_s": time.perf_counter() - start,
-            "metrics": MetricsRegistry().snapshot(),
-            "outputs": {},
-            "status": "failed",
-            "attempts": attempts_allowed,
-            "error": {
-                "type": type(last_error).__name__,
-                "message": str(last_error),
-            },
-        }
+        return _failed_record(
+            payload,
+            attempts_allowed,
+            time.perf_counter() - start,
+            type(last_error).__name__,
+            str(last_error),
+        )
     raise CampaignRunError(
-        f"run {payload['index']} (seed={payload['seed']}, "
-        f"params={json.dumps(payload['params'], sort_keys=True, default=str)}) "
-        f"failed after {attempts_allowed} attempt(s): "
+        f"{_run_label(payload)} failed after {attempts_allowed} attempt(s): "
         f"{type(last_error).__name__}: {last_error}"
     ) from last_error
 
@@ -608,9 +642,8 @@ def shard_run_indices(plan_runs: int, index: int, count: int) -> List[int]:
     """The global run indices shard ``index`` (0-based) of ``count`` owns
     under the deterministic round-robin split: run *k* belongs to shard
     ``k % count``.  This is the *only* definition of a shard's slice —
-    ``shard_payloads``, the merge validation, and the control plane's
-    slice reassignment all derive from it, which is what makes stealing
-    a dead shard's remaining work exact rather than heuristic."""
+    ``shard_payloads`` and the merge validation both derive from it, so
+    a shard rerun with ``--resume`` redoes exactly its own missing runs."""
     if count < 1:
         raise ValueError(f"shard count must be >= 1, got {count!r}")
     if not 0 <= index < count:
@@ -644,9 +677,10 @@ class _SidecarWriter:
 
     Heartbeats come from a dedicated daemon thread
     (:meth:`start_heartbeats`), not from the run loop, so a sidecar
-    stays demonstrably *alive* even while one long run is executing —
-    the property the control plane's dead-shard detection rests on: a
-    slow shard keeps beating, a SIGKILLed or hung one goes silent.
+    stays demonstrably *alive* even while one long run is executing:
+    ``campaign status`` reads a slow campaign as running and a killed
+    or wedged one, gone silent, as stalled.  The meta line records the
+    heartbeat interval so that verdict needs nothing but the sidecar.
     All writes are serialized through a lock.
     """
 
@@ -670,6 +704,7 @@ class _SidecarWriter:
                         "count": config.shard_count,
                     }
                 ),
+                "heartbeat_s": config.heartbeat_s,
                 "created_unix": time.time(),
             }
         )
@@ -734,8 +769,8 @@ def parse_sidecar_record(line: str) -> Optional[Dict[str, object]]:
     """One sidecar line -> its record dict, or ``None`` for anything
     unusable: blank lines, non-objects, and — crucially — the torn
     trailing line a SIGKILLed campaign leaves mid-write.  Every sidecar
-    consumer (``--resume``, ``campaign status``, the control plane's
-    tailer) shares this tolerance instead of reimplementing it."""
+    consumer (``--resume``, ``campaign status``) shares this tolerance
+    instead of reimplementing it."""
     if not line.strip():
         return None
     try:
@@ -757,8 +792,8 @@ def parse_sidecar_text(text: str) -> List[Dict[str, object]]:
 
 def _is_run_record(record: Dict[str, object]) -> bool:
     """A sidecar record that is one run's result (not the meta line or
-    a heartbeat); ``--resume``, the driver and ``campaign status`` all
-    count runs with this."""
+    a heartbeat); ``--resume`` and ``campaign status`` both count runs
+    with this."""
     return (
         record.get("kind") is None and "seed" in record and "params" in record
     )
@@ -852,38 +887,159 @@ def _split_resumable(
 # ----------------------------------------------------------------------
 # The campaign itself
 # ----------------------------------------------------------------------
-def _drain_pool(
-    pool,
+def _pool_worker(conn, parent_end) -> None:
+    """A campaign pool process: run the payloads the parent sends over
+    ``conn``, one at a time, until it sends ``None`` or dies.
+    Module-level, so a spawned worker can import it."""
+    parent_end.close()  # else the parent's death never reads as EOF here
+    # Freezing what a forked worker inherits keeps its per-run
+    # collections down to the run's own objects.
+    gc.freeze()
+    try:
+        while True:
+            job = conn.recv()
+            if job is None:
+                return
+            payload, policy, lost = job
+            try:
+                record = _execute_run_guarded(payload, policy, True, lost)
+            except CampaignRunError as exc:
+                conn.send(("error", str(exc)))
+            else:
+                conn.send(("ok", record))
+    except (EOFError, OSError):
+        return  # the parent is gone; nobody is left to report to
+
+
+class _Worker:
+    """One pool process, the parent's end of its pipe, and the job it
+    holds: ``(payload, attempts lost to dead workers)`` or ``None``."""
+
+    def __init__(self, context: multiprocessing.context.BaseContext) -> None:
+        self.conn, child_end = context.Pipe()
+        self.proc = context.Process(
+            target=_pool_worker, args=(child_end, self.conn), daemon=True
+        )
+        self.proc.start()
+        child_end.close()  # the worker's death must read as EOF here
+        self.job: Optional[Tuple[Dict[str, object], int]] = None
+        self.sent_at = 0.0
+
+
+def _death_cause(exitcode: Optional[int]) -> str:
+    """``killed by SIGKILL`` / ``exited with code 1``."""
+    if exitcode is not None and exitcode < 0:
+        try:
+            return f"killed by {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"killed by signal {-exitcode}"
+    return f"exited with code {exitcode}"
+
+
+def _run_pool(
     payloads: List[Dict[str, object]],
     policy: Dict[str, object],
-    writer: Optional[_SidecarWriter],
-    results: List[Dict[str, object]],
+    workers: int,
+    deliver: Callable[[Dict[str, object]], None],
 ) -> None:
-    """Submit every payload and collect results as they complete.
+    """Run ``payloads`` on ``workers`` processes, handing each worker one
+    payload at a time over a pipe, and ``deliver`` every record the
+    moment its run finishes (so it streams to the sidecar at once).
 
-    ``apply_async`` + polling rather than ``imap_unordered`` so results
-    stream to the sidecar the moment each run finishes (not in
-    submission order), and a worker exception (``on_error="raise"``)
-    surfaces at the matching ``.get()``.  Heartbeats ride the writer's
-    own thread, so this loop only moves run records."""
-    pending = {
-        p["index"]: pool.apply_async(_execute_run_guarded, (p, policy, True))
-        for p in payloads
-    }
-    while pending:
-        progressed = False
-        for index in list(pending):
-            handle = pending[index]
-            if not handle.ready():
-                continue
-            del pending[index]
-            record = handle.get()  # re-raises CampaignRunError from workers
-            if writer is not None:
-                writer.write(record)
-            results.append(record)
-            progressed = True
-        if not progressed and pending:
-            time.sleep(0.02)
+    The parent blocks on every worker's pipe and process sentinel
+    together, so it always knows which run a dead worker held.  That
+    run is charged one attempt and resent to a fresh worker while
+    attempts remain; an exhausted run follows ``on_error`` with an
+    error naming the run and the signal.  A worker that dies idle costs
+    no run anything.  A run that raises in every attempt surfaces as
+    :class:`CampaignRunError` (``on_error="raise"``) just as inline.
+    """
+    from multiprocessing.connection import wait
+
+    context = _pool_context()
+    attempts_allowed = int(policy["retries"]) + 1
+    todo = collections.deque((payload, 0) for payload in payloads)
+    started: List[_Worker] = []
+    live: List[_Worker] = []
+
+    def bury(worker: _Worker) -> None:
+        live.remove(worker)
+        worker.proc.join()
+        worker.conn.close()
+        if worker.job is None:
+            return
+        (payload, lost), worker.job = worker.job, None
+        lost += 1
+        if lost < attempts_allowed:
+            todo.appendleft((payload, lost))
+            return
+        message = (
+            f"{_run_label(payload)} failed after {attempts_allowed} "
+            f"attempt(s): its worker {_death_cause(worker.proc.exitcode)}"
+        )
+        if policy["on_error"] != "record":
+            raise CampaignRunError(message)
+        deliver(
+            _failed_record(
+                payload,
+                attempts_allowed,
+                time.perf_counter() - worker.sent_at,
+                "WorkerDied",
+                message,
+            )
+        )
+
+    try:
+        while True:
+            idle = [w for w in live if w.job is None]
+            while len(live) < workers and len(idle) < len(todo):
+                worker = _Worker(context)
+                started.append(worker)
+                live.append(worker)
+                idle.append(worker)
+            for worker in idle:
+                if not todo:
+                    live.remove(worker)
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
+                    continue
+                payload, lost = todo.popleft()
+                try:
+                    worker.conn.send((payload, policy, lost))
+                except OSError:  # it died idle: the run was never sent
+                    todo.appendleft((payload, lost))
+                    bury(worker)
+                    continue
+                worker.job = (payload, lost)
+                worker.sent_at = time.perf_counter()
+            if not live:
+                if todo:
+                    continue
+                return
+            wait([w.conn for w in live] + [w.proc.sentinel for w in live])
+            for worker in list(live):
+                if worker.conn.poll():
+                    try:
+                        kind, value = worker.conn.recv()
+                    except EOFError:
+                        bury(worker)
+                        continue
+                    worker.job = None
+                    if kind == "error":
+                        raise CampaignRunError(value)
+                    deliver(value)
+                elif not worker.proc.is_alive():
+                    bury(worker)
+    except BaseException:
+        for worker in started:
+            worker.proc.kill()
+        raise
+    finally:
+        for worker in started:
+            worker.proc.join()
+            worker.conn.close()
 
 
 def run_campaign(config: CampaignConfig) -> Dict[str, object]:
@@ -920,6 +1076,12 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
     writer: Optional[_SidecarWriter] = None
     policy = config.run_policy()
     results: List[Dict[str, object]] = []
+
+    def deliver(record: Dict[str, object]) -> None:
+        if writer is not None:
+            writer.write(record)
+        results.append(record)
+
     if output_path is not None:
         writer = _SidecarWriter(config, output_path)
     try:
@@ -940,22 +1102,11 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
                 config.heartbeat_s,
                 lambda: (len(results), total - len(results)),
             )
-        if not payloads:
-            pass
-        elif config.workers == 1 or len(payloads) == 1:
+        if config.workers == 1 or len(payloads) == 1:
             for payload in payloads:
-                record = _execute_run_guarded(payload, policy)
-                if writer is not None:
-                    writer.write(record)
-                results.append(record)
+                deliver(_execute_run_guarded(payload, policy))
         else:
-            workers = min(config.workers, len(payloads))
-            # Freezing what a forked worker inherits keeps its per-run
-            # collections down to the run's own objects.
-            with _pool_context().Pool(
-                processes=workers, initializer=gc.freeze
-            ) as pool:
-                _drain_pool(pool, payloads, policy, writer, results)
+            _run_pool(payloads, policy, config.workers, deliver)
     finally:
         if writer is not None:
             writer.close()

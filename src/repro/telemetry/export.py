@@ -117,20 +117,21 @@ def write_manifest(
 # Control-plane status snapshots
 # ----------------------------------------------------------------------
 def status_to_json(status: Dict[str, object]) -> str:
-    """Canonical serialization for control-plane status snapshots (the
-    driver's ``driver.json``, ``campaign status --json``, and the HTTP
-    service's responses): same sorted-keys/2-indent/trailing-newline
-    shape as manifests, so snapshots diff cleanly."""
+    """Canonical serialization for control-plane status snapshots
+    (``campaign status --json`` and the HTTP service's responses): same
+    sorted-keys/2-indent/trailing-newline shape as manifests, so
+    snapshots diff cleanly."""
     return json.dumps(status, indent=2, sort_keys=True, default=str) + "\n"
 
 
 def write_status(
     status: Dict[str, object], path: Union[str, pathlib.Path]
 ) -> pathlib.Path:
-    """Atomically write a status snapshot: the control plane rewrites
-    these while ``campaign status`` and the HTTP service read them, and
-    a torn JSON document — unlike a torn sidecar *line* — has no
-    recovery path, so replace-via-rename is mandatory here."""
+    """Atomically write a JSON document such as a job's
+    ``campaign.json``: ``campaign status`` and the HTTP service may read
+    it at any moment, and a torn JSON document — unlike a torn sidecar
+    *line* — has no recovery path, so replace-via-rename is mandatory
+    here."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")

@@ -1,12 +1,10 @@
-"""The campaign commands' command line: one flag declaration, one config.
+"""The campaign command line in real ``python -m repro`` processes.
 
-``campaign`` and ``campaign drive`` declare the campaign-definition
-flags in one helper and build their :class:`CampaignConfig` through one
-path (the spec parser), so the same flags must give the same campaign
-spec on both.  The subprocess checks pin what a malformed or terse spec
-file does to a real ``python -m repro`` process: a seed count runs that
-many seeds, and a bad value in ``campaign.json`` degrades ``campaign
-status`` to its sidecar-only view instead of a traceback.
+``campaign`` builds its :class:`CampaignConfig` through the spec parser,
+whether the campaign comes from flags or a spec file.  These checks pin
+what a terse or malformed spec file does: a seed count runs that many
+seeds, and a bad value in ``campaign.json`` degrades ``campaign status``
+to its sidecar-only view instead of a traceback.
 """
 
 import json
@@ -15,22 +13,7 @@ import pathlib
 import subprocess
 import sys
 
-from repro.__main__ import _campaign_command, _drive_command
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-CAMPAIGN_FLAGS = [
-    "--scenario", "battery",
-    "--seeds", "3,5",
-    "--param", "duration_s=1.5",
-    "--grid", "duration_s=1.0,2.0",
-    "--name", "flags",
-    "--timeout", "9",
-    "--retries", "2",
-    "--retry-backoff", "0.25",
-    "--on-error", "record",
-    "--heartbeat", "0.2",
-]
 
 
 def _repro(*argv, cwd):
@@ -43,16 +26,6 @@ def _repro(*argv, cwd):
         [sys.executable, "-m", "repro", *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
-
-
-def test_campaign_and_drive_build_the_same_spec(tmp_path):
-    _, _, single = _campaign_command(CAMPAIGN_FLAGS)
-    _, _, driven = _drive_command(
-        CAMPAIGN_FLAGS + ["--out-dir", str(tmp_path / "fleet")]
-    )
-    assert single.to_spec_dict() == driven.campaign.to_spec_dict()
-    assert driven.campaign.retry_backoff_s == 0.25
-    assert not (tmp_path / "fleet").exists()  # nothing was run
 
 
 def test_spec_file_seed_count_runs_that_many_seeds(tmp_path):

@@ -1,16 +1,19 @@
 """``python -m repro serve``: the HTTP submission service.
 
 One real HTTP round trip (ephemeral port): submit a campaign, poll its
-status until the driver thread finishes, fetch the merged manifest,
-and check it byte-matches an in-process run of the same campaign.  The
+status until its ``campaign`` subprocess exits, fetch the manifest, and
+check it byte-matches an in-process run of the same campaign.  The
 validation surface (400s for unknown scenarios, bad parameter values,
-unknown keys; 404s for unknown jobs and not-yet-merged manifests) is
+unknown keys; 404s for unknown jobs and not-yet-written manifests) is
 exercised against the same live server, and the in-process
 :class:`~repro.control.service.ControlService` API is covered without
-a socket where HTTP adds nothing.
+a socket where HTTP adds nothing.  Job subprocesses find the ``ctl-*``
+scenarios through ``REPRO_SCENARIO_MODULES`` and ``PYTHONPATH``, set
+here as a user of ``serve`` would set them.
 """
 
 import json
+import os
 import pathlib
 import threading
 import time
@@ -27,16 +30,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
-def service(tmp_path):
-    return ControlService(
-        tmp_path / "jobs",
-        shards=2,
-        heartbeat_s=0.1,
-        heartbeat_timeout_s=60.0,
-        poll_s=0.05,
-        scenario_modules=("tests.control_scenarios",),
-        extra_pythonpath=(str(REPO_ROOT),),
-    )
+def service(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_SCENARIO_MODULES", "tests.control_scenarios")
+    paths = [str(REPO_ROOT), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+    return ControlService(tmp_path / "jobs", heartbeat_s=0.1, workers=2)
 
 
 @pytest.fixture
@@ -97,6 +95,7 @@ class TestRoundTrip:
         assert job["state"] == "running"
         status = _await_job(server, job["id"])
         assert status["state"] == "done", status.get("error")
+        assert status["exit_code"] == 0
         assert status["fleet"]["state"] == "done"
         assert all(s["state"] == "done" for s in status["fleet"]["shards"])
         code, manifest = _get(server, f"/api/campaigns/{job['id']}/manifest")
@@ -152,6 +151,13 @@ class TestValidation:
         assert code == 400
         assert "unknown submission key" in body["error"]
 
+    def test_shard_count_is_not_a_submission_key(self, server):
+        code, body = _post(
+            server, "/api/campaigns", {"scenario": "ctl-noop", "shards": 2}
+        )
+        assert code == 400
+        assert "unknown submission key(s): shards" in body["error"]
+
     def test_bad_run_policy_is_400_before_any_job(self, server):
         code, body = _post(
             server,
@@ -189,7 +195,7 @@ class TestServiceApi:
             service.submit({"scenario": "ctl-noop", "grid": {"draws": []}})
         with pytest.raises(ValueError, match="JSON object"):
             service.submit("not a dict")
-        # The run policy is checked here too, not in the driver thread.
+        # The run policy is checked here too, not in the job subprocess.
         for bad in (
             {"on_error": "bogus"},
             {"run_timeout_s": -1},
@@ -219,10 +225,31 @@ class TestServiceApi:
             _await_inprocess(service, job["id"])
 
 
+    def test_nonzero_campaign_exit_fails_the_job_with_its_log_tail(
+        self, service
+    ):
+        job = service.submit(
+            {"scenario": "ctl-boom", "seeds": 2, "on_error": "record"}
+        )
+        described = _await_inprocess(service, job["id"])
+        assert described["state"] == "failed"
+        assert described["exit_code"] == 1
+        assert "campaign exited with code 1" in described["error"]
+        # The tail is the campaign's own summary of the failed runs.
+        assert "ctl-boom always fails" in described["error"]
+
+    def test_bad_service_knobs_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            ControlService(tmp_path / "jobs", workers=0)
+        with pytest.raises(ValueError, match="heartbeat_s"):
+            ControlService(tmp_path / "jobs", heartbeat_s=0.0)
+
+
 def _await_inprocess(service, job_id, timeout_s=120.0):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        if service.describe(job_id)["state"] in ("done", "failed"):
-            return
+        described = service.describe(job_id)
+        if described["state"] in ("done", "failed"):
+            return described
         time.sleep(0.1)
     raise AssertionError(f"job {job_id} still running after {timeout_s}s")

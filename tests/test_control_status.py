@@ -1,20 +1,20 @@
-"""``campaign status`` / ``fleet_status``: the from-disk fleet view.
+"""``campaign status`` / ``fleet_status``: the from-disk campaign view.
 
-Everything here is built from hand-written artifacts — sidecars,
-``campaign.json``, ``driver.json`` — with **no** driver or subprocess
-involved, because that is the contract: status is reconstructed from
-what a fleet leaves on disk, so it works against running, finished,
-and crashed campaigns alike.  Pinned specifically:
+Almost everything here is built from hand-written artifacts — sidecars
+and ``campaign.json`` — with no campaign running, because that is the
+contract: status is reconstructed from what a campaign leaves on disk,
+so it works against running, finished, and crashed campaigns alike.
+Pinned specifically:
 
 * shard states (pending / running / stalled / done) derive from
   manifests, heartbeat freshness, and the stall threshold;
+* a finished shard has nothing pending, whatever its last heartbeat
+  said (checked against a real campaign too);
+* the stall threshold is four heartbeat intervals, read from the
+  sidecar's meta line, else from ``campaign.json``;
 * a **torn trailing sidecar line** (a SIGKILLed shard's signature) is
   tolerated, not fatal — reusing the shared sidecar parsing;
-* a **missing sidecar** for a known shard index reads as ``pending``;
-* ``driver.json``, when present, contributes ground truth the sidecars
-  lack (failure verdicts, attempt counts);
-* the incremental tailer consumes complete lines only and survives a
-  sidecar being rewritten underneath it (shard relaunch).
+* a **missing sidecar** for a known shard index reads as ``pending``.
 """
 
 import json
@@ -22,8 +22,14 @@ import time
 
 import pytest
 
-from repro.control import SidecarTailer, fleet_status, render_fleet_status
-from repro.telemetry import CampaignConfig, status_to_json, write_status
+import tests.control_scenarios  # noqa: F401 - registers ctl-* scenarios
+from repro.control import fleet_status, render_fleet_status
+from repro.telemetry import (
+    CampaignConfig,
+    run_campaign,
+    status_to_json,
+    write_status,
+)
 
 NOW = time.time()
 
@@ -46,6 +52,7 @@ def _sidecar(
     torn_tail=False,
     with_manifest=False,
     failed=(),
+    heartbeat_s=None,
 ):
     """Write one shard sidecar (and optionally its manifest) by hand."""
     stem = f"manifest.shard{index + 1}of{count}.json"
@@ -56,6 +63,7 @@ def _sidecar(
                 "scenario": "ctl-noop",
                 "campaign": "status-test",
                 "shard": {"index": index, "count": count},
+                "heartbeat_s": heartbeat_s,
                 "created_unix": NOW - 60.0,
             }
         )
@@ -126,6 +134,51 @@ class TestShardStates:
         assert status["shards"][0]["state"] == "stalled"
         assert status["state"] == "stalled"
 
+    def test_finished_shard_has_nothing_pending(self, tmp_path):
+        _spec(tmp_path)
+        _sidecar(
+            tmp_path, 0, 1, run_indices=(0, 1, 2, 3), with_manifest=True,
+            heartbeat={"unix": NOW - 1.0, "completed": 2, "pending": 2},
+        )
+        (shard,) = fleet_status(tmp_path, now=NOW)["shards"]
+        assert shard["state"] == "done"
+        assert shard["pending"] == 0
+
+    def test_finished_campaign_has_nothing_pending(self, tmp_path):
+        # Heartbeats beat while the two slow runs are in flight, so the
+        # last one reads pending >= 1; the manifest says otherwise.
+        run_campaign(
+            CampaignConfig(
+                "ctl-noop", seeds=[0, 1], params={"sleep_s": 0.3},
+                workers=2, heartbeat_s=0.05,
+                output_path=tmp_path / "manifest.json",
+            )
+        )
+        status = fleet_status(tmp_path)
+        (shard,) = status["shards"]
+        assert shard["last_heartbeat_unix"] is not None
+        assert (shard["state"], shard["runs"], shard["pending"]) == (
+            "done", 2, 0,
+        )
+        assert status["state"] == "done"
+        assert status["stall_after_s"] == pytest.approx(4 * 0.05)
+
+    def test_stall_threshold_comes_from_the_sidecar_heartbeat(
+        self, tmp_path
+    ):
+        # No campaign.json: the sidecar's meta line alone sets it.
+        _sidecar(
+            tmp_path, 0, 1, run_indices=(0,), heartbeat_s=0.2,
+            heartbeat={"unix": NOW - 1.0, "completed": 1, "pending": 1},
+        )
+        later = time.time() + 10.0  # past the file's mtime as well
+        status = fleet_status(tmp_path, now=later)
+        assert status["stall_after_s"] == pytest.approx(0.8)
+        assert status["shards"][0]["state"] == "stalled"
+        assert fleet_status(tmp_path, now=later, stall_after_s=60.0)[
+            "shards"
+        ][0]["state"] == "running"
+
     def test_missing_sidecar_reads_as_pending(self, tmp_path):
         _spec(tmp_path)
         _sidecar(tmp_path, 0, 3, run_indices=(0,), with_manifest=True)
@@ -173,47 +226,16 @@ class TestTornAndMissingArtifacts:
         assert status["shards"][0]["failed"] == 1
 
 
-class TestDriverJsonIntegration:
-    def test_driver_verdicts_override_sidecar_guesses(self, tmp_path):
-        _spec(tmp_path)
-        _sidecar(tmp_path, 0, 2, run_indices=(0,))
-        write_status(
-            {
-                "state": "failed",
-                "shard_count": 2,
-                "reassignments": 3,
-                "updated_unix": NOW,
-                "shards": [
-                    {"index": 0, "state": "failed", "attempts": 2},
-                    {"index": 1, "state": "failed", "attempts": 1},
-                ],
-            },
-            tmp_path / "driver.json",
-        )
-        status = fleet_status(tmp_path, now=NOW, stall_after_s=1e9)
-        assert status["state"] == "failed"
-        assert status["driver"]["reassignments"] == 3
-        assert status["shards"][0]["state"] == "failed"
-        assert status["shards"][0]["attempts"] == 2
-        assert status["shards"][1]["state"] == "failed"  # no sidecar at all
-
-    def test_render_includes_table_and_driver_line(self, tmp_path):
+class TestRendering:
+    def test_render_includes_the_shard_table(self, tmp_path):
         _spec(tmp_path)
         _sidecar(tmp_path, 0, 2, run_indices=(0, 2), with_manifest=True)
-        _sidecar(tmp_path, 1, 2, run_indices=(1,))
-        write_status(
-            {
-                "state": "running",
-                "shard_count": 2,
-                "reassignments": 1,
-                "updated_unix": NOW,
-                "shards": [],
-            },
-            tmp_path / "driver.json",
+        _sidecar(
+            tmp_path, 1, 2, run_indices=(1,),
+            heartbeat={"unix": NOW - 0.2, "completed": 1, "pending": 1},
         )
         text = render_fleet_status(fleet_status(tmp_path, now=NOW))
-        assert "SHARD" in text and "STATE" in text
-        assert "1 slice reassignment(s)" in text
+        assert "SHARD" in text and "STATE" in text and "PENDING" in text
         assert "1/2" in text and "2/2" in text
 
     def test_status_snapshot_serializes_canonically(self, tmp_path):
@@ -249,31 +271,3 @@ class TestDriverJsonIntegration:
         status = fleet_status(tmp_path, now=NOW)
         assert status["tiling"] is None
         assert "tiling" not in render_fleet_status(status)
-
-
-class TestSidecarTailer:
-    def test_incremental_polling_consumes_complete_lines_only(self, tmp_path):
-        path = tmp_path / "x.runs.jsonl"
-        tailer = SidecarTailer(path)
-        assert tailer.poll() == []  # file does not exist yet
-        path.write_text('{"kind": "campaign-meta"}\n{"index": 0, "se')
-        (first,) = tailer.poll()
-        assert first["kind"] == "campaign-meta"
-        assert tailer.poll() == []  # torn tail stays unconsumed
-        with open(path, "a") as handle:
-            handle.write('ed": 0, "params": {}}\n')
-        (second,) = tailer.poll()
-        assert second == {"index": 0, "seed": 0, "params": {}}
-
-    def test_rewritten_file_resets_the_tailer(self, tmp_path):
-        path = tmp_path / "x.runs.jsonl"
-        path.write_text('{"a": 1}\n{"b": 2}\n')
-        tailer = SidecarTailer(path)
-        assert len(tailer.poll()) == 2
-        path.write_text('{"c": 3}\n')  # shard relaunched: file shrank
-        assert tailer.poll() == [{"c": 3}]
-
-    def test_garbage_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "x.runs.jsonl"
-        path.write_text('not json\n\n{"ok": 1}\n[1, 2]\n')
-        assert SidecarTailer(path).poll() == [{"ok": 1}]
