@@ -168,7 +168,9 @@ class FakeFrameInjector:
             if on_inject is not None:
                 on_inject(frame)
             jitter = float(self._rng.uniform(-0.05, 0.05)) * period
-            engine.call_after(max(period + jitter, 1e-6), tick)
+            # post(), not call_after(): stop() ends a stream through its
+            # flag, so no tick is ever cancelled and no handle is needed.
+            engine.post(engine.clock._now + max(period + jitter, 1e-6), tick)
 
         engine.call_after(period, tick)
         return stream

@@ -14,58 +14,77 @@ are modelled here:
 
 Injection accepts either typed frames or raw PSDU bytes; raw bytes travel
 as a :class:`RawPsdu` and are parsed by the victim's receive chain, so
-the serializer is genuinely on the attack path.
+the serializer is genuinely on the attack path.  A PSDU is parsed at most
+once, however many hooks read it: the medium's receiver-address
+pre-filter, every receiver's ACK engine and the capture trace share that
+parse.
+
+A dongle nobody listens to (no :meth:`MonitorDongle.add_listener`, no
+energy accounting, no power save) promises its receive chain that its
+sniffer is passive, so the ACKs a flood elicits for the spoofed source
+address are tallied by the medium instead of handed up to it one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.devices.base import Device, DeviceKind
 from repro.mac.ack_engine import AckEngineConfig
 from repro.mac.frames import Frame
-from repro.mac.serialization import deserialize, serialize
+from repro.mac.serialization import FrameFormatError, deserialize, serialize
 from repro.sim.medium import Reception
 
+#: :attr:`RawPsdu._frame` before the first parse (``None`` means malformed).
+_UNPARSED = object()
 
-@dataclass
+
+@dataclass(slots=True)
 class RawPsdu:
     """On-air bytes, as injected by the attacker.
 
     Receivers parse ``psdu`` through :func:`repro.mac.serialization.
     deserialize`; the trace hooks parse lazily so capture output matches
-    what Wireshark would show.
+    what Wireshark would show.  The parse is done once and kept: every
+    reader gets the same frame, which all of them treat as immutable.
     """
 
     psdu: bytes
+    _frame: object = field(default=_UNPARSED, init=False, repr=False, compare=False)
 
     def wire_length(self) -> int:
         return len(self.psdu)
 
-    def _parsed(self) -> Optional[Frame]:
-        try:
-            return deserialize(self.psdu)
-        except Exception:
-            return None
+    def parsed(self) -> Optional[Frame]:
+        """The frame these bytes encode, or ``None`` when they are malformed
+        (a failed FCS included)."""
+        frame = self._frame
+        if frame is _UNPARSED:
+            try:
+                frame = deserialize(self.psdu)
+            except FrameFormatError:
+                frame = None
+            self._frame = frame
+        return frame
 
     def dest_u64(self) -> Optional[int]:
         """Receiver address for the medium's batch pre-filter, or ``None``
         when the bytes don't parse (every receiver then takes the scalar
         path and applies its own malformed-frame handling)."""
-        frame = self._parsed()
+        frame = self.parsed()
         return frame.dest_u64() if frame is not None else None
 
     def trace_source(self) -> str:
-        frame = self._parsed()
+        frame = self.parsed()
         return frame.trace_source() if frame is not None else "(raw)"
 
     def trace_destination(self) -> str:
-        frame = self._parsed()
+        frame = self.parsed()
         return frame.trace_destination() if frame is not None else "(raw)"
 
     def trace_info(self) -> str:
-        frame = self._parsed()
+        frame = self.parsed()
         return frame.trace_info() if frame is not None else "Malformed frame"
 
 
@@ -85,6 +104,13 @@ class MonitorDongle(Device):
         super().__init__(*args, **kwargs)
         self._listeners: List[SnifferCallback] = []
         self.injected = 0
+        # The base class cannot vouch for an overridden _account_frame;
+        # this one only adds listeners, and there are none yet.
+        self.ack_engine.install_sniffer(
+            self._account_frame,
+            passive=type(self)._account_frame is MonitorDongle._account_frame
+            and self._sniffer_is_passive(),
+        )
 
     # ------------------------------------------------------------------
     # Capture
@@ -92,6 +118,10 @@ class MonitorDongle(Device):
     def add_listener(self, callback: SnifferCallback) -> None:
         """Subscribe to every decoded frame the dongle overhears."""
         self._listeners.append(callback)
+        self.ack_engine.install_sniffer(self._account_frame, passive=False)
+
+    def _sniffer_is_passive(self) -> bool:
+        return not self._listeners and super()._sniffer_is_passive()
 
     def _account_frame(self, frame: Frame, reception: Reception) -> None:
         super()._account_frame(frame, reception)
@@ -116,8 +146,8 @@ class MonitorDongle(Device):
         """
         self.injected += 1
         if as_bytes:
-            payload: object = RawPsdu(serialize(frame))
-            self.radio.transmit(payload, rate_mbps, length_bytes=frame.wire_length())
+            psdu = serialize(frame)
+            self.radio.transmit(RawPsdu(psdu), rate_mbps, length_bytes=len(psdu))
         else:
             self.radio.transmit(frame, rate_mbps)
 

@@ -35,7 +35,6 @@ from repro.mac.frames import (
     Frame,
     FrameType,
 )
-from repro.mac.serialization import FrameFormatError, deserialize
 from repro.phy.constants import Band, sifs
 from repro.phy.plcp import cts_airtime
 from repro.phy.radio import Radio
@@ -273,9 +272,10 @@ class AckEngine:
     def _publish_lanes(self) -> None:
         """Tell the radio which lanes are pure counter arithmetic here.
 
-        A failed FCS always is.  Clean not-for-me unicast is, unless the
-        engine is promiscuous or a sniffer without a passivity promise
-        would see it.  A clean group frame also reaches the MAC handler,
+        A failed FCS always is.  Clean not-for-me unicast is, unless a
+        sniffer without a passivity promise would see it; a promiscuous
+        engine does nothing else with such a frame either.  A clean group
+        frame also reaches the MAC handler of a non-promiscuous engine,
         so its lane needs that handler absent or passive for its frame
         type, and an own MAC without the group bit (a group-bit own
         address would need the exact address comparison of the scalar
@@ -285,10 +285,9 @@ class AckEngine:
         if radio.lanes is not self._lanes or radio.frame_handler != self._on_reception:
             return
         mask = 1 << LANE_FCS_FAIL
-        sniffer = self._sniffer_handler
-        if not self._promiscuous and (sniffer is None or self._sniffer_passive):
+        if self._sniffer_handler is None or self._sniffer_passive:
             mask |= 1 << LANE_NOT_FOR_ME
-            if not self._group_mac:
+            if not self._promiscuous and not self._group_mac:
                 if self._mac_handler is None:
                     mask |= GROUP_LANES_MASK
                 else:
@@ -307,21 +306,7 @@ class AckEngine:
             stats.fcs_failures += 1
             return
         payload = reception.frame
-        if isinstance(payload, Frame):
-            frame = payload
-        else:
-            # Raw PSDU bytes: the CRC check + parse is identical for every
-            # receiver of this transmission, so the first arrival caches
-            # the decoded frame on the shared Transmission record and the
-            # other N-1 receivers reuse it.  Received frames are treated
-            # as immutable everywhere, so sharing one instance is safe.
-            cache = reception.transmission.rx_cache
-            if cache is None:
-                cache = reception.transmission.rx_cache = {}
-            try:
-                frame = cache["frame"]
-            except KeyError:
-                frame = cache["frame"] = self._as_frame(payload)
+        frame = payload if isinstance(payload, Frame) else self._as_frame(payload)
         if frame is None:
             stats.fcs_failures += 1
             return
@@ -350,16 +335,14 @@ class AckEngine:
 
     @staticmethod
     def _as_frame(payload: object) -> Optional[Frame]:
-        """Accept both typed frames and raw PSDU bytes off the air."""
-        if isinstance(payload, Frame):
-            return payload
-        raw = getattr(payload, "psdu", payload)
-        if isinstance(raw, (bytes, bytearray)):
-            try:
-                return deserialize(bytes(raw))
-            except FrameFormatError:
-                return None
-        return None
+        """The frame behind an untyped payload off the air; ``None`` if malformed.
+
+        A raw PSDU (``repro.devices.dongle.RawPsdu``) parses itself once
+        for every reader: the CRC check and parse are the same at each
+        receiver of a transmission.
+        """
+        parsed = getattr(payload, "parsed", None)
+        return parsed() if parsed is not None else None
 
     # ------------------------------------------------------------------
     # Control responses
@@ -390,7 +373,10 @@ class AckEngine:
 
         if self._hist_gap is not None:
             self._hist_gap.observe(gap * 1e6)
-        self.radio.medium.engine.call_after(gap, send)
+        # post(), not call_after(): the response is never cancelled, and
+        # both take exactly one sequence number.
+        engine = self.radio.medium.engine
+        engine.post(engine.clock._now + gap, send)
 
     def _schedule_ack(self, frame: Frame, reception: Reception) -> None:
         if not frame.needs_ack:
@@ -424,7 +410,8 @@ class AckEngine:
 
         if self._hist_gap is not None:
             self._hist_gap.observe(gap * 1e6)
-        self.radio.medium.engine.call_after(gap, send)
+        engine = self.radio.medium.engine
+        engine.post(engine.clock._now + gap, send)
 
     # ------------------------------------------------------------------
     # Pass-up to the real MAC (runs long after the ACK decision)

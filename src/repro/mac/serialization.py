@@ -79,8 +79,31 @@ class FrameFormatError(ValueError):
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _frame_control(frame: Frame) -> bytes:
-    first = (int(frame.ftype) << 2) | (frame.subtype << 4)
+#: The 24-byte long header: Frame Control (2 × 1 B), Duration/ID, three
+#: addresses, Sequence Control.  Every data and management frame starts
+#: with it.
+_LONG_HEADER = struct.Struct("<BBH6s6s6sH")
+
+#: The all-zero address, which encodes an absent ``addr2`` / ``addr3``.
+_NO_ADDRESS = b"\x00" * 6
+
+#: Frame types as module globals: reading a member off the enum class is
+#: several times slower, and the codec tests the type once per frame.
+_MANAGEMENT = FrameType.MANAGEMENT
+_CONTROL = FrameType.CONTROL
+_DATA = FrameType.DATA
+
+_new_address = object.__new__
+
+
+def _address(raw: bytes) -> MacAddress:
+    """A :class:`MacAddress` over six wire bytes, without re-validating them."""
+    address = _new_address(MacAddress)
+    address._value = raw
+    return address
+
+
+def _flags(frame: Frame) -> int:
     flags = 0
     if frame.to_ds:
         flags |= _FLAG_TO_DS
@@ -94,12 +117,11 @@ def _frame_control(frame: Frame) -> bytes:
         flags |= _FLAG_MORE_DATA
     if frame.protected:
         flags |= _FLAG_PROTECTED
-    return bytes([first, flags])
+    return flags
 
 
-def _sequence_control(frame: Frame) -> bytes:
-    value = ((frame.sequence & 0x0FFF) << 4) | (frame.fragment & 0x0F)
-    return struct.pack("<H", value)
+def _frame_control(frame: Frame) -> bytes:
+    return bytes([(int(frame.ftype) << 2) | (frame.subtype << 4), _flags(frame)])
 
 
 def _encode_ie(element_id: int, payload: bytes) -> bytes:
@@ -163,29 +185,37 @@ def _management_body(frame: Frame) -> bytes:
 # ----------------------------------------------------------------------
 def serialize(frame: Frame) -> bytes:
     """Render ``frame`` as its on-air PSDU, FCS included."""
-    fc = _frame_control(frame)
-    duration = struct.pack("<H", frame.duration_us & 0xFFFF)
-    if frame.is_control:
+    ftype = frame.ftype
+    if ftype is _CONTROL:
+        header = _frame_control(frame) + struct.pack("<H", frame.duration_us & 0xFFFF)
         if frame.is_rts:
             if frame.addr2 is None:
                 raise FrameFormatError("RTS requires a transmitter address")
-            header = fc + duration + frame.addr1.bytes + frame.addr2.bytes
+            header += frame.addr1.bytes + frame.addr2.bytes
         elif frame.is_cts or frame.is_ack:
-            header = fc + duration + frame.addr1.bytes
+            header += frame.addr1.bytes
         else:
             raise FrameFormatError(
                 f"unsupported control subtype {frame.subtype}"
             )
         return append_fcs(header)
 
-    addr2 = frame.addr2.bytes if frame.addr2 is not None else b"\x00" * 6
-    addr3 = frame.addr3.bytes if frame.addr3 is not None else b"\x00" * 6
-    header = fc + duration + frame.addr1.bytes + addr2 + addr3
-    header += _sequence_control(frame)
-    if frame.is_data and frame.subtype in (SUBTYPE_QOS_DATA, SUBTYPE_QOS_NULL):
-        header += struct.pack("<H", 0)  # QoS Control (TID 0)
-    body = _management_body(frame) if frame.is_management else frame.body
-    return append_fcs(header + body)
+    subtype = frame.subtype
+    addr2 = frame.addr2
+    addr3 = frame.addr3
+    psdu = _LONG_HEADER.pack(
+        (int(ftype) << 2) | (subtype << 4),
+        _flags(frame),
+        frame.duration_us & 0xFFFF,
+        frame.addr1._value,
+        _NO_ADDRESS if addr2 is None else addr2._value,
+        _NO_ADDRESS if addr3 is None else addr3._value,
+        ((frame.sequence & 0x0FFF) << 4) | (frame.fragment & 0x0F),
+    )
+    if ftype is _DATA and (subtype == SUBTYPE_QOS_DATA or subtype == SUBTYPE_QOS_NULL):
+        psdu += b"\x00\x00"  # QoS Control (TID 0)
+    psdu += _management_body(frame) if ftype is _MANAGEMENT else frame.body
+    return append_fcs(psdu)
 
 
 # ----------------------------------------------------------------------
@@ -195,26 +225,46 @@ def deserialize(psdu: bytes, check_fcs: bool = True) -> Frame:
     """Parse an on-air PSDU back into a typed :class:`Frame`.
 
     ``check_fcs=False`` lets monitor-mode tools inspect corrupt captures.
+    Bytes that are no frame this codec knows raise :class:`FrameFormatError`.
     """
     if check_fcs and not fcs_is_valid(psdu):
         raise FrameFormatError("FCS check failed")
-    data = psdu[:-FCS_BYTES]
+    data = bytes(psdu[:-FCS_BYTES])
     if len(data) < 10:
         raise FrameFormatError(f"frame too short: {len(data)} bytes")
-    first, flags = data[0], data[1]
+    first = data[0]
     if first & 0x03 != 0:
         raise FrameFormatError("unsupported 802.11 protocol version")
-    ftype = FrameType((first >> 2) & 0x03)
-    subtype = (first >> 4) & 0x0F
-    duration = struct.unpack_from("<H", data, 2)[0]
-    addr1 = MacAddress(data[4:10])
+    type_bits = (first >> 2) & 0x03
+    if type_bits == 3:
+        raise FrameFormatError("reserved frame type 3")
+    subtype = first >> 4
 
-    if ftype is FrameType.CONTROL:
-        frame = _parse_control(subtype, addr1, data)
+    if type_bits == _CONTROL:
+        frame = _parse_control(subtype, data)
+        frame.duration_us = struct.unpack_from("<H", data, 2)[0]
+        flags = data[1]
     else:
-        frame = _parse_long(ftype, subtype, addr1, data)
+        if len(data) < 24:
+            raise FrameFormatError(f"frame too short for long header: {len(data)}")
+        _, flags, duration, addr1, addr2, addr3, seq_control = _LONG_HEADER.unpack_from(data)
+        addresses = (
+            _address(addr1),
+            None if addr2 == _NO_ADDRESS else _address(addr2),
+            None if addr3 == _NO_ADDRESS else _address(addr3),
+        )
+        if type_bits == _DATA:
+            if subtype == SUBTYPE_QOS_DATA or subtype == SUBTYPE_QOS_NULL:
+                body = data[26:]
+            else:
+                body = data[24:]
+            frame = _parse_data(subtype, *addresses, body)
+        else:
+            frame = _parse_management(subtype, *addresses, data[24:])
+        frame.duration_us = duration
+        frame.sequence = seq_control >> 4
+        frame.fragment = seq_control & 0x0F
 
-    frame.duration_us = duration
     frame.to_ds = bool(flags & _FLAG_TO_DS)
     frame.from_ds = bool(flags & _FLAG_FROM_DS)
     frame.retry = bool(flags & _FLAG_RETRY)
@@ -224,7 +274,8 @@ def deserialize(psdu: bytes, check_fcs: bool = True) -> Frame:
     return frame
 
 
-def _parse_control(subtype: int, addr1: MacAddress, data: bytes) -> Frame:
+def _parse_control(subtype: int, data: bytes) -> Frame:
+    addr1 = _address(data[4:10])
     if subtype == SUBTYPE_ACK:
         if len(data) != 10:
             raise FrameFormatError(f"bad ACK length {len(data)}")
@@ -236,36 +287,8 @@ def _parse_control(subtype: int, addr1: MacAddress, data: bytes) -> Frame:
     if subtype == SUBTYPE_RTS:
         if len(data) != 16:
             raise FrameFormatError(f"bad RTS length {len(data)}")
-        return RtsFrame(addr1, MacAddress(data[10:16]))
+        return RtsFrame(addr1, _address(data[10:16]))
     raise FrameFormatError(f"unsupported control subtype {subtype}")
-
-
-def _zero_to_none(raw: bytes) -> Optional[MacAddress]:
-    return None if raw == b"\x00" * 6 else MacAddress(raw)
-
-
-def _parse_long(
-    ftype: FrameType, subtype: int, addr1: MacAddress, data: bytes
-) -> Frame:
-    if len(data) < 24:
-        raise FrameFormatError(f"frame too short for long header: {len(data)}")
-    addr2 = _zero_to_none(data[10:16])
-    addr3 = _zero_to_none(data[16:22])
-    seq_control = struct.unpack_from("<H", data, 22)[0]
-    fragment = seq_control & 0x0F
-    sequence = (seq_control >> 4) & 0x0FFF
-    offset = 24
-    if ftype is FrameType.DATA and subtype in (SUBTYPE_QOS_DATA, SUBTYPE_QOS_NULL):
-        offset += 2
-    body = data[offset:]
-
-    if ftype is FrameType.DATA:
-        frame = _parse_data(subtype, addr1, addr2, addr3, body)
-    else:
-        frame = _parse_management(subtype, addr1, addr2, addr3, body)
-    frame.sequence = sequence
-    frame.fragment = fragment
-    return frame
 
 
 def _parse_data(
@@ -275,13 +298,11 @@ def _parse_data(
     addr3: Optional[MacAddress],
     body: bytes,
 ) -> Frame:
-    common = dict(addr1=addr1, addr2=addr2, addr3=addr3)
     if subtype == SUBTYPE_NULL:
-        return NullDataFrame(**common)
+        return NullDataFrame(addr1=addr1, addr2=addr2, addr3=addr3)
     if subtype == SUBTYPE_QOS_NULL:
-        return QosNullFrame(**common)
-    frame = DataFrame(subtype=subtype, body=body, **common)
-    return frame
+        return QosNullFrame(addr1=addr1, addr2=addr2, addr3=addr3)
+    return DataFrame(subtype=subtype, body=body, addr1=addr1, addr2=addr2, addr3=addr3)
 
 
 def _parse_management(

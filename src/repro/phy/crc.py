@@ -6,17 +6,25 @@ Every 802.11 frame ends in a 4-byte FCS computed with the IEEE CRC-32
 *entirety* of what a receiver validates before acknowledging a frame: a
 fake frame with a correct FCS is, to the PHY, a perfectly good frame.
 
-Implemented from scratch (table-driven) rather than via :func:`zlib.crc32`
-so the algorithm itself is part of the reproduction; the test suite
-cross-checks against zlib.
+:func:`crc32` spells the algorithm out (table-driven) as the reference
+the test suite checks against.  The FCS helpers every frame passes
+through, :func:`fcs_of` and :func:`fcs_is_valid`, run the same CRC in C
+through :func:`zlib.crc32`: in the Figure 6 flood each fake frame is
+checksummed twice (sent and received), and there the pure-Python loop
+costs about 20 times as much per frame.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import List
 
 #: Reflected polynomial for IEEE CRC-32.
 _POLYNOMIAL = 0xEDB88320
+
+#: The CRC-32 of any message followed by its own little-endian CRC: a
+#: PSDU whose FCS is right leaves this residue over all its bytes.
+_RESIDUE = 0x2144DF1C
 
 
 def _build_table() -> List[int]:
@@ -45,7 +53,7 @@ def crc32(data: bytes, initial: int = 0) -> int:
 
 def fcs_of(frame_body: bytes) -> bytes:
     """The 4-byte FCS for a MAC header+body, little-endian as on the wire."""
-    return crc32(frame_body).to_bytes(4, "little")
+    return zlib.crc32(frame_body).to_bytes(4, "little")
 
 
 def append_fcs(frame_body: bytes) -> bytes:
@@ -58,10 +66,7 @@ def fcs_is_valid(psdu: bytes) -> bool:
 
     Frames shorter than the FCS itself are malformed and invalid.
     """
-    if len(psdu) < 4:
-        return False
-    body, fcs = psdu[:-4], psdu[-4:]
-    return fcs_of(body) == fcs
+    return len(psdu) >= 4 and zlib.crc32(psdu) == _RESIDUE
 
 
 def strip_fcs(psdu: bytes) -> bytes:

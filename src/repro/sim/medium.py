@@ -192,13 +192,7 @@ def free_space_path_loss_db(tx: Position, rx: Position, frequency_hz: float) -> 
 
 @dataclass(slots=True)
 class Transmission:
-    """An on-air frame as the medium sees it.
-
-    ``rx_cache`` is a lazily-created scratch dict shared by every receiver
-    of this transmission: pure per-frame derivations (wire length, parsed
-    MAC frame) are computed once by the first arrival and reused by the
-    other N−1, instead of once per receiver.
-    """
+    """An on-air frame as the medium sees it."""
 
     sender: str
     frame: object
@@ -208,7 +202,6 @@ class Transmission:
     rate_mbps: float
     channel: int
     tx_position: Position
-    rx_cache: Optional[dict] = None
 
     @property
     def end(self) -> float:
@@ -1821,14 +1814,8 @@ class Medium:
             # the list per (rate, length) until its next push.  The RNG
             # draw that applies a probability happens at the arrival
             # end, in arrival order.
-            rx_cache = transmission.rx_cache
-            if rx_cache is None:
-                rx_cache = transmission.rx_cache = {}
-            length = rx_cache.get("len")
-            if length is None:
-                getter = getattr(transmission.frame, "wire_length", None)
-                length = (getter() or 0) if getter is not None else 0
-                rx_cache["len"] = length
+            getter = getattr(transmission.frame, "wire_length", None)
+            length = (getter() or 0) if getter is not None else 0
             rate = transmission.rate_mbps
             fer_lists = delivery.fers
             fers = fer_lists.get((rate, length))

@@ -10,75 +10,63 @@ Three cooperating pieces (see ``docs/telemetry.md``):
 * **campaigns** — :func:`run_campaign` fans a registered scenario out
   across seeds × parameter grids with ``multiprocessing``, writes a run
   manifest, and produces worker-count-independent aggregates.
+
+The package re-exports lazily (PEP 562): a run that only updates
+metrics imports neither the campaign runner nor ``multiprocessing``.
 """
 
-from repro.telemetry.campaign import (
-    CampaignConfig,
-    CampaignRunError,
-    MissingShardsError,
-    RunTimeoutError,
-    ShardMismatchError,
-    merge_manifest_files,
-    merge_manifests,
-    parse_sidecar_record,
-    parse_sidecar_text,
-    run_campaign,
-    shard_manifest_path,
-    shard_run_indices,
-    summarize_manifest,
-)
-from repro.telemetry.compare import (
-    compare_manifest_files,
-    compare_manifests,
-    format_comparison,
-)
-from repro.telemetry.export import (
-    load_manifest,
-    manifest_to_json,
-    snapshot_from_json,
-    snapshot_to_csv,
-    snapshot_to_json,
-    status_to_json,
-    write_manifest,
-    write_snapshot,
-    write_status,
-)
-from repro.telemetry.metrics import Counter, Gauge, Histogram
-from repro.telemetry.registry import MetricsRegistry, merge_snapshots
-from repro.telemetry.spans import NULL_TRACER, SpanRecord, SpanTracer
+import importlib
 
-__all__ = [
-    "CampaignConfig",
-    "CampaignRunError",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MissingShardsError",
-    "NULL_TRACER",
-    "RunTimeoutError",
-    "ShardMismatchError",
-    "SpanRecord",
-    "SpanTracer",
-    "compare_manifest_files",
-    "compare_manifests",
-    "format_comparison",
-    "load_manifest",
-    "manifest_to_json",
-    "merge_manifest_files",
-    "merge_manifests",
-    "merge_snapshots",
-    "parse_sidecar_record",
-    "parse_sidecar_text",
-    "run_campaign",
-    "shard_manifest_path",
-    "shard_run_indices",
-    "snapshot_from_json",
-    "snapshot_to_csv",
-    "snapshot_to_json",
-    "status_to_json",
-    "summarize_manifest",
-    "write_manifest",
-    "write_snapshot",
-    "write_status",
-]
+#: Every public name and the module that defines it, resolved on first
+#: access (PEP 562).
+_EXPORTS = {
+    "CampaignConfig": "repro.telemetry.campaign",
+    "CampaignRunError": "repro.telemetry.campaign",
+    "MissingShardsError": "repro.telemetry.campaign",
+    "RunTimeoutError": "repro.telemetry.campaign",
+    "ShardMismatchError": "repro.telemetry.campaign",
+    "merge_manifest_files": "repro.telemetry.campaign",
+    "merge_manifests": "repro.telemetry.campaign",
+    "parse_sidecar_record": "repro.telemetry.campaign",
+    "parse_sidecar_text": "repro.telemetry.campaign",
+    "run_campaign": "repro.telemetry.campaign",
+    "shard_manifest_path": "repro.telemetry.campaign",
+    "shard_run_indices": "repro.telemetry.campaign",
+    "summarize_manifest": "repro.telemetry.campaign",
+    "compare_manifest_files": "repro.telemetry.compare",
+    "compare_manifests": "repro.telemetry.compare",
+    "format_comparison": "repro.telemetry.compare",
+    "load_manifest": "repro.telemetry.export",
+    "manifest_to_json": "repro.telemetry.export",
+    "snapshot_from_json": "repro.telemetry.export",
+    "snapshot_to_csv": "repro.telemetry.export",
+    "snapshot_to_json": "repro.telemetry.export",
+    "status_to_json": "repro.telemetry.export",
+    "write_manifest": "repro.telemetry.export",
+    "write_snapshot": "repro.telemetry.export",
+    "write_status": "repro.telemetry.export",
+    "Counter": "repro.telemetry.metrics",
+    "Gauge": "repro.telemetry.metrics",
+    "Histogram": "repro.telemetry.metrics",
+    "MetricsRegistry": "repro.telemetry.registry",
+    "merge_snapshots": "repro.telemetry.registry",
+    "NULL_TRACER": "repro.telemetry.spans",
+    "SpanRecord": "repro.telemetry.spans",
+    "SpanTracer": "repro.telemetry.spans",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

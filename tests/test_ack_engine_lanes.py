@@ -5,8 +5,9 @@ receiver's published lane mask covers instead of building a
 ``Reception``.  These tests pin the mask an engine publishes for each
 receiver configuration — where it must refuse and defer to the scalar
 path, such as a (nonstandard) group-bit own MAC — and the promises
-devices make (a station's, and an access point's on wildcard probe
-requests) against the lane-free reference medium, plus the duplicate cache's exact eviction threshold
+devices make (a station's, an access point's on wildcard probe requests,
+and a monitor dongle's while nobody listens to it) against the lane-free
+reference medium, plus the duplicate cache's exact eviction threshold
 and the ACK-but-don't-deliver retry semantics.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.devices.access_point import AccessPoint, ApBehavior
+from repro.devices.dongle import MonitorDongle
 from repro.devices.station import Station
 from repro.mac.ack_engine import _DUPLICATE_CACHE_SIZE, AckEngine, AckEngineConfig
 from repro.mac.addresses import ATTACKER_FAKE_MAC, MacAddress
@@ -200,7 +202,10 @@ PROBE_LANES = {"probe_request", "own_ssid_probe", "other_ssid_probe"}
 CONFIGS = {
     "plain": set(),
     "default": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
-    "promiscuous": {"collision"},
+    "promiscuous": {"collision", "not_for_me"},
+    # A monitor dongle's sniffer is passive until someone listens.
+    "monitor": {"collision", "not_for_me"},
+    "monitor_with_listener": {"collision"},
     "group_bit_mac": {"collision", "not_for_me"},
     "passive_sniffer": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
     "active_sniffer": {"collision"},
@@ -249,6 +254,14 @@ def _receiver(config, medium, log):
         return lambda *args: log.append((tag, type(args[0]).__name__))
 
     silent = ApBehavior(respond_to_wildcard_probe=False)
+    if config.startswith("monitor"):
+        device = MonitorDongle(
+            mac=RX_MAC, medium=medium, position=Position(0.0, 0.0),
+            rng=np.random.default_rng(3),
+        )
+        if config == "monitor_with_listener":
+            device.add_listener(record("sniff"))
+        return device.radio, device.ack_engine
     if config == "station":
         device = Station(
             mac=RX_MAC, medium=medium, position=Position(0.0, 0.0),

@@ -65,7 +65,10 @@ def _flaky(ctx):
     import numpy as np
 
     marker = ctx.params["marker"]
-    failures = int(open(marker).read() or 0) if os.path.exists(marker) else 0
+    failures = 0
+    if os.path.exists(marker):
+        with open(marker) as handle:
+            failures = int(handle.read() or 0)
     if failures < ctx.params["fail_times"]:
         with open(marker, "w") as handle:
             handle.write(str(failures + 1))

@@ -5,15 +5,19 @@ import pytest
 
 from repro.channel.csi import CsiChannelModel, MultipathChannel
 from repro.channel.motion import StillMotion
+from repro.core.injector import FakeFrameInjector
+from repro.devices import dongle as dongle_module
 from repro.devices.access_point import AccessPoint
 from repro.devices.base import DeviceKind
 from repro.devices.chipsets import TABLE1_DEVICES, build_lab_device
 from repro.devices.dongle import MonitorDongle, RawPsdu
 from repro.devices.esp import Esp32CsiSniffer, Esp8266Device
 from repro.devices.station import Station
+from repro.mac import serialization
 from repro.mac.addresses import ATTACKER_FAKE_MAC, MacAddress
 from repro.mac.frames import NullDataFrame
 from repro.mac.serialization import serialize
+from repro.phy.crc import append_fcs
 from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
@@ -67,6 +71,68 @@ class TestMonitorDongle:
         dongle.inject_bytes(b"\xff" * 30)  # not a valid frame (FCS fails)
         engine.run_until(0.1)
         assert station.ack_engine.stats.acks_sent == 0
+
+    def test_bad_fcs_injection_not_acked(self, engine, medium, rng, make_station):
+        dongle = MonitorDongle(
+            mac=fresh_mac(), medium=medium, position=Position(5, 0), rng=rng
+        )
+        station = make_station()
+        psdu = bytearray(serialize(NullDataFrame(addr1=station.mac, addr2=ATTACKER_FAKE_MAC)))
+        psdu[-1] ^= 0x01  # a well-formed frame for the station, one FCS bit off
+        dongle.inject_bytes(bytes(psdu))
+        engine.run_until(0.1)
+        stats = station.ack_engine.stats
+        assert (stats.frames_seen, stats.fcs_failures, stats.acks_sent) == (1, 1, 0)
+
+    def test_reserved_frame_type_dropped_as_malformed(
+        self, engine, medium, rng, make_station
+    ):
+        # Frame type 3 is reserved.  With a valid FCS the bytes reach the
+        # parser, which must reject them like any other malformed frame
+        # instead of aborting the run.
+        dongle = MonitorDongle(
+            mac=fresh_mac(), medium=medium, position=Position(5, 0), rng=rng
+        )
+        station = make_station()
+        psdu = append_fcs(bytes([0x0C, 0, 0, 0]) + station.mac.bytes)
+        assert RawPsdu(psdu).parsed() is None
+        dongle.inject_bytes(psdu)
+        engine.run_until(0.1)
+        stats = station.ack_engine.stats
+        assert (stats.frames_seen, stats.fcs_failures, stats.acks_sent) == (1, 1, 0)
+
+    def test_flood_parses_each_injected_psdu_once(
+        self, engine, medium, rng, make_station, monkeypatch
+    ):
+        # The victim, a bystander whose sniffer hears everything, and the
+        # capture trace all read one parse per injected frame.
+        calls = []
+        deserialize = serialization.deserialize
+
+        def counting(psdu, *args, **kwargs):
+            calls.append(psdu)
+            return deserialize(psdu, *args, **kwargs)
+
+        monkeypatch.setattr(dongle_module, "deserialize", counting)
+        monkeypatch.setattr(serialization, "deserialize", counting)
+        victim = make_station()
+        bystander = MonitorDongle(
+            mac=fresh_mac(), medium=medium, position=Position(3, 0), rng=rng
+        )
+        overheard = []
+        bystander.add_listener(lambda frame, reception: overheard.append(frame))
+        attacker = MonitorDongle(
+            mac=fresh_mac(), medium=medium, position=Position(5, 0), rng=rng
+        )
+        injector = FakeFrameInjector(attacker)
+        frames = 25
+        for k in range(frames):
+            engine.call_at(1e-3 * k, lambda: injector.inject_null(victim.mac))
+        engine.run_until(0.1)
+        assert len(calls) == frames
+        assert victim.ack_engine.stats.acks_sent == frames
+        # The bystander overheard every fake frame and every ACK.
+        assert len(overheard) == 2 * frames
 
     def test_raw_psdu_trace_hooks(self):
         frame = NullDataFrame(

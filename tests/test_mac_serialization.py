@@ -1,8 +1,10 @@
 """Wire-format round trips, including hypothesis-driven fuzzing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.injector import FakeFrameInjector
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import (
     AckFrame,
@@ -20,7 +22,7 @@ from repro.mac.frames import (
     RtsFrame,
 )
 from repro.mac.serialization import FrameFormatError, deserialize, serialize
-from repro.phy.crc import fcs_is_valid
+from repro.phy.crc import append_fcs, fcs_is_valid
 
 # Unicast, non-zero MACs (the all-zero address encodes "field absent" on
 # our wire format, matching how ACK/CTS omit addresses).
@@ -191,3 +193,36 @@ class TestMalformedInput:
         wire[-1] ^= 0xFF  # corrupt the FCS only
         frame = deserialize(bytes(wire), check_fcs=False)
         assert frame.is_null_data
+
+    @given(st.integers(0, 255), st.binary(min_size=23, max_size=64))
+    def test_valid_fcs_long_header_parses_or_is_rejected(self, first, rest):
+        # Any frame-control byte, reserved type and version included, over
+        # a long header whose FCS is right: the parser either builds a
+        # frame or raises FrameFormatError, never anything else.
+        try:
+            deserialize(append_fcs(bytes([first]) + rest))
+        except FrameFormatError:
+            pass
+
+    def test_reserved_type_rejected(self):
+        with pytest.raises(FrameFormatError, match="reserved"):
+            deserialize(append_fcs(bytes([0x0C]) + bytes(23)))
+
+
+class TestInjectorFrames:
+    """What the attacker puts on air survives the victim's parser exactly."""
+
+    @pytest.mark.parametrize("kind", ["null", "qos_null", "rts", "data"])
+    def test_crafted_frames_round_trip_byte_for_byte(self, kind):
+        injector = FakeFrameInjector(dongle=None, rng=np.random.default_rng(7))
+        craft = {
+            "null": injector.craft_null,
+            "qos_null": injector.craft_qos_null,
+            "rts": injector.craft_rts,
+            "data": injector.craft_garbage_data,
+        }[kind]
+        for _ in range(20):
+            frame = craft(MacAddress("02:e8:26:60:00:01"))
+            wire = serialize(frame)
+            assert len(wire) == frame.wire_length()
+            assert serialize(deserialize(wire)) == wire

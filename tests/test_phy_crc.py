@@ -26,6 +26,20 @@ class TestZlibEquivalence:
         assert crc32(data) == zlib.crc32(data)
 
 
+class TestFcsAgainstReference:
+    """The FCS helpers run zlib's CRC; the table-driven one is the reference."""
+
+    @given(st.binary(min_size=0, max_size=512))
+    def test_fcs_of_matches_reference(self, body):
+        assert fcs_of(body) == crc32(body).to_bytes(4, "little")
+
+    @given(st.binary(min_size=0, max_size=512), st.binary(min_size=4, max_size=4))
+    def test_validity_matches_reference(self, body, fcs):
+        # An arbitrary trailer is valid exactly when it is the reference CRC.
+        assert fcs_is_valid(body + fcs) == (fcs == crc32(body).to_bytes(4, "little"))
+        assert fcs_is_valid(body + crc32(body).to_bytes(4, "little"))
+
+
 class TestFcsRoundTrip:
     @given(st.binary(min_size=0, max_size=512))
     def test_append_then_validate(self, body):

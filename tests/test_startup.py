@@ -3,7 +3,8 @@
 Every e2e unit and campaign run pays its imports before its first event.
 Two rules keep that small (``docs/performance.md``, "Start-up"):
 optional dependencies are imported where they are used, and the
-``repro`` / ``repro.core`` package inits re-export lazily (PEP 562).
+``repro``, ``repro.core`` and ``repro.telemetry`` package inits
+re-export lazily (PEP 562).
 Each check runs in a fresh interpreter, since this one has long since
 imported whatever earlier tests needed.
 """
@@ -47,12 +48,13 @@ run_scenario("battery", seed=0, params={"rates_pps": [0, 50], "duration_s": 0.5}
 assert seen, "the run never entered Engine.run_until"
 late = sorted(set(sys.modules) - seen[0])
 assert not late, f"imported during the run: {late}"
-unused = [m for m in ("repro.core.keystroke", "repro.sensing") if m in sys.modules]
+unused = [m for m in ("repro.core.keystroke", "repro.sensing", "multiprocessing",
+                      "repro.telemetry.campaign") if m in sys.modules]
 assert not unused, f"a battery run loaded {unused}"
 """)
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.core"])
+@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.telemetry"])
 def test_lazy_exports_resolve_and_list(package):
     run_fresh(f"""
 import importlib
