@@ -8,9 +8,10 @@ the fake MAC address (aa:bb:bb:bb:bb:bb), and the frame has no payload
 
 :class:`FakeFrameInjector` crafts exactly those frames (and the RTS
 variant of Section 2.2, and arbitrary garbage-payload data frames for the
-robustness tests), serializes them through the real wire format, and
-transmits them through a monitor-mode dongle — one-shot or as a paced
-stream for the 150/900 frames-per-second attacks.
+robustness tests) and transmits them through a monitor-mode dongle —
+one-shot or as a paced stream for the 150/900 frames-per-second attacks.
+Crafted frames fly typed (:meth:`MonitorDongle.inject`); hand-built or
+malformed bytes go through :meth:`MonitorDongle.inject_bytes`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,19 @@ class FakeFrameInjector:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._sequence = int(self._rng.integers(0, 4096))
         self.total_injected = 0
+        self._nav = (rate_mbps, band, data_frame_duration_us(rate_mbps, band))
+
+    def _nav_us(self) -> int:
+        """The crafted data frames' Duration field for the current rate and
+        band, resolved once per setting: the memo of
+        :func:`data_frame_duration_us` would hash the ``Band`` enum (a
+        Python-level ``__hash__``) for every frame."""
+        rate, band, nav = self._nav
+        if rate != self.rate_mbps or band is not self.band:
+            rate, band = self.rate_mbps, self.band
+            nav = data_frame_duration_us(rate, band)
+            self._nav = (rate, band, nav)
+        return nav
 
     def _next_sequence(self) -> int:
         self._sequence = (self._sequence + 1) & 0x0FFF
@@ -79,7 +93,7 @@ class FakeFrameInjector:
             addr1=MacAddress(target),
             addr2=self.fake_source,
             addr3=self.fake_source,
-            duration_us=data_frame_duration_us(self.rate_mbps, self.band),
+            duration_us=self._nav_us(),
         )
         frame.sequence = self._next_sequence()
         return frame
@@ -89,7 +103,7 @@ class FakeFrameInjector:
             addr1=MacAddress(target),
             addr2=self.fake_source,
             addr3=self.fake_source,
-            duration_us=data_frame_duration_us(self.rate_mbps, self.band),
+            duration_us=self._nav_us(),
         )
         frame.sequence = self._next_sequence()
         return frame
@@ -112,7 +126,7 @@ class FakeFrameInjector:
             addr2=self.fake_source,
             addr3=self.fake_source,
             body=body,
-            duration_us=data_frame_duration_us(self.rate_mbps, self.band),
+            duration_us=self._nav_us(),
         )
         frame.sequence = self._next_sequence()
         return frame
@@ -121,7 +135,7 @@ class FakeFrameInjector:
     # Transmission
     # ------------------------------------------------------------------
     def inject(self, frame: Frame) -> None:
-        """One-shot injection through the dongle (serialized wire bytes)."""
+        """One-shot injection through the dongle (the typed frame)."""
         self.total_injected += 1
         self.dongle.inject(frame, self.rate_mbps)
 

@@ -26,7 +26,7 @@ from repro.devices.power_model import EnergyAccountant, PowerProfile
 from repro.mac.ack_engine import AckEngine, AckEngineConfig
 from repro.mac.addresses import MacAddress
 from repro.mac import frames as frame_types
-from repro.mac.frames import Frame, FrameType
+from repro.mac.frames import _DATA, _MANAGEMENT, Frame, FrameType
 from repro.mac.powersave import PowerSaveConfig, PowerSaveController
 from repro.mac.transmitter import MacTransmitter, TxAttempt
 from repro.phy.constants import Band
@@ -208,7 +208,7 @@ class Device:
     # ------------------------------------------------------------------
     def _dispatch_frame(self, frame: Frame, reception: Reception) -> None:
         ftype = frame.ftype
-        if ftype is FrameType.MANAGEMENT:
+        if ftype is _MANAGEMENT:
             subtype = frame.subtype
             if subtype == frame_types.SUBTYPE_BEACON:
                 self.on_beacon(frame, reception)
@@ -226,7 +226,7 @@ class Device:
                 self.on_deauth(frame, reception)
             else:
                 self.on_management(frame, reception)
-        elif ftype is FrameType.DATA:
+        elif ftype is _DATA:
             self.on_data(frame, reception)
 
     # ------------------------------------------------------------------

@@ -12,12 +12,17 @@ are modelled here:
   radio, optionally without carrier sense, with any header fields the
   attacker likes (spoofed transmitter address included).
 
-Injection accepts either typed frames or raw PSDU bytes; raw bytes travel
-as a :class:`RawPsdu` and are parsed by the victim's receive chain, so
-the serializer is genuinely on the attack path.  A PSDU is parsed at most
-once, however many hooks read it: the medium's receiver-address
-pre-filter, every receiver's ACK engine and the capture trace share that
-parse.
+Injection takes typed frames or raw PSDU bytes.  A frame crafted inside
+the simulation (:meth:`MonitorDongle.inject`) goes on the air as the
+:class:`~repro.mac.frames.Frame` itself: nothing on the receive side
+reads its bytes, since the medium decides corruption
+(:attr:`Reception.fcs_ok`) and the victim ACKs on that verdict alone.
+Raw bytes (:meth:`MonitorDongle.inject_bytes`: malformed frames, a bad
+FCS, anything hand-built) travel as a :class:`RawPsdu` and are parsed by
+the victim's receive chain, so wherever bytes were injected the victim
+validates attacker bytes, CRC included.  A PSDU is parsed at most once,
+however many hooks read it: the medium's receiver-address pre-filter,
+every receiver's ACK engine and the capture trace share that parse.
 
 A dongle nobody listens to (no :meth:`MonitorDongle.add_listener`, no
 energy accounting, no power save) promises its receive chain that its
@@ -33,7 +38,7 @@ from typing import Callable, List, Optional
 from repro.devices.base import Device, DeviceKind
 from repro.mac.ack_engine import AckEngineConfig
 from repro.mac.frames import Frame
-from repro.mac.serialization import FrameFormatError, deserialize, serialize
+from repro.mac.serialization import FrameFormatError, deserialize
 from repro.sim.medium import Reception
 
 #: :attr:`RawPsdu._frame` before the first parse (``None`` means malformed).
@@ -131,25 +136,19 @@ class MonitorDongle(Device):
     # ------------------------------------------------------------------
     # Injection
     # ------------------------------------------------------------------
-    def inject(
-        self,
-        frame: Frame,
-        rate_mbps: float = 6.0,
-        as_bytes: bool = True,
-    ) -> None:
+    def inject(self, frame: Frame, rate_mbps: float = 6.0) -> None:
         """Put a crafted frame on the air immediately (no DCF, no retry).
 
-        ``as_bytes`` (the default) serializes through the real wire format
-        so the victim parses attacker-controlled bytes, exactly like a
-        Scapy injection; disable it only for unit tests that want to
-        short-circuit serialization.
+        The frame flies typed: every receiver reads this same object,
+        whose wire length sets the airtime, and the medium's verdict
+        (:attr:`Reception.fcs_ok`) is the FCS check the victim's ACK
+        rests on.  Bytes would buy nothing here, since the frame is well
+        formed by construction; to make the victim parse
+        attacker-controlled bytes, as a Scapy injection does, pass them
+        to :meth:`inject_bytes`.
         """
         self.injected += 1
-        if as_bytes:
-            psdu = serialize(frame)
-            self.radio.transmit(RawPsdu(psdu), rate_mbps, length_bytes=len(psdu))
-        else:
-            self.radio.transmit(frame, rate_mbps)
+        self.radio.transmit(frame, rate_mbps)
 
     def inject_bytes(self, psdu: bytes, rate_mbps: float = 6.0) -> None:
         """Inject raw attacker-controlled bytes (may be malformed)."""

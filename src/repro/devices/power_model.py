@@ -28,6 +28,10 @@ from typing import Dict, Optional
 
 from repro.phy.radio import Radio, RadioState
 
+#: Radio states in slot order; ``tuple.index`` finds a member by identity
+#: without hashing it.
+_STATES = tuple(RadioState)
+
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -88,10 +92,18 @@ class EnergyAccountant:
         self._window_start = self._engine.now
         self.frames_received = 0
         self.frames_processed = 0
-        self.time_in_state: Dict[RadioState, float] = {
-            state: 0.0 for state in RadioState
-        }
+        # The current state's slot in _times and its draw, resolved once
+        # per state change: keying a dict by the enum would run its
+        # Python-level __hash__ on every accrual.
+        self._times = [0.0] * len(_STATES)
+        self._slot = _STATES.index(self._state)
+        self._power_mw = profile.state_power_mw(self._state)
         radio.add_state_listener(self._on_state_change)
+
+    @property
+    def time_in_state(self) -> Dict[RadioState, float]:
+        """Seconds spent in each radio state during the current window."""
+        return dict(zip(_STATES, self._times))
 
     # ------------------------------------------------------------------
     # Event hooks
@@ -99,14 +111,16 @@ class EnergyAccountant:
     def _on_state_change(self, state: RadioState, time: float) -> None:
         self._accrue(time)
         self._state = state
+        self._slot = _STATES.index(state)
+        self._power_mw = self.profile.state_power_mw(state)
         self._state_since = time
 
     def _accrue(self, now: float) -> None:
         elapsed = now - self._state_since
         if elapsed <= 0.0:
             return
-        self.time_in_state[self._state] += elapsed
-        self._steady_energy_mj += self.profile.state_power_mw(self._state) * elapsed
+        self._times[self._slot] += elapsed
+        self._steady_energy_mj += self._power_mw * elapsed
         self._state_since = now
 
     def note_frame_received(self, airtime: float, addressed_to_us: bool) -> None:
@@ -144,7 +158,7 @@ class EnergyAccountant:
         self._window_start = now
         self.frames_received = 0
         self.frames_processed = 0
-        self.time_in_state = {state: 0.0 for state in RadioState}
+        self._times = [0.0] * len(_STATES)
 
     def duty_cycle(self, state: RadioState, now: Optional[float] = None) -> float:
         """Fraction of the window spent in ``state``."""
@@ -153,4 +167,4 @@ class EnergyAccountant:
         window = now - self._window_start
         if window <= 0.0:
             return 0.0
-        return self.time_in_state[state] / window
+        return self._times[_STATES.index(state)] / window

@@ -30,6 +30,7 @@ from typing import Callable, Collection, Dict, Optional, Tuple
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import (
     SUBTYPE_PROBE_REQUEST,
+    _CONTROL,
     AckFrame,
     CtsFrame,
     Frame,
@@ -177,9 +178,11 @@ class AckEngine:
         #: Group lanes the MAC handler promised to ignore.
         self._mac_group_mask = 0
         self._duplicate_cache: Dict[Tuple[MacAddress, int, int], None] = {}
-        # Hot-path caches: the config flag and own-address bytes are
-        # immutable after construction and read on every reception.
+        # Hot-path caches: the config flag, SIFS and own-address bytes are
+        # immutable after construction and read on every reception (a
+        # per-ACK sifs() lookup hashes the Band enum in Python).
         self._promiscuous = self.config.promiscuous
+        self._sifs = sifs(self.config.band)
         self._mac_value = self.mac_address._value
         # A (nonstandard) group-bit own address would tie with the
         # group-destination test; the fast lanes refuse to guess and the
@@ -327,7 +330,7 @@ class AckEngine:
 
         # --- From here on the frame is addressed to us and passed the FCS.
         # This is the entirety of what fits inside SIFS.
-        if frame.ftype is FrameType.CONTROL:
+        if frame.ftype is _CONTROL:
             self._handle_control(frame, reception)
             return
         self._schedule_ack(frame, reception)
@@ -357,7 +360,7 @@ class AckEngine:
     def _schedule_cts(self, rts: Frame, reception: Reception) -> None:
         """CTS one SIFS after the RTS — mandatory, unencryptable, and the
         reason Polite WiFi survives even a hypothetical instant validator."""
-        gap = sifs(self.config.band)
+        gap = self._sifs
         rate = ack_rate_for(reception.rate_mbps)
         remaining = rts.duration_us * 1e-6 - gap - cts_airtime(rate)
         cts = CtsFrame(
@@ -383,7 +386,7 @@ class AckEngine:
             return
         rate = ack_rate_for(reception.rate_mbps)
         ack = AckFrame(ra=frame.addr2 if frame.addr2 is not None else frame.addr1)
-        gap = sifs(self.config.band)
+        gap = self._sifs
 
         if self.config.validate_before_ack:
             # Hypothetical checking device (Section 2.2 ablation): the ACK

@@ -38,6 +38,9 @@ from repro.mac.frames import (
     SUBTYPE_QOS_DATA,
     SUBTYPE_QOS_NULL,
     SUBTYPE_RTS,
+    _CONTROL,
+    _DATA,
+    _MANAGEMENT,
     AckFrame,
     AssocRequestFrame,
     AssocResponseFrame,
@@ -86,12 +89,6 @@ _LONG_HEADER = struct.Struct("<BBH6s6s6sH")
 
 #: The all-zero address, which encodes an absent ``addr2`` / ``addr3``.
 _NO_ADDRESS = b"\x00" * 6
-
-#: Frame types as module globals: reading a member off the enum class is
-#: several times slower, and the codec tests the type once per frame.
-_MANAGEMENT = FrameType.MANAGEMENT
-_CONTROL = FrameType.CONTROL
-_DATA = FrameType.DATA
 
 _new_address = object.__new__
 

@@ -339,17 +339,7 @@ class _ArrivalSpan:
         "ended",
         "orphans",
         "index",
-        # Hot-path bindings resolved once per span instead of once per
-        # arrival: these references are fixed for the medium's lifetime
-        # (the dicts are mutated, never reassigned), so copying them onto
-        # the span trades ~6 loads per transmission for ~3 attribute
-        # chains per arrival — a win at 10+ receivers per frame.
-        "clock",
-        "attached",
         "detaches",
-        "ctr_delivered",
-        "ctr_dropped",
-        "csi_model",
         # Reception lane state: per-receiver MAC mirror (uint64
         # ints, _NO_MAC when unknown), per-receiver lane lists (see
         # LANE_FCS_FAIL), optional numpy view of `macs` for
@@ -362,9 +352,9 @@ class _ArrivalSpan:
         "for_me",
         "group_bit",
         # Per-batch absolute due times (`base + offset + shift`, computed
-        # with the engine's exact left-associated float adds), cached on
-        # first slice call so window boundaries are bisections instead of
-        # per-item arithmetic.
+        # with the engine's exact left-associated float adds), built the
+        # first time a window stops short of the batch's last item, so
+        # window boundaries are bisections instead of per-item arithmetic.
         "due_begin",
         "due_end",
     )
@@ -390,14 +380,9 @@ class _ArrivalSpan:
         self.ended = 0
         self.orphans: Optional[set] = None
         self.index: Optional[Dict[str, int]] = None
-        self.clock = medium.engine.clock
-        self.attached = medium._entries
         # Every receiver is attached now; only a later detach can change
         # that, so end slices check names only once the count moves.
         self.detaches = medium.detach_count
-        self.ctr_delivered = medium._ctr_delivered
-        self.ctr_dropped = medium._ctr_dropped
-        self.csi_model = medium._csi_model
         self.macs = macs
         self.lanes = lanes
         self.mac_arr = mac_arr
@@ -445,7 +430,7 @@ class _ArrivalSpan:
         (scalar) and ``LANE_NOT_FOR_ME`` arrivals.
         """
         mode = _LANES_SCALAR
-        if self.csi_model is None:
+        if self.medium._csi_model is None:
             frame = self.transmission.frame
             hook = getattr(frame, "dest_u64", None)
             dest = hook() if hook is not None else None
@@ -474,9 +459,10 @@ class _ArrivalSpan:
         transmission = self.transmission
         radio = self.radios[i]
         rssi = self.rssis[i]
-        now = self.clock._now
+        medium = self.medium
+        now = medium.engine.clock._now
         csi = None
-        csi_model = self.csi_model
+        csi_model = medium._csi_model
         if csi_model is not None:
             csi = csi_model(transmission.sender, radio.name, now)
         while_transmitting = reason is CorruptionReason.RECEIVER_TRANSMITTING
@@ -485,7 +471,7 @@ class _ArrivalSpan:
                 transmission.frame,
                 transmission,
                 rssi,
-                rssi - self.medium.noise_floor_dbm,
+                rssi - medium.noise_floor_dbm,
                 transmission.start,
                 now,
                 fcs_ok,
@@ -495,23 +481,40 @@ class _ArrivalSpan:
             )
         )
 
-    def _window(self, due: List[float], i: int, n: int, engine) -> int:
+    def _window(self, batch, end: bool, i: int, n: int, engine) -> int:
         """End index of the contiguous due run starting at ``i``.
 
-        Encodes the engine drain's yield conditions as two bisections
-        over the precomputed due times: items process while they are
-        within the run limit and strictly before the next heap event
-        (none of which can change between items unless an upcall runs).
-        The first item is always due — the engine popped the batch at
-        its time — and exact-time ties with the last processed item
-        always process, exactly as :class:`~repro.sim.engine.EventBatch`
-        specifies for slice handlers.
+        Encodes the engine drain's yield conditions: items process while
+        they are within the run limit and strictly before the next heap
+        event (none of which can change between items unless an upcall
+        runs).  When the batch's last item meets both and the run is not
+        stopped, the whole remainder is due and no per-item due time is
+        needed.  Otherwise the batch's due times are built once
+        (``due_end`` / ``due_begin``, by ``end``) and the boundary is two
+        bisections over them.  The first item is always due — the engine
+        popped the batch at its time — and exact-time ties with the last
+        processed item always process, exactly as
+        :class:`~repro.sim.engine.EventBatch` specifies for slice handlers.
         """
+        due = self.due_end if end else self.due_begin
+        heap = engine._heap
+        if due is None:
+            offsets = batch.offsets
+            base = batch.base
+            shift = batch.shift
+            if not engine._stopped:
+                last = base + offsets[-1] + shift
+                if last <= engine._run_limit and not (heap and last >= heap[0][0]):
+                    return n
+            due = [base + off + shift for off in offsets]
+            if end:
+                self.due_end = due
+            else:
+                self.due_begin = due
         if engine._stopped:
             j = i + 1
         else:
             j = bisect_right(due, engine._run_limit, i, n)
-            heap = engine._heap
             if heap:
                 j2 = bisect_left(due, heap[0][0], i, n)
                 if j2 < j:
@@ -549,17 +552,14 @@ class _ArrivalSpan:
         offsets = batch.offsets
         i = batch.index
         n = len(offsets)
-        due = self.due_begin
-        if due is None:
-            base = batch.base
-            shift = batch.shift
-            due = self.due_begin = [base + off + shift for off in offsets]
+        base = batch.base
+        shift = batch.shift
         medium = self.medium
-        j = self._window(due, i, n, medium.engine)
+        j = self._window(batch, False, i, n, medium.engine)
         reasons = self.reasons
         transmitting = medium._transmitting
         if transmitting:
-            start = due[i]
+            start = base + offsets[i] + shift
             sender = self.transmission.sender
             stale = None
             for name, tx_end in transmitting.items():
@@ -571,7 +571,7 @@ class _ArrivalSpan:
                     stale.append(name)
                 elif name != sender:
                     k = self._index_of(name)
-                    if k is not None and i <= k < j and tx_end > due[k]:
+                    if k is not None and i <= k < j and tx_end > base + offsets[k] + shift:
                         reasons[k] = CorruptionReason.RECEIVER_TRANSMITTING
             if stale is not None:
                 for name in stale:
@@ -596,8 +596,8 @@ class _ArrivalSpan:
                     medium.contended_starts += 1
                     resolve(company, self, idx)
         self.begun = j
-        clock = self.clock
-        t = due[j - 1]
+        clock = medium.engine.clock
+        t = base + offsets[j - 1] + shift
         if t > clock._now:
             clock._now = t
         return j
@@ -628,28 +628,25 @@ class _ArrivalSpan:
         the window end, landing on the same final value a per-item drain
         produces.
         """
-        offsets = batch.offsets
-        i = batch.index
-        n = len(offsets)
-        medium = self.medium
-        engine = medium.engine
-        due = self.due_end
-        if due is None:
-            base = batch.base
-            shift = batch.shift
-            due = self.due_end = [base + off + shift for off in offsets]
         if self.lane_mode == _LANES_UNSET:
             self._classify()
         lane_mode = self.lane_mode
         if lane_mode == _LANES_SCALAR:
-            return self._end_slice_scalar(batch, due)
-        clock = self.clock
+            return self._end_slice_scalar(batch)
+        offsets = batch.offsets
+        i = batch.index
+        n = len(offsets)
+        base = batch.base
+        shift = batch.shift
+        medium = self.medium
+        engine = medium.engine
+        clock = engine.clock
         heap = engine._heap
         limit = engine._run_limit
         radios = self.radios
         reasons = self.reasons
         fers = self.fers
-        attached = self.attached
+        attached = medium._entries
         lanes = self.lanes
         for_me = self.for_me
         if lane_mode == _LANES_GROUP:
@@ -659,8 +656,8 @@ class _ArrivalSpan:
             ok_bit = 1 << LANE_NOT_FOR_ME
             ok_slot = TALLY_NOT_FOR_ME
         fail_bit = 1 << LANE_FCS_FAIL
-        ctr_delivered = self.ctr_delivered
-        ctr_dropped = self.ctr_dropped
+        ctr_delivered = medium._ctr_delivered
+        ctr_dropped = medium._ctr_dropped
         n_delivered = 0
         n_dropped = 0
         rng_draw = medium._rng_draw
@@ -669,14 +666,14 @@ class _ArrivalSpan:
             if first:
                 first = False
             else:
-                t = due[i]
+                t = base + offsets[i] + shift
                 if t > clock._now and (
                     t > limit
                     or engine._stopped
                     or (heap and t >= heap[0][0])
                 ):
                     break
-            j = self._window(due, i, n, engine)
+            j = self._window(batch, True, i, n, engine)
             check_attached = medium.detach_count != self.detaches
             upcall = -1
             for idx in range(i, j):
@@ -705,7 +702,7 @@ class _ArrivalSpan:
                 # the public counters first, so the upcall observes
                 # exactly the per-item drain's state.
                 self.ended = idx + 1
-                t = due[idx]
+                t = base + offsets[idx] + shift
                 if t > clock._now:
                     clock._now = t
                 if n_delivered:
@@ -723,7 +720,7 @@ class _ArrivalSpan:
                 # Clean window: no upcall ran, so the boundary state the
                 # window was computed from is unchanged and j is final.
                 i = self.ended = j
-                t = due[j - 1]
+                t = base + offsets[j - 1] + shift
                 if t > clock._now:
                     clock._now = t
                 break
@@ -738,26 +735,29 @@ class _ArrivalSpan:
             medium._live.remove(self)
         return i
 
-    def _end_slice_scalar(self, batch, due: List[float]) -> int:
+    def _end_slice_scalar(self, batch) -> int:
         """Per-item arrival-end drain for spans with no fast lanes.
 
         CSI-tagged or unparseable transmissions upcall for every
         attached receiver, so the windowed loop would recompute its
         boundary per item; this plain per-item drain is cheaper there.
         """
+        offsets = batch.offsets
         i = batch.index
-        n = len(due)
+        n = len(offsets)
+        base = batch.base
+        shift = batch.shift
         medium = self.medium
         engine = medium.engine
         heap = engine._heap
         limit = engine._run_limit
-        clock = self.clock
+        clock = engine.clock
         radios = self.radios
         reasons = self.reasons
         fers = self.fers
-        attached = self.attached
-        ctr_delivered = self.ctr_delivered
-        ctr_dropped = self.ctr_dropped
+        attached = medium._entries
+        ctr_delivered = medium._ctr_delivered
+        ctr_dropped = medium._ctr_dropped
         rng_draw = medium._rng_draw
         while True:
             self.ended = i + 1
@@ -778,7 +778,7 @@ class _ArrivalSpan:
             if i == n:
                 medium._live.remove(self)
                 return i
-            t = due[i]
+            t = base + offsets[i] + shift
             if t > clock._now:
                 # Upcalls may schedule events or stop the run, so the
                 # heap head and stop flag are re-read every iteration.
@@ -1414,22 +1414,6 @@ class Medium:
 
     def radio(self, name: str) -> RadioPort:
         return self._entries[name].radio
-
-    @property
-    def link_cache_size(self) -> int:
-        """Entries of the pair-budget memo, over every attached radio.
-
-        Under free space each pair counts once per endpoint.
-        """
-        return sum(len(entry.links) for entry in self._entries.values())
-
-    def invalidate_link_cache(self) -> None:
-        """Drop every memoized link budget and delivery list (e.g. after
-        swapping models)."""
-        for entry in self._entries.values():
-            entry.links = {}
-            entry.lists = {}
-        self._fer_cache.clear()
 
     # ------------------------------------------------------------------
     # Channel state queries

@@ -1086,6 +1086,16 @@ def run_partitioned_wardrive(
         _publish_partition_counters(ctx, outcome)
         return outcome
 
+    n_workers = max(1, min(int(partition.tile_workers), grid.n_tiles))
+    if n_workers > 1 and multiprocessing.current_process().daemon:
+        # A daemonic process (a campaign pool worker) may not start
+        # children: fail here, by name, not in the first tile worker.
+        raise ValueError(
+            f"tile_workers={partition.tile_workers} needs tile worker processes, "
+            "but this run is in a daemonic process (a campaign pool worker) "
+            "that may not start them; run the campaign with --workers 1 or "
+            "set tile_workers=1"
+        )
     specs = generate_specs(city_config)
     plan = TilePlan(grid, specs, halo_m)
     run_token = derive_run_token(
@@ -1095,7 +1105,6 @@ def run_partitioned_wardrive(
     boundaries = _epoch_boundaries(duration_s, partition.epoch_s)
     tile_spec = ctx.spec.derive(trace=False)
 
-    n_workers = max(1, min(int(partition.tile_workers), grid.n_tiles))
     worker_tiles = [
         [t for t in range(grid.n_tiles) if t % n_workers == w]
         for w in range(n_workers)

@@ -18,6 +18,7 @@ from repro.mac.addresses import ATTACKER_FAKE_MAC, MacAddress
 from repro.mac.frames import NullDataFrame
 from repro.mac.serialization import serialize
 from repro.phy.crc import append_fcs
+from repro.scenario import run_scenario
 from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
@@ -101,11 +102,12 @@ class TestMonitorDongle:
         stats = station.ack_engine.stats
         assert (stats.frames_seen, stats.fcs_failures, stats.acks_sent) == (1, 1, 0)
 
-    def test_flood_parses_each_injected_psdu_once(
-        self, engine, medium, rng, make_station, monkeypatch
-    ):
-        # The victim, a bystander whose sniffer hears everything, and the
-        # capture trace all read one parse per injected frame.
+    @staticmethod
+    def _flood(engine, medium, rng, make_station, monkeypatch, inject):
+        """25 fake frames to a station, overheard by a listening bystander;
+        ``inject(attacker, frame)`` puts each on the air.  Returns the
+        victim, what the bystander overheard and every ``deserialize``
+        call."""
         calls = []
         deserialize = serialization.deserialize
 
@@ -125,14 +127,57 @@ class TestMonitorDongle:
             mac=fresh_mac(), medium=medium, position=Position(5, 0), rng=rng
         )
         injector = FakeFrameInjector(attacker)
-        frames = 25
-        for k in range(frames):
-            engine.call_at(1e-3 * k, lambda: injector.inject_null(victim.mac))
+        for k in range(25):
+            engine.call_at(
+                1e-3 * k, lambda: inject(attacker, injector.craft_null(victim.mac))
+            )
         engine.run_until(0.1)
-        assert len(calls) == frames
-        assert victim.ack_engine.stats.acks_sent == frames
+        return victim, overheard, calls
+
+    def test_flood_parses_each_injected_psdu_once(
+        self, engine, medium, rng, make_station, monkeypatch
+    ):
+        # The victim, a bystander whose sniffer hears everything, and the
+        # capture trace all read one parse per injected PSDU.
+        victim, overheard, calls = self._flood(
+            engine, medium, rng, make_station, monkeypatch,
+            lambda attacker, frame: attacker.inject_bytes(serialize(frame)),
+        )
+        assert len(calls) == 25
+        assert victim.ack_engine.stats.acks_sent == 25
         # The bystander overheard every fake frame and every ACK.
-        assert len(overheard) == 2 * frames
+        assert len(overheard) == 2 * 25
+
+    def test_typed_injection_parses_nothing(
+        self, engine, medium, rng, make_station, monkeypatch
+    ):
+        victim, overheard, calls = self._flood(
+            engine, medium, rng, make_station, monkeypatch,
+            lambda attacker, frame: attacker.inject(frame),
+        )
+        assert calls == []
+        assert victim.ack_engine.stats.acks_sent == 25
+        assert len(overheard) == 2 * 25
+
+    def test_typed_and_byte_floods_are_indistinguishable(self, monkeypatch):
+        # The battery flood through typed frames and through their wire
+        # bytes: same ACKs, same power floats, same capture trace.
+        def flood():
+            result = run_scenario(
+                "battery", seed=3, params={"rates_pps": [0, 900], "duration_s": 0.5},
+                quiet=True, trace=True,
+            )
+            return result.outputs, result.ctx.trace.to_jsonl()
+
+        typed_outputs, typed_trace = flood()
+        monkeypatch.setattr(
+            MonitorDongle, "inject",
+            lambda self, frame, rate_mbps=6.0: self.inject_bytes(serialize(frame), rate_mbps),
+        )
+        byte_outputs, byte_trace = flood()
+        assert typed_outputs["acks_transmitted"] > 400
+        assert typed_outputs == byte_outputs
+        assert typed_trace == byte_trace
 
     def test_raw_psdu_trace_hooks(self):
         frame = NullDataFrame(

@@ -331,6 +331,48 @@ def test_fuzzed_worlds_exercise_the_delivery_rules():
     assert any(dropped_asleep for _, _, dropped_asleep in result["radios"])
 
 
+def test_fuzzed_worlds_split_windows_in_both_slices(monkeypatch):
+    # A fixed world whose foreign events and stops land inside a span's
+    # arrivals (the fuzzer's "tie" op), so the drain takes both of its
+    # window paths in both slices: the whole remainder due at once, and
+    # due-time lists bisected around a split.
+    spans = []
+
+    class RecordingSpan(_ArrivalSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(self)
+
+    world = {
+        "radios": [
+            ("ack", 0, 0, None, 0, -92.0, 20.0),
+            ("plain", 5, 0, None, 0, -92.0, 20.0),
+            ("sniffer", 9, 3, None, 0, -92.0, 20.0),
+            ("ack", 20, 0, None, 0, -92.0, 20.0),
+            ("plain", 40, 0, None, 1, -92.0, 20.0),
+        ],
+        "channels": 2, "csi": False, "path_loss": False, "fer": True, "stop_after": None,
+        # r0's arrivals reach r1 first and r3 last.  A tie's argument
+        # picks the receiver (arg % 5), the foreign event (arg % 4: 1 is
+        # a busy query, 3 a stop) and the instant (bit 5 set: the
+        # arrival end, else its start).
+        "actions": [(t, op, target, arg) for t, op, target, arg in [
+            (0, "unicast", 0, 1), (1000, "tie", 0, 1), (2000, "tie", 0, 13),
+            (3000, "tie", 0, 33), (4000, "tie", 0, 3), (5000, "tie", 2, 35),
+            (6000, "broadcast", 3, 0),
+        ]],
+        "chunks": [],
+    }
+    reference = _simulate(world, ReferenceMedium)
+    monkeypatch.setattr("repro.sim.medium._ArrivalSpan", RecordingSpan)
+    assert _simulate(world, Medium) == reference
+    assert all(span.begun == span.ended == len(span.radios) for span in spans)
+    assert any(span.due_begin is not None for span in spans)
+    assert any(span.due_end is not None for span in spans)
+    assert any(span.due_begin is None for span in spans)
+    assert any(span.due_end is None for span in spans)
+
+
 def test_fuzzed_worlds_exercise_the_probe_lanes():
     # A fixed quiet world (no CSI model, no FER, so every group frame
     # takes a lane): r0 sends a wildcard probe, a probe for the APs' SSID
@@ -512,6 +554,28 @@ def test_queries_at_exactly_an_arrival_start_and_end(instant, queued, action):
         # air, deafens x to it; a transmission after its end does not.
         deafened = on_air or (instant, queued) == ("start", "before")
         assert _at_x(log)[0] == ("a", not deafened, False, deafened)
+
+
+@pytest.mark.parametrize("instant", ["start", "end"])
+def test_run_limit_between_two_arrivals_of_a_span(instant):
+    # b's frame reaches x (30 m) before a (90 m).  A run that ends
+    # between the two arrival starts (or ends) leaves a's for the next
+    # run, and the clock stops at the limit.  ACK engines under other
+    # addresses make both arrival ends lane tallies, drained in one
+    # window.
+    def script(engine, medium, radios, log):
+        AckEngine(radios["x"], _mac(5))
+        AckEngine(radios["a"], _mac(6))
+        transmission = radios["b"].transmit(_null_to_x(), 6.0)
+        limit = 60.0 / 299_792_458.0
+        if instant == "end":
+            limit += transmission.duration
+        engine.run_until(limit)
+        log.append(("limit", engine.now == limit, medium.is_busy_for("x"),
+                    medium.is_busy_for("a")))
+
+    busy = [entry[1:] for entry in _both(script) if entry[0] == "limit"]
+    assert busy == [(True, True, False) if instant == "start" else (True, False, True)]
 
 
 # ---------------------------------------------------------------------------

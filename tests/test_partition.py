@@ -390,6 +390,30 @@ class TestPartitionDeterminism:
         assert multi.relay_applied == in_process.relay_applied
         assert multi.tile_workers == min(workers, multi.tiles_x * multi.tiles_y)
 
+    def test_tile_workers_inside_a_campaign_pool_fail_by_name(self):
+        # Campaign pool workers are daemonic and may not start tile
+        # workers: every run fails before tiling, naming the workaround.
+        from repro.telemetry import CampaignConfig, run_campaign
+
+        manifest = run_campaign(
+            CampaignConfig(
+                "wardrive-metro",
+                seeds=[1, 2],
+                workers=2,
+                on_error="record",
+                params={
+                    "tiles_x": 2, "tiles_y": 1, "tile_workers": 2,
+                    "metro_scale": 0.001, "blocks_x": 4, "blocks_y": 2,
+                },
+            )
+        )
+        runs = manifest["runs"]
+        assert [run["status"] for run in runs] == ["failed", "failed"]
+        for run in runs:
+            assert run["error"]["type"] == "ValueError"
+            assert "tile_workers=2" in run["error"]["message"]
+            assert "--workers 1" in run["error"]["message"]
+
     def test_mobile_rig_crossing_tiles_mid_run(self):
         """The survey vehicle's serpentine route crosses every tile
         boundary; devices on both sides of each cut must still be
