@@ -51,32 +51,3 @@ class CsiMeasurementNoise:
             + 1j * np.round(noisy.imag / step) * step
         )
         return quantized
-
-    def apply_batch(self, csi_rows: np.ndarray) -> np.ndarray:
-        """Corrupt a ``(m, n)`` stack of CSI vectors, row by row.
-
-        Per row this draws one ``standard_normal((2, n))`` block — the
-        same bit stream, in the same order, as :meth:`apply`'s separate
-        real/imaginary draws — so ``apply_batch(rows)[i]`` is
-        bit-identical to calling :meth:`apply` on each row in sequence.
-        """
-        rows = np.asarray(csi_rows)
-        out = np.empty(rows.shape, dtype=complex)
-        snr_linear = 10.0 ** (self.snr_db / 10.0)
-        for i, csi in enumerate(rows):
-            signal_power = float(np.mean(np.abs(csi) ** 2))
-            noise_power = signal_power / snr_linear
-            sigma = np.sqrt(noise_power / 2.0)
-            draws = self.rng.standard_normal((2, len(csi)))
-            noisy = csi + sigma * (draws[0] + 1j * draws[1])
-            if self.quantization_bits is None:
-                out[i] = noisy
-                continue
-            levels = 2 ** (self.quantization_bits - 1)
-            peak = float(np.max(np.abs([noisy.real, noisy.imag]))) or 1.0
-            step = peak / levels
-            out[i] = (
-                np.round(noisy.real / step) * step
-                + 1j * np.round(noisy.imag / step) * step
-            )
-        return out

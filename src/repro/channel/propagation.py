@@ -39,17 +39,6 @@ class ShadowedPathLoss:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._link_shadowing: Dict[Tuple[int, ...], float] = {}
 
-    @staticmethod
-    def _link_key(tx: Position, rx: Position) -> Tuple[int, ...]:
-        return (
-            int(round(tx.x)),
-            int(round(tx.y)),
-            int(round(tx.z)),
-            int(round(rx.x)),
-            int(round(rx.y)),
-            int(round(rx.z)),
-        )
-
     def shadowing_for(self, tx: Position, rx: Position) -> float:
         links = self._link_shadowing
         key = (
@@ -71,17 +60,3 @@ class ShadowedPathLoss:
 
     def __call__(self, tx: Position, rx: Position) -> float:
         return self.base(tx, rx) + self.shadowing_for(tx, rx)
-
-    def batch(self, tx: Position, receivers) -> np.ndarray:
-        """Vectorized loss from one transmitter to many receivers.
-
-        The distance-trend term runs through :meth:`LogDistancePathLoss.batch`
-        in one numpy call; the frozen per-link shadowing offsets are
-        looked up (and, for unseen links, drawn) **in index order**, so a
-        batch over ``receivers`` consumes exactly the RNG draws that the
-        equivalent sequence of scalar calls would.
-        """
-        distances = np.array([tx.distance_to(rx) for rx in receivers])
-        trend = self.base.batch(distances)
-        offsets = np.array([self.shadowing_for(tx, rx) for rx in receivers])
-        return trend + offsets

@@ -190,7 +190,7 @@ class AckEngine:
         self._group_mac = bool(self._mac_value[0] & 0x01)
         radio.frame_handler = self._on_reception
         # Claim a lane list of our own, so the tallies in it are ours,
-        # and publish the receive MAC the medium's vectorized pre-filter
+        # and publish the receive MAC the medium's lane pre-filter
         # classifies against.  The radio attached before this engine
         # existed, so tell the medium the addressing changed.
         self._lanes = radio.claim_lanes()

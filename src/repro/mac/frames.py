@@ -107,10 +107,10 @@ class Frame:
     def dest_u64(self) -> int:
         """The RA as a 48-bit big-endian integer (bit 40 = group bit).
 
-        The medium's batched reception path classifies a whole arrival
-        batch against receiver-MAC mirrors with one integer comparison;
-        this hook is how a payload exposes its destination without any
-        per-receiver parsing.
+        The medium's lane pre-filter classifies a whole arrival span
+        against its receiver-MAC mirror with one integer comparison per
+        receiver; this hook is how a payload exposes its destination
+        without any per-receiver parsing.
         """
         return int.from_bytes(self.addr1._value, "big")
 

@@ -88,7 +88,7 @@ class Radio:
         self._state_listeners: List[Callable[[RadioState, float], None]] = []
         self._frame_handler: Optional[Callable[[Reception], None]] = None
         #: Receive MAC as a 48-bit big-endian integer, published by the
-        #: ACK engine for the medium's vectorized address pre-filter;
+        #: ACK engine for the medium's lane pre-filter;
         #: ``None`` until a MAC layer claims the radio.
         self.rx_mac_u64: Optional[int] = None
         #: ``[mask, fcs_fail, not_for_me, group]``: the lane mask the

@@ -10,45 +10,11 @@ scanner uses a verify thread instead of assuming delivery.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.phy.rates import rate_info
 from repro.sim.world import Position
-
-
-@functools.cache
-def _vector_erfc():
-    """SciPy's array ``erfc``, or ``None`` without SciPy.
-
-    Imported on the first :meth:`SnrFerModel.batch` call, not with this
-    module: SciPy is optional, and no scenario needs it.
-    """
-    try:
-        from scipy.special import erfc
-    except ImportError:
-        return None
-    return erfc
-
-
-def free_space_path_loss_db(distance_m, frequency_hz: float):
-    """Friis free-space path loss from distance(s), clamped below 1 m.
-
-    The array-accepting twin of
-    :func:`repro.sim.medium.free_space_path_loss_db` (which takes
-    :class:`Position` pairs): pass a scalar or an ndarray of distances
-    and get the loss back in the same shape.  The medium's delivery hot
-    path keeps its scalar ``math.log10`` form so seeded traces stay
-    byte-identical across revisions; this form is for bulk evaluation
-    (budget sweeps, benchmarks, the SoA gate's sanity tests) and agrees
-    with the scalar form to within one ULP.
-    """
-    wavelength = 299_792_458.0 / frequency_hz
-    distance = np.maximum(distance_m, 1.0)
-    return 20.0 * np.log10(4.0 * math.pi * distance / wavelength)
 
 
 @dataclass
@@ -71,15 +37,6 @@ class LogDistancePathLoss:
     def __call__(self, tx: Position, rx: Position) -> float:
         distance = max(tx.distance_to(rx), self.reference_distance_m)
         loss = self.reference_loss_db + 10.0 * self.exponent * math.log10(
-            distance / self.reference_distance_m
-        )
-        return loss + self.walls * self.wall_loss_db
-
-    def batch(self, distances_m) -> np.ndarray:
-        """Vectorized loss for an array of distances (same formula)."""
-        distance = np.maximum(np.asarray(distances_m, dtype=float),
-                              self.reference_distance_m)
-        loss = self.reference_loss_db + 10.0 * self.exponent * np.log10(
             distance / self.reference_distance_m
         )
         return loss + self.walls * self.wall_loss_db
@@ -142,49 +99,3 @@ class SnrFerModel:
         bits = max(8 * length_bytes, 1)
         fer = 1.0 - (1.0 - min(ber, 0.5)) ** bits
         return min(max(fer, 0.0), 1.0)
-
-    def batch(
-        self, snr_db, rate_mbps: float, length_bytes: int
-    ) -> np.ndarray:
-        """Vectorized FER for an array of SNRs at one (rate, length).
-
-        Mirrors :meth:`__call__` elementwise.  SciPy is optional: with
-        it, the Q-function runs vectorized (agreement within a few ULP
-        of the scalar ``math.erfc`` form); without it, elements fall
-        back to the scalar path, bit-identical to :meth:`__call__`.
-        ``scipy.special`` is imported on the first call, not at
-        start-up (the start-up budget test, ``tests/test_startup.py``,
-        fails if ``import repro.scenario`` loads it).  The medium's
-        delivery path memoizes the scalar form per distinct SNR, which
-        keeps seeded traces byte-identical — this form serves bulk
-        evaluation and the model-level tests.
-        """
-        snr_arr = np.atleast_1d(np.asarray(snr_db, dtype=float))
-        erfc = _vector_erfc()
-        if erfc is None:
-            return np.array(
-                [self(s, rate_mbps, length_bytes) for s in snr_arr.tolist()]
-            )
-        info = rate_info(rate_mbps)
-        effective = snr_arr.copy()
-        if info.coding_rate != "-":
-            effective += self.coding_gain_db
-        snr = 10.0 ** (effective / 10.0)
-        modulation = info.modulation
-        if modulation in ("BPSK", "DBPSK", "CCK"):
-            ber = 0.5 * erfc(np.sqrt(2.0 * snr) / math.sqrt(2.0))
-        elif modulation in ("QPSK", "DQPSK"):
-            ber = 0.5 * erfc(np.sqrt(snr) / math.sqrt(2.0))
-        elif modulation == "16-QAM":
-            ber = 0.75 * 0.5 * erfc(np.sqrt(snr / 5.0) / math.sqrt(2.0))
-        elif modulation == "64-QAM":
-            ber = (7.0 / 12.0) * 0.5 * erfc(
-                np.sqrt(snr / 21.0) / math.sqrt(2.0)
-            )
-        else:  # pragma: no cover - rate tables only carry the above
-            raise ValueError(f"unknown modulation {modulation!r}")
-        bits = max(8 * length_bytes, 1)
-        fer = 1.0 - (1.0 - np.minimum(ber, 0.5)) ** bits
-        fer = np.clip(fer, 0.0, 1.0)
-        fer[ber <= 0.0] = 0.0
-        return fer

@@ -56,26 +56,22 @@ first evaluates links — at a cold resolution, at an attach push, or at
 an ad-hoc query — is not part of its contract: a stateful model may
 deal its draws to different links from one revision to the next.
 
-Delivery (struct-of-arrays)
----------------------------
-Every transmission takes one delivery path.  For a cold resolution the
-medium builds a per-channel **struct-of-arrays mirror** of the radio
-index (:class:`_ChannelSoA`: contiguous numpy arrays of positions, noise
-floors, sensitivities, frequencies, and static/mobile flags, dropped by
-every bucket change) and evaluates a whole delivery list at once:
+Delivery
+--------
+Every transmission takes one delivery path:
 
-* the resolution prefilters the channel with one vectorized range test
-  (free-space model only: a conservative numpy distance bound with a
-  wide safety margin, so every receiver the exact scalar math could
-  accept survives the filter), takes the survivors' exact scalar link
-  budgets, and orders them with one ``np.lexsort`` instead of a tuple
-  sort;
-* a live list (:class:`_Delivery`) holds **parallel arrays** (delays,
+* a cold resolution (:meth:`Medium._resolve_static`) walks the channel
+  bucket in attachment order behind the same range gate an attach push
+  uses (free-space model only: a conservative squared-distance bound,
+  :meth:`Medium._range2`, so every receiver the exact scalar math could
+  accept passes it), takes the survivors' exact scalar link budgets and
+  sorts them by (delay, attach seq);
+* a live list (:class:`_Delivery`) holds **parallel columns** (delays,
   attach seqs, radios, RSSIs, MACs, lane lists) rather than per-receiver
   tuples, so a warm transmission hands them to its arrivals wholesale;
   a push into a list that a transmission already handed out copies it
   first, so arrivals in flight never see it change;
-* frame-error probabilities are derived per list from those arrays,
+* frame-error probabilities are derived per list from those columns,
   and all arrivals are folded into one :class:`_ArrivalSpan` carried by
   two :class:`~repro.sim.engine.EventBatch` heap entries (arrival
   starts and arrival ends), which drain in slices through the reception
@@ -86,21 +82,18 @@ keep lists or budgets on, so its delivery list is resolved the same way
 every time and kept nowhere.
 
 Per-pair path loss and propagation delay always come from the same
-scalar model calls (numpy's transcendental kernels differ from libm by
-1 ULP on some inputs, which the determinism gate forbids); the numpy
-stages are restricted to IEEE-exact bookkeeping (subtract, compare,
-sort) plus the provably conservative prefilter.  Two checks pin the
-behaviour: ``tests/test_golden_digests.py`` compares seeded scenario
-runs against checked-in sha256 digests of their traces and outputs, and
-a hypothesis fuzzer (``tests/test_medium_differential.py``) runs random
-small worlds, plus scripted dense and churning fields, against
+scalar model calls.  Two checks pin the behaviour:
+``tests/test_golden_digests.py`` compares seeded scenario runs against
+checked-in sha256 digests of their traces and outputs, and a hypothesis
+fuzzer (``tests/test_medium_differential.py``) runs random small worlds,
+plus scripted dense and churning fields, against
 ``tests/reference_medium.py``, a cache-free per-receiver loop with one
 engine event per arrival instant.
 
 One contract the lists add for :class:`RadioPort` implementors:
 ``rx_sensitivity_dbm`` must stay constant while the radio is attached
-(detach/re-attach to change it) — live lists and the SoA mirror keep
-the in-range verdicts made with it.
+(detach/re-attach to change it) — live lists keep the in-range verdicts
+made with it.
 """
 
 from __future__ import annotations
@@ -129,7 +122,7 @@ DEFAULT_CAPTURE_THRESHOLD_DB = 10.0
 
 #: Upper bound on memoized frame-error probabilities; beyond it the oldest
 #: entry is dropped (FIFO).
-LINK_CACHE_MAX_ENTRIES = 1_000_000
+FER_CACHE_MAX_ENTRIES = 1_000_000
 
 
 class CorruptionReason(enum.Enum):
@@ -287,7 +280,7 @@ _LANES_SCALAR = 1  # no fast lanes: every arrival takes the scalar path
 _LANES_GROUP = 2  # group-addressed frame: LANE_GROUP for every receiver
 _LANES_UNICAST = 3  # unicast: per-receiver for-me / not-for-me split
 
-#: Sentinel for "this radio advertises no receive MAC" in the uint64
+#: Sentinel for "this radio advertises no receive MAC" in the MAC
 #: mirrors; no 48-bit destination can ever equal it.
 _NO_MAC = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -297,10 +290,10 @@ _GROUP_BIT = 1 << 40
 
 
 class _ArrivalSpan:
-    """Every arrival of one transmission, struct-of-arrays style.
+    """Every arrival of one transmission, as parallel columns.
 
     The medium resolves a transmission's whole delivery list up front —
-    parallel arrays of radios, RSSIs and frame-error
+    parallel lists of radios, RSSIs and frame-error
     probabilities — and schedules *one* span behind two
     :class:`~repro.sim.engine.EventBatch` heap entries.  The span is the
     *slice handler* of both (``begin_slice`` / ``end_slice``): each takes
@@ -308,9 +301,9 @@ class _ArrivalSpan:
     end slice routes each arrival through the lane pre-filter before any
     :class:`Reception` exists.  Lanes are classified lazily, once per
     span, from the frame's destination address (``dest_u64``) against
-    the per-receiver MAC mirror carried in ``macs`` / ``mac_arr``; each
-    arrival's lane is then tested against its receiver's published lane
-    list (``lanes``).
+    the per-receiver MAC mirror carried in ``macs``; each arrival's lane
+    is then tested against its receiver's published lane list
+    (``lanes``).
 
     ``reasons[i]`` doubles as the corruption flag (``None`` = clean).
 
@@ -340,14 +333,11 @@ class _ArrivalSpan:
         "orphans",
         "index",
         "detaches",
-        # Reception lane state: per-receiver MAC mirror (uint64
-        # ints, _NO_MAC when unknown), per-receiver lane lists (see
-        # LANE_FCS_FAIL), optional numpy view of `macs` for
-        # one-comparison classification, and the lazily computed
-        # verdicts.
+        # Reception lane state: per-receiver MAC mirror (48-bit ints,
+        # _NO_MAC when unknown), per-receiver lane lists (see
+        # LANE_FCS_FAIL), and the lazily computed verdicts.
         "macs",
         "lanes",
-        "mac_arr",
         "lane_mode",
         "for_me",
         "group_bit",
@@ -368,7 +358,6 @@ class _ArrivalSpan:
         fers: Optional[List[float]],
         macs: List[int],
         lanes: list,
-        mac_arr: Optional[np.ndarray],
     ) -> None:
         self.medium = medium
         self.transmission = transmission
@@ -385,7 +374,6 @@ class _ArrivalSpan:
         self.detaches = medium.detach_count
         self.macs = macs
         self.lanes = lanes
-        self.mac_arr = mac_arr
         self.lane_mode = _LANES_UNSET
         self.for_me: Optional[List[bool]] = None
         self.group_bit = 0
@@ -425,8 +413,7 @@ class _ArrivalSpan:
         every clean arrival in the frame type's group lane
         (:func:`group_lane`), or a wildcard probe request's in
         :data:`LANE_WILDCARD_PROBE`; a unicast destination is compared
-        against the receiver-MAC mirror — one numpy comparison when the
-        list's array is available — splitting the span into for-me
+        against the receiver-MAC mirror, splitting the span into for-me
         (scalar) and ``LANE_NOT_FOR_ME`` arrivals.
         """
         mode = _LANES_SCALAR
@@ -446,11 +433,7 @@ class _ArrivalSpan:
                     self.group_bit = 1 << lane
                     mode = _LANES_GROUP
                 else:
-                    arr = self.mac_arr
-                    if arr is not None:
-                        self.for_me = (arr == dest).tolist()
-                    else:
-                        self.for_me = [m == dest for m in self.macs]
+                    self.for_me = [m == dest for m in self.macs]
                     mode = _LANES_UNICAST
         self.lane_mode = mode
 
@@ -626,13 +609,13 @@ class _ArrivalSpan:
         lazily: nothing in a fast-lane run can observe it, so it is
         written to the arrival's due time only before an upcall and at
         the window end, landing on the same final value a per-item drain
-        produces.
+        produces.  A span with no fast lanes (a CSI model installed, or
+        an unparseable frame) takes the same loop with both lane bits
+        clear, so every attached receiver gets its upcall.
         """
         if self.lane_mode == _LANES_UNSET:
             self._classify()
         lane_mode = self.lane_mode
-        if lane_mode == _LANES_SCALAR:
-            return self._end_slice_scalar(batch)
         offsets = batch.offsets
         i = batch.index
         n = len(offsets)
@@ -649,13 +632,16 @@ class _ArrivalSpan:
         attached = medium._entries
         lanes = self.lanes
         for_me = self.for_me
+        fail_bit = 1 << LANE_FCS_FAIL
         if lane_mode == _LANES_GROUP:
             ok_bit = self.group_bit
             ok_slot = TALLY_GROUP
-        else:
+        elif lane_mode == _LANES_UNICAST:
             ok_bit = 1 << LANE_NOT_FOR_ME
             ok_slot = TALLY_NOT_FOR_ME
-        fail_bit = 1 << LANE_FCS_FAIL
+        else:  # no fast lanes: no mask bit can match
+            ok_bit = fail_bit = 0
+            ok_slot = TALLY_GROUP
         ctr_delivered = medium._ctr_delivered
         ctr_dropped = medium._ctr_dropped
         n_delivered = 0
@@ -735,61 +721,6 @@ class _ArrivalSpan:
             medium._live.remove(self)
         return i
 
-    def _end_slice_scalar(self, batch) -> int:
-        """Per-item arrival-end drain for spans with no fast lanes.
-
-        CSI-tagged or unparseable transmissions upcall for every
-        attached receiver, so the windowed loop would recompute its
-        boundary per item; this plain per-item drain is cheaper there.
-        """
-        offsets = batch.offsets
-        i = batch.index
-        n = len(offsets)
-        base = batch.base
-        shift = batch.shift
-        medium = self.medium
-        engine = medium.engine
-        heap = engine._heap
-        limit = engine._run_limit
-        clock = engine.clock
-        radios = self.radios
-        reasons = self.reasons
-        fers = self.fers
-        attached = medium._entries
-        ctr_delivered = medium._ctr_delivered
-        ctr_dropped = medium._ctr_dropped
-        rng_draw = medium._rng_draw
-        while True:
-            self.ended = i + 1
-            if medium.detach_count == self.detaches or radios[i].name in attached:
-                reason = reasons[i]
-                fcs_ok = reason is None
-                if fcs_ok and fers is not None:
-                    probability = fers[i]
-                    if probability > 0.0 and rng_draw() < probability:
-                        fcs_ok = False
-                if fcs_ok:
-                    if ctr_delivered is not None:
-                        ctr_delivered.value += 1
-                elif ctr_dropped is not None:
-                    ctr_dropped.value += 1
-                self._hand_up(i, fcs_ok, reason)
-            i += 1
-            if i == n:
-                medium._live.remove(self)
-                return i
-            t = base + offsets[i] + shift
-            if t > clock._now:
-                # Upcalls may schedule events or stop the run, so the
-                # heap head and stop flag are re-read every iteration.
-                if (
-                    t > limit
-                    or engine._stopped
-                    or (heap and t >= heap[0][0])
-                ):
-                    return i
-                clock._now = t
-
 
 #: Sort key of attach-ordered entry lists (channel buckets, mobiles).
 _BY_SEQ = attrgetter("seq")
@@ -859,8 +790,7 @@ class _Delivery:
     Parallel columns over the in-range *static* receivers, in arrival
     order (delay, then attach seq): delays, attach seqs, radios, RSSIs,
     MAC mirror values and lane lists.  ``fers`` memoizes the
-    frame-error column per ``(rate, length)``; ``mac_arr`` is the numpy
-    view of ``macs``, built on demand above 64 receivers.
+    frame-error column per ``(rate, length)``.
 
     The medium pushes every attach, detach, retune, reposition and
     addressing change into the lists it affects (:meth:`insert`,
@@ -873,7 +803,7 @@ class _Delivery:
 
     __slots__ = (
         "power", "delays", "seqs", "radios", "rssis", "macs", "lanes",
-        "fers", "mac_arr", "shared",
+        "fers", "shared",
     )
 
     def __init__(
@@ -894,7 +824,6 @@ class _Delivery:
         self.macs = macs
         self.lanes = lanes
         self.fers: Dict[Tuple[float, int], List[float]] = {}
-        self.mac_arr: Optional[np.ndarray] = None
         self.shared = False
 
     def find(self, delay: float, seq: int) -> int:
@@ -905,12 +834,11 @@ class _Delivery:
     def writable(self) -> bool:
         """Prepare the columns for a push; True when they had to be copied.
 
-        Resets the derived ``fers`` memo and ``mac_arr`` (a span keeps
-        the objects it already read).
+        Resets the derived ``fers`` memo (a span keeps the columns it
+        already read).
         """
         if self.fers:
             self.fers = {}
-        self.mac_arr = None
         if not self.shared:
             return False
         self.shared = False
@@ -953,85 +881,6 @@ class _Delivery:
         self.macs[k] = mac
         self.lanes[k] = lanes
         return copied
-
-
-class _ChannelSoA:
-    """Struct-of-arrays mirror of one channel bucket.
-
-    Parallel contiguous numpy arrays over the bucket (in attachment
-    order): antenna positions (NaN for mobiles, whose positions are
-    re-read every transmission anyway), receive sensitivities, per-
-    receiver noise floors and carrier frequencies (uniform today — one
-    medium, one band — but carried per receiver so heterogeneous
-    front-ends only have to change this constructor), attachment
-    sequence numbers, and the static/mobile flag.  Built lazily for a
-    cold resolution and dropped by every attach, detach, retune and
-    reposition on the channel; ``entries`` snapshots the bucket.
-
-    The arrays snapshot ``rx_sensitivity_dbm``, which is why
-    :class:`RadioPort` requires it constant while attached.
-    """
-
-    __slots__ = (
-        "entries",
-        "count",
-        "seqs",
-        "sens_dbm",
-        "noise_dbm",
-        "freq_hz",
-        "xyz",
-        "static_mask",
-        "limit2_by_power",
-    )
-
-    def __init__(
-        self,
-        bucket: List[_RadioEntry],
-        noise_floor_dbm: float,
-        frequency_hz: float,
-    ) -> None:
-        entries = list(bucket)
-        self.entries = entries
-        n = len(entries)
-        self.count = n
-        self.seqs = np.empty(n, dtype=np.int64)
-        self.sens_dbm = np.empty(n, dtype=np.float64)
-        self.xyz = np.empty((n, 3), dtype=np.float64)
-        self.static_mask = np.empty(n, dtype=bool)
-        xyz = self.xyz
-        for i, e in enumerate(entries):
-            self.seqs[i] = e.seq
-            self.sens_dbm[i] = e.radio.rx_sensitivity_dbm
-            pos = e.static_pos
-            if pos is None:
-                self.static_mask[i] = False
-                xyz[i, 0] = xyz[i, 1] = xyz[i, 2] = math.nan
-            else:
-                self.static_mask[i] = True
-                xyz[i, 0] = pos.x
-                xyz[i, 1] = pos.y
-                xyz[i, 2] = pos.z
-        self.noise_dbm = np.full(n, noise_floor_dbm)
-        self.freq_hz = np.full(n, frequency_hz)
-        #: power_dbm -> squared range-gate limit (slack included); the
-        #: limit depends only on per-receiver constants and the transmit
-        #: power, so it is derived once per (rebuild, power) instead of
-        #: once per cold delivery resolution.
-        self.limit2_by_power: Dict[float, np.ndarray] = {}
-
-    def limit2(self, power_dbm: float) -> np.ndarray:
-        cached = self.limit2_by_power.get(power_dbm)
-        if cached is None:
-            wavelengths = 299_792_458.0 / self.freq_hz
-            dmax = (wavelengths / (4.0 * math.pi)) * 10.0 ** (
-                (power_dbm - self.sens_dbm) / 20.0
-            )
-            np.maximum(dmax, 1.0, out=dmax)
-            cached = dmax * dmax
-            cached *= 1.0 + 1e-9
-            cached += 1e-9
-            self.limit2_by_power[power_dbm] = cached
-        return cached
 
 
 class Medium:
@@ -1154,17 +1003,14 @@ class Medium:
         #: by arrival starts, which read it for the half-duplex check.
         self._transmitting: Dict[str, float] = {}
         self.transmission_count = 0
-        #: The vectorized range prefilter solves the default free-space
-        #: model in the distance domain; a custom model disables it (the
-        #: candidate scan then walks the whole bucket, still vectorized
-        #: downstream).  ``_path_loss`` is fixed at construction, so this
-        #: flag cannot go stale.
+        #: The range gate of cold resolutions and attach pushes solves the
+        #: default free-space model in the distance domain; a custom model
+        #: disables it (both then walk every static radio of the bucket).
+        #: ``_path_loss`` is fixed at construction, so this flag cannot go
+        #: stale.
         self._free_space = path_loss_db is None
-        #: channel -> _ChannelSoA mirror, dropped by every bucket change.
-        self._soa_cache: Dict[int, _ChannelSoA] = {}
         #: (power_dbm, sensitivity_dbm) -> squared free-space range with
-        #: the slack of :meth:`_ChannelSoA.limit2`: the scalar range gate
-        #: of an attach push.
+        #: slack (:meth:`_range2`).
         self._reach2: Dict[Tuple[float, float], float] = {}
         #: Transmit taps (``add_transmit_observer``).  Called with each
         #: Transmission record after it is built but before delivery;
@@ -1189,7 +1035,6 @@ class Medium:
         # bucket sorted by attachment order — the iteration order the
         # pre-index medium had (dict insertion order filtered by channel).
         self._channels.setdefault(entry.channel, []).append(entry)
-        self._soa_cache.pop(entry.channel, None)
         if entry.static_pos is None:
             self._mobiles.setdefault(entry.channel, []).append(entry)
         else:
@@ -1230,7 +1075,6 @@ class Medium:
             self._pull_out(entry)
             entry.forget()
             self._channels[entry.channel].remove(entry)
-            self._soa_cache.pop(entry.channel, None)
             if entry.static_pos is None:
                 self._mobiles[entry.channel].remove(entry)
         self._orphan(radio_name)
@@ -1270,12 +1114,10 @@ class Medium:
         entry.lists = {}
         old_channel = entry.channel
         self._channels[old_channel].remove(entry)
-        self._soa_cache.pop(old_channel, None)
         mobile = entry.static_pos is None
         if mobile:
             self._mobiles[old_channel].remove(entry)
         entry.channel = channel
-        self._soa_cache.pop(channel, None)
         # Insert preserving attachment order (retunes are rare; scans hot).
         insort(self._channels.setdefault(channel, []), entry, key=_BY_SEQ)
         if mobile:
@@ -1306,7 +1148,6 @@ class Medium:
         was_mobile = entry.static_pos is None
         entry.static_pos = static
         entry.last_pos = static
-        self._soa_cache.pop(entry.channel, None)
         if static is None:
             if not was_mobile:
                 insort(self._mobiles.setdefault(entry.channel, []), entry, key=_BY_SEQ)
@@ -1323,9 +1164,9 @@ class Medium:
 
         Each sender's budget to ``entry`` comes from the same scalar
         model call a cold resolution makes, through the pair memo; under
-        free space a conservative squared-distance gate (the slack of
-        :meth:`_ChannelSoA.limit2`) first skips the senders it cannot
-        reach, so the memo holds only near pairs.
+        free space the range gate a cold resolution uses
+        (:meth:`_range2`) first skips the senders it cannot reach, so
+        the memo holds only near pairs.
         """
         position = entry.static_pos
         radio = entry.radio
@@ -1358,7 +1199,19 @@ class Medium:
                 self.held_copies += delivery.insert(delay, seq, radio, rssi, mac, lanes)
 
     def _range2(self, power_dbm: float, sensitivity_dbm: float) -> float:
-        """Squared free-space range of one (power, sensitivity) pair, with slack."""
+        """Squared free-space range of one (power, sensitivity) pair, with slack.
+
+        In exact arithmetic the free-space in-range test
+        ``power - loss(d) >= sens`` is ``d <= dmax =
+        (lambda / 4 pi) * 10^((power - sens) / 20)``, with the loss
+        clamped below 1 m (clamping ``dmax`` up to 1 m only admits more).
+        Both sides of ``d2 <= _range2(...)`` are float-rounded, so the
+        limit gets 1e-9 relative and absolute slack, about a million
+        ULPs wider than the rounding error.  Whoever passes the gate is
+        re-checked with the exact scalar link budget: the slack can
+        admit extra candidates, never exclude one the scalar math
+        accepts.
+        """
         key = (power_dbm, sensitivity_dbm)
         limit2 = self._reach2.get(key)
         if limit2 is None:
@@ -1591,19 +1444,8 @@ class Medium:
         return transmission
 
     # ------------------------------------------------------------------
-    # Delivery (struct-of-arrays)
+    # Delivery
     # ------------------------------------------------------------------
-    def _channel_soa(self, channel: int) -> _ChannelSoA:
-        """The channel's SoA mirror, built on first use after a bucket change."""
-        soa = self._soa_cache.get(channel)
-        if soa is None:
-            soa = self._soa_cache[channel] = _ChannelSoA(
-                self._channels.get(channel) or [],
-                self.noise_floor_dbm,
-                self.frequency_hz,
-            )
-        return soa
-
     def _link_budget(
         self,
         tx: Optional[_RadioEntry],
@@ -1656,7 +1498,7 @@ class Medium:
         if probability is None:
             probability = self._fer(snr, rate, length)
             fer_cache = self._fer_cache
-            if len(fer_cache) >= LINK_CACHE_MAX_ENTRIES:
+            if len(fer_cache) >= FER_CACHE_MAX_ENTRIES:
                 fer_cache.pop(next(iter(fer_cache)))
             fer_cache[key] = probability
         return probability
@@ -1670,77 +1512,53 @@ class Medium:
     ) -> _Delivery:
         """Cold resolution of the in-range *static* receivers.
 
-        One vectorized range gate over the channel's SoA mirror picks the
-        candidate receivers; the survivors get the exact scalar link
-        budget (numpy's transcendental kernels are 1 ULP off libm on some
-        inputs, and seeded traces are bit-compared, so the scalar model
-        calls stay authoritative).  One ``np.lexsort`` (a tuple sort for
-        small lists) orders the list by (delay, attach seq).
+        Walks the channel bucket in attachment order, skipping mobiles
+        (merged per transmission instead).  Under free space each
+        receiver first meets the squared-distance gate of an attach push
+        (:meth:`_range2`); whoever passes gets the exact scalar link
+        budget and the sensitivity check.  The list is sorted by
+        (delay, attach seq); seqs are unique, so no later field is ever
+        compared.
         """
-        soa = self._channel_soa(channel)
-        entries = soa.entries
-        if soa.count and self._free_space:
-            # Vectorized range gate.  In exact arithmetic the
-            # free-space in-range test  power − loss(d) ≥ sens  is
-            # d ≤ dmax = (λ/4π)·10^((power−sens)/20)  with loss
-            # clamped below 1 m (clamping dmax up to 1 m only admits
-            # extra candidates).  Both sides here are float-rounded,
-            # so the comparison gets ~1e-9 relative + absolute slack
-            # — about a million ULPs wider than the rounding error —
-            # and survivors are re-checked with the exact scalar
-            # math below: admitting extra is wasted work, never a
-            # wrong verdict, and nothing the scalar math accepts can
-            # be excluded.  Mobiles carry NaN positions, and NaN
-            # comparisons are False, so they fall out automatically
-            # (they are re-resolved per transmission anyway).
-            diff = soa.xyz - (tx_position.x, tx_position.y, tx_position.z)
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            candidates = [entries[j] for j in np.flatnonzero(d2 <= soa.limit2(power_dbm))]
-        else:
-            candidates = [e for e in entries if e.static_pos is not None]
-        c_targets: List[tuple] = []
+        free_space = self._free_space
+        if free_space:
+            tx_x, tx_y, tx_z = tx_position.x, tx_position.y, tx_position.z
+            range2 = self._range2
+        targets: List[tuple] = []
         links = entry.links if entry is not None else {}
         hits = 0
-        for rx in candidates:
-            if rx is entry:
+        for rx in self._channels.get(channel) or ():
+            rx_position = rx.static_pos
+            if rx_position is None or rx is entry:
                 continue
             radio = rx.radio
+            sensitivity = radio.rx_sensitivity_dbm
+            if free_space:
+                dx = rx_position.x - tx_x
+                dy = rx_position.y - tx_y
+                dz = rx_position.z - tx_z
+                if dx * dx + dy * dy + dz * dz > range2(power_dbm, sensitivity):
+                    continue
             budget = links.get(rx)
             if budget is None:
-                loss, delay = self._link_budget(entry, tx_position, rx, rx.static_pos)
+                loss, delay = self._link_budget(entry, tx_position, rx, rx_position)
             else:
                 loss, delay = budget  # the memo lookup of _link_budget, inlined
                 hits += 1
             rssi = power_dbm - loss
-            if rssi < radio.rx_sensitivity_dbm:
+            if rssi < sensitivity:
                 continue
-            c_targets.append((delay, rx.seq, radio, rssi))
+            targets.append((delay, rx.seq, radio, rssi))
         self.link_cache_hits += hits
-        if len(c_targets) <= 64:
-            # Tuple sort: identical (delay, seq) order to the lexsort
-            # below (seqs are unique so later fields never compare),
-            # and cheaper than four numpy round-trips at typical
-            # neighbourhood sizes.
-            c_targets.sort()
-            delays = [target[0] for target in c_targets]
-            seqs = [target[1] for target in c_targets]
-            radios = [target[2] for target in c_targets]
-            rssis = [target[3] for target in c_targets]
-        else:
-            c_delays, c_seqs, c_radios, c_rssis = zip(*c_targets)
-            delay_arr = np.asarray(c_delays)
-            order = np.lexsort((np.asarray(c_seqs), delay_arr))
-            delays = delay_arr[order].tolist()
-            seqs = [c_seqs[k] for k in order]
-            radios = [c_radios[k] for k in order]
-            rssis = [c_rssis[k] for k in order]
+        targets.sort()
+        radios = [target[2] for target in targets]
         addressing = [_addressing(radio) for radio in radios]
         return _Delivery(
             power_dbm,
-            delays,
-            seqs,
+            [target[0] for target in targets],
+            [target[1] for target in targets],
             radios,
-            rssis,
+            [target[3] for target in targets],
             [mac for mac, _ in addressing],
             [lanes for _, lanes in addressing],
         )
@@ -1756,7 +1574,7 @@ class Medium:
         transmission: Transmission,
         duration: float,
     ) -> None:
-        """Resolve and schedule a whole delivery list, struct-of-arrays style.
+        """Resolve and schedule a whole delivery list.
 
         Stage 1: the sender's live static list on its channel at this
         power (:class:`_Delivery`), resolved cold on first use
@@ -1786,11 +1604,6 @@ class Medium:
         rssis = delivery.rssis
         macs = delivery.macs
         lanes = delivery.lanes
-        mac_arr = delivery.mac_arr
-        if mac_arr is None and len(macs) > 64:
-            # Large static lists get a numpy view of the MAC column so
-            # lane classification is one vectorized comparison.
-            mac_arr = delivery.mac_arr = np.array(macs, dtype=np.uint64)
         fers: Optional[List[float]] = None
         if self._fer is not None:
             # Per-receiver frame-error probabilities for the static list,
@@ -1839,7 +1652,6 @@ class Medium:
                 rssis = list(rssis)
                 macs = list(macs)
                 lanes = list(lanes)
-                mac_arr = None  # the merged copies diverge from the list's array
                 if fers is not None:
                     fers = list(fers)
                 noise_floor = self.noise_floor_dbm
@@ -1858,9 +1670,7 @@ class Medium:
                         )
         if not delays:
             return
-        span = _ArrivalSpan(
-            self, transmission, radios, rssis, fers, macs, lanes, mac_arr
-        )
+        span = _ArrivalSpan(self, transmission, radios, rssis, fers, macs, lanes)
         if radios is delivery.radios:
             delivery.shared = True  # the span reads the live columns in place
         engine.post_batch(EventBatch(engine, span.begin_slice, now, 0.0, delays))

@@ -41,7 +41,7 @@ from repro.mac.serialization import serialize
 from repro.phy.plcp import frame_airtime
 from repro.phy.radio import Radio, RadioState
 from repro.sim.engine import Engine
-from repro.sim.medium import TALLY_GROUP, Medium, _ArrivalSpan
+from repro.sim.medium import _LANES_SCALAR, TALLY_GROUP, Medium, _ArrivalSpan
 from repro.sim.trace import FrameTrace
 from repro.sim.world import Position
 from repro.telemetry.registry import MetricsRegistry
@@ -335,7 +335,9 @@ def test_fuzzed_worlds_split_windows_in_both_slices(monkeypatch):
     # A fixed world whose foreign events and stops land inside a span's
     # arrivals (the fuzzer's "tie" op), so the drain takes both of its
     # window paths in both slices: the whole remainder due at once, and
-    # due-time lists bisected around a split.
+    # due-time lists bisected around a split.  The same world with a CSI
+    # model runs every span without fast lanes, through the same drain,
+    # so a split there must match the reference too.
     spans = []
 
     class RecordingSpan(_ArrivalSpan):
@@ -371,6 +373,13 @@ def test_fuzzed_worlds_split_windows_in_both_slices(monkeypatch):
     assert any(span.due_end is not None for span in spans)
     assert any(span.due_begin is None for span in spans)
     assert any(span.due_end is None for span in spans)
+
+    spans.clear()
+    csi_world = dict(world, csi=True)
+    assert _simulate(csi_world, Medium) == _simulate(csi_world, ReferenceMedium)
+    assert spans and all(span.lane_mode == _LANES_SCALAR for span in spans)
+    assert any(span.due_end is not None for span in spans)
+    assert all(span.begun == span.ended == len(span.radios) for span in spans)
 
 
 def test_fuzzed_worlds_exercise_the_probe_lanes():

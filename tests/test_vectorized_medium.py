@@ -1,21 +1,22 @@
-"""The struct-of-arrays medium: equivalence, query paths, mirrors, mutations.
+"""The production medium's delivery path: equivalence, queries, gates, mutations.
 
 Five contracts pinned here:
 
 * the production medium produces **byte-identical seeded traces** and
   outputs to the cache-free reference medium on the Figure 2 probe
-  exchange and a Table 2-shaped wardrive, across the matrix of
-  ``tiny_cache × no_lanes × traced`` (FIFO eviction on every resolution,
-  every arrival on the scalar reception path, pass-through tracer
-  wrappers on the hot entry points);
+  exchange and a Table 2-shaped wardrive with the SNR frame-error model,
+  across the matrix of ``tiny_cache × no_lanes × traced`` (FIFO eviction
+  of the FER memo on nearly every lookup, every arrival on the scalar
+  reception path, pass-through tracer wrappers on the hot entry points);
 * ad-hoc queries (``rssi_between`` / ``is_busy_for``) read the same
-  epoch-keyed budgets as the delivery path, so they can never drift from
+  memoized budgets as the delivery path, so they can never drift from
   what a transmission actually experiences;
-* the per-channel struct-of-arrays index survives arbitrary mid-run
-  retune / reposition / detach sequences (property-tested against the
-  cache-free reference medium): array-index compaction never changes
-  who hears what;
-* the :class:`~repro.sim.medium._ChannelSoA` arrays themselves;
+* the per-channel radio index and the live delivery lists survive
+  arbitrary mid-run retune / reposition / detach sequences
+  (property-tested against the cache-free reference medium): no push
+  ever changes who hears what;
+* the range gate that cold resolutions and attach pushes share
+  (``Medium._range2``), and what a cold resolution walks;
 * :class:`~repro.sim.engine.EventBatch` hands its slice handler drain
   positions (``batch.index``) rather than payloads.
 """
@@ -72,8 +73,9 @@ def _reference(name, **kwargs):
 def _production(monkeypatch, tiny_cache, no_lanes, traced, name, **kwargs):
     """The scenario on the production medium under one matrix cell.
 
-    ``tiny_cache`` caps every link/FER/delivery cache at two entries, so
-    FIFO eviction runs on nearly every resolution; ``no_lanes`` hides the
+    ``tiny_cache`` caps the FER memo at two entries, so FIFO eviction
+    runs on nearly every lookup of a run with a frame-error model (the
+    probe exchange has none, so it is unaffected); ``no_lanes`` hides the
     frames' destination hook, so every arrival takes the scalar reception
     path (as for an unparseable PSDU); ``traced`` wraps the entry points
     the end-to-end tracer patches in counting pass-throughs.
@@ -81,7 +83,7 @@ def _production(monkeypatch, tiny_cache, no_lanes, traced, name, **kwargs):
     calls = {"transmit": 0, "on_reception": 0}
     with monkeypatch.context() as patched:
         if tiny_cache:
-            patched.setattr(medium_module, "LINK_CACHE_MAX_ENTRIES", 2)
+            patched.setattr(medium_module, "FER_CACHE_MAX_ENTRIES", 2)
         if no_lanes:
             patched.setattr(Frame, "dest_u64", lambda self: None)
         if traced:
@@ -116,13 +118,16 @@ class TestEquivalenceMatrix:
     def test_wardrive_trace_byte_identical(
         self, monkeypatch, tiny_cache, no_lanes, traced
     ):
-        # Static city + driving rig: exercises the static delivery cache,
-        # the per-transmission mobile merge, and the FER coin flips.
-        reference = _reference("wardrive", trace=True, params=WARDRIVE_PARAMS)
+        # Static city + driving rig: exercises the live delivery lists,
+        # the per-transmission mobile merge, and (fer="snr") the FER memo
+        # and coin flips.
+        reference = _reference(
+            "wardrive", trace=True, fer="snr", params=WARDRIVE_PARAMS
+        )
         assert int(reference.outputs["discovered"]) > 0
         other = _production(
             monkeypatch, tiny_cache, no_lanes, traced,
-            "wardrive", trace=True, params=dict(WARDRIVE_PARAMS),
+            "wardrive", trace=True, fer="snr", params=dict(WARDRIVE_PARAMS),
         )
         assert other.ctx.trace.to_jsonl() == reference.ctx.trace.to_jsonl()
         assert other.outputs == reference.outputs
@@ -298,49 +303,62 @@ class TestSoACompaction:
 
 
 # ----------------------------------------------------------------------
-# The SoA arrays themselves
+# The range gate of cold resolutions and attach pushes
 # ----------------------------------------------------------------------
+def _cold_names(medium, sender, channel, power_dbm=20.0):
+    """Receiver names of a fresh cold resolution from ``sender``."""
+    entry = medium._entries[sender]
+    delivery = medium._resolve_static(entry, entry.static_pos, channel, power_dbm)
+    return [radio.name for radio in delivery.radios]
+
+
 class TestChannelSoA:
     def test_mobile_rows_are_nan_and_gated_out(self, engine):
+        # A mobile radio never enters a cold list, however close it is:
+        # transmissions merge it in afresh every time instead.
         medium = Medium(engine)
+        tx = Radio("tx", medium, Position(0, 0), channel=1)
         Radio("s", medium, Position(1, 2, 3), channel=1)
         Radio("m", medium, lambda t: Position(t, 0), channel=1)
-        soa = medium._channel_soa(1)
-        assert soa.count == 2
-        by_name = {e.name: i for i, e in enumerate(soa.entries)}
-        assert np.array_equal(soa.xyz[by_name["s"]], [1.0, 2.0, 3.0])
-        assert np.all(np.isnan(soa.xyz[by_name["m"]]))
-        assert bool(soa.static_mask[by_name["s"]])
-        assert not bool(soa.static_mask[by_name["m"]])
+        assert _cold_names(medium, "tx", 1) == ["s"]
+        heard = []
+        for name in ("s", "m"):
+            medium.radio(name).frame_handler = lambda rec, n=name: heard.append(n)
+        tx.transmit(_frame(), 6.0)
+        engine.run_until(0.01)
+        assert sorted(heard) == ["m", "s"]
+        (delivery,) = medium._entries["tx"].lists.values()
+        assert [radio.name for radio in delivery.radios] == ["s"]
 
     def test_limit2_cached_per_power_and_covers_scalar_range(self, engine):
         medium = Medium(engine)
-        Radio("a", medium, Position(0, 0), channel=1, rx_sensitivity_dbm=-92.0)
-        Radio("b", medium, Position(5, 0), channel=1, rx_sensitivity_dbm=-70.0)
-        soa = medium._channel_soa(1)
-        limit2 = soa.limit2(20.0)
-        assert soa.limit2(20.0) is limit2  # cached per power
-        assert soa.limit2(10.0) is not limit2
+        limit2 = medium._range2(20.0, -92.0)
+        assert medium._range2(20.0, -92.0) is limit2  # cached per pair
+        assert medium._range2(10.0, -92.0) < limit2
+        assert medium._range2(20.0, -70.0) < limit2
         # The squared gate must admit at least the exact scalar range:
         # dmax = (lambda / 4 pi) * 10^((P - sens) / 20), clamped to 1 m.
-        wavelength = 299_792_458.0 / soa.freq_hz[0]
-        for i, sens in enumerate(soa.sens_dbm):
-            dmax = max(
-                (wavelength / (4.0 * math.pi)) * 10.0 ** ((20.0 - sens) / 20.0),
-                1.0,
-            )
-            assert limit2[i] >= dmax * dmax
+        wavelength = 299_792_458.0 / medium.frequency_hz
+        for power in (20.0, 10.0, -40.0):
+            for sens in (-92.0, -70.0, -20.0):
+                dmax = max(
+                    (wavelength / (4.0 * math.pi)) * 10.0 ** ((power - sens) / 20.0),
+                    1.0,
+                )
+                assert medium._range2(power, sens) >= dmax * dmax
 
     def test_rebuilt_after_version_bump(self, engine):
+        # A retuned radio leaves the old channel's next cold resolution
+        # and joins the new channel's.
         medium = Medium(engine)
-        r0 = Radio("a", medium, Position(0, 0), channel=1)
+        Radio("tx", medium, Position(0, 0), channel=1)
+        r0 = Radio("a", medium, Position(3, 0), channel=1)
         Radio("b", medium, Position(5, 0), channel=1)
-        first = medium._channel_soa(1)
-        r0.channel = 6  # retune bumps both buckets' versions
-        rebuilt = medium._channel_soa(1)
-        assert rebuilt is not first
-        assert rebuilt.count == 1
-        assert rebuilt.entries[0].name == "b"
+        Radio("c", medium, Position(4, 0), channel=6)
+        assert _cold_names(medium, "tx", 1) == ["a", "b"]
+        r0.channel = 6
+        assert _cold_names(medium, "tx", 1) == ["b"]
+        assert _cold_names(medium, "c", 6) == ["a"]
 
 
 # ----------------------------------------------------------------------
