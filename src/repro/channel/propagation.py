@@ -10,7 +10,8 @@ link is evaluated and reused afterwards.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class ShadowedPathLoss:
         self.base = base if base is not None else LogDistancePathLoss()
         self.shadowing_sigma_db = shadowing_sigma_db
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._link_shadowing: Dict[Tuple[int, ...], float] = {}
+        self._link_shadowing: OrderedDict[Tuple[int, ...], float] = OrderedDict()
 
     def shadowing_for(self, tx: Position, rx: Position) -> float:
         links = self._link_shadowing
@@ -54,8 +55,10 @@ class ShadowedPathLoss:
             offset = float(self._rng.normal(0.0, self.shadowing_sigma_db))
             links[key] = offset
             # Bound memory: forget the oldest links past 100k entries.
+            # (``OrderedDict`` pops its head in O(1); a plain dict walks
+            # every slot freed since its last resize to find it.)
             if len(links) > 100_000:
-                links.pop(next(iter(links)))
+                links.popitem(last=False)
         return offset
 
     def __call__(self, tx: Position, rx: Position) -> float:

@@ -42,8 +42,24 @@ _UNSET = object()
 
 
 def _build_path_loss(config: Dict[str, object]):
-    """Materialize a path-loss model from its spec dict."""
+    """Materialize a path-loss model from its spec dict.
+
+    A key the kind does not read is an error, not a silent default.
+    """
     kind = str(config.get("kind", "free_space"))
+    accepted = {
+        "free_space": ("kind",),
+        "log_distance": ("kind", "exponent", "walls"),
+        "shadowed": ("kind", "exponent", "walls", "sigma_db", "seed"),
+    }.get(kind)
+    if accepted is None:
+        raise ValueError(f"unknown path_loss kind {kind!r}")
+    unknown = sorted(set(config) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"unknown path_loss key(s) {', '.join(map(repr, unknown))} for "
+            f"kind {kind!r}; it accepts: {', '.join(accepted)}"
+        )
     if kind == "free_space":
         return None
     from repro.phy.signal import LogDistancePathLoss
@@ -54,15 +70,13 @@ def _build_path_loss(config: Dict[str, object]):
     )
     if kind == "log_distance":
         return base
-    if kind == "shadowed":
-        from repro.channel.propagation import ShadowedPathLoss
+    from repro.channel.propagation import ShadowedPathLoss
 
-        return ShadowedPathLoss(
-            base=base,
-            shadowing_sigma_db=float(config.get("sigma_db", 6.0)),
-            rng=np.random.default_rng(int(config.get("seed", 0))),
-        )
-    raise ValueError(f"unknown path_loss kind {kind!r}")
+    return ShadowedPathLoss(
+        base=base,
+        shadowing_sigma_db=float(config.get("sigma_db", 6.0)),
+        rng=np.random.default_rng(int(config.get("seed", 0))),
+    )
 
 
 def _build_fer(name: str):

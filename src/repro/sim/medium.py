@@ -120,10 +120,6 @@ DEFAULT_NOISE_FLOOR_DBM = -95.0
 #: captured successfully.
 DEFAULT_CAPTURE_THRESHOLD_DB = 10.0
 
-#: Upper bound on memoized frame-error probabilities; beyond it the oldest
-#: entry is dropped (FIFO).
-FER_CACHE_MAX_ENTRIES = 1_000_000
-
 
 class CorruptionReason(enum.Enum):
     """Why an in-flight arrival was corrupted.
@@ -982,10 +978,6 @@ class Medium:
         #: by an attached sender a miss.
         self.link_cache_hits = 0
         self.link_cache_misses = 0
-        #: (snr, rate, length) -> frame-error probability.  Assumes the
-        #: FER model is a pure function of its arguments (all built-ins
-        #: are); memoized link budgets make SNR values repeat exactly.
-        self._fer_cache: Dict[Tuple[float, float, int], float] = {}
         #: Pushes that had to copy a delivery list first, because a
         #: transmission since the last copy handed it to its arrival span
         #: (:meth:`_Delivery.writable`).  A plain attribute like
@@ -1487,22 +1479,6 @@ class Medium:
             self.link_cache_misses += 1
         return budget
 
-    def _fer_probability(self, snr: float, rate: float, length: int) -> float:
-        """Frame-error probability, memoized per ``(snr, rate, length)``.
-
-        The FER model is assumed pure (all built-ins are); memoized link
-        budgets make SNR values repeat exactly.
-        """
-        key = (snr, rate, length)
-        probability = self._fer_cache.get(key)
-        if probability is None:
-            probability = self._fer(snr, rate, length)
-            fer_cache = self._fer_cache
-            if len(fer_cache) >= FER_CACHE_MAX_ENTRIES:
-                fer_cache.pop(next(iter(fer_cache)))
-            fer_cache[key] = probability
-        return probability
-
     def _resolve_static(
         self,
         entry: Optional[_RadioEntry],
@@ -1607,21 +1583,18 @@ class Medium:
         fers: Optional[List[float]] = None
         if self._fer is not None:
             # Per-receiver frame-error probabilities for the static list,
-            # derived through the (snr, rate, length) memo and kept on
-            # the list per (rate, length) until its next push.  The RNG
-            # draw that applies a probability happens at the arrival
-            # end, in arrival order.
+            # kept on the list per (rate, length) until its next push.
+            # The RNG draw that applies a probability happens at the
+            # arrival end, in arrival order.
             getter = getattr(transmission.frame, "wire_length", None)
             length = (getter() or 0) if getter is not None else 0
             rate = transmission.rate_mbps
             fer_lists = delivery.fers
             fers = fer_lists.get((rate, length))
             if fers is None:
-                fer_probability = self._fer_probability
+                fer = self._fer
                 noise_floor = self.noise_floor_dbm
-                fers = [
-                    fer_probability(rssi - noise_floor, rate, length) for rssi in rssis
-                ]
+                fers = [fer(rssi - noise_floor, rate, length) for rssi in rssis]
                 if len(fer_lists) >= 8:
                     fer_lists.pop(next(iter(fer_lists)))
                 fer_lists[(rate, length)] = fers
@@ -1665,9 +1638,7 @@ class Medium:
                     macs.insert(k, rx_mac)
                     lanes.insert(k, rx_lanes)
                     if fers is not None:
-                        fers.insert(
-                            k, self._fer_probability(rssi - noise_floor, rate, length)
-                        )
+                        fers.insert(k, self._fer(rssi - noise_floor, rate, length))
         if not delays:
             return
         span = _ArrivalSpan(self, transmission, radios, rssis, fers, macs, lanes)

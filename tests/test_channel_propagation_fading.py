@@ -40,6 +40,23 @@ class TestShadowedPathLoss:
         tx, rx = Position(0, 0), Position(40, 0)
         assert model(tx, rx) == pytest.approx(base(tx, rx))
 
+    def test_oldest_links_are_forgotten_first_past_the_cap(self):
+        # The model remembers the 100,000 most recent links.  Past that,
+        # the links drawn first are the ones forgotten, so they (and only
+        # they) draw afresh: the next values of the one RNG stream.
+        cap, extra = 100_000, 5
+        stream = np.random.default_rng(7)
+        draws = [float(stream.normal(0.0, 4.0)) for _ in range(cap + 2 * extra)]
+        model = ShadowedPathLoss(shadowing_sigma_db=4.0, rng=np.random.default_rng(7))
+        tx = Position(0, 0)
+        links = [Position(float(i), 0) for i in range(cap + extra)]
+        offsets = [model.shadowing_for(tx, rx) for rx in links]
+        assert offsets == draws[: cap + extra]
+        recent = links[extra:]
+        assert [model.shadowing_for(tx, rx) for rx in recent] == offsets[extra:]
+        redrawn = [model.shadowing_for(tx, rx) for rx in links[:extra]]
+        assert redrawn == draws[cap + extra:]
+
 
 class TestFading:
     def test_rayleigh_unit_mean_power(self):

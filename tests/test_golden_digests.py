@@ -27,7 +27,8 @@ from repro.sim.medium import Medium
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
-#: ``id -> (scenario, params)``; every run is seeded by its scenario spec.
+#: ``id -> (scenario, params[, spec overrides])``; every run is seeded by
+#: its scenario spec.
 RUNS: Dict[str, tuple] = {
     "probe": ("probe", {}),
     "deauth": ("deauth", {}),
@@ -37,6 +38,19 @@ RUNS: Dict[str, tuple] = {
     "wardrive-metro": (
         "wardrive-metro",
         {"tiles_x": 1, "tiles_y": 1, "metro_scale": 0.01, "blocks_x": 3, "blocks_y": 2},
+    ),
+    # The Table 2 bench's physics: shadowed path loss and SNR frame errors.
+    "wardrive-full-shadowed": (
+        "wardrive-full",
+        {"max_devices": 120},
+        {
+            "medium_seed": 98,
+            "fer": "snr",
+            "path_loss": {
+                "kind": "shadowed", "exponent": 2.8, "walls": 1,
+                "sigma_db": 4.0, "seed": 99,
+            },
+        },
     ),
 }
 
@@ -56,9 +70,16 @@ def _canonical(data: Dict[str, object]) -> str:
     return json.dumps(kept, sort_keys=True)
 
 
+def _run(run_id: str, **options: object):
+    """The pinned run, with its spec overrides and ``options`` applied."""
+    name, params, *overrides = RUNS[run_id]
+    spec_overrides = dict(overrides[0]) if overrides else {}
+    spec_overrides.update(options)
+    return run_scenario(name, params=dict(params), quiet=True, **spec_overrides)
+
+
 def digests(run_id: str) -> Dict[str, str]:
-    name, params = RUNS[run_id]
-    result = run_scenario(name, params=dict(params), quiet=True, trace=True)
+    result = _run(run_id, trace=True)
     counters = result.ctx.metrics.snapshot()["counters"]
     return {
         "trace": _sha(result.ctx.trace.to_jsonl()),
@@ -84,8 +105,7 @@ def test_contended_starts_count_the_capture_model_runs(monkeypatch):
         return resolve(self, *args)
 
     monkeypatch.setattr(Medium, "_resolve_overlap", counted)
-    name, params = RUNS["wardrive-full"]
-    result = run_scenario(name, params=dict(params), quiet=True)
+    result = _run("wardrive-full")
     counters = result.ctx.metrics.snapshot()["counters"]
     arrivals = counters["medium.frames.delivered"] + counters["medium.frames.dropped"]
     contended = result.ctx.medium.contended_starts

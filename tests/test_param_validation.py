@@ -79,6 +79,48 @@ class TestRegistryValidation:
         assert "rates_pps" in err.valid
 
 
+class TestPathLossValidation:
+    def test_misspelled_keys_fail_with_the_accepted_keys(self):
+        # Both typos used to run silently at sigma 6.0 and exponent 3.0.
+        with pytest.raises(ValueError) as excinfo:
+            run_scenario(
+                "probe",
+                path_loss={"kind": "shadowed", "sigma": 4.0, "exponant": 2.8},
+                quiet=True,
+            )
+        message = str(excinfo.value)
+        assert "'exponant', 'sigma'" in message
+        assert "kind, exponent, walls, sigma_db, seed" in message
+
+    @pytest.mark.parametrize(
+        "config, accepted",
+        [
+            ({"kind": "free_space", "exponent": 2.0}, "kind"),
+            ({"kind": "log_distance", "sigma_db": 4.0}, "kind, exponent, walls"),
+        ],
+    )
+    def test_each_kind_names_only_its_own_keys(self, config, accepted):
+        with pytest.raises(ValueError, match=f"accepts: {accepted}$"):
+            run_scenario("probe", path_loss=config, quiet=True)
+
+    def test_unknown_kind_still_names_the_kind(self):
+        with pytest.raises(ValueError, match="unknown path_loss kind 'urban'"):
+            run_scenario("probe", path_loss={"kind": "urban"}, quiet=True)
+
+    def test_every_accepted_key_still_builds(self):
+        result = run_scenario(
+            "probe",
+            path_loss={
+                "kind": "shadowed", "exponent": 2.8, "walls": 1,
+                "sigma_db": 4.0, "seed": 99,
+            },
+            quiet=True,
+        )
+        model = result.ctx.medium._path_loss
+        assert model.shadowing_sigma_db == 4.0
+        assert model.base.exponent == 2.8
+
+
 class TestCampaignValidation:
     def test_base_params_validated_before_forking(self):
         config = CampaignConfig(

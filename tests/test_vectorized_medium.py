@@ -5,8 +5,7 @@ Five contracts pinned here:
 * the production medium produces **byte-identical seeded traces** and
   outputs to the cache-free reference medium on the Figure 2 probe
   exchange and a Table 2-shaped wardrive with the SNR frame-error model,
-  across the matrix of ``tiny_cache × no_lanes × traced`` (FIFO eviction
-  of the FER memo on nearly every lookup, every arrival on the scalar
+  across the matrix of ``no_lanes × traced`` (every arrival on the scalar
   reception path, pass-through tracer wrappers on the hot entry points);
 * ad-hoc queries (``rssi_between`` / ``is_busy_for``) read the same
   memoized budgets as the delivery path, so they can never drift from
@@ -41,13 +40,10 @@ from tests.reference_medium import ReferenceMedium
 from tests.test_sim_medium import _frame
 
 
-#: (tiny_cache, no_lanes, traced): every combination must leave the
-#: production trace byte-identical to the reference medium's.
+#: (no_lanes, traced): every combination must leave the production trace
+#: byte-identical to the reference medium's.
 MATRIX = [
-    (tiny_cache, no_lanes, traced)
-    for tiny_cache in (False, True)
-    for no_lanes in (False, True)
-    for traced in (False, True)
+    (no_lanes, traced) for no_lanes in (False, True) for traced in (False, True)
 ]
 
 WARDRIVE_PARAMS = {
@@ -70,20 +66,16 @@ def _reference(name, **kwargs):
     return _REFERENCE_RUNS[key]
 
 
-def _production(monkeypatch, tiny_cache, no_lanes, traced, name, **kwargs):
+def _production(monkeypatch, no_lanes, traced, name, **kwargs):
     """The scenario on the production medium under one matrix cell.
 
-    ``tiny_cache`` caps the FER memo at two entries, so FIFO eviction
-    runs on nearly every lookup of a run with a frame-error model (the
-    probe exchange has none, so it is unaffected); ``no_lanes`` hides the
-    frames' destination hook, so every arrival takes the scalar reception
-    path (as for an unparseable PSDU); ``traced`` wraps the entry points
-    the end-to-end tracer patches in counting pass-throughs.
+    ``no_lanes`` hides the frames' destination hook, so every arrival
+    takes the scalar reception path (as for an unparseable PSDU);
+    ``traced`` wraps the entry points the end-to-end tracer patches in
+    counting pass-throughs.
     """
     calls = {"transmit": 0, "on_reception": 0}
     with monkeypatch.context() as patched:
-        if tiny_cache:
-            patched.setattr(medium_module, "FER_CACHE_MAX_ENTRIES", 2)
         if no_lanes:
             patched.setattr(Frame, "dest_u64", lambda self: None)
         if traced:
@@ -105,28 +97,24 @@ def _production(monkeypatch, tiny_cache, no_lanes, traced, name, **kwargs):
 # Production against the reference, across the matrix
 # ----------------------------------------------------------------------
 class TestEquivalenceMatrix:
-    @pytest.mark.parametrize("tiny_cache,no_lanes,traced", MATRIX)
-    def test_figure2_trace_byte_identical(
-        self, monkeypatch, tiny_cache, no_lanes, traced
-    ):
+    @pytest.mark.parametrize("no_lanes,traced", MATRIX)
+    def test_figure2_trace_byte_identical(self, monkeypatch, no_lanes, traced):
         reference = _reference("probe")
-        other = _production(monkeypatch, tiny_cache, no_lanes, traced, "probe")
+        other = _production(monkeypatch, no_lanes, traced, "probe")
         assert other.ctx.trace.to_jsonl() == reference.ctx.trace.to_jsonl()
         assert other.outputs == reference.outputs
 
-    @pytest.mark.parametrize("tiny_cache,no_lanes,traced", MATRIX)
-    def test_wardrive_trace_byte_identical(
-        self, monkeypatch, tiny_cache, no_lanes, traced
-    ):
+    @pytest.mark.parametrize("no_lanes,traced", MATRIX)
+    def test_wardrive_trace_byte_identical(self, monkeypatch, no_lanes, traced):
         # Static city + driving rig: exercises the live delivery lists,
-        # the per-transmission mobile merge, and (fer="snr") the FER memo
-        # and coin flips.
+        # the per-transmission mobile merge, and (fer="snr") the per-list
+        # FER memo and the coin flips.
         reference = _reference(
             "wardrive", trace=True, fer="snr", params=WARDRIVE_PARAMS
         )
         assert int(reference.outputs["discovered"]) > 0
         other = _production(
-            monkeypatch, tiny_cache, no_lanes, traced,
+            monkeypatch, no_lanes, traced,
             "wardrive", trace=True, fer="snr", params=dict(WARDRIVE_PARAMS),
         )
         assert other.ctx.trace.to_jsonl() == reference.ctx.trace.to_jsonl()
