@@ -101,8 +101,11 @@ def test_table2_wardrive_survey(benchmark, report):
     assert snap["counters"]["ack.acks_sent"] >= results.total_responded
     assert snap["counters"]["engine.events.executed"] > 0
 
+    # Counts print in full, so a change of a few arrivals shows in the
+    # report; only the float counters (wall times, airtime) are rounded.
     counter_lines = "\n".join(
-        f"  {name:<32} {value:>14.6g}"
+        f"  {name:<32} "
+        + (f"{int(value):>14d}" if float(value).is_integer() else f"{value:>14.6g}")
         for name, value in snap["counters"].items()
     )
     report(

@@ -28,12 +28,10 @@ which shards across machines and merges the results::
     python -m repro campaign merge manifest.shard*.json --out manifest.json
 
 and the control plane (see ``docs/control-plane.md``), which watches
-a campaign from its directory, diffs two manifests, and takes
-submissions over HTTP::
+a campaign from its directory and diffs two manifests::
 
     python -m repro campaign status sweep/
     python -m repro campaign compare sweep/manifest.json other.json
-    python -m repro serve --root campaign-jobs
 
 The full, narrated versions live in ``examples/``; the full-scale
 reproductions in ``benchmarks/``.
@@ -270,13 +268,13 @@ def _campaign_status(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign status",
         description="Reconstruct a campaign's status from the sidecars "
-        "in its directory (plus campaign.json when present); works "
-        "against running, finished, and crashed campaigns, sharded or not",
+        "and manifests in its directory; works against running, "
+        "finished, and crashed campaigns, sharded or not",
     )
     parser.add_argument(
         "dir",
         help="campaign directory: where --out wrote the manifest and its "
-        ".runs.jsonl sidecar (for a serve job, its job directory)",
+        ".runs.jsonl sidecar",
     )
     parser.add_argument(
         "--json", action="store_true", help="print the snapshot as JSON"
@@ -417,8 +415,7 @@ def _campaign_command(argv):
         "--spec-file", default=None, metavar="PATH",
         help="read the campaign definition (scenario, seeds, params, "
         "grid, run policy) from this JSON spec instead of flags; "
-        "`serve` hands every job its spec this way, so values cross "
-        "the process boundary typed, not re-parsed (--name and "
+        "values stay typed JSON, not re-parsed strings (--name and "
         "run-policy flags override the spec's)",
     )
     parser.add_argument(
@@ -520,21 +517,16 @@ def main(argv=None) -> int:
         return _run_campaign(argv[1:])
     if argv and argv[0] == "run":
         return _run_one(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.control.service import main as serve_main
-
-        return serve_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Polite WiFi reproduction demos and scenario/campaign runner",
     )
     parser.add_argument(
         "demo", nargs="?", default="probe",
-        choices=sorted(_DEMOS) + ["run", "campaign", "serve"],
+        choices=sorted(_DEMOS) + ["run", "campaign"],
         help="which demo to run (default: probe), 'run <scenario>' for "
-        "any registered scenario, 'campaign ...' for the parallel "
-        "campaign orchestrator, or 'serve' for the HTTP control "
-        "service",
+        "any registered scenario, or 'campaign ...' for the parallel "
+        "campaign orchestrator",
     )
     args = parser.parse_args(argv)
     return _DEMOS[args.demo]()

@@ -2,22 +2,22 @@
 
 ``campaign status <dir>`` must answer "how is my sweep doing?" for a
 campaign it does not control: one ``campaign`` process, shards run by
-hand on N machines, a ``serve`` job, or any of them long dead.  So
-:func:`fleet_status` takes *no* live handles — it reads what's on disk:
+hand on N machines, or any of them long dead.  So :func:`fleet_status`
+takes *no* live handles — it reads what's on disk:
 
-* ``*.runs.jsonl`` sidecars — per-shard progress (run records), shard
-  identity and heartbeat interval (the ``campaign-meta`` line), and
-  liveness (heartbeats + file mtime);
-* ``campaign.json`` — the campaign spec, if one was written (``serve``
-  writes one per job): names the scenario and sizes the full run plan.
+* ``*.runs.jsonl`` sidecars — per-shard progress (run records), the
+  campaign's identity (the ``campaign-meta`` line: campaign, scenario,
+  full plan size, shard identity, heartbeat interval), and liveness
+  (heartbeats + file mtime);
+* manifests — a shard's own manifest marks it ``done``; a sharded
+  campaign is ``done`` once the merged ``manifest.json`` exists, an
+  unsharded one once its own manifest does.
 
-The spec is optional; sidecars alone produce a usable view.  A shard
-whose manifest exists is ``done`` with nothing pending, a missing
-sidecar for a known shard reads as ``pending``, a torn trailing line is
-skipped (shared sidecar parsing), and a shard whose last sign of life
-is older than the stall threshold reads as ``stalled`` — a
-*suspicion*, not a verdict: from disk, a dead process and a wedged one
-look alike.
+A missing sidecar for a known shard reads as ``pending``, a torn
+trailing line is skipped (shared sidecar parsing), and a shard whose
+last sign of life is older than the stall threshold reads as
+``stalled`` — a *suspicion*, not a verdict: from disk, a dead process
+and a wedged one look alike.
 """
 
 from __future__ import annotations
@@ -27,16 +27,12 @@ import re
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.telemetry.campaign import (
-    CampaignConfig,
-    _is_run_record,
-    parse_sidecar_text,
-)
+from repro.telemetry.campaign import _is_run_record, parse_sidecar_text
 
 __all__ = ["fleet_status", "render_fleet_status"]
 
-#: Fallback stall threshold when neither the sidecars nor the spec
-#: declare a heartbeat interval.
+#: Fallback stall threshold when no sidecar declares a heartbeat
+#: interval.
 _DEFAULT_STALL_AFTER_S = 30.0
 
 #: Stalled = no activity for this many heartbeat intervals.
@@ -45,23 +41,14 @@ _STALL_HEARTBEATS = 4.0
 _SHARD_NAME_RE = re.compile(r"\.shard(\d+)of(\d+)\.[^.]+\.runs\.jsonl$")
 
 
-def _read_json(path: pathlib.Path) -> Optional[Dict[str, object]]:
-    """A JSON object from ``path``, or ``None`` for missing/unreadable/
-    non-object content (status must degrade, never crash)."""
-    import json
-
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return data if isinstance(data, dict) else None
-
-
 def _inspect_sidecar(path: pathlib.Path) -> Dict[str, object]:
     """Everything one sidecar says about its shard (tolerant of torn
     trailing lines and of the file vanishing mid-read)."""
     info: Dict[str, object] = {
         "sidecar": str(path),
+        "campaign": None,
+        "scenario": None,
+        "plan_runs": None,
         "shard_index": None,
         "shard_count": None,
         "runs": 0,
@@ -81,6 +68,8 @@ def _inspect_sidecar(path: pathlib.Path) -> Dict[str, object]:
     for record in parse_sidecar_text(text):
         kind = record.get("kind")
         if kind == "campaign-meta":
+            for key in ("campaign", "scenario", "plan_runs"):
+                info[key] = record.get(key)
             shard = record.get("shard")
             if isinstance(shard, dict):
                 info["shard_index"] = shard.get("index")
@@ -107,26 +96,6 @@ def _inspect_sidecar(path: pathlib.Path) -> Dict[str, object]:
     return info
 
 
-#: Partition knobs (docs/partitioning.md) surfaced by ``campaign
-#: status`` when a sweep drives a tiled scenario such as wardrive-metro.
-_TILING_KEYS = ("tiles_x", "tiles_y", "tile_workers")
-
-
-def _tiling_of(config: CampaignConfig) -> Optional[Dict[str, object]]:
-    """The sweep's tile/worker knobs, or ``None`` for untiled scenarios.
-
-    A grid axis reports its full value list (the sweep covers them
-    all); a plain param reports the single value every run shares.
-    """
-    values: Dict[str, object] = {}
-    for key in _TILING_KEYS:
-        if config.grid and key in config.grid:
-            values[key] = list(config.grid[key])
-        elif key in config.params:
-            values[key] = config.params[key]
-    return values or None
-
-
 def _manifest_for(sidecar: pathlib.Path) -> pathlib.Path:
     """``out.shard1of2.json.runs.jsonl`` -> ``out.shard1of2.json``."""
     return sidecar.with_name(sidecar.name[: -len(".runs.jsonl")])
@@ -140,60 +109,59 @@ def fleet_status(
     """A point-in-time snapshot of one campaign directory.
 
     ``stall_after_s`` overrides the stall threshold (default: four
-    heartbeat intervals, as the sidecars' meta lines or else the spec
-    declare them; 30s when neither does); ``now`` pins the clock for
-    tests.  The result is JSON-safe and serialized
-    canonically by :func:`repro.telemetry.export.status_to_json`.
+    heartbeat intervals, as the sidecars' meta lines declare them; 30s
+    when none does); ``now`` pins the clock for tests.  Raises
+    ``ValueError`` when the directory holds more than one campaign's
+    sidecars (two claim the same shard, or their shard counts differ):
+    the view has one row per shard and would otherwise drop one of
+    them.  The result is JSON-safe and serialized canonically by
+    :func:`repro.telemetry.export.status_to_json`.
     """
     directory = pathlib.Path(campaign_dir)
     if not directory.is_dir():
         raise ValueError(f"not a campaign directory: {directory}")
     now = time.time() if now is None else now
-    spec = _read_json(directory / "campaign.json")
-
-    config: Optional[CampaignConfig] = None
-    plan_runs: Optional[int] = None
-    if spec is not None:
-        try:
-            config = CampaignConfig.from_spec_dict(spec)
-            plan_runs = len(config.expand())
-        except ValueError:
-            config = None  # a broken spec degrades to sidecar-only status
     observed = [
         _inspect_sidecar(path)
         for path in sorted(directory.glob("*.runs.jsonl"))
     ]
+
+    def first(key: str) -> object:
+        """The first value any sidecar's meta line gives ``key``."""
+        return next(
+            (info[key] for info in observed if info[key] is not None), None
+        )
+
     if stall_after_s is None:
-        # The writers' own intervals first: a --heartbeat flag may have
-        # overridden the spec's.
         beats = [
             float(info["heartbeat_s"])
             for info in observed
             if isinstance(info["heartbeat_s"], (int, float))
             and info["heartbeat_s"] > 0
         ]
-        heartbeat_s = max(beats) if beats else (config and config.heartbeat_s)
         stall_after_s = (
-            _STALL_HEARTBEATS * heartbeat_s
-            if heartbeat_s
-            else _DEFAULT_STALL_AFTER_S
+            _STALL_HEARTBEATS * max(beats) if beats else _DEFAULT_STALL_AFTER_S
         )
-    shard_count: Optional[int] = None
-    counts = {
-        info["shard_count"]
-        for info in observed
-        if isinstance(info["shard_count"], int)
-    }
-    if len(counts) == 1:
-        shard_count = counts.pop()
-
-    by_index: Dict[Optional[int], Dict[str, object]] = {
-        info["shard_index"]: info for info in observed
-    }
+    counts = {info["shard_count"] for info in observed}
+    if len(counts) > 1:
+        names = ", ".join(pathlib.Path(i["sidecar"]).name for i in observed)
+        raise ValueError(
+            f"{directory} mixes sidecars of differently sharded campaigns "
+            f"({names}); give each campaign its own directory"
+        )
+    shard_count: Optional[int] = counts.pop() if counts else None
+    by_index: Dict[Optional[int], Dict[str, object]] = {}
+    for info in observed:
+        index = info["shard_index"]
+        other = by_index.setdefault(index, info)
+        if other is not info:
+            what = "unsharded" if index is None else f"shard index {index!r}"
+            raise ValueError(
+                f"{other['sidecar']} and {info['sidecar']} are both "
+                f"{what}; give each campaign its own directory"
+            )
     indices: List[Optional[int]] = (
-        list(range(shard_count)) if shard_count else sorted(
-            by_index, key=lambda i: (i is None, i)
-        )
+        list(range(shard_count)) if shard_count else list(by_index)
     )
 
     shards: List[Dict[str, object]] = []
@@ -232,15 +200,21 @@ def fleet_status(
             }
             if state == "done":
                 entry["pending"] = 0  # the last heartbeat predates the end
-            entry.pop("shard_index")
-            entry.pop("shard_count")
+            for key in ("campaign", "scenario", "plan_runs",
+                        "shard_index", "shard_count"):
+                entry.pop(key)
             entry["index"] = index
         shards.append(entry)
 
-    merged = directory / "manifest.json"
+    if shard_count is None and shards:
+        # Unsharded: nothing to merge, its own manifest is the result.
+        merged_manifest = shards[0]["manifest"]
+    else:
+        merged = directory / "manifest.json"
+        merged_manifest = str(merged) if merged.exists() else None
     states = [s["state"] for s in shards]
     if shards and all(state == "done" for state in states):
-        overall = "done" if merged.exists() else "merge-pending"
+        overall = "done" if merged_manifest else "merge-pending"
     elif "stalled" in states:
         overall = "stalled"
     else:
@@ -248,16 +222,15 @@ def fleet_status(
 
     return {
         "dir": str(directory),
-        "campaign": config and (config.name or config.scenario),
-        "scenario": config and config.scenario,
+        "campaign": first("campaign"),
+        "scenario": first("scenario"),
         "generated_unix": now,
         "stall_after_s": stall_after_s,
-        "plan_runs": plan_runs,
+        "plan_runs": first("plan_runs"),
         "shard_count": shard_count,
-        "tiling": config and _tiling_of(config),
         "state": overall,
         "shards": shards,
-        "merged_manifest": str(merged) if merged.exists() else None,
+        "merged_manifest": merged_manifest,
     }
 
 
@@ -269,24 +242,20 @@ def _age_text(age: Optional[object]) -> str:
 
 def render_fleet_status(status: Dict[str, object]) -> str:
     """The ``campaign status`` table for one :func:`fleet_status` snapshot."""
+    plan = status["plan_runs"]
+    count = status["shard_count"]
     lines = [
-        f"campaign : {status['campaign'] or '(no campaign.json)'}"
+        f"campaign : {status['campaign'] or '(unknown)'}"
         + (f"  [scenario {status['scenario']}]" if status["scenario"] else ""),
         f"dir      : {status['dir']}",
         f"state    : {status['state']}"
         + (
-            f"  ({status['plan_runs']} run(s) planned across "
-            f"{status['shard_count']} shard(s))"
-            if status["plan_runs"] is not None and status["shard_count"]
+            f"  ({plan} run(s) planned"
+            + (f" across {count} shard(s))" if count else ")")
+            if plan is not None
             else ""
         ),
     ]
-    tiling = status.get("tiling")
-    if tiling:
-        lines.append(
-            "tiling   : "
-            + ", ".join(f"{key}={value}" for key, value in tiling.items())
-        )
     shards = status["shards"]
     if not shards:
         lines.append("(no shard sidecars found)")
@@ -295,7 +264,6 @@ def render_fleet_status(status: Dict[str, object]) -> str:
         f"{'SHARD':<7} {'STATE':<9} {'RUNS':>5} {'FAILED':>7} "
         f"{'PENDING':>8} {'LAST ACTIVITY'}"
     )
-    count = status["shard_count"]
     for shard in shards:
         index = shard["index"]
         label = (

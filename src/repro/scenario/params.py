@@ -27,10 +27,9 @@ Declare a schema at registration time::
         ...
 
 Values arrive as strings from ``--param``/``--grid`` on the command line
-and typed from Python or the control plane's HTTP JSON; every front end
-— ``run_scenario``, ``python -m repro run``, the campaign runner (base
-params *and* grid values), and the control-plane service — coerces
-through the same
+and typed from Python or a campaign spec file; every front end
+— ``run_scenario``, ``python -m repro run`` and the campaign runner
+(base params *and* grid values) — coerces through the same
 :meth:`~repro.scenario.registry.RegisteredScenario.coerce_params` path,
 so a parameter's type is decided here and nowhere else.
 """
@@ -112,7 +111,7 @@ class ParamSpec:
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe description (fingerprinted and served over HTTP)."""
+        """JSON-safe description (part of the scenario fingerprint)."""
         return {"kind": type(self).__name__, "constraint": self.describe()}
 
 

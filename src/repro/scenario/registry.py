@@ -58,9 +58,9 @@ __all__ = [
 
 #: Comma-separated module paths imported (for their registration side
 #: effects) alongside the built-ins.  This is how out-of-tree scenarios
-#: reach subprocesses that only know a scenario *name* — the
-#: ``campaign`` subprocess of a ``python -m repro serve`` job, and the
-#: perf benchmarks' throwaway scenarios.
+#: reach subprocesses that only know a scenario *name* — a
+#: ``python -m repro campaign`` process, and the perf benchmarks'
+#: throwaway scenarios.
 SCENARIO_MODULES_ENV = "REPRO_SCENARIO_MODULES"
 
 #: ``fn(ctx) -> outputs``; flat JSON-serializable outputs dict.

@@ -44,7 +44,6 @@ _EXPORTS = {
     "status_to_json": "repro.telemetry.export",
     "write_manifest": "repro.telemetry.export",
     "write_snapshot": "repro.telemetry.export",
-    "write_status": "repro.telemetry.export",
     "Counter": "repro.telemetry.metrics",
     "Gauge": "repro.telemetry.metrics",
     "Histogram": "repro.telemetry.metrics",

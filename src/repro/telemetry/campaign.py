@@ -258,23 +258,6 @@ class CampaignConfig:
                     f"would run nothing"
                 )
 
-    def coerced(self) -> "CampaignConfig":
-        """This config, validated, with ``params`` and every grid value
-        coerced through the scenario's param schema.
-
-        These are the checks a campaign fails fast on before anything
-        forks or spawns: config consistency, unknown scenario, unknown
-        parameter names (base params and every swept grid key), bad
-        values.  Coercion makes a CLI string like "0.05" the float every
-        worker (and every shard) agrees on."""
-        self.validate()
-        entry = REGISTRY.get(self.scenario)
-        return replace(
-            self,
-            params=entry.coerce_params(self.params),
-            grid=entry.coerce_grid(self.grid),
-        )
-
     def expand(self) -> List[Dict[str, object]]:
         """The ordered **full** run plan (index, scenario, seed, params),
         identical for every shard of the same campaign."""
@@ -321,28 +304,12 @@ class CampaignConfig:
             "on_error": self.on_error,
         }
 
-    def to_spec_dict(self) -> Dict[str, object]:
-        """The JSON-safe *campaign spec*: the :data:`SPEC_FIELDS`, i.e.
-        what to run, minus this process's transport knobs (shard, output
-        path, resume, worker count).  ``python -m repro serve`` writes
-        this to each job's ``campaign.json``, and the job's ``campaign
-        --spec-file`` subprocess reads it back with :meth:`from_spec_dict`,
-        so parameter values cross the process boundary as JSON — not as
-        re-parsed command-line strings."""
-        spec = {key: getattr(self, key) for key in SPEC_FIELDS}
-        spec["seeds"] = [int(seed) for seed in self.seeds]
-        spec["params"] = dict(self.params)
-        spec["grid"] = (
-            {k: list(v) for k, v in self.grid.items()} if self.grid else None
-        )
-        return spec
-
     @classmethod
     def from_spec_dict(
         cls, spec: Dict[str, object], **overrides: object
     ) -> "CampaignConfig":
-        """Rebuild a config from a campaign spec — :meth:`to_spec_dict`
-        output, a spec file, or a service submission.
+        """Build a config from a campaign spec — a ``--spec-file``
+        document, or the dict the CLI assembles from its flags.
 
         Unknown keys raise so a typo cannot silently become a default; a
         value of the wrong type raises ``ValueError`` naming its key; an
@@ -373,9 +340,8 @@ class CampaignConfig:
 
 
 #: The campaign spec: the :class:`CampaignConfig` fields that define
-#: *what* runs, in ``campaign.json`` order.  The CLI's campaign flags,
-#: spec files (``campaign.json``) and the service's submissions all
-#: speak these keys; the remaining fields are per-process knobs.
+#: *what* runs.  The CLI's campaign flags and ``--spec-file`` documents
+#: both speak these keys; the remaining fields are per-process knobs.
 SPEC_FIELDS = (
     "scenario", "seeds", "params", "grid", "name",
     "run_timeout_s", "retries", "retry_backoff_s", "on_error", "heartbeat_s",
@@ -680,11 +646,14 @@ class _SidecarWriter:
     stays demonstrably *alive* even while one long run is executing:
     ``campaign status`` reads a slow campaign as running and a killed
     or wedged one, gone silent, as stalled.  The meta line records the
-    heartbeat interval so that verdict needs nothing but the sidecar.
-    All writes are serialized through a lock.
+    campaign, scenario, full plan size and heartbeat interval, so that
+    view needs nothing but the sidecar.  All writes are serialized
+    through a lock.
     """
 
-    def __init__(self, config: CampaignConfig, path: pathlib.Path) -> None:
+    def __init__(
+        self, config: CampaignConfig, path: pathlib.Path, plan_runs: int
+    ) -> None:
         self.path = sidecar_path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "w", encoding="utf-8")
@@ -705,6 +674,7 @@ class _SidecarWriter:
                     }
                 ),
                 "heartbeat_s": config.heartbeat_s,
+                "plan_runs": plan_runs,
                 "created_unix": time.time(),
             }
         )
@@ -1052,8 +1022,17 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
     """
     from repro import __version__  # deferred: repro/__init__ imports telemetry
 
-    config = config.coerced()  # fail fast, before forking workers
+    # Fail fast, before forking workers: config consistency, unknown
+    # scenario, unknown parameter names (base params and every swept
+    # grid key), bad values.  Coercion makes a CLI string like "0.05"
+    # the float every worker (and every shard) agrees on.
+    config.validate()
     entry = REGISTRY.get(config.scenario)
+    config = replace(
+        config,
+        params=entry.coerce_params(config.params),
+        grid=entry.coerce_grid(config.grid),
+    )
     full_plan = config.expand()
     payloads = config.shard_payloads()
     shard_meta = (
@@ -1083,7 +1062,7 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
         results.append(record)
 
     if output_path is not None:
-        writer = _SidecarWriter(config, output_path)
+        writer = _SidecarWriter(config, output_path, len(full_plan))
     try:
         # Reused records are re-streamed first so the sidecar is always
         # the complete picture of this campaign, even if it crashes on

@@ -36,7 +36,6 @@ __all__ = [
     "write_manifest",
     "load_manifest",
     "status_to_json",
-    "write_status",
 ]
 
 Snapshot = Dict[str, Dict[str, object]]
@@ -118,26 +117,9 @@ def write_manifest(
 # ----------------------------------------------------------------------
 def status_to_json(status: Dict[str, object]) -> str:
     """Canonical serialization for control-plane status snapshots
-    (``campaign status --json`` and the HTTP service's responses): same
-    sorted-keys/2-indent/trailing-newline shape as manifests, so
-    snapshots diff cleanly."""
+    (``campaign status --json``): same sorted-keys/2-indent/
+    trailing-newline shape as manifests, so snapshots diff cleanly."""
     return json.dumps(status, indent=2, sort_keys=True, default=str) + "\n"
-
-
-def write_status(
-    status: Dict[str, object], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    """Atomically write a JSON document such as a job's
-    ``campaign.json``: ``campaign status`` and the HTTP service may read
-    it at any moment, and a torn JSON document — unlike a torn sidecar
-    *line* — has no recovery path, so replace-via-rename is mandatory
-    here."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(status_to_json(status), encoding="utf-8")
-    tmp.replace(path)
-    return path
 
 
 def load_manifest(path: Union[str, pathlib.Path]) -> Dict[str, object]:

@@ -5,7 +5,7 @@ Subprocesses know scenarios only by *name*; names outside
 ``repro.scenario.library`` resolve via the ``REPRO_SCENARIO_MODULES``
 import hook.  These scenarios therefore live in a real module (not a
 test body) so every side can import them: the test process directly,
-and a ``python -m repro campaign`` or ``serve`` job subprocess through
+and a ``python -m repro campaign`` subprocess through
 ``REPRO_SCENARIO_MODULES=tests.control_scenarios`` with the repository
 root on ``PYTHONPATH``.
 """

@@ -2,9 +2,9 @@
 
 ``campaign`` builds its :class:`CampaignConfig` through the spec parser,
 whether the campaign comes from flags or a spec file.  These checks pin
-what a terse or malformed spec file does: a seed count runs that many
-seeds, and a bad value in ``campaign.json`` degrades ``campaign status``
-to its sidecar-only view instead of a traceback.
+that a spec file's seed count runs that many seeds, and that
+``campaign status`` names a CLI campaign's scenario and plan from its
+sidecar alone.
 """
 
 import json
@@ -29,7 +29,7 @@ def _repro(*argv, cwd):
 
 
 def test_spec_file_seed_count_runs_that_many_seeds(tmp_path):
-    spec = tmp_path / "campaign.json"
+    spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"scenario": "ctl-noop", "seeds": 3}))
     done = _repro(
         "campaign", "--spec-file", str(spec), "--out", "m.json", cwd=tmp_path
@@ -40,17 +40,14 @@ def test_spec_file_seed_count_runs_that_many_seeds(tmp_path):
     assert [run["seed"] for run in manifest["runs"]] == [0, 1, 2]
 
 
-def test_status_with_a_bad_spec_value_shows_the_sidecar_view(tmp_path):
-    (tmp_path / "campaign.json").write_text(
-        json.dumps({"scenario": "ctl-noop", "params": [1]})
+def test_status_of_a_cli_campaign_prints_its_scenario_and_plan(tmp_path):
+    done = _repro(
+        "campaign", "--scenario", "ctl-noop", "--seeds", "3",
+        "--grid", "draws=2,3", "--out", "sweep.json", cwd=tmp_path,
     )
-    meta = {"kind": "campaign-meta", "scenario": "ctl-noop", "shard": None}
-    run = {"index": 0, "seed": 0, "params": {}, "outputs": {}}
-    (tmp_path / "m.json.runs.jsonl").write_text(
-        json.dumps(meta) + "\n" + json.dumps(run) + "\n"
-    )
-    done = _repro("campaign", "status", str(tmp_path), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
-    assert "(no campaign.json)" in done.stdout
-    assert "running" in done.stdout
+    shown = _repro("campaign", "status", str(tmp_path), cwd=tmp_path)
+    assert shown.returncode == 0, shown.stderr
+    assert "[scenario ctl-noop]" in shown.stdout
+    assert "state    : done  (6 run(s) planned)" in shown.stdout
+    assert f"merged   : {tmp_path / 'sweep.json'}" in shown.stdout

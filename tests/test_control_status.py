@@ -1,17 +1,20 @@
 """``campaign status`` / ``fleet_status``: the from-disk campaign view.
 
-Almost everything here is built from hand-written artifacts — sidecars
-and ``campaign.json`` — with no campaign running, because that is the
-contract: status is reconstructed from what a campaign leaves on disk,
-so it works against running, finished, and crashed campaigns alike.
-Pinned specifically:
+Most of these are built from hand-written sidecars and manifests with
+no campaign running, because that is the contract: status is
+reconstructed from what a campaign leaves on disk, so it works against
+running, finished, and crashed campaigns alike.  Pinned specifically:
 
 * shard states (pending / running / stalled / done) derive from
   manifests, heartbeat freshness, and the stall threshold;
+* campaign, scenario and plan size come from the sidecar's meta line;
 * a finished shard has nothing pending, whatever its last heartbeat
   said (checked against a real campaign too);
+* a finished unsharded campaign is ``done`` whatever its manifest is
+  called; a sharded one waits for the merged ``manifest.json``;
+* two campaigns in one directory are an error, not a lost row;
 * the stall threshold is four heartbeat intervals, read from the
-  sidecar's meta line, else from ``campaign.json``;
+  sidecar's meta line;
 * a **torn trailing sidecar line** (a SIGKILLed shard's signature) is
   tolerated, not fatal — reusing the shared sidecar parsing;
 * a **missing sidecar** for a known shard index reads as ``pending``.
@@ -26,21 +29,12 @@ import tests.control_scenarios  # noqa: F401 - registers ctl-* scenarios
 from repro.control import fleet_status, render_fleet_status
 from repro.telemetry import (
     CampaignConfig,
+    merge_manifest_files,
     run_campaign,
     status_to_json,
-    write_status,
 )
 
 NOW = time.time()
-
-
-def _spec(tmp_path, seeds=(0, 1, 2, 3), heartbeat_s=0.5):
-    config = CampaignConfig(
-        scenario="ctl-noop", seeds=list(seeds), name="status-test",
-        heartbeat_s=heartbeat_s,
-    )
-    write_status(config.to_spec_dict(), tmp_path / "campaign.json")
-    return config
 
 
 def _sidecar(
@@ -64,6 +58,7 @@ def _sidecar(
                 "campaign": "status-test",
                 "shard": {"index": index, "count": count},
                 "heartbeat_s": heartbeat_s,
+                "plan_runs": 4,
                 "created_unix": NOW - 60.0,
             }
         )
@@ -94,7 +89,6 @@ def _sidecar(
 
 class TestShardStates:
     def test_done_when_shard_manifest_exists(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(tmp_path, 0, 2, run_indices=(0, 2), with_manifest=True)
         _sidecar(tmp_path, 1, 2, run_indices=(1, 3), with_manifest=True)
         status = fleet_status(tmp_path, now=NOW)
@@ -104,7 +98,6 @@ class TestShardStates:
         assert status["shard_count"] == 2
 
     def test_done_overall_once_merged_manifest_lands(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(tmp_path, 0, 1, run_indices=(0,), with_manifest=True)
         (tmp_path / "manifest.json").write_text("{}\n")
         status = fleet_status(tmp_path, now=NOW)
@@ -112,7 +105,6 @@ class TestShardStates:
         assert status["merged_manifest"] == str(tmp_path / "manifest.json")
 
     def test_running_with_fresh_heartbeat(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(
             tmp_path, 0, 1, run_indices=(0, 1),
             heartbeat={"unix": NOW - 0.2, "completed": 2, "pending": 2},
@@ -125,9 +117,8 @@ class TestShardStates:
         assert shard["last_heartbeat_unix"] == pytest.approx(NOW - 0.2)
 
     def test_stalled_after_silence(self, tmp_path):
-        _spec(tmp_path, heartbeat_s=0.5)  # stall threshold = 4 beats = 2s
         _sidecar(
-            tmp_path, 0, 1, run_indices=(0,),
+            tmp_path, 0, 1, run_indices=(0,), heartbeat_s=0.5,  # stall: 2s
             heartbeat={"unix": NOW - 60.0, "completed": 1, "pending": 3},
         )
         status = fleet_status(tmp_path, now=NOW + 120.0)
@@ -135,7 +126,6 @@ class TestShardStates:
         assert status["state"] == "stalled"
 
     def test_finished_shard_has_nothing_pending(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(
             tmp_path, 0, 1, run_indices=(0, 1, 2, 3), with_manifest=True,
             heartbeat={"unix": NOW - 1.0, "completed": 2, "pending": 2},
@@ -162,6 +152,50 @@ class TestShardStates:
         )
         assert status["state"] == "done"
         assert status["stall_after_s"] == pytest.approx(4 * 0.05)
+        assert (status["campaign"], status["scenario"]) == (
+            "ctl-noop", "ctl-noop",
+        )
+        assert status["plan_runs"] == 2
+
+    def test_finished_unsharded_campaign_is_done_under_any_name(
+        self, tmp_path
+    ):
+        # Nothing to merge: its own manifest is the result.
+        run_campaign(
+            CampaignConfig(
+                "ctl-noop", seeds=[0, 1], name="probe-sweep",
+                output_path=tmp_path / "sweep.json",
+            )
+        )
+        status = fleet_status(tmp_path)
+        assert status["state"] == "done"
+        assert status["merged_manifest"] == str(tmp_path / "sweep.json")
+        assert (status["campaign"], status["plan_runs"]) == ("probe-sweep", 2)
+        assert "(not merged yet)" not in render_fleet_status(status)
+
+    def test_sharded_campaign_waits_for_its_merge(self, tmp_path):
+        out = tmp_path / "manifest.json"
+        shards = [
+            run_campaign(
+                CampaignConfig(
+                    "ctl-noop", seeds=[0, 1, 2], grid={"draws": [2, 3]},
+                    shard_index=index, shard_count=2, output_path=out,
+                )
+            )
+            for index in range(2)
+        ]
+        status = fleet_status(tmp_path)
+        assert [s["state"] for s in status["shards"]] == ["done", "done"]
+        assert status["state"] == "merge-pending"
+        assert status["merged_manifest"] is None
+        assert (status["scenario"], status["plan_runs"]) == ("ctl-noop", 6)
+        assert status["shard_count"] == 2
+        merge_manifest_files(
+            [s["runs_jsonl"][: -len(".runs.jsonl")] for s in shards], out
+        )
+        status = fleet_status(tmp_path)
+        assert status["state"] == "done"
+        assert status["merged_manifest"] == str(out)
 
     def test_stall_threshold_comes_from_the_sidecar_heartbeat(
         self, tmp_path
@@ -180,7 +214,6 @@ class TestShardStates:
         ][0]["state"] == "running"
 
     def test_missing_sidecar_reads_as_pending(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(tmp_path, 0, 3, run_indices=(0,), with_manifest=True)
         status = fleet_status(tmp_path, now=NOW)
         by_index = {s["index"]: s["state"] for s in status["shards"]}
@@ -189,7 +222,6 @@ class TestShardStates:
 
 class TestTornAndMissingArtifacts:
     def test_torn_trailing_line_is_tolerated(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(tmp_path, 0, 1, run_indices=(0, 1, 2), torn_tail=True)
         status = fleet_status(tmp_path, now=NOW)
         assert status["shards"][0]["runs"] == 3  # torn record not counted
@@ -198,9 +230,10 @@ class TestTornAndMissingArtifacts:
         _sidecar(tmp_path, 0, 2, run_indices=(0,), with_manifest=True)
         _sidecar(tmp_path, 1, 2, run_indices=(1,))
         status = fleet_status(tmp_path, now=NOW, stall_after_s=1e9)
-        assert status["campaign"] is None
-        assert status["plan_runs"] is None
-        assert status["shard_count"] == 2  # from the sidecar meta lines
+        assert status["campaign"] == "status-test"  # from the meta lines
+        assert status["scenario"] == "ctl-noop"
+        assert status["plan_runs"] == 4
+        assert status["shard_count"] == 2
         assert [s["state"] for s in status["shards"]] == ["done", "running"]
 
     def test_empty_directory_has_no_shards(self, tmp_path):
@@ -212,15 +245,38 @@ class TestTornAndMissingArtifacts:
         with pytest.raises(ValueError, match="not a campaign directory"):
             fleet_status(tmp_path / "nope")
 
-    def test_corrupt_spec_degrades_to_sidecar_only_view(self, tmp_path):
-        (tmp_path / "campaign.json").write_text("{not json")
-        _sidecar(tmp_path, 0, 1, run_indices=(0,), with_manifest=True)
+    @pytest.mark.parametrize(
+        "other_shard", [None, 0], ids=["unsharded", "sharded"]
+    )
+    def test_two_campaigns_in_one_directory_raise(self, tmp_path, other_shard):
+        # Either way one row would silently replace or hide the other.
+        run_campaign(
+            CampaignConfig(
+                "ctl-noop", seeds=[0, 1], output_path=tmp_path / "sweep.json"
+            )
+        )
+        run_campaign(
+            CampaignConfig(
+                "ctl-noop", seeds=[0, 1, 2],
+                output_path=tmp_path / "other.json",
+                shard_index=other_shard,
+                shard_count=1 if other_shard is None else 2,
+            )
+        )
+        with pytest.raises(ValueError) as excinfo:
+            fleet_status(tmp_path)
+        message = str(excinfo.value)
+        assert "sweep.json.runs.jsonl" in message
+        assert "other" in message
+
+    def test_sidecar_without_plan_size_reads_as_unknown(self, tmp_path):
+        meta = {"kind": "campaign-meta", "shard": None}
+        (tmp_path / "m.json.runs.jsonl").write_text(json.dumps(meta) + "\n")
         status = fleet_status(tmp_path, now=NOW)
-        assert status["campaign"] is None
-        assert status["shards"][0]["state"] == "done"
+        assert (status["campaign"], status["plan_runs"]) == (None, None)
+        assert "campaign : (unknown)" in render_fleet_status(status)
 
     def test_failed_runs_are_counted(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(tmp_path, 0, 1, run_indices=(0, 1, 2), failed=(1,))
         status = fleet_status(tmp_path, now=NOW, stall_after_s=1e9)
         assert status["shards"][0]["failed"] == 1
@@ -228,7 +284,6 @@ class TestTornAndMissingArtifacts:
 
 class TestRendering:
     def test_render_includes_the_shard_table(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(tmp_path, 0, 2, run_indices=(0, 2), with_manifest=True)
         _sidecar(
             tmp_path, 1, 2, run_indices=(1,),
@@ -237,37 +292,12 @@ class TestRendering:
         text = render_fleet_status(fleet_status(tmp_path, now=NOW))
         assert "SHARD" in text and "STATE" in text and "PENDING" in text
         assert "1/2" in text and "2/2" in text
+        assert "[scenario ctl-noop]" in text
+        assert "4 run(s) planned across 2 shard(s)" in text
 
     def test_status_snapshot_serializes_canonically(self, tmp_path):
-        _spec(tmp_path)
         _sidecar(tmp_path, 0, 1, run_indices=(0,), with_manifest=True)
         status = fleet_status(tmp_path, now=NOW)
         text = status_to_json(status)
         assert json.loads(text)["dir"] == str(tmp_path)
         assert text.endswith("\n")
-
-    def test_tiled_sweep_surfaces_tile_worker_counts(self, tmp_path):
-        # A sweep over a partitioned scenario (docs/partitioning.md)
-        # reports its tiling knobs: plain params as the shared value,
-        # grid axes as the swept value list.
-        config = CampaignConfig(
-            scenario="ctl-noop", seeds=[0], name="metro-sweep",
-            params={"tiles_x": 4, "tiles_y": 3},
-            grid={"tile_workers": [1, 4]},
-        )
-        write_status(config.to_spec_dict(), tmp_path / "campaign.json")
-        _sidecar(tmp_path, 0, 1, run_indices=(0,))
-        status = fleet_status(tmp_path, now=NOW)
-        assert status["tiling"] == {
-            "tiles_x": 4, "tiles_y": 3, "tile_workers": [1, 4],
-        }
-        assert "tiling   : tiles_x=4, tiles_y=3, tile_workers=[1, 4]" in (
-            render_fleet_status(status)
-        )
-
-    def test_untiled_sweep_has_no_tiling_line(self, tmp_path):
-        _spec(tmp_path)
-        _sidecar(tmp_path, 0, 1, run_indices=(0,))
-        status = fleet_status(tmp_path, now=NOW)
-        assert status["tiling"] is None
-        assert "tiling" not in render_fleet_status(status)

@@ -83,21 +83,36 @@ class TestExpansion:
 
 
 class TestSpecDict:
-    """``from_spec_dict`` is the one reader of a campaign spec (spec
-    files, ``campaign.json``, service submissions): a seed count means
-    what it means on the command line, and a malformed value is a
+    """``from_spec_dict`` is the one reader of a campaign spec (the
+    CLI's flags and ``--spec-file`` documents): a seed count means what
+    it means on the command line, and a malformed value is a
     ``ValueError`` that names its key."""
 
-    def test_round_trip_covers_every_spec_field(self):
-        config = CampaignConfig(
-            scenario="unit-test-sum", seeds=(2, 4), params={"draws": 3},
-            grid={"scale": (1, 2)}, name="rt", run_timeout_s=5.0,
-            retries=1, retry_backoff_s=0.5, on_error="record",
-            heartbeat_s=1.0, workers=3,
-        )
-        spec = config.to_spec_dict()
+    def test_every_spec_field_reaches_the_config(self):
+        spec = {
+            "scenario": "unit-test-sum", "seeds": [2, 4],
+            "params": {"draws": 3}, "grid": {"scale": [1, 2]},
+            "name": "rt", "run_timeout_s": 5, "retries": 1,
+            "retry_backoff_s": 0.5, "on_error": "record", "heartbeat_s": 1,
+        }
         assert tuple(spec) == SPEC_FIELDS
-        assert CampaignConfig.from_spec_dict(spec).to_spec_dict() == spec
+        config = CampaignConfig.from_spec_dict(spec, workers=3)
+        assert {key: getattr(config, key) for key in SPEC_FIELDS} == spec
+        assert isinstance(config.run_timeout_s, float)
+        assert isinstance(config.heartbeat_s, float)
+        assert config.workers == 3
+
+    def test_absent_and_null_keys_take_the_defaults(self):
+        config = CampaignConfig.from_spec_dict(
+            {"scenario": "unit-test-sum", "grid": None, "name": None}
+        )
+        assert config == CampaignConfig(scenario="unit-test-sum")
+
+    def test_unknown_key_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown campaign spec key"):
+            CampaignConfig.from_spec_dict(
+                {"scenario": "unit-test-sum", "shard_count": 2}
+            )
 
     def test_seed_count_expands_like_the_cli(self):
         config = CampaignConfig.from_spec_dict(
