@@ -112,9 +112,10 @@ def fleet_status(
     heartbeat intervals, as the sidecars' meta lines declare them; 30s
     when none does); ``now`` pins the clock for tests.  Raises
     ``ValueError`` when the directory holds more than one campaign's
-    sidecars (two claim the same shard, or their shard counts differ):
-    the view has one row per shard and would otherwise drop one of
-    them.  The result is JSON-safe and serialized canonically by
+    sidecars (their meta lines disagree on campaign, scenario or plan
+    size, two claim the same shard, or their shard counts differ): the
+    view describes one campaign, with one row per shard.  The result is
+    JSON-safe and serialized canonically by
     :func:`repro.telemetry.export.status_to_json`.
     """
     directory = pathlib.Path(campaign_dir)
@@ -126,11 +127,18 @@ def fleet_status(
         for path in sorted(directory.glob("*.runs.jsonl"))
     ]
 
-    def first(key: str) -> object:
-        """The first value any sidecar's meta line gives ``key``."""
-        return next(
-            (info[key] for info in observed if info[key] is not None), None
-        )
+    identity: Dict[str, object] = {}
+    for key in ("campaign", "scenario", "plan_runs"):
+        # A sidecar whose meta line was torn away says nothing here.
+        told = [info for info in observed if info[key] is not None]
+        identity[key] = told[0][key] if told else None
+        for info in told[1:]:
+            if info[key] != identity[key]:
+                raise ValueError(
+                    f"{told[0]['sidecar']} and {info['sidecar']} belong to "
+                    f"different campaigns ({key} {identity[key]!r} vs "
+                    f"{info[key]!r}); give each campaign its own directory"
+                )
 
     if stall_after_s is None:
         beats = [
@@ -222,11 +230,11 @@ def fleet_status(
 
     return {
         "dir": str(directory),
-        "campaign": first("campaign"),
-        "scenario": first("scenario"),
+        "campaign": identity["campaign"],
+        "scenario": identity["scenario"],
         "generated_unix": now,
         "stall_after_s": stall_after_s,
-        "plan_runs": first("plan_runs"),
+        "plan_runs": identity["plan_runs"],
         "shard_count": shard_count,
         "state": overall,
         "shards": shards,

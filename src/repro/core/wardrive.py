@@ -106,7 +106,7 @@ class WardrivePipeline:
     # ------------------------------------------------------------------
     def _vehicle_position(self, time: float):
         assert self.route is not None
-        return self.route.position_at(time).translated(dz=self.config.rig_height_m)
+        return self.route.position_at(time, self.config.rig_height_m)
 
     def _build_rig(self) -> None:
         rng = np.random.default_rng(self.city.config.seed ^ 0xD0D6)

@@ -73,6 +73,13 @@ class _Association:
 class AccessPoint(Device):
     """A WPA2-PSK access point."""
 
+    #: The beacon loop: ``None`` while there is none, ``True`` while it
+    #: runs, ``False`` once stopped while its next tick is still queued
+    #: (that tick ends it).  A class default set on start: one more
+    #: attribute per instance would take a started AP past CPython's
+    #: shared-key dict limit (about 1.3 KB more per device).
+    _beaconing: Optional[bool] = None
+
     def __init__(
         self,
         *args,
@@ -153,31 +160,47 @@ class AccessPoint(Device):
     # Beaconing / discovery
     # ------------------------------------------------------------------
     def start_beaconing(self) -> None:
-        """Broadcast beacons at the configured interval until stopped."""
-        if getattr(self, "_beaconing", False):
+        """Broadcast beacons at the configured interval until stopped.
+
+        A restart while the stopped loop's next tick is still queued
+        resumes that loop: one loop per AP, whatever the stop/start
+        pattern.
+        """
+        if self._beaconing:
             return
+        queued = self._beaconing is False
         self._beaconing = True
+        if queued:
+            return
         # Jitter the first beacon so co-channel APs don't synchronize.
-        offset = float(self.rng.uniform(0.0, self.behavior.beacon_interval))
-        self.engine.call_after(offset, self._beacon_tick)
+        offset = float(self.rng.uniform(0.0, self._behavior.beacon_interval))
+        engine = self.engine
+        engine.post(engine.clock._now + offset, self._beacon_tick)
 
     def stop_beaconing(self) -> None:
         """Stop the beacon loop (wardrive deactivation)."""
-        self._beaconing = False
+        if self._beaconing:
+            self._beaconing = False
 
     def _beacon_tick(self) -> None:
-        if not getattr(self, "_beaconing", False):
+        # Ticks are posted (Engine.post): nothing cancels one, a stopped
+        # loop ends at its next tick.
+        if not self._beaconing:
+            self._beaconing = None
             return
+        interval = self._behavior.beacon_interval
+        mac = self.mac
         beacon = BeaconFrame(
             addr1=BROADCAST,
-            addr2=self.mac,
-            addr3=self.mac,
+            addr2=mac,
+            addr3=mac,
             ssid=self.ssid,
-            beacon_interval_tu=int(self.behavior.beacon_interval / 1.024e-3),
+            beacon_interval_tu=int(interval / 1.024e-3),
         )
         beacon.sequence = self.next_sequence()
         self.send(beacon)
-        self.engine.call_after(self.behavior.beacon_interval, self._beacon_tick)
+        engine = self.engine
+        engine.post(engine.clock._now + interval, self._beacon_tick)
 
     def on_probe_request(self, frame: Frame, reception: Reception) -> None:
         if frame.is_wildcard_probe():

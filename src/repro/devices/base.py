@@ -26,7 +26,7 @@ from repro.devices.power_model import EnergyAccountant, PowerProfile
 from repro.mac.ack_engine import AckEngine, AckEngineConfig
 from repro.mac.addresses import MacAddress
 from repro.mac import frames as frame_types
-from repro.mac.frames import _DATA, _MANAGEMENT, Frame, FrameType
+from repro.mac.frames import _CONTROL, _DATA, _MANAGEMENT, Frame, FrameType
 from repro.mac.powersave import PowerSaveConfig, PowerSaveController
 from repro.mac.transmitter import MacTransmitter, TxAttempt
 from repro.phy.constants import Band
@@ -146,7 +146,7 @@ class Device:
         retry_limit: Optional[int] = None,
     ) -> None:
         """Stamp a sequence number and queue the frame for transmission."""
-        if frame.sequence == 0 and not frame.is_control:
+        if frame.sequence == 0 and frame.ftype is not _CONTROL:
             frame.sequence = self.next_sequence()
         self.transmitter.send(frame, rate_mbps, on_complete, retry_limit)
 

@@ -46,6 +46,10 @@ class StationState(enum.Enum):
 class Station(Device):
     """A WiFi client."""
 
+    #: The probe loop, as ``AccessPoint._beaconing`` keeps the beacon
+    #: loop (a class default for the same memory reason).
+    _probing: Optional[bool] = None
+
     def __init__(self, *args, pmf_enabled: bool = False, **kwargs) -> None:
         kwargs.setdefault("kind", DeviceKind.CLIENT)
         super().__init__(*args, **kwargs)
@@ -240,22 +244,35 @@ class Station(Device):
 
     def start_probing(self, interval: float = 5.0) -> None:
         """Probe periodically, like an idle phone; what the wardriving
-        sniffer discovers clients by."""
-        if getattr(self, "_probing", False):
+        sniffer discovers clients by.
+
+        A restart while the stopped loop's next tick is still queued
+        resumes that loop, at the new interval from the tick after it:
+        one loop per station, whatever the stop/start pattern.
+        """
+        if self._probing:
             return
+        queued = self._probing is False
         self._probing = True
+        self._probe_interval = interval
+        if queued:
+            return
         offset = float(self.rng.uniform(0.0, interval))
+        engine = self.engine
+        engine.post(engine.clock._now + offset, self._probe_tick)
 
-        def tick() -> None:
-            if not self._probing:
-                return
-            self.probe_scan()
-            self.engine.call_after(interval, tick)
-
-        self.engine.call_after(offset, tick)
+    def _probe_tick(self) -> None:
+        # Posted like the AP's beacon ticks: a stopped loop ends here.
+        if not self._probing:
+            self._probing = None
+            return
+        self.probe_scan()
+        engine = self.engine
+        engine.post(engine.clock._now + self._probe_interval, self._probe_tick)
 
     def stop_probing(self) -> None:
-        self._probing = False
+        if self._probing:
+            self._probing = False
 
     def stop_keepalive(self) -> None:
         self._keepalive_interval = None

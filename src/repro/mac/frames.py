@@ -21,6 +21,7 @@ show ("Null function (No data)", "Acknowledgement, Flags=...",
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -142,27 +143,27 @@ class Frame:
 
     @property
     def is_rts(self) -> bool:
-        return self.is_control and self.subtype == SUBTYPE_RTS
+        return self.ftype is _CONTROL and self.subtype == SUBTYPE_RTS
 
     @property
     def is_cts(self) -> bool:
-        return self.is_control and self.subtype == SUBTYPE_CTS
+        return self.ftype is _CONTROL and self.subtype == SUBTYPE_CTS
 
     @property
     def is_ack(self) -> bool:
-        return self.is_control and self.subtype == SUBTYPE_ACK
+        return self.ftype is _CONTROL and self.subtype == SUBTYPE_ACK
 
     @property
     def is_beacon(self) -> bool:
-        return self.is_management and self.subtype == SUBTYPE_BEACON
+        return self.ftype is _MANAGEMENT and self.subtype == SUBTYPE_BEACON
 
     @property
     def is_deauth(self) -> bool:
-        return self.is_management and self.subtype == SUBTYPE_DEAUTH
+        return self.ftype is _MANAGEMENT and self.subtype == SUBTYPE_DEAUTH
 
     @property
     def is_null_data(self) -> bool:
-        return self.is_data and self.subtype in (SUBTYPE_NULL, SUBTYPE_QOS_NULL)
+        return self.ftype is _DATA and self.subtype in (SUBTYPE_NULL, SUBTYPE_QOS_NULL)
 
     @property
     def needs_ack(self) -> bool:
@@ -172,9 +173,7 @@ class Frame:
         frames and group-addressed frames are not.  Nothing here depends
         on frame *legitimacy* — that is the Polite WiFi root cause.
         """
-        if self.is_control:
-            return False
-        return self.addr1.is_unicast
+        return self.ftype is not _CONTROL and not self.addr1._value[0] & 0x01
 
     # ------------------------------------------------------------------
     # Wire-format hooks (serialization fills in the real bytes)
@@ -268,7 +267,7 @@ class DataFrame(Frame):
     """A (possibly encrypted) data frame."""
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.DATA
+        self.ftype = _DATA
         if self.subtype not in (SUBTYPE_DATA, SUBTYPE_QOS_DATA):
             self.subtype = SUBTYPE_DATA
 
@@ -287,7 +286,7 @@ class NullDataFrame(Frame):
     """
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.DATA
+        self.ftype = _DATA
         self.subtype = SUBTYPE_NULL
         self.body = b""
 
@@ -300,7 +299,7 @@ class QosNullFrame(Frame):
     """QoS null function frame (used interchangeably with the plain null)."""
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.DATA
+        self.ftype = _DATA
         self.subtype = SUBTYPE_QOS_NULL
         self.body = b""
 
@@ -311,10 +310,13 @@ class QosNullFrame(Frame):
 # ----------------------------------------------------------------------
 # Management frames
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=8192)
 def _ssid_ies_length(ssid: str) -> int:
-    """Bytes taken by the SSID IE plus the fixed supported-rates IE."""
-    return (2 + len(ssid.encode("utf-8"))) + (2 + 3)
+    """Bytes taken by the SSID IE plus the fixed supported-rates IE.
 
+    Memoized per SSID: an AP asks for its beacon's length on every send.
+    """
+    return (2 + len(ssid.encode("utf-8"))) + (2 + 3)
 
 
 @dataclass
@@ -326,13 +328,19 @@ class BeaconFrame(Frame):
     capabilities: int = 0x0431  # ESS | privacy | short preamble/slot
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.MANAGEMENT
+        self.ftype = _MANAGEMENT
         self.subtype = SUBTYPE_BEACON
-        if self.addr1 == BROADCAST and self.addr3 is None and self.addr2 is not None:
+        # The cheap identity tests first: ``MacAddress.__eq__`` is Python.
+        if self.addr3 is None and self.addr2 is not None and self.addr1 == BROADCAST:
             self.addr3 = self.addr2
 
     def body_length(self) -> int:
         return 12 + _ssid_ies_length(self.ssid)
+
+    def wire_length(self) -> int:
+        # One call per send instead of three: a management header is
+        # always the long one.
+        return LONG_HEADER_BYTES + 12 + _ssid_ies_length(self.ssid) + FCS_BYTES
 
     def trace_info(self) -> str:
         return f"Beacon frame, SN={self.sequence}, SSID={self.ssid!r}"
@@ -345,7 +353,7 @@ class ProbeRequestFrame(Frame):
     ssid: str = ""
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.MANAGEMENT
+        self.ftype = _MANAGEMENT
         self.subtype = SUBTYPE_PROBE_REQUEST
 
     def body_length(self) -> int:
@@ -362,7 +370,7 @@ class ProbeResponseFrame(Frame):
     capabilities: int = 0x0431
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.MANAGEMENT
+        self.ftype = _MANAGEMENT
         self.subtype = SUBTYPE_PROBE_RESPONSE
 
     def body_length(self) -> int:
@@ -381,7 +389,7 @@ class AuthFrame(Frame):
     status: int = 0
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.MANAGEMENT
+        self.ftype = _MANAGEMENT
         self.subtype = SUBTYPE_AUTH
 
     def body_length(self) -> int:
@@ -398,7 +406,7 @@ class AssocRequestFrame(Frame):
     listen_interval: int = 10
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.MANAGEMENT
+        self.ftype = _MANAGEMENT
         self.subtype = SUBTYPE_ASSOC_REQUEST
 
     def body_length(self) -> int:
@@ -415,7 +423,7 @@ class AssocResponseFrame(Frame):
     association_id: int = 1
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.MANAGEMENT
+        self.ftype = _MANAGEMENT
         self.subtype = SUBTYPE_ASSOC_RESPONSE
 
     def body_length(self) -> int:
@@ -432,7 +440,7 @@ class DeauthFrame(Frame):
     reason: int = 7  # Class 3 frame received from nonassociated STA
 
     def __post_init__(self) -> None:
-        self.ftype = FrameType.MANAGEMENT
+        self.ftype = _MANAGEMENT
         self.subtype = SUBTYPE_DEAUTH
 
     def body_length(self) -> int:

@@ -15,11 +15,20 @@ from typing import Callable
 import numpy as np
 
 from repro.phy.constants import Band, difs, slot_time
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 
 #: Contention-window bounds (802.11 OFDM defaults).
 CW_MIN = 15
 CW_MAX = 1023
+
+
+def _contention_window(retry_count: int) -> int:
+    return min((CW_MIN + 1) * (2 ** max(retry_count, 0)) - 1, CW_MAX)
+
+
+#: Exclusive upper bound of the slot draw for retry stages 0..6, built
+#: once: stage 6 is the first at ``CW_MAX``.
+_DRAW_BOUNDS = tuple(_contention_window(r) + 1 for r in range(7))
 
 
 class DcfTimer:
@@ -41,21 +50,30 @@ class DcfTimer:
 
     def contention_window(self, retry_count: int) -> int:
         """CW for the given retry stage: (CW_MIN+1)·2^r − 1, capped."""
-        window = (CW_MIN + 1) * (2 ** max(retry_count, 0)) - 1
-        return min(window, CW_MAX)
+        return _contention_window(retry_count)
 
     def backoff_delay(self, retry_count: int = 0) -> float:
         """One DIFS plus a uniformly-drawn number of slots."""
-        slots = int(self.rng.integers(0, self.contention_window(retry_count) + 1))
-        return self._difs + slots * self._slot
+        if 0 <= retry_count <= 6:
+            high = _DRAW_BOUNDS[retry_count]
+        else:
+            high = _contention_window(retry_count) + 1
+        return self._difs + int(self.rng.integers(0, high)) * self._slot
 
     def schedule(
         self,
         callback: Callable[[], None],
         retry_count: int = 0,
         extra_delay: float = 0.0,
-    ) -> Event:
-        """Run ``callback`` after access timing (plus ``extra_delay``)."""
-        return self.engine.call_after(
-            extra_delay + self.backoff_delay(retry_count), callback
+    ) -> None:
+        """Run ``callback`` after access timing (plus ``extra_delay``).
+
+        Fire-and-forget (:meth:`Engine.post`): nothing cancels a backoff,
+        so no :class:`~repro.sim.engine.Event` handle is made; the
+        sequence number drawn is the one ``call_after`` would draw.
+        """
+        engine = self.engine
+        engine.post(
+            engine.clock._now + (extra_delay + self.backoff_delay(retry_count)),
+            callback,
         )

@@ -25,7 +25,7 @@ from repro.mac.addresses import MacAddress
 from repro.mac.frames import Frame
 from repro.mac.timing import DcfTimer
 from repro.phy.constants import Band, ack_timeout
-from repro.phy.plcp import ack_airtime, frame_airtime
+from repro.phy.plcp import ack_airtime
 from repro.phy.radio import Radio
 from repro.phy.rates import ack_rate_for
 from repro.sim.engine import Engine, Event
@@ -40,6 +40,11 @@ class TxOutcome(enum.Enum):
     ACKED = "acked"
     NO_ACK = "no_ack"  # retries exhausted
     BROADCAST = "broadcast"  # no ACK expected
+
+
+#: Alias for the per-broadcast completion (an enum class lookup per
+#: beacon is measurable).
+_BROADCAST = TxOutcome.BROADCAST
 
 
 @dataclass
@@ -108,19 +113,22 @@ class MacTransmitter:
         ``retry_limit`` overrides the transmitter default for this frame
         only (an AP's deauth bursts use a short limit, Figure 3 style).
         """
-        self._queue.append((frame, rate_mbps, on_complete, retry_limit))
-        if not self._busy:
-            self._dequeue()
+        if self._busy:
+            self._queue.append((frame, rate_mbps, on_complete, retry_limit))
+        else:  # idle means the queue is empty: start at once
+            self._start(frame, rate_mbps, on_complete, retry_limit)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _dequeue(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
+    def _start(
+        self,
+        frame: Frame,
+        rate: float,
+        callback: Optional[Callable[[TxAttempt], None]],
+        retry_limit: Optional[int],
+    ) -> None:
         self._busy = True
-        frame, rate, callback, retry_limit = self._queue.pop(0)
         self._current_frame = frame
         self._current_rate = rate
         self._current_callback = callback
@@ -131,28 +139,31 @@ class MacTransmitter:
         self._attempt()
 
     def _attempt(self) -> None:
-        frame = self._current_frame
-        assert frame is not None
-        self._attempts += 1
-        frame.retry = self._attempts > 1
-
-        def transmit() -> None:
-            self.radio.transmit(frame, self._current_rate)
-            if not frame.needs_ack:
-                self._complete(TxOutcome.BROADCAST)
-                return
-            airtime = frame_airtime(frame.wire_length(), self._current_rate)
-            # The simulator delivers the ACK at the end of its airtime (a
-            # real NIC detects its preamble earlier), so the wait covers
-            # frame + SIFS + the whole ACK + timeout slack.
-            response = ack_airtime(ack_rate_for(self._current_rate))
-            wait = airtime + response + ack_timeout(self.band)
-            self._timeout_event = self.engine.call_after(wait, self._on_timeout)
-
+        attempts = self._attempts = self._attempts + 1
+        self._current_frame.retry = attempts > 1
         if self.use_dcf:
-            self._dcf.schedule(transmit, retry_count=self._attempts - 1)
+            self._dcf.schedule(self._transmit, attempts - 1)
         else:
-            transmit()
+            self._transmit()
+
+    def _transmit(self) -> None:
+        """The current attempt goes on the air (after DCF access timing).
+
+        Nothing can complete or replace the current frame while its
+        backoff runs, so this reads it from the transmitter's state.
+        """
+        frame = self._current_frame
+        rate = self._current_rate
+        transmission = self.radio.transmit(frame, rate)
+        if not frame.needs_ack:
+            self._complete(_BROADCAST)
+            return
+        # The simulator delivers the ACK at the end of its airtime (a
+        # real NIC detects its preamble earlier), so the wait covers
+        # frame + SIFS + the whole ACK + timeout slack.
+        response = ack_airtime(ack_rate_for(rate))
+        wait = transmission.duration + response + ack_timeout(self.band)
+        self._timeout_event = self.engine.call_after(wait, self._on_timeout)
 
     def _on_control(self, frame: Frame, reception: Reception) -> None:
         """ACK/CTS addressed to our MAC, delivered by the ACK engine."""
@@ -174,18 +185,22 @@ class MacTransmitter:
             self._complete(TxOutcome.NO_ACK)
 
     def _complete(self, outcome: TxOutcome) -> None:
-        frame = self._current_frame
-        assert frame is not None
-        attempt = TxAttempt(
-            frame=frame,
-            outcome=outcome,
-            attempts=self._attempts,
-            completed_at=self.engine.now,
-            rate_mbps=self._current_rate,
-        )
+        """Report the current frame to its callback, if one waits, and
+        start the next one."""
         callback = self._current_callback
+        if callback is not None:
+            attempt = TxAttempt(
+                frame=self._current_frame,
+                outcome=outcome,
+                attempts=self._attempts,
+                completed_at=self.engine.now,
+                rate_mbps=self._current_rate,
+            )
         self._current_frame = None
         self._current_callback = None
         if callback is not None:
             callback(attempt)
-        self._dequeue()
+        if self._queue:
+            self._start(*self._queue.pop(0))
+        else:
+            self._busy = False

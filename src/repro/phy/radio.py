@@ -46,9 +46,12 @@ class RadioState(enum.Enum):
     TX = "tx"
 
 
-#: Module-level alias: the sleep check runs once per finished arrival, and
-#: an enum-member attribute lookup there is measurable at wardrive scale.
+#: Module-level aliases: the sleep check runs once per finished arrival,
+#: the TX/IDLE switch twice per transmission, and an enum-member
+#: attribute lookup there is measurable at wardrive scale.
 _SLEEP = RadioState.SLEEP
+_TX = RadioState.TX
+_IDLE = RadioState.IDLE
 
 
 class Radio:
@@ -234,9 +237,11 @@ class Radio:
         self._state = state
         # Asleep, every arrival is dropped: no lane may count it.
         self.lanes[0] = 0 if state is _SLEEP else self._lane_mask
-        now = self.medium.engine.now
-        for listener in self._state_listeners:
-            listener(state, now)
+        listeners = self._state_listeners
+        if listeners:
+            now = self.medium.engine.clock._now
+            for listener in listeners:
+                listener(state, now)
 
     def sleep(self) -> None:
         """Power the radio down; incoming frames are lost while asleep."""
@@ -272,7 +277,7 @@ class Radio:
                 )
             length_bytes = getter()
         duration = frame_airtime(length_bytes, rate_mbps)
-        self._set_state(RadioState.TX)
+        self._set_state(_TX)
         transmission = self.medium.transmit(
             self, frame, duration, self.tx_power_dbm, rate_mbps
         )
@@ -284,5 +289,5 @@ class Radio:
         return transmission
 
     def _tx_done(self) -> None:
-        if self._state is RadioState.TX:
-            self._set_state(RadioState.IDLE)
+        if self._state is _TX:
+            self._set_state(_IDLE)

@@ -743,11 +743,14 @@ class _RadioEntry:
     ``links`` memoizes path loss and delay per peer entry: ``links[peer]``
     is the ``(loss_db, delay_s)`` budget of the link from this radio to
     ``peer``.  Under free space the distance is bit-symmetric, so one
-    tuple is stored on both endpoints; under a custom model the peer
-    keeps a ``None`` marker instead, so either endpoint can drop the
-    pair.  ``lists`` maps a transmit power to this sender's live
-    :class:`_Delivery` on its channel.  Both die with the entry (detach),
-    and with a move (reposition, or a mobile radio observed elsewhere).
+    tuple is stored on both endpoints, and only between static radios:
+    a mobile radio's budgets are recomputed with the same formula and
+    it keeps no lists (a moving rig would drop them at its next move).
+    Under a custom model the peer keeps a ``None`` marker instead, so
+    either endpoint can drop the pair.  ``lists`` maps a transmit power
+    to this sender's live :class:`_Delivery` on its channel.  Both die
+    with the entry (detach), and with a move (reposition, or a mobile
+    radio observed elsewhere).
     """
 
     __slots__ = ("radio", "name", "seq", "channel", "static_pos", "last_pos", "links", "lists")
@@ -1380,18 +1383,12 @@ class Medium:
             if tx_position is None:
                 # Mobile radios never appear in (static-only) delivery
                 # lists, so a move drops only this radio's own budgets
-                # and lists; every other sender's list stays valid.
+                # and lists; under free space it keeps none.
                 tx_position = sender.current_position(now)
-                entry.observe(tx_position)
+                if not self._free_space:
+                    entry.observe(tx_position)
         transmission = Transmission(
-            sender=sender_name,
-            frame=frame,
-            start=now,
-            duration=duration,
-            power_dbm=power_dbm,
-            rate_mbps=rate_mbps,
-            channel=channel,
-            tx_position=tx_position,
+            sender_name, frame, now, duration, power_dbm, rate_mbps, channel, tx_position
         )
         self.transmission_count += 1
         if self._tx_observers:
@@ -1404,9 +1401,10 @@ class Medium:
         if ctr is not None:
             ctr.value += duration
         # Half duplex: transmitting deafens the sender's own receiver.
-        self._transmitting[sender_name] = max(
-            self._transmitting.get(sender_name, 0.0), now + duration
-        )
+        transmitting = self._transmitting
+        end = now + duration
+        if transmitting.get(sender_name, 0.0) < end:
+            transmitting[sender_name] = end
         for span in self._live:
             k = span._on_air(sender_name)
             if k >= 0:
@@ -1449,11 +1447,8 @@ class Medium:
 
         Looked up in, or computed into, the pair-budget memo on the two
         entries (see :class:`_RadioEntry`); an unattached sender
-        (``tx is None``) bypasses the memo and the hit/miss tallies.
-        Under the default free-space model the loss and the delay share
-        one ``distance_to()`` result, bit-identical to
-        ``free_space_path_loss_db`` plus ``propagation_delay_to``, and
-        bit-symmetric in the endpoints.
+        (``tx is None``) bypasses the memo and the hit/miss tallies, and
+        so, under free space, does a link with a mobile endpoint.
         """
         if tx is not None:
             budget = tx.links.get(rx)
@@ -1461,12 +1456,10 @@ class Medium:
                 self.link_cache_hits += 1
                 return budget
         if self._free_space:
-            distance = tx_position.distance_to(rx_position)
-            wavelength = 299_792_458.0 / self.frequency_hz
-            loss = 20.0 * math.log10(4.0 * math.pi * max(distance, 1.0) / wavelength)
-            budget = (loss, distance / 299_792_458.0)
-            if tx is not None:
-                tx.links[rx] = rx.links[tx] = budget
+            budget = self._free_space_budget(tx_position, rx_position)
+            if tx is None or tx.static_pos is None or rx.static_pos is None:
+                return budget
+            tx.links[rx] = rx.links[tx] = budget
         else:
             budget = (
                 self._path_loss(tx_position, rx_position),
@@ -1478,6 +1471,18 @@ class Medium:
         if tx is not None:
             self.link_cache_misses += 1
         return budget
+
+    def _free_space_budget(self, tx_position: Position, rx_position: Position):
+        """``(loss, delay)`` of a free-space link from one ``distance_to``
+        expression: ``free_space_path_loss_db`` plus
+        ``propagation_delay_to`` bit for bit, and bit-symmetric."""
+        dx = tx_position.x - rx_position.x
+        dy = tx_position.y - rx_position.y
+        dz = tx_position.z - rx_position.z
+        distance = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+        wavelength = 299_792_458.0 / self.frequency_hz
+        loss = 20.0 * math.log10(4.0 * math.pi * max(distance, 1.0) / wavelength)
+        return loss, distance / 299_792_458.0
 
     def _resolve_static(
         self,
@@ -1555,8 +1560,8 @@ class Medium:
         Stage 1: the sender's live static list on its channel at this
         power (:class:`_Delivery`), resolved cold on first use
         (:meth:`_resolve_static`) and kept up to date by pushes since;
-        an unattached sender (``entry`` None) resolves cold every time
-        and keeps nothing.
+        an unattached sender (``entry`` None), and under free space a
+        mobile one, resolves cold every time and keeps nothing.
 
         Stage 2 (every transmission): frame-error probabilities are
         derived from the SNR array; mobile receivers are re-resolved and
@@ -1564,7 +1569,8 @@ class Medium:
         scheduled as one :class:`_ArrivalSpan` behind two
         ``EventBatch`` entries.
         """
-        if entry is None:
+        free_space = self._free_space
+        if entry is None or (free_space and entry.static_pos is None):
             delivery = self._resolve_static(None, tx_position, channel, power_dbm)
         else:
             delivery = entry.lists.get(power_dbm)
@@ -1598,47 +1604,38 @@ class Medium:
                 if len(fer_lists) >= 8:
                     fer_lists.pop(next(iter(fer_lists)))
                 fer_lists[(rate, length)] = fers
-        mobiles = self._mobiles.get(channel)
-        if mobiles:
-            mobile_targets = []
-            for rx in mobiles:
-                if rx is entry:
-                    continue
-                radio = rx.radio
-                rx_position = radio.current_position(now)
+        for rx in self._mobiles.get(channel) or ():
+            if rx is entry:
+                continue
+            radio = rx.radio
+            rx_position = radio.current_position(now)
+            if free_space:
+                loss, delay = self._free_space_budget(tx_position, rx_position)
+            else:
                 rx.observe(rx_position)
                 loss, delay = self._link_budget(entry, tx_position, rx, rx_position)
-                rssi = power_dbm - loss
-                if rssi < radio.rx_sensitivity_dbm:
-                    continue
-                # MAC / lane capture happens at merge-insert below, so
-                # out-of-range mobiles never pay for it.
-                mobile_targets.append((delay, rx.seq, radio, rssi))
-            if mobile_targets:
-                # Merge-insert by (delay, attach_seq): identical order to
-                # a concatenate-then-sort (seqs are unique, so the sort
-                # never compares further fields).  The live list stays
-                # untouched; the merged copies are span-private.
-                delays = list(delays)
-                seqs = list(seqs)
-                radios = list(radios)
-                rssis = list(rssis)
-                macs = list(macs)
-                lanes = list(lanes)
+            rssi = power_dbm - loss
+            if rssi < radio.rx_sensitivity_dbm:
+                continue
+            if radios is delivery.radios:
+                # Merge-insert by (delay, attach seq) into span-private
+                # copies (seqs are unique, so this is a sort's order);
+                # the live list stays untouched.
+                delays, seqs, radios = list(delays), list(seqs), list(radios)
+                rssis, macs, lanes = list(rssis), list(macs), list(lanes)
                 if fers is not None:
                     fers = list(fers)
-                noise_floor = self.noise_floor_dbm
-                for delay, seq, radio, rssi in mobile_targets:
-                    k = _arrival_slot(delays, seqs, delay, seq)
-                    delays.insert(k, delay)
-                    seqs.insert(k, seq)
-                    radios.insert(k, radio)
-                    rssis.insert(k, rssi)
-                    rx_mac, rx_lanes = _addressing(radio)
-                    macs.insert(k, rx_mac)
-                    lanes.insert(k, rx_lanes)
-                    if fers is not None:
-                        fers.insert(k, self._fer(rssi - noise_floor, rate, length))
+            seq = rx.seq
+            k = _arrival_slot(delays, seqs, delay, seq)
+            delays.insert(k, delay)
+            seqs.insert(k, seq)
+            radios.insert(k, radio)
+            rssis.insert(k, rssi)
+            rx_mac, rx_lanes = _addressing(radio)
+            macs.insert(k, rx_mac)
+            lanes.insert(k, rx_lanes)
+            if fers is not None:
+                fers.insert(k, self._fer(rssi - self.noise_floor_dbm, rate, length))
         if not delays:
             return
         span = _ArrivalSpan(self, transmission, radios, rssis, fers, macs, lanes)

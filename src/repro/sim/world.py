@@ -74,10 +74,15 @@ class DriveRoute:
         """Time in seconds to traverse the whole route."""
         return self.total_length / self.speed_mps
 
-    def position_at(self, time: float) -> Position:
-        """Vehicle position ``time`` seconds after departure."""
+    def position_at(self, time: float, dz: float = 0.0) -> Position:
+        """Vehicle position ``time`` seconds after departure, ``dz`` up.
+
+        Equal to ``position_at(time).translated(dz=dz)``, built as one
+        :class:`Position` (a wardrive rig asks once per transmission).
+        """
         if time <= 0.0:
-            return self.waypoints[0]
+            start = self.waypoints[0]
+            return start if dz == 0.0 else start.translated(dz=dz)
         remaining = time * self.speed_mps
         for index, length in enumerate(self._segment_lengths):
             if length == 0.0:
@@ -89,10 +94,11 @@ class DriveRoute:
                 return Position(
                     start.x + (end.x - start.x) * fraction,
                     start.y + (end.y - start.y) * fraction,
-                    start.z + (end.z - start.z) * fraction,
+                    start.z + (end.z - start.z) * fraction + dz,
                 )
             remaining -= length
-        return self.waypoints[-1]
+        end = self.waypoints[-1]
+        return end if dz == 0.0 else end.translated(dz=dz)
 
 
 class World:

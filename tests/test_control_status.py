@@ -12,7 +12,8 @@ running, finished, and crashed campaigns alike.  Pinned specifically:
   said (checked against a real campaign too);
 * a finished unsharded campaign is ``done`` whatever its manifest is
   called; a sharded one waits for the merged ``manifest.json``;
-* two campaigns in one directory are an error, not a lost row;
+* two campaigns in one directory are an error, not a lost row, even
+  when their shards fit together by index and count;
 * the stall threshold is four heartbeat intervals, read from the
   sidecar's meta line;
 * a **torn trailing sidecar line** (a SIGKILLed shard's signature) is
@@ -268,6 +269,33 @@ class TestTornAndMissingArtifacts:
         message = str(excinfo.value)
         assert "sweep.json.runs.jsonl" in message
         assert "other" in message
+
+    def test_shards_of_two_campaigns_with_one_shard_count_raise(self, tmp_path):
+        # Shard 1/2 of one sweep and shard 2/2 of another fit together by
+        # index and count; the meta lines still tell them apart.
+        for name, seeds, index in (("ctl-noop", [0, 1], 0), ("ctl-sigkill", [0, 1, 2], 1)):
+            run_campaign(
+                CampaignConfig(
+                    name, seeds=seeds, output_path=tmp_path / f"{name}.json",
+                    shard_index=index, shard_count=2,
+                )
+            )
+        with pytest.raises(ValueError, match="different campaigns") as excinfo:
+            fleet_status(tmp_path)
+        message = str(excinfo.value)
+        assert "ctl-noop.shard1of2.json.runs.jsonl" in message
+        assert "ctl-sigkill.shard2of2.json.runs.jsonl" in message
+
+    @pytest.mark.parametrize(
+        "key, value", [("campaign", "other"), ("scenario", "ctl-boom"), ("plan_runs", 5)]
+    )
+    def test_meta_lines_must_agree(self, tmp_path, key, value):
+        _sidecar(tmp_path, 0, 2)
+        path = _sidecar(tmp_path, 1, 2)
+        meta, rest = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(meta), key: value}) + "\n" + rest)
+        with pytest.raises(ValueError, match=f"{key} .* vs {value!r}"):
+            fleet_status(tmp_path, now=NOW)
 
     def test_sidecar_without_plan_size_reads_as_unknown(self, tmp_path):
         meta = {"kind": "campaign-meta", "shard": None}

@@ -6,6 +6,7 @@ from repro.devices.access_point import ApBehavior
 from repro.devices.station import StationState
 from repro.mac.addresses import ATTACKER_FAKE_MAC, MacAddress
 from repro.mac.frames import NullDataFrame
+from repro.sim.engine import Engine
 
 from tests.conftest import associate
 
@@ -92,6 +93,45 @@ class TestBeaconingAndProbing:
         count = trace.count_info("Beacon")
         engine.run_until(2.0)
         assert trace.count_info("Beacon") <= count + 1
+
+    def test_restart_within_an_interval_keeps_one_beacon_loop(
+        self, engine, make_ap, trace
+    ):
+        ap = make_ap(behavior=ApBehavior(beacon_interval=1.0))
+        ap.start_beaconing()
+        ap.stop_beaconing()
+        ap.start_beaconing()  # the first loop's tick is still queued
+        engine.run_until(10.0)
+        assert trace.count_info("Beacon") == 10
+
+    def test_restart_within_an_interval_keeps_one_probe_loop(
+        self, engine, make_station, trace
+    ):
+        station = make_station()
+        station.start_probing(2.0)
+        station.stop_probing()
+        station.start_probing(2.0)
+        engine.run_until(20.0)
+        assert trace.count_info("Probe Request") == 10
+
+    def test_lone_ap_posts_three_events_per_beacon(
+        self, engine, make_ap, monkeypatch
+    ):
+        # Tick, DCF backoff and end of airtime: fire-and-forget posts,
+        # none with a cancellable Event handle (Engine.call_at).
+        handles = []
+        call_at = Engine.call_at
+        monkeypatch.setattr(
+            Engine, "call_at",
+            lambda self, time, callback: handles.append(callback)
+            or call_at(self, time, callback),
+        )
+        ap = make_ap(behavior=ApBehavior(beacon_interval=0.1))
+        ap.start_beaconing()
+        engine.run(max_events=300)
+        assert ap.radio.frames_sent == 100
+        assert engine.events_scheduled == 3 * 100 + 1  # the next tick waits
+        assert handles == []
 
     def test_probe_request_answered(self, engine, make_station, make_ap, trace):
         ap = make_ap()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Dict
 
@@ -49,6 +50,23 @@ RUNS: Dict[str, tuple] = {
             "path_loss": {
                 "kind": "shadowed", "exponent": 2.8, "walls": 1,
                 "sigma_db": 4.0, "seed": 99,
+            },
+        },
+    ),
+    # Harsher shadowing on the same city: probes and ACKs get lost, so the
+    # rig retries and re-queues targets (still verifying all 120).  At
+    # 120 devices the run above loses no frame that matters; this one's
+    # trace moves with every shadowing draw and frame-error coin,
+    # including those of the moving rig's memoized links.
+    "wardrive-full-lossy": (
+        "wardrive-full",
+        {"max_devices": 120},
+        {
+            "medium_seed": 98,
+            "fer": "snr",
+            "path_loss": {
+                "kind": "shadowed", "exponent": 3.0, "walls": 1,
+                "sigma_db": 6.0, "seed": 99,
             },
         },
     ),
@@ -111,6 +129,19 @@ def test_contended_starts_count_the_capture_model_runs(monkeypatch):
     contended = result.ctx.medium.contended_starts
     assert contended == len(calls)
     assert 0 < contended < 0.02 * arrivals
+
+
+def test_lossy_pin_retries_and_moves_the_trace():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert golden["wardrive-full-lossy"]["trace"] != golden["wardrive-full"]["trace"]
+    result = _run("wardrive-full-lossy", trace=True)
+    probes = Counter(
+        record.destination
+        for record in result.ctx.trace
+        if record.info.startswith("Null function")
+    )
+    assert len(probes) == result.outputs["probed"] == result.outputs["responded"]
+    assert sum(probes.values()) > len(probes)  # at least one target re-probed
 
 
 def test_every_pinned_run_has_a_golden_entry():

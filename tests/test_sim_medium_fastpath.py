@@ -8,8 +8,10 @@ they are.
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.channel.propagation import ShadowedPathLoss
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import NullDataFrame
 from repro.phy.radio import Radio
@@ -210,6 +212,38 @@ class TestLinkBudgetCache:
         assert len(seen) == 2
         assert seen[1] < seen[0]  # ten times the distance, weaker signal
         assert loss.calls == 2  # stale budget was not reused
+
+    def test_shadowed_model_serves_an_unmoved_mobile_from_the_memo(self, engine):
+        # Stateful shadowing needs the pair memo: a mobile radio that has
+        # not moved keeps its budgets and its own lists, and a query
+        # sees exactly what a delivery saw.
+        shadowed = ShadowedPathLoss(rng=np.random.default_rng(3))
+        calls = []
+        medium = Medium(
+            engine, path_loss_db=lambda tx, rx: calls.append(1) or shadowed(tx, rx)
+        )
+        tx = Radio("tx", medium, Position(0, 0))
+        where = {"pos": Position(30, 4, 1.8)}
+        rig = Radio("rig", medium, lambda t: where["pos"])
+        seen = []
+        rig.frame_handler = lambda r: seen.append(r.rssi_dbm)
+        for _ in range(3):
+            tx.transmit(_frame(), 6.0)
+            engine.run_until(engine.now + 0.01)
+        assert len(seen) == 3 and len(set(seen)) == 1
+        assert len(calls) == 1
+        assert medium.rssi_between("tx", "rig", engine.now) == seen[-1]
+        rig.transmit(_frame(src="02:00:00:00:00:0c"), 6.0)
+        rig.transmit(_frame(src="02:00:00:00:00:0c"), 6.0)
+        engine.run_until(engine.now + 0.01)
+        assert len(calls) == 2  # rig -> tx, once: the rig kept its list
+        assert medium._entries["rig"].lists
+        where["pos"] = Position(60, 4, 1.8)
+        tx.transmit(_frame(), 6.0)
+        engine.run_until(engine.now + 0.01)
+        assert len(calls) == 3 and seen[-1] != seen[0]
+        assert medium.rssi_between("tx", "rig", engine.now) == seen[-1]
+        assert not medium._entries["rig"].lists  # the move dropped them
 
     def test_position_provider_swap_invalidates_budget(self, engine):
         """Regression: the localization attack takes over a *static*

@@ -84,6 +84,17 @@ class TestDriveRoute:
         assert -1e-9 <= position.x <= 50.0 + 1e-9
         assert -1e-9 <= position.y <= 50.0 + 1e-9
 
+    @given(st.floats(-10.0, 100.0), st.floats(0.0, 5.0))
+    def test_lifted_position_is_the_translated_one(self, time, dz):
+        # The wardrive rig asks for its antenna with one call; the
+        # floats must be those of position_at(...).translated(dz=...).
+        route = DriveRoute(
+            [Position(0, 0, 0.5), Position(50, 0, 0.5), Position(50, 50, 2.0)], 5.0
+        )
+        lifted = route.position_at(time, dz)
+        expected = route.position_at(time).translated(dz=dz)
+        assert lifted.as_tuple() == expected.as_tuple()
+
 
 class TestWorld:
     def test_static_placement(self):

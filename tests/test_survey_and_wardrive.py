@@ -166,6 +166,29 @@ class TestWardrivePipeline:
         results = pipeline.run()
         return city, pipeline, results
 
+    def test_no_static_radio_memoizes_a_budget_to_the_moving_rig(self):
+        # Under free space a mobile radio's budgets are recomputed on
+        # every transmission, and the rig resolves its own sends cold.
+        city = _small_city(scale=0.02)
+        pipeline = WardrivePipeline(city, WardriveConfig())
+        medium = city.medium
+        seen = []
+
+        def look() -> None:
+            entries = list(medium._entries.values())
+            rig = [entry for entry in entries if entry.static_pos is None]
+            held = sum(
+                peer.static_pos is None for entry in entries for peer in entry.links
+            )
+            rig_memo = sum(len(entry.links) + len(entry.lists) for entry in rig)
+            seen.append((len(entries) - len(rig), held, rig_memo))
+
+        for k in range(1, 20):
+            city.engine.call_at(2.0 * k, look)
+        pipeline.run()
+        assert sum(static for static, _, _ in seen) > 100  # mid-drive looks
+        assert [(held, memo) for _, held, memo in seen] == [(0, 0)] * len(seen)
+
     def test_discovers_most_of_the_city(self, survey_results):
         city, pipeline, results = survey_results
         reachable = sum(1 for spec in city.specs if spec.ever_activated)
