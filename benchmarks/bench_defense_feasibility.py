@@ -49,7 +49,6 @@ def _run_defense_analysis():
     outcomes = []
     for _ in range(10):
         frame = NullDataFrame(addr1=checker.mac, addr2=sender.mac)
-        frame.sequence = sender.next_sequence()
         sender.send(frame, on_complete=outcomes.append)
     engine.run_until(20.0)
 

@@ -197,7 +197,6 @@ class AccessPoint(Device):
             ssid=self.ssid,
             beacon_interval_tu=int(interval / 1.024e-3),
         )
-        beacon.sequence = self.next_sequence()
         self.send(beacon)
         engine = self.engine
         engine.post(engine.clock._now + interval, self._beacon_tick)
@@ -216,7 +215,6 @@ class AccessPoint(Device):
             addr3=self.mac,
             ssid=self.ssid,
         )
-        response.sequence = self.next_sequence()
         self.send(response)
 
     # ------------------------------------------------------------------
@@ -249,7 +247,6 @@ class AccessPoint(Device):
             auth_sequence=2,
             status=0,
         )
-        reply.sequence = self.next_sequence()
         self.send(reply)
 
     def on_assoc_request(self, frame: Frame, reception: Reception) -> None:
@@ -268,7 +265,6 @@ class AccessPoint(Device):
             status=0,
             association_id=association.association_id,
         )
-        reply.sequence = self.next_sequence()
         if self._passphrase is None:
             # Open network: associated means connected; no key handshake.
             association.state = "keyed"
@@ -298,7 +294,6 @@ class AccessPoint(Device):
             from_ds=True,
             body=llc.wrap_eapol(payload),
         )
-        frame.sequence = self.next_sequence()
         self.send(frame)
 
     # ------------------------------------------------------------------
@@ -357,7 +352,6 @@ class AccessPoint(Device):
             addr3=self.mac,
             reason=7,  # class-3 frame from nonassociated station
         )
-        deauth.sequence = self.next_sequence()
         if self.behavior.pmf:
             deauth.protected = True
         self.deauth_bursts_sent += 1
@@ -383,7 +377,6 @@ class AccessPoint(Device):
             addr3=self.mac,
             from_ds=True,
         )
-        frame.sequence = self.next_sequence()
         wrapped = llc.wrap(llc.ETHERTYPE_IPV4, payload)
         if association.session is not None:
             frame.body = association.session.encrypt(frame, wrapped)

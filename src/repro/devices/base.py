@@ -145,7 +145,13 @@ class Device:
         on_complete: Optional[Callable[[TxAttempt], None]] = None,
         retry_limit: Optional[int] = None,
     ) -> None:
-        """Stamp a sequence number and queue the frame for transmission."""
+        """Stamp a sequence number and queue the frame for transmission.
+
+        This is the only place a device stamps: its frames come here
+        with ``sequence`` at the default 0, so each is stamped once and a
+        counter that wraps sends 0 like any other number.  A frame built
+        with a nonzero ``sequence`` keeps it.
+        """
         if frame.sequence == 0 and frame.ftype is not _CONTROL:
             frame.sequence = self.next_sequence()
         self.transmitter.send(frame, rate_mbps, on_complete, retry_limit)

@@ -202,7 +202,6 @@ class Station(Device):
             to_ds=True,
             duration_us=data_frame_duration_us(rate_mbps, self.band),
         )
-        frame.sequence = self.next_sequence()
         wrapped = llc.wrap(llc.ETHERTYPE_IPV4, payload)
         if self.session is not None:
             frame.body = self.session.encrypt(frame, wrapped)
@@ -229,7 +228,6 @@ class Station(Device):
                     addr3=self.bssid,
                     to_ds=True,
                 )
-                null.sequence = self.next_sequence()
                 self.send(null)
             if self._keepalive_interval is not None:
                 self.engine.call_after(self._keepalive_interval, tick)
@@ -239,7 +237,6 @@ class Station(Device):
     def probe_scan(self) -> None:
         """Broadcast a wildcard probe request (unassociated discovery)."""
         probe = ProbeRequestFrame(addr2=self.mac)
-        probe.sequence = self.next_sequence()
         self.send(probe)
 
     def start_probing(self, interval: float = 5.0) -> None:

@@ -1,5 +1,7 @@
 """Station ⇄ AccessPoint integration: join, keys, data, quirks."""
 
+import itertools
+
 import pytest
 
 from repro.devices.access_point import ApBehavior
@@ -132,6 +134,15 @@ class TestBeaconingAndProbing:
         assert ap.radio.frames_sent == 100
         assert engine.events_scheduled == 3 * 100 + 1  # the next tick waits
         assert handles == []
+
+    def test_sequence_counter_wraps_through_zero(self, engine, medium, make_ap):
+        ap = make_ap(behavior=ApBehavior(beacon_interval=0.1))
+        ap._sequence = itertools.count(4094)
+        sent = []
+        medium.add_transmit_observer(lambda tx: sent.append(tx.frame.sequence))
+        ap.start_beaconing()
+        engine.run_until(0.35)
+        assert sent == [4094, 4095, 0, 1]
 
     def test_probe_request_answered(self, engine, make_station, make_ap, trace):
         ap = make_ap()
