@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.devices.dongle import MonitorDongle
+from repro.devices.dongle import EVERY_SOURCE, MonitorDongle
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import Frame
 from repro.sim.engine import Event
@@ -53,7 +53,8 @@ class AckMonitor:
         self._pending_since = 0.0
         self.observations: List[AckObservation] = []
         self.stray_acks = 0
-        dongle.add_listener(self._on_frame)
+        # ACK and CTS carry no source: every frame with one is ignored.
+        dongle.add_listener(self._on_frame, ignored_sources=EVERY_SOURCE)
 
     @property
     def busy(self) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Optional, Tuple
+from typing import Callable, Collection, Container, Dict, Optional, Tuple
 
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import (
@@ -43,6 +43,7 @@ from repro.phy.rates import ack_rate_for
 from repro.sim.medium import (
     GROUP_LANES_MASK,
     LANE_FCS_FAIL,
+    LANE_KNOWN_SOURCE,
     LANE_NOT_FOR_ME,
     LANE_WILDCARD_PROBE,
     TALLY_FCS_FAIL,
@@ -175,6 +176,8 @@ class AckEngine:
         # Passivity promises (see install_sniffer / install_mac_handler),
         # dropped whenever the handler they were made for is replaced.
         self._sniffer_passive = False
+        #: Sources the sniffer promised to ignore (``install_sniffer``).
+        self._sniffer_sources = None
         #: Group lanes the MAC handler promised to ignore.
         self._mac_group_mask = 0
         self._duplicate_cache: Dict[Tuple[MacAddress, int, int], None] = {}
@@ -213,7 +216,7 @@ class AckEngine:
             stats.frames_seen += fcs + other + group
             stats.fcs_failures += fcs
             stats.passed_up += group
-            folded[:] = lanes[TALLY_FCS_FAIL:]
+            folded[:] = lanes[TALLY_FCS_FAIL : TALLY_GROUP + 1]
         return stats
 
     # ------------------------------------------------------------------
@@ -241,16 +244,23 @@ class AckEngine:
         self,
         handler: Optional[Callable[[Frame, Reception], None]],
         passive: bool = False,
+        ignored_sources: Optional[Container[int]] = None,
     ) -> None:
         """Set :attr:`sniffer_handler`, with a passivity promise.
 
         ``passive=True`` promises that ``handler`` currently has no
         observable effect for any frame, so arrivals that would reach it
-        and nothing else may be tallied without calling it.  Call again
-        with the same handler to push a changed promise.
+        and nothing else may be tallied without calling it.
+        ``ignored_sources`` promises the same for the clean non-control
+        frames whose transmitter (``Frame.src_u64``) it contains; the
+        handler may grow it in place, never shrink it.  Only a
+        promiscuous engine, which hands such a frame to its sniffer
+        alone, publishes it.  Call again with the same handler to push a
+        changed promise.
         """
         self._sniffer_handler = handler
         self._sniffer_passive = passive
+        self._sniffer_sources = ignored_sources
         self._publish_lanes()
 
     def install_mac_handler(
@@ -282,7 +292,10 @@ class AckEngine:
         so its lane needs that handler absent or passive for its frame
         type, and an own MAC without the group bit (a group-bit own
         address would need the exact address comparison of the scalar
-        path).  Nothing is published once another handler owns the radio.
+        path).  At a promiscuous engine every clean frame reaches the
+        sniffer alone, so one from a source the sniffer ignores is a
+        not-for-me tally (:data:`LANE_KNOWN_SOURCE`).  Nothing is
+        published once another handler owns the radio.
         """
         radio = self.radio
         if radio.lanes is not self._lanes or radio.frame_handler != self._on_reception:
@@ -295,7 +308,10 @@ class AckEngine:
                     mask |= GROUP_LANES_MASK
                 else:
                     mask |= self._mac_group_mask
-        radio.publish_lanes(mask)
+        sources = self._sniffer_sources if self._promiscuous else None
+        if sources is not None:
+            mask |= 1 << LANE_KNOWN_SOURCE
+        radio.publish_lanes(mask, sources)
 
     # ------------------------------------------------------------------
     # Receive path

@@ -115,6 +115,19 @@ class Frame:
         """
         return int.from_bytes(self.addr1._value, "big")
 
+    def src_u64(self) -> Optional[int]:
+        """The TA as a 48-bit big-endian integer; ``None`` for a control
+        frame or a frame without ``addr2``.
+
+        The medium tests it against a promiscuous receiver's source set
+        (:data:`~repro.sim.medium.LANE_KNOWN_SOURCE`), once per
+        transmission and only when such a receiver needs it.
+        """
+        addr2 = self.addr2
+        if addr2 is None or self.ftype is _CONTROL:
+            return None
+        return int.from_bytes(addr2._value, "big")
+
     def is_wildcard_probe(self) -> bool:
         """True for a probe request for any network (an empty SSID).
 

@@ -152,13 +152,13 @@ class RadioPort(Protocol):
         in a property that notifies its medium automatically.
     ``rx_mac_u64`` / ``lanes``
         The receive MAC as a 48-bit integer and the lane list
-        ``[mask, fcs_fail, not_for_me, group]`` (see
+        ``[mask, fcs_fail, not_for_me, group, sources]`` (see
         :data:`LANE_FCS_FAIL`), read when a radio joins a delivery list.
         Arrivals whose lane bit is set in ``lanes[0]`` are tallied in
         the list instead of handed to ``on_reception``.  Replacing
         either attribute must be reported via
-        :meth:`Medium.note_addressing_changed`; the mask may change in
-        place at any time.
+        :meth:`Medium.note_addressing_changed`; the mask and the source
+        set may change in place at any time.
     """
 
     name: str
@@ -229,11 +229,11 @@ class Reception:
 #: Reception lanes.  A lane names the *verdict* of the arrival-end
 #: pre-filter for one arrival, computed before any :class:`Reception`
 #: object exists.  Each receiving radio carries a lane list
-#: ``[mask, fcs_fail, not_for_me, group]`` (``Radio.lanes``).  Bit ``c``
-#: of ``mask`` is the receiver's promise that an arrival in lane ``c``
-#: has no effect beyond one count in the matching tally, so the medium
-#: bumps that tally and builds no ``Reception``.  A clear bit sends the
-#: arrival down the scalar path.
+#: ``[mask, fcs_fail, not_for_me, group, sources]`` (``Radio.lanes``).
+#: Bit ``c`` of ``mask`` is the receiver's promise that an arrival in
+#: lane ``c`` has no effect beyond one count in the matching tally, so
+#: the medium bumps that tally and builds no ``Reception``.  A clear bit
+#: sends the arrival down the scalar path.
 LANE_FCS_FAIL = 0  # frame corrupted (collision, half-duplex, FER coin)
 LANE_NOT_FOR_ME = 1  # clean unicast addressed to a different MAC
 LANE_GROUP = 2  # clean group-addressed frame without a keyed lane (below)
@@ -246,6 +246,13 @@ _GROUP_LANE_BASE = 3
 #: probe requests: an AP that ignores them can promise passivity there
 #: and still answer probes for its own SSID.
 LANE_WILDCARD_PROBE = _GROUP_LANE_BASE + 64
+#: Clean non-control frames whose transmitter (the frame's ``src_u64``
+#: hook) is in the receiver's source set (slot :data:`SOURCE_SET`): the
+#: sources a promiscuous receiver's sniffer does nothing for.  Tested
+#: only for arrivals that no other lane took, and tallied as
+#: :data:`TALLY_NOT_FOR_ME`, which at a promiscuous receiver is the same
+#: scalar effect.
+LANE_KNOWN_SOURCE = LANE_WILDCARD_PROBE + 1
 #: Every group lane, keyed or not.
 GROUP_LANES_MASK = (
     (1 << LANE_GROUP)
@@ -257,6 +264,9 @@ GROUP_LANES_MASK = (
 TALLY_FCS_FAIL = 1
 TALLY_NOT_FOR_ME = 2
 TALLY_GROUP = 3
+#: Slot of a lane list holding the set :data:`LANE_KNOWN_SOURCE` tests
+#: (read only while that lane's bit is set).
+SOURCE_SET = 4
 
 #: Lane list of a port that publishes none: nothing is consumable, so
 #: its tallies are never written.
@@ -337,6 +347,7 @@ class _ArrivalSpan:
         "lane_mode",
         "for_me",
         "group_bit",
+        "source",
         # Per-batch absolute due times (`base + offset + shift`, computed
         # with the engine's exact left-associated float adds), built the
         # first time a window stops short of the batch's last item, so
@@ -373,6 +384,7 @@ class _ArrivalSpan:
         self.lane_mode = _LANES_UNSET
         self.for_me: Optional[List[bool]] = None
         self.group_bit = 0
+        self.source = -1  # the frame's src_u64, computed on first need
         self.due_begin: Optional[List[float]] = None
         self.due_end: Optional[List[float]] = None
 
@@ -432,6 +444,14 @@ class _ArrivalSpan:
                     self.for_me = [m == dest for m in self.macs]
                     mode = _LANES_UNICAST
         self.lane_mode = mode
+
+    def _known_source(self, sources) -> bool:
+        """True if the frame's transmitter is in ``sources``."""
+        source = self.source
+        if source == -1:
+            hook = getattr(self.transmission.frame, "src_u64", None)
+            source = self.source = hook() if hook is not None else None
+        return source is not None and source in sources
 
     def _hand_up(self, i: int, fcs_ok: bool, reason) -> None:
         """Scalar path for arrival ``i``: build the Reception and hand it up."""
@@ -605,9 +625,12 @@ class _ArrivalSpan:
         lazily: nothing in a fast-lane run can observe it, so it is
         written to the arrival's due time only before an upcall and at
         the window end, landing on the same final value a per-item drain
-        produces.  A span with no fast lanes (a CSI model installed, or
-        an unparseable frame) takes the same loop with both lane bits
-        clear, so every attached receiver gets its upcall.
+        produces.  A clean arrival no lane bit took is tested against
+        its receiver's source set before it falls back, if its mask has
+        :data:`LANE_KNOWN_SOURCE`.  A span with no fast lanes (a CSI
+        model installed, or an unparseable frame) takes the same loop
+        with every lane bit clear, so every attached receiver gets its
+        upcall.
         """
         if self.lane_mode == _LANES_UNSET:
             self._classify()
@@ -629,6 +652,7 @@ class _ArrivalSpan:
         lanes = self.lanes
         for_me = self.for_me
         fail_bit = 1 << LANE_FCS_FAIL
+        source_bit = 1 << LANE_KNOWN_SOURCE
         if lane_mode == _LANES_GROUP:
             ok_bit = self.group_bit
             ok_slot = TALLY_GROUP
@@ -636,7 +660,7 @@ class _ArrivalSpan:
             ok_bit = 1 << LANE_NOT_FOR_ME
             ok_slot = TALLY_NOT_FOR_ME
         else:  # no fast lanes: no mask bit can match
-            ok_bit = fail_bit = 0
+            ok_bit = fail_bit = source_bit = 0
             ok_slot = TALLY_GROUP
         ctr_delivered = medium._ctr_delivered
         ctr_dropped = medium._ctr_dropped
@@ -669,11 +693,15 @@ class _ArrivalSpan:
                         fcs_ok = False
                 if fcs_ok:
                     n_delivered += 1
-                    if for_me is None or not for_me[idx]:
-                        rx_lanes = lanes[idx]
-                        if rx_lanes[0] & ok_bit:
-                            rx_lanes[ok_slot] += 1
-                            continue
+                    rx_lanes = lanes[idx]
+                    if (for_me is None or not for_me[idx]) and rx_lanes[0] & ok_bit:
+                        rx_lanes[ok_slot] += 1
+                        continue
+                    if rx_lanes[0] & source_bit and self._known_source(
+                        rx_lanes[SOURCE_SET]
+                    ):
+                        rx_lanes[TALLY_NOT_FOR_ME] += 1
+                        continue
                 else:
                     n_dropped += 1
                     rx_lanes = lanes[idx]

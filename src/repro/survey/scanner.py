@@ -10,7 +10,7 @@ traffic identify clients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.devices.base import DeviceKind
 from repro.devices.dongle import MonitorDongle
@@ -31,14 +31,16 @@ class DiscoveredDevice:
     channel: int
     first_seen: float
     first_rssi_dbm: float
-    frames_seen: int = 1
 
 
 class PassiveScanner:
     """Sniffs one or more monitor dongles and builds the target list.
 
     New discoveries are pushed to ``on_discovery`` (the wardrive pipeline's
-    injector queue) as they happen.
+    injector queue) as they happen.  Once a source is recorded as an
+    access point its frames can change nothing here, and each dongle is
+    told so (``MonitorDongle.add_listener(ignored_sources=...)``): the
+    medium tallies them instead of handing them up.
     """
 
     def __init__(
@@ -50,25 +52,29 @@ class PassiveScanner:
         self.vendor_db = vendor_db
         self.on_discovery = on_discovery
         self.devices: Dict[MacAddress, DiscoveredDevice] = {}
-        self.frames_sniffed = 0
+        #: ``Frame.src_u64`` of every source recorded as an access point,
+        #: shared with the dongles, which may stop handing up its frames.
+        self._ap_sources: Set[int] = set()
         self.dongles = list(dongles)
         for dongle in self.dongles:
-            dongle.add_listener(self._make_listener(dongle))
+            dongle.add_listener(
+                self._make_listener(dongle), ignored_sources=self._ap_sources
+            )
 
     def _make_listener(self, dongle: MonitorDongle):
         def listener(frame: Frame, reception: Reception) -> None:
             # Read at reception time: hopping rigs retune this radio.
             channel = dongle.radio.channel
-            self.frames_sniffed += 1
             source = frame.addr2
             if source is None or source.is_multicast:
                 return
             kind = self._classify(frame)
             if kind is None:
                 return
+            if kind is DeviceKind.ACCESS_POINT:
+                self._ap_sources.add(frame.src_u64())
             known = self.devices.get(source)
             if known is not None:
-                known.frames_seen += 1
                 # Beacons are authoritative: a MAC first seen via data
                 # frames may later prove to be an AP.
                 if kind is DeviceKind.ACCESS_POINT:

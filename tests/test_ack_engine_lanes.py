@@ -6,7 +6,8 @@ receiver's published lane mask covers instead of building a
 receiver configuration — where it must refuse and defer to the scalar
 path, such as a (nonstandard) group-bit own MAC — and the promises
 devices make (a station's, an access point's on wildcard probe requests,
-and a monitor dongle's while nobody listens to it) against the lane-free
+and a monitor dongle's while nobody listens to it or every listener
+promises which sources it ignores) against the lane-free
 reference medium, plus the duplicate cache's exact eviction threshold
 and the ACK-but-don't-deliver retry semantics.
 """
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.devices.access_point import AccessPoint, ApBehavior
-from repro.devices.dongle import MonitorDongle
+from repro.devices.dongle import EVERY_SOURCE, MonitorDongle
 from repro.devices.station import Station
 from repro.mac.ack_engine import _DUPLICATE_CACHE_SIZE, AckEngine, AckEngineConfig
 from repro.mac.addresses import ATTACKER_FAKE_MAC, MacAddress
@@ -34,6 +35,7 @@ from repro.sim.engine import Engine
 from repro.sim.medium import (
     LANE_GROUP,
     LANE_NOT_FOR_ME,
+    TALLY_FCS_FAIL,
     TALLY_GROUP,
     Medium,
     Reception,
@@ -192,6 +194,8 @@ class TestRetryDuplicatesAcrossModes:
 
 RX_MAC = MacAddress("02:aa:00:00:00:01")
 OTHER_MAC = MacAddress("02:aa:00:00:00:02")
+SENDER_MAC_U64 = int.from_bytes(SENDER_MAC.bytes, "big")
+OTHER_MAC_U64 = int.from_bytes(OTHER_MAC.bytes, "big")
 #: The network an AP receiver serves.
 AP_SSID = "net"
 
@@ -203,9 +207,15 @@ CONFIGS = {
     "plain": set(),
     "default": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
     "promiscuous": {"collision", "not_for_me"},
-    # A monitor dongle's sniffer is passive until someone listens.
-    "monitor": {"collision", "not_for_me"},
+    # A monitor dongle's sniffer is passive until someone listens; then
+    # only the frames of sources every listener ignores are tallied.
+    "monitor": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
     "monitor_with_listener": {"collision"},
+    "monitor_ignoring_every_source": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
+    "monitor_ignoring_the_sender": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
+    "monitor_ignoring_another_source": {"collision"},
+    "monitor_with_a_listener_without_promise": {"collision"},
+    "monitor_with_two_source_sets": {"collision"},
     "group_bit_mac": {"collision", "not_for_me"},
     "passive_sniffer": {"collision", "not_for_me", "beacon"} | PROBE_LANES,
     "active_sniffer": {"collision"},
@@ -220,6 +230,17 @@ CONFIGS = {
     "silent_ap": {"collision", "not_for_me", "beacon", "probe_request"},
     "responding_ap": {"collision", "not_for_me", "beacon"},
     "probe_logging_ap": {"collision", "not_for_me", "beacon"},
+}
+#: Monitor configuration -> the ``ignored_sources`` promise of each
+#: listener; a listener logs every frame its promise leaves it.
+MONITOR_LISTENERS = {
+    "monitor": (),
+    "monitor_with_listener": (None,),
+    "monitor_ignoring_every_source": (EVERY_SOURCE,),
+    "monitor_ignoring_the_sender": ({SENDER_MAC_U64},),
+    "monitor_ignoring_another_source": ({OTHER_MAC_U64},),
+    "monitor_with_a_listener_without_promise": (EVERY_SOURCE, None),
+    "monitor_with_two_source_sets": ({SENDER_MAC_U64}, {SENDER_MAC_U64}),
 }
 LANES = ("collision", "not_for_me", "beacon", "probe_request", "own_ssid_probe",
          "other_ssid_probe")
@@ -247,6 +268,19 @@ def _ap(cls, medium, behavior):
     )
 
 
+def _listener(ignored, sniff):
+    """A dongle listener that keeps its ``ignored_sources`` promise."""
+    if ignored is None:
+        return sniff
+
+    def listener(frame, reception):
+        source = frame.src_u64()
+        if source is None or source not in ignored:
+            sniff(frame, reception)
+
+    return listener
+
+
 def _receiver(config, medium, log):
     """Attach the receiver ``config`` at the origin; return its radio and engine."""
 
@@ -259,8 +293,8 @@ def _receiver(config, medium, log):
             mac=RX_MAC, medium=medium, position=Position(0.0, 0.0),
             rng=np.random.default_rng(3),
         )
-        if config == "monitor_with_listener":
-            device.add_listener(record("sniff"))
+        for ignored in MONITOR_LISTENERS[config]:
+            device.add_listener(_listener(ignored, record("sniff")), ignored)
         return device.radio, device.ack_engine
     if config == "station":
         device = Station(
@@ -349,7 +383,7 @@ def _lane_run(medium_cls, config, lane):
         "stats": None if ack is None else asdict(ack.stats),
         "radio": (radio.frames_sent, radio.frames_delivered, radio.frames_dropped_asleep),
     }
-    return observed, sum(radio.lanes[1:])
+    return observed, sum(radio.lanes[TALLY_FCS_FAIL : TALLY_GROUP + 1])
 
 
 @pytest.mark.parametrize("lane", LANES)
