@@ -21,10 +21,22 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict
 
+import numpy as np
 import pytest
 
-from repro.scenario import run_scenario
+from repro.channel.csi import MultipathChannel
+from repro.channel.motion import (
+    HoldMotion,
+    PickupMotion,
+    ScheduledMotion,
+    StillMotion,
+    TypingMotion,
+)
+from repro.core.keystroke import KeystrokeInferenceAttack
+from repro.mac.addresses import ATTACKER_FAKE_MAC
+from repro.scenario import PlacementSpec, ScenarioSpec, SimContext, run_scenario
 from repro.sim.medium import Medium
+from repro.sim.world import Position
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -73,6 +85,57 @@ RUNS: Dict[str, tuple] = {
 }
 
 
+def _figure5_csi():
+    """A short seeded Figure 5 timeline: the sensing path.
+
+    Wired like ``benchmarks/bench_figure5_keystroke_csi.py``: an ESP32
+    injects fake frames at a victim tablet and measures the CSI of its
+    ACKs, with CSI estimation noise, through a registered multipath link
+    whose scatterer is still, picks the tablet up, holds it and types,
+    half a second to a second each.  Returns ``(ctx, outputs)``; the
+    outputs hold every measured ACK's time and amplitude.
+    """
+    ctx = SimContext(ScenarioSpec(
+        seed=7,
+        trace=True,
+        csi_noise={"snr_db": 35.0, "seed": 5007},
+        placements=[
+            PlacementSpec(kind="station", mac="f2:6e:0b:11:22:33", role="victim", z=1),
+            PlacementSpec(
+                kind="esp32_sniffer", mac="02:e5:93:20:00:01", role="esp", x=8, y=3, z=1,
+                options={"expected_ack_ra": str(ATTACKER_FAKE_MAC)},
+            ),
+        ],
+    ))
+    devices = ctx.place_devices()
+    victim, esp = devices["victim"], devices["esp"]
+    rng = np.random.default_rng(7)
+    timeline = ScheduledMotion([
+        (0.0, 0.5, "still", StillMotion()),
+        (0.5, 1.5, "pickup", PickupMotion(start=0.5, duration=1.0)),
+        (1.5, 2.5, "hold", HoldMotion(rng)),
+        (2.5, 3.5, "typing", TypingMotion(rng, start=2.5, duration=1.0)),
+    ])
+    ctx.csi_model.register_link(
+        str(victim.mac), str(esp.mac),
+        MultipathChannel(
+            Position(0, 0, 1), Position(8, 3, 1), np.random.default_rng(107), motion=timeline,
+        ),
+    )
+    result = KeystrokeInferenceAttack(esp, victim.mac).run(duration_s=3.5)
+    return ctx, {
+        "frames_injected": result.frames_injected,
+        "acks_measured": result.acks_measured,
+        "times": result.series.times.tolist(),
+        "amplitudes": result.series.amplitudes.tolist(),
+    }
+
+
+#: Pinned runs built by hand instead of by a scenario: ``id -> builder``
+#: returning ``(ctx, outputs)``.
+BUILT = {"figure5-csi": _figure5_csi}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -97,16 +160,20 @@ def _run(run_id: str, **options: object):
 
 
 def digests(run_id: str) -> Dict[str, str]:
-    result = _run(run_id, trace=True)
-    counters = result.ctx.metrics.snapshot()["counters"]
+    if run_id in BUILT:
+        ctx, outputs = BUILT[run_id]()
+    else:
+        result = _run(run_id, trace=True)
+        ctx, outputs = result.ctx, result.outputs
+    counters = ctx.metrics.snapshot()["counters"]
     return {
-        "trace": _sha(result.ctx.trace.to_jsonl()),
-        "outputs": _sha(_canonical(result.outputs)),
+        "trace": _sha(ctx.trace.to_jsonl()),
+        "outputs": _sha(_canonical(outputs)),
         "counters": _sha(_canonical(counters)),
     }
 
 
-@pytest.mark.parametrize("run_id", sorted(RUNS))
+@pytest.mark.parametrize("run_id", sorted([*RUNS, *BUILT]))
 def test_seeded_run_matches_golden_digests(run_id):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digests(run_id) == golden[run_id]
@@ -144,13 +211,24 @@ def test_lossy_pin_retries_and_moves_the_trace():
     assert sum(probes.values()) > len(probes)  # at least one target re-probed
 
 
+def test_figure5_pin_measures_acks_through_the_multipath_link():
+    # The pin digests what the sensing path computes: one noisy CSI
+    # amplitude per measured ACK, moving with the scatterer.
+    _, outputs = _figure5_csi()
+    assert outputs["frames_injected"] > 400
+    assert outputs["acks_measured"] > 0.9 * outputs["frames_injected"]
+    amplitudes = np.array(outputs["amplitudes"])
+    times = np.array(outputs["times"])
+    assert np.std(amplitudes[(times > 0.6) & (times < 1.4)]) > np.std(amplitudes[times < 0.5])
+
+
 def test_every_pinned_run_has_a_golden_entry():
-    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(RUNS)
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted([*RUNS, *BUILT])
 
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    table = {run_id: digests(run_id) for run_id in sorted(RUNS)}
+    table = {run_id: digests(run_id) for run_id in sorted([*RUNS, *BUILT])}
     text = json.dumps(table, indent=2, sort_keys=True) + "\n"
     GOLDEN.write_text(text, encoding="utf-8")
     print(f"wrote {GOLDEN}")
