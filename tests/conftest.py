@@ -55,6 +55,12 @@ def fresh_mac(prefix: int = 0x02) -> MacAddress:
     return MacAddress(bytes([prefix, 0x00]) + serial.to_bytes(4, "big"))
 
 
+def attached(radio):
+    """``radio``, attached to its medium (a bare ``Radio`` joins none)."""
+    radio.medium.attach(radio)
+    return radio
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)

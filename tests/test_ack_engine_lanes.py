@@ -43,7 +43,7 @@ from repro.sim.medium import (
     group_lane,
 )
 from repro.sim.world import Position
-from tests.conftest import fresh_mac
+from tests.conftest import attached, fresh_mac
 from tests.reference_medium import ReferenceMedium
 
 #: First octet 0x01: the individual/group bit is set, which no standard
@@ -65,7 +65,7 @@ def _reception(frame) -> Reception:
 
 class TestGroupBitMac:
     def test_group_lane_refused(self, medium):
-        radio = Radio("victim", medium, Position(0, 0))
+        radio = attached(Radio("victim", medium, Position(0, 0)))
         victim = AckEngine(radio, GROUP_MAC)
         assert victim._group_mac is True
         mask = radio.lanes[0]
@@ -82,22 +82,22 @@ class TestGroupBitMac:
         assert radio.frames_delivered == 0
 
     def test_broadcast_still_delivered(self, engine, medium):
-        radio = Radio("victim", medium, Position(0, 0))
+        radio = attached(Radio("victim", medium, Position(0, 0)))
         victim = AckEngine(radio, GROUP_MAC)
         heard = []
         victim.mac_handler = lambda frame, reception: heard.append(frame)
-        sender = Radio("sender", medium, Position(2, 0))
+        sender = attached(Radio("sender", medium, Position(2, 0)))
         sender.transmit(BeaconFrame(addr2=SENDER_MAC, ssid="net"), 6.0)
         engine.run_until(0.01)
         assert len(heard) == 1
         assert victim.stats.passed_up == 1
 
     def test_frame_to_group_bit_own_mac_delivered_never_acked(self, engine, medium):
-        radio = Radio("victim", medium, Position(0, 0))
+        radio = attached(Radio("victim", medium, Position(0, 0)))
         victim = AckEngine(radio, GROUP_MAC)
         heard = []
         victim.mac_handler = lambda frame, reception: heard.append(frame)
-        sender = Radio("sender", medium, Position(2, 0))
+        sender = attached(Radio("sender", medium, Position(2, 0)))
         sender.transmit(
             NullDataFrame(addr1=GROUP_MAC, addr2=ATTACKER_FAKE_MAC), 6.0
         )
@@ -114,7 +114,7 @@ class TestGroupBitMac:
 class TestDuplicateCacheEviction:
     @pytest.fixture
     def victim(self, medium):
-        radio = Radio("victim", medium, Position(0, 0))
+        radio = attached(Radio("victim", medium, Position(0, 0)))
         return AckEngine(radio, MacAddress("02:aa:aa:aa:aa:01"))
 
     @staticmethod
@@ -161,11 +161,11 @@ class TestRetryDuplicatesAcrossModes:
         # lanes=False: the reference medium, which has no reception lanes.
         engine = Engine()
         medium = (Medium if lanes else ReferenceMedium)(engine)
-        radio = Radio("victim", medium, Position(0, 0))
+        radio = attached(Radio("victim", medium, Position(0, 0)))
         victim = AckEngine(radio, MacAddress("02:aa:aa:aa:aa:02"))
         delivered = []
         victim.mac_handler = lambda frame, reception: delivered.append(frame)
-        sender = Radio("sender", medium, Position(3, 0))
+        sender = attached(Radio("sender", medium, Position(3, 0)))
 
         first = NullDataFrame(
             addr1=MacAddress("02:aa:aa:aa:aa:02"), addr2=ATTACKER_FAKE_MAC
@@ -309,7 +309,7 @@ def _receiver(config, medium, log):
         else:
             device = _ap(AccessPoint, medium, ApBehavior() if config == "responding_ap" else silent)
         return device.radio, device.ack_engine
-    radio = Radio("rx", medium, Position(0.0, 0.0))
+    radio = attached(Radio("rx", medium, Position(0.0, 0.0)))
     return radio, _configure(config, radio, record)
 
 
@@ -359,8 +359,8 @@ def _lane_run(medium_cls, config, lane):
     log = []
     radio, ack = _receiver(config, medium, log)
     # "b" is close enough to "a" at rx for their frames to collide.
-    a = Radio("a", medium, Position(60.0, 0.0))
-    b = Radio("b", medium, Position(-30.0, 0.0))
+    a = attached(Radio("a", medium, Position(60.0, 0.0)))
+    b = attached(Radio("b", medium, Position(-30.0, 0.0)))
     for k in range(3):
         if lane == "collision":
             frames = [(a, NullDataFrame(addr1=RX_MAC, addr2=SENDER_MAC)),
@@ -409,7 +409,7 @@ def test_replacing_ap_behavior_republishes_the_promise(respond_after):
         engine = Engine()
         medium = medium_cls(engine)
         ap = _ap(AccessPoint, medium, ApBehavior(respond_to_wildcard_probe=not respond_after))
-        prober = Radio("prober", medium, Position(20.0, 0.0))
+        prober = attached(Radio("prober", medium, Position(20.0, 0.0)))
         heard = []
         AckEngine(prober, SENDER_MAC).mac_handler = (
             lambda frame, reception: heard.append((engine.now, type(frame).__name__))

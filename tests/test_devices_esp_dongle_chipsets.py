@@ -23,7 +23,7 @@ from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
 
-from tests.conftest import fresh_mac
+from tests.conftest import attached, fresh_mac
 
 
 class TestMonitorDongle:
@@ -257,7 +257,7 @@ class TestEsp32Sniffer:
         from repro.mac.frames import AckFrame
         from repro.phy.radio import Radio
 
-        other = Radio("other-tx", medium, Position(0, 0))
+        other = attached(Radio("other-tx", medium, Position(0, 0)))
         other.transmit(AckFrame(MacAddress("02:31:41:59:26:53")), 6.0)
         engine.run_until(0.1)
         assert esp.samples == []
@@ -271,7 +271,7 @@ class TestEsp32Sniffer:
         from repro.mac.frames import AckFrame
         from repro.phy.radio import Radio
 
-        tx = Radio("tx", medium, Position(0, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
         tx.transmit(AckFrame(ATTACKER_FAKE_MAC), 6.0)
         engine.run_until(0.1)
         assert esp.samples == []

@@ -11,11 +11,12 @@ from repro.devices.battery import (
 from repro.devices.power_model import ESP8266_PROFILE, EnergyAccountant, PowerProfile
 from repro.phy.radio import Radio, RadioState
 from repro.sim.world import Position
+from tests.conftest import attached
 
 
 @pytest.fixture
 def radio(medium):
-    return Radio("power-radio", medium, Position(0, 0))
+    return attached(Radio("power-radio", medium, Position(0, 0)))
 
 
 @pytest.fixture

@@ -22,13 +22,14 @@ from repro.phy.constants import Band, sifs
 from repro.phy.plcp import frame_airtime
 from repro.phy.radio import Radio
 from repro.sim.world import Position
+from tests.conftest import attached
 
 VICTIM_MAC = MacAddress("f2:6e:0b:11:22:33")
 
 
 @pytest.fixture
 def victim_radio(medium):
-    return Radio(str(VICTIM_MAC), medium, Position(0, 0))
+    return attached(Radio(str(VICTIM_MAC), medium, Position(0, 0)))
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ def victim_engine(victim_radio):
 @pytest.fixture
 def sniffer(medium):
     """A bare radio that records everything it hears."""
-    radio = Radio("sniffer", medium, Position(3, 0))
+    radio = attached(Radio("sniffer", medium, Position(3, 0)))
     radio.received = []
     radio.frame_handler = radio.received.append
     return radio
@@ -47,7 +48,7 @@ def sniffer(medium):
 
 @pytest.fixture
 def attacker_radio(medium):
-    return Radio("attacker", medium, Position(5, 0))
+    return attached(Radio("attacker", medium, Position(5, 0)))
 
 
 def _fake_null():
@@ -144,7 +145,7 @@ class TestSelectivity:
     def test_fcs_failure_not_acked(self, engine, medium, victim_engine, sniffer):
         import numpy as np
 
-        lossy = Radio("lossy-tx", medium, Position(4, 0))
+        lossy = attached(Radio("lossy-tx", medium, Position(4, 0)))
         medium._fer = lambda snr, rate, length: 1.0
         medium._rng = np.random.default_rng(0)
         lossy.transmit(_fake_null(), 6.0)
@@ -182,7 +183,7 @@ class TestRtsCts:
         assert 0 < cts.duration_us < 500
 
     def test_rts_response_disabled_for_ablation(self, engine, medium, attacker_radio, sniffer):
-        radio = Radio("mute-victim", medium, Position(0, 1))
+        radio = attached(Radio("mute-victim", medium, Position(0, 1)))
         AckEngine(radio, MacAddress("02:12:12:12:12:12"),
                   AckEngineConfig(respond_to_rts=False))
         rts = RtsFrame(MacAddress("02:12:12:12:12:12"), ATTACKER_FAKE_MAC, 300)
@@ -195,7 +196,7 @@ class TestHypotheticalCheckingDevice:
     """The Section 2.2 strawman: validate before ACK."""
 
     def _checking_engine(self, medium, decoder=DecoderClass.MAINSTREAM):
-        radio = Radio("checker", medium, Position(0, 2))
+        radio = attached(Radio("checker", medium, Position(0, 2)))
         config = AckEngineConfig(
             validate_before_ack=True,
             validator=DecodeTimingModel(decoder),
@@ -223,7 +224,7 @@ class TestHypotheticalCheckingDevice:
         # A validator that accepts the frame but takes decode time: the
         # ACK exists but is late — the transmitter will already have
         # retransmitted.
-        radio = Radio("late-checker", medium, Position(0, 3))
+        radio = attached(Radio("late-checker", medium, Position(0, 3)))
         config = AckEngineConfig(
             validate_before_ack=True,
             validator=lambda frame: (True, 300e-6),
@@ -243,7 +244,7 @@ class TestHypotheticalCheckingDevice:
         assert ack_time > airtime + 10 * sifs(Band.GHZ_2_4)
 
     def test_validator_required(self, medium):
-        radio = Radio("misconfigured", medium, Position(0, 4))
+        radio = attached(Radio("misconfigured", medium, Position(0, 4)))
         engine_obj = AckEngine(
             radio,
             MacAddress("02:66:66:66:66:66"),
@@ -284,7 +285,7 @@ class TestDuplicates:
 
 class TestMonitorMode:
     def test_promiscuous_engine_never_answers(self, engine, medium, attacker_radio, sniffer):
-        radio = Radio("monitor", medium, Position(1, 1))
+        radio = attached(Radio("monitor", medium, Position(1, 1)))
         monitor = AckEngine(
             radio,
             MacAddress("02:55:55:55:55:55"),

@@ -5,11 +5,12 @@ import pytest
 from repro.mac.powersave import PowerSaveConfig, PowerSaveController
 from repro.phy.radio import Radio, RadioState
 from repro.sim.world import Position
+from tests.conftest import attached
 
 
 @pytest.fixture
 def radio(medium):
-    return Radio("ps-radio", medium, Position(0, 0))
+    return attached(Radio("ps-radio", medium, Position(0, 0)))
 
 
 @pytest.fixture

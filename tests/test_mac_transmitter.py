@@ -14,6 +14,7 @@ from repro.phy.radio import Radio
 from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
+from tests.conftest import attached
 
 SENDER = MacAddress("02:01:01:01:01:01")
 RESPONDER = MacAddress("02:02:02:02:02:02")
@@ -21,7 +22,7 @@ RESPONDER = MacAddress("02:02:02:02:02:02")
 
 @pytest.fixture
 def sender(medium, rng):
-    radio = Radio(str(SENDER), medium, Position(0, 0))
+    radio = attached(Radio(str(SENDER), medium, Position(0, 0)))
     ack_engine = AckEngine(radio, SENDER)
     return MacTransmitter(radio, ack_engine, SENDER, rng)
 
@@ -29,7 +30,7 @@ def sender(medium, rng):
 @pytest.fixture
 def responder(medium):
     """A standard polite device that will ACK unicast frames."""
-    radio = Radio(str(RESPONDER), medium, Position(5, 0))
+    radio = attached(Radio(str(RESPONDER), medium, Position(5, 0)))
     AckEngine(radio, RESPONDER)
     return radio
 
@@ -112,9 +113,9 @@ class TestRetention:
         # frame trace here, since a trace keeps its own records.
         engine = Engine()
         medium = Medium(engine)
-        radio = Radio(str(SENDER), medium, Position(0, 0))
+        radio = attached(Radio(str(SENDER), medium, Position(0, 0)))
         sender = MacTransmitter(radio, AckEngine(radio, SENDER), SENDER, rng)
-        AckEngine(Radio(str(RESPONDER), medium, Position(5, 0)), RESPONDER)
+        AckEngine(attached(Radio(str(RESPONDER), medium, Position(5, 0))), RESPONDER)
         refs, outcomes = [], []
         for index in range(300):
             frame = _data_to_responder() if index % 100 == 0 else BeaconFrame(addr2=SENDER)

@@ -6,16 +6,17 @@ from repro.mac.addresses import MacAddress
 from repro.mac.frames import NullDataFrame
 from repro.phy.radio import Radio, RadioState
 from repro.sim.world import Position
+from tests.conftest import attached
 
 
 @pytest.fixture
 def radio(medium):
-    return Radio("radio-a", medium, Position(0, 0))
+    return attached(Radio("radio-a", medium, Position(0, 0)))
 
 
 @pytest.fixture
 def peer(medium):
-    return Radio("radio-b", medium, Position(5, 0))
+    return attached(Radio("radio-b", medium, Position(5, 0)))
 
 
 def _null_frame():
@@ -81,7 +82,7 @@ class TestReception:
         assert peer.frames_dropped_asleep == 1
 
     def test_different_channel_not_received(self, engine, medium, radio):
-        other = Radio("radio-c", medium, Position(3, 0), channel=11)
+        other = attached(Radio("radio-c", medium, Position(3, 0), channel=11))
         received = []
         other.frame_handler = received.append
         radio.transmit(_null_frame(), 6.0)
@@ -90,7 +91,7 @@ class TestReception:
 
     def test_out_of_range_not_received(self, engine, medium, radio):
         # Free-space at 2.4 GHz: 20 dBm - PL(100 km) is far below -92 dBm.
-        far = Radio("radio-far", medium, Position(100_000.0, 0))
+        far = attached(Radio("radio-far", medium, Position(100_000.0, 0)))
         received = []
         far.frame_handler = received.append
         radio.transmit(_null_frame(), 6.0)
@@ -113,8 +114,8 @@ class TestHalfDuplex:
     def test_simultaneous_transmitters_corrupt_each_others_reception(
         self, engine, medium
     ):
-        a = Radio("a", medium, Position(0, 0))
-        b = Radio("b", medium, Position(5, 0))
+        a = attached(Radio("a", medium, Position(0, 0)))
+        b = attached(Radio("b", medium, Position(5, 0)))
         results = {}
         a.frame_handler = lambda reception: results.setdefault("a", reception)
         b.frame_handler = lambda reception: results.setdefault("b", reception)

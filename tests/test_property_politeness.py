@@ -35,6 +35,7 @@ from repro.phy.radio import Radio
 from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
+from tests.conftest import attached
 
 VICTIM = MacAddress("f2:6e:0b:11:22:33")
 
@@ -84,9 +85,9 @@ def _deliver(frame):
     """Fresh world per example: transmit the frame at the victim."""
     engine = Engine()
     medium = Medium(engine)
-    victim_radio = Radio(str(VICTIM), medium, Position(0, 0))
+    victim_radio = attached(Radio(str(VICTIM), medium, Position(0, 0)))
     victim = AckEngine(victim_radio, VICTIM)
-    tx = Radio("tx", medium, Position(4, 0))
+    tx = attached(Radio("tx", medium, Position(4, 0)))
     tx.transmit(frame, 6.0)
     engine.run_until(0.01)
     return victim

@@ -19,7 +19,7 @@ from repro.sim.engine import Engine
 from repro.sim.medium import Medium
 from repro.sim.world import Position
 
-from tests.conftest import fresh_mac
+from tests.conftest import attached, fresh_mac
 
 
 class TestLossyChannel:
@@ -171,8 +171,8 @@ class TestEngineInvariants:
         assert len(observed) == len(times)
 
     def test_receptions_end_after_start(self, engine, medium):
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         receptions = []
         rx.frame_handler = receptions.append
         for i in range(10):
@@ -194,8 +194,8 @@ class TestEngineInvariants:
 
     def test_transmission_conservation(self, engine, medium):
         """Each radio receives each transmission at most once."""
-        tx = Radio("tx", medium, Position(0, 0))
-        receivers = [Radio(f"rx{i}", medium, Position(3.0 + i, 0)) for i in range(4)]
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        receivers = [attached(Radio(f"rx{i}", medium, Position(3.0 + i, 0))) for i in range(4)]
         counts = {r.name: 0 for r in receivers}
         for radio in receivers:
             radio.frame_handler = (

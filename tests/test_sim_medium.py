@@ -10,6 +10,7 @@ from repro.sim.engine import Engine
 from repro.sim.medium import Medium, free_space_path_loss_db
 from repro.sim.trace import FrameTrace
 from repro.sim.world import Position
+from tests.conftest import attached
 
 
 def _frame(dst="02:00:00:00:00:01", src="02:00:00:00:00:02"):
@@ -19,13 +20,13 @@ def _frame(dst="02:00:00:00:00:01", src="02:00:00:00:00:02"):
 class TestAttachment:
     def test_duplicate_names_rejected(self, engine):
         medium = Medium(engine)
-        Radio("dup", medium, Position(0, 0))
+        attached(Radio("dup", medium, Position(0, 0)))
         with pytest.raises(ValueError):
-            Radio("dup", medium, Position(1, 0))
+            attached(Radio("dup", medium, Position(1, 0)))
 
     def test_detach_then_reattach(self, engine):
         medium = Medium(engine)
-        radio = Radio("r", medium, Position(0, 0))
+        radio = attached(Radio("r", medium, Position(0, 0)))
         medium.detach("r")
         assert "r" not in medium.radio_names
         medium.attach(radio)
@@ -33,8 +34,8 @@ class TestAttachment:
 
     def test_detached_radio_receives_nothing(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         received = []
         rx.frame_handler = received.append
         medium.detach("rx")
@@ -44,8 +45,8 @@ class TestAttachment:
 
     def test_detach_mid_flight_is_safe(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         received = []
         rx.frame_handler = received.append
         tx.transmit(_frame(), 6.0)
@@ -63,9 +64,9 @@ class TestPropagation:
 
     def test_rssi_decreases_with_distance(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        near = Radio("near", medium, Position(2, 0))
-        far = Radio("far", medium, Position(50, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        near = attached(Radio("near", medium, Position(2, 0)))
+        far = attached(Radio("far", medium, Position(50, 0)))
         rssi = {}
         near.frame_handler = lambda r: rssi.setdefault("near", r.rssi_dbm)
         far.frame_handler = lambda r: rssi.setdefault("far", r.rssi_dbm)
@@ -75,9 +76,9 @@ class TestPropagation:
 
     def test_propagation_delay_orders_reception(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        near = Radio("near", medium, Position(3, 0))
-        far = Radio("far", medium, Position(3000, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        near = attached(Radio("near", medium, Position(3, 0)))
+        far = attached(Radio("far", medium, Position(3000, 0)))
         ends = {}
         near.frame_handler = lambda r: ends.setdefault("near", r.end)
         far.frame_handler = lambda r: ends.setdefault("far", r.end)
@@ -88,9 +89,9 @@ class TestPropagation:
 
 class TestCollisions:
     def _three(self, engine, medium):
-        a = Radio("a", medium, Position(0, 0))
-        b = Radio("b", medium, Position(200, 0))
-        rx = Radio("rx", medium, Position(100, 0))  # equidistant
+        a = attached(Radio("a", medium, Position(0, 0)))
+        b = attached(Radio("b", medium, Position(200, 0)))
+        rx = attached(Radio("rx", medium, Position(100, 0)))  # equidistant
         return a, b, rx
 
     def test_equal_power_overlap_collides(self, engine):
@@ -107,9 +108,9 @@ class TestCollisions:
 
     def test_capture_effect_stronger_frame_survives(self, engine):
         medium = Medium(engine)
-        a = Radio("a", medium, Position(99, 0))  # 1 m from rx — very strong
-        b = Radio("b", medium, Position(0, 0))  # 100 m — weak
-        rx = Radio("rx", medium, Position(100, 0))
+        a = attached(Radio("a", medium, Position(99, 0)))  # 1 m from rx — very strong
+        b = attached(Radio("b", medium, Position(0, 0)))  # 100 m — weak
+        rx = attached(Radio("rx", medium, Position(100, 0)))
         receptions = {}
         rx.frame_handler = lambda r: receptions.setdefault(r.transmission.sender, r)
         b.transmit(_frame(), 6.0)
@@ -137,8 +138,8 @@ class TestFrameErrors:
             fer=lambda snr, rate, length: 1.0,  # always lose
             rng=np.random.default_rng(0),
         )
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         receptions = []
         rx.frame_handler = receptions.append
         tx.transmit(_frame(), 6.0)
@@ -156,10 +157,10 @@ class TestFrameErrors:
             fer=lambda snr, rate, length: 0.5,
             rng=np.random.default_rng(3),
         )
-        tx = Radio("tx", medium, Position(0, 0))
-        rig = Radio("rig", medium, lambda t: Position(5.0 + t, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rig = attached(Radio("rig", medium, lambda t: Position(5.0 + t, 0)))
         if static_neighbour:
-            Radio("neighbour", medium, Position(8, 0))
+            attached(Radio("neighbour", medium, Position(8, 0)))
         receptions = []
         rig.frame_handler = receptions.append
         for k in range(40):
@@ -176,8 +177,8 @@ class TestCsiTagging:
             return np.ones(52, dtype=complex)
 
         medium = Medium(engine, csi_model=csi_model)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         receptions = []
         rx.frame_handler = receptions.append
         tx.transmit(_frame(), 6.0)
@@ -190,8 +191,8 @@ class TestTrace:
     def test_transmissions_recorded(self, engine):
         trace = FrameTrace()
         medium = Medium(engine, trace=trace)
-        tx = Radio("tx", medium, Position(0, 0))
-        Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        attached(Radio("rx", medium, Position(5, 0)))
         tx.transmit(_frame(src="aa:bb:bb:bb:bb:bb"), 6.0)
         engine.run_until(0.01)
         assert len(trace) == 1
@@ -202,8 +203,8 @@ class TestTrace:
 class TestBusyDetection:
     def test_busy_during_overlap(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         rx.frame_handler = lambda r: None
         tx.transmit(_frame(), 6.0)
         busy = []

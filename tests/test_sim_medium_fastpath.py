@@ -23,6 +23,7 @@ from repro.sim.medium import (
 )
 from repro.sim.world import Position
 from repro.telemetry.registry import MetricsRegistry
+from tests.conftest import attached
 
 
 def _frame(dst="02:00:00:00:00:01", src="02:00:00:00:00:02"):
@@ -50,9 +51,9 @@ class _CountingLoss:
 class TestChannelIndex:
     def test_cross_channel_radios_hear_nothing(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0), channel=1)
-        rx_same = Radio("same", medium, Position(5, 0), channel=1)
-        rx_other = Radio("other", medium, Position(5, 1), channel=6)
+        tx = attached(Radio("tx", medium, Position(0, 0), channel=1))
+        rx_same = attached(Radio("same", medium, Position(5, 0), channel=1))
+        rx_other = attached(Radio("other", medium, Position(5, 1), channel=6))
         heard = []
         rx_same.frame_handler = lambda r: heard.append("same")
         rx_other.frame_handler = lambda r: heard.append("other")
@@ -62,8 +63,8 @@ class TestChannelIndex:
 
     def test_retune_via_channel_setter_moves_the_radio(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0), channel=1)
-        rx = Radio("rx", medium, Position(5, 0), channel=6)
+        tx = attached(Radio("tx", medium, Position(0, 0), channel=1))
+        rx = attached(Radio("rx", medium, Position(5, 0), channel=6))
         heard = []
         rx.frame_handler = heard.append
         tx.transmit(_frame(), 6.0)
@@ -85,9 +86,9 @@ class TestChannelIndex:
         the *old* channel's receiver.
         """
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0), channel=1)
-        rx1 = Radio("rx1", medium, Position(5, 0), channel=1)
-        rx6 = Radio("rx6", medium, Position(6, 0), channel=6)
+        tx = attached(Radio("tx", medium, Position(0, 0), channel=1))
+        rx1 = attached(Radio("rx1", medium, Position(5, 0), channel=1))
+        rx6 = attached(Radio("rx6", medium, Position(6, 0), channel=6))
         heard = []
         rx1.frame_handler = lambda r: heard.append("rx1")
         rx6.frame_handler = lambda r: heard.append("rx6")
@@ -105,10 +106,10 @@ class TestChannelIndex:
         moved, or an attached sender's warm delivery list keeps serving
         the old RSSI."""
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
         where = {"pos": Position(10, 0)}
-        rx = Radio("rx", medium, lambda t: where["pos"])
-        ghost = Radio("ghost", medium, Position(0, 3))
+        rx = attached(Radio("rx", medium, lambda t: where["pos"]))
+        ghost = attached(Radio("ghost", medium, Position(0, 3)))
         medium.detach("ghost")  # unattached: transmits bypass the caches
         seen = []
         rx.frame_handler = lambda r: seen.append(r.rssi_dbm)
@@ -127,8 +128,8 @@ class TestChannelIndex:
 
     def test_lists_and_budgets_die_with_their_radio(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        receivers = [Radio(f"rx{i}", medium, Position(5 + i, i)) for i in range(4)]
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        receivers = [attached(Radio(f"rx{i}", medium, Position(5 + i, i))) for i in range(4)]
         # Every radio sends, so each holds live lists and pair budgets.
         for i, radio in enumerate([tx, *receivers]):
             radio.transmit(_frame(src=f"02:00:00:00:02:0{i}"), 6.0)
@@ -151,15 +152,15 @@ class TestChannelIndex:
 
     def test_attach_mid_run_invalidates_delivery_lists(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx1 = Radio("rx1", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx1 = attached(Radio("rx1", medium, Position(5, 0)))
         counts = {"rx1": 0, "rx2": 0}
         rx1.frame_handler = lambda r: counts.__setitem__("rx1", counts["rx1"] + 1)
         tx.transmit(_frame(), 6.0)
         engine.run_until(0.01)
         # A warm delivery cache exists for tx now; the newcomer must
         # still be reached by the next transmission.
-        rx2 = Radio("rx2", medium, Position(6, 0))
+        rx2 = attached(Radio("rx2", medium, Position(6, 0)))
         rx2.frame_handler = lambda r: counts.__setitem__("rx2", counts["rx2"] + 1)
         tx.transmit(_frame(), 6.0)
         engine.run_until(0.02)
@@ -170,8 +171,8 @@ class TestLinkBudgetCache:
     def test_static_links_evaluate_the_model_once(self, engine):
         loss = _CountingLoss()
         medium = Medium(engine, path_loss_db=loss)
-        tx = Radio("tx", medium, Position(0, 0))
-        Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        attached(Radio("rx", medium, Position(5, 0)))
         for _ in range(5):
             tx.transmit(_frame(), 6.0)
             engine.run_until(engine.now + 0.01)
@@ -182,8 +183,8 @@ class TestLinkBudgetCache:
 
     def test_rssi_identical_between_cold_and_warm_paths(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(7, 3))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(7, 3)))
         seen = []
         rx.frame_handler = lambda r: seen.append(r.rssi_dbm)
         tx.transmit(_frame(), 6.0)
@@ -199,9 +200,9 @@ class TestLinkBudgetCache:
     def test_mobile_receiver_move_invalidates_budget(self, engine):
         loss = _CountingLoss()
         medium = Medium(engine, path_loss_db=loss)
-        tx = Radio("tx", medium, Position(0, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
         where = {"pos": Position(5, 0)}
-        rx = Radio("rx", medium, lambda t: where["pos"])
+        rx = attached(Radio("rx", medium, lambda t: where["pos"]))
         seen = []
         rx.frame_handler = lambda r: seen.append(r.rssi_dbm)
         tx.transmit(_frame(), 6.0)
@@ -222,9 +223,9 @@ class TestLinkBudgetCache:
         medium = Medium(
             engine, path_loss_db=lambda tx, rx: calls.append(1) or shadowed(tx, rx)
         )
-        tx = Radio("tx", medium, Position(0, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
         where = {"pos": Position(30, 4, 1.8)}
-        rig = Radio("rig", medium, lambda t: where["pos"])
+        rig = attached(Radio("rig", medium, lambda t: where["pos"]))
         seen = []
         rig.frame_handler = lambda r: seen.append(r.rssi_dbm)
         for _ in range(3):
@@ -249,8 +250,8 @@ class TestLinkBudgetCache:
         """Regression: the localization attack takes over a *static*
         radio's position with a mutable provider after construction."""
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         seen = []
         rx.frame_handler = lambda r: seen.append(r.rssi_dbm)
         tx.transmit(_frame(), 6.0)
@@ -264,8 +265,8 @@ class TestLinkBudgetCache:
 
     def test_detach_reattach_never_reuses_old_budgets(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         seen = []
         rx.frame_handler = lambda r: seen.append(r.rssi_dbm)
         tx.transmit(_frame(), 6.0)
@@ -281,7 +282,7 @@ class TestLinkBudgetCache:
 class TestCaptureEdgeCases:
     def test_equal_rssi_three_way_overlap(self, engine):
         medium = Medium(engine)
-        rx = Radio("rx", medium, Position(0, 0))
+        rx = attached(Radio("rx", medium, Position(0, 0)))
         receptions = []
         rx.frame_handler = receptions.append
         # Three senders at the same distance: identical RSSI at rx, so no
@@ -293,7 +294,7 @@ class TestCaptureEdgeCases:
         for i, pos in enumerate(
             [Position(10, 0), Position(0, 10), Position(-10, 0)]
         ):
-            sender = Radio(f"tx{i}", medium, pos)
+            sender = attached(Radio(f"tx{i}", medium, pos))
             sender.transmit(_frame(src=f"02:00:00:00:01:0{i}"), 6.0)
         engine.run_until(0.05)
         assert len(receptions) == 3
@@ -303,8 +304,8 @@ class TestCaptureEdgeCases:
 
     def test_arrival_during_own_transmission_flagged_not_collided(self, engine):
         medium = Medium(engine)
-        a = Radio("a", medium, Position(0, 0))
-        b = Radio("b", medium, Position(5, 0))
+        a = attached(Radio("a", medium, Position(0, 0)))
+        b = attached(Radio("b", medium, Position(5, 0)))
         receptions = []
         b.frame_handler = receptions.append
         # b is mid-transmission when a's frame arrives: half duplex.
@@ -319,8 +320,8 @@ class TestCaptureEdgeCases:
 
     def test_detach_mid_flight_with_warm_cache(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        rx = Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        rx = attached(Radio("rx", medium, Position(5, 0)))
         heard = []
         rx.frame_handler = heard.append
         tx.transmit(_frame(), 6.0)  # warms the delivery cache
@@ -347,8 +348,8 @@ class TestTelemetryGuards:
     def test_transmit_without_metrics_keeps_counters_none(self, engine):
         medium = Medium(engine)
         assert medium.metrics is None
-        tx = Radio("tx", medium, Position(0, 0))
-        Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        attached(Radio("rx", medium, Position(5, 0)))
         tx.transmit(_frame(), 6.0)
         engine.run_until(0.01)
         assert medium.transmission_count == 1
@@ -357,8 +358,8 @@ class TestTelemetryGuards:
         metrics = MetricsRegistry()
         engine = Engine(metrics=metrics)
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0))
-        Radio("rx", medium, Position(5, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0)))
+        attached(Radio("rx", medium, Position(5, 0)))
         tx.transmit(_frame(), 6.0)
         engine.run_until(0.01)
         snapshot = metrics.snapshot()

@@ -36,6 +36,7 @@ from repro.sim.engine import Engine, EventBatch
 from repro.sim.medium import Medium
 from repro.sim.trace import FrameTrace
 from repro.sim.world import Position
+from tests.conftest import attached
 from tests.reference_medium import ReferenceMedium
 from tests.test_sim_medium import _frame
 
@@ -136,8 +137,8 @@ class TestQueryPathsMatchDelivery:
             engine,
             path_loss_db=ShadowedPathLoss(rng=np.random.default_rng(7)),
         )
-        tx = Radio("tx", medium, Position(0, 0), tx_power_dbm=20.0)
-        rx = Radio("rx", medium, Position(12, 5))
+        tx = attached(Radio("tx", medium, Position(0, 0), tx_power_dbm=20.0))
+        rx = attached(Radio("rx", medium, Position(12, 5)))
         seen = []
         rx.frame_handler = lambda r: seen.append(r.rssi_dbm)
 
@@ -152,8 +153,8 @@ class TestQueryPathsMatchDelivery:
 
     def test_rssi_between_names_an_unattached_radio(self, engine):
         medium = Medium(engine)
-        Radio("a", medium, Position(0, 0))
-        Radio("b", medium, Position(5, 0))
+        attached(Radio("a", medium, Position(0, 0)))
+        attached(Radio("b", medium, Position(5, 0)))
         medium.detach("b")
         with pytest.raises(KeyError, match="'b' is not attached"):
             medium.rssi_between("a", "b", 0.0)
@@ -162,8 +163,8 @@ class TestQueryPathsMatchDelivery:
 
     def test_is_busy_for_uses_delivered_rssi(self, engine):
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0), tx_power_dbm=20.0)
-        rx = Radio("rx", medium, Position(30, 0))
+        tx = attached(Radio("tx", medium, Position(0, 0), tx_power_dbm=20.0))
+        rx = attached(Radio("rx", medium, Position(30, 0)))
         rssi = medium.rssi_between("tx", "rx", engine.now)
         verdicts = {}
 
@@ -181,8 +182,8 @@ class TestQueryPathsMatchDelivery:
         production = Medium(engine)
         reference = ReferenceMedium(Engine())
         for medium in (production, reference):
-            Radio("a", medium, Position(0, 0))
-            Radio("b", medium, Position(25, 40))
+            attached(Radio("a", medium, Position(0, 0)))
+            attached(Radio("b", medium, Position(25, 40)))
         assert production.rssi_between("a", "b", 0.0) == reference.rssi_between(
             "a", "b", 0.0
         )
@@ -206,12 +207,12 @@ def _mutation_run(ops, medium_cls):
     radios = []
     for i in range(9):
         radios.append(
-            Radio(
+            attached(Radio(
                 f"r{i}",
                 medium,
                 Position(7.0 * (i % 3), 9.0 * (i // 3)),
                 channel=CHANNELS[i % 3],
-            )
+            ))
         )
     log = []
     for radio in radios:
@@ -274,7 +275,7 @@ class TestSoACompaction:
 
     def test_detach_reattach_compacts_and_restores(self, engine):
         medium = Medium(engine)
-        radios = [Radio(f"x{i}", medium, Position(float(i), 0)) for i in range(5)]
+        radios = [attached(Radio(f"x{i}", medium, Position(float(i), 0))) for i in range(5)]
         tx = radios[0]
         heard = []
         for r in radios[1:]:
@@ -305,9 +306,9 @@ class TestChannelSoA:
         # A mobile radio never enters a cold list, however close it is:
         # transmissions merge it in afresh every time instead.
         medium = Medium(engine)
-        tx = Radio("tx", medium, Position(0, 0), channel=1)
-        Radio("s", medium, Position(1, 2, 3), channel=1)
-        Radio("m", medium, lambda t: Position(t, 0), channel=1)
+        tx = attached(Radio("tx", medium, Position(0, 0), channel=1))
+        attached(Radio("s", medium, Position(1, 2, 3), channel=1))
+        attached(Radio("m", medium, lambda t: Position(t, 0), channel=1))
         assert _cold_names(medium, "tx", 1) == ["s"]
         heard = []
         for name in ("s", "m"):
@@ -339,10 +340,10 @@ class TestChannelSoA:
         # A retuned radio leaves the old channel's next cold resolution
         # and joins the new channel's.
         medium = Medium(engine)
-        Radio("tx", medium, Position(0, 0), channel=1)
-        r0 = Radio("a", medium, Position(3, 0), channel=1)
-        Radio("b", medium, Position(5, 0), channel=1)
-        Radio("c", medium, Position(4, 0), channel=6)
+        attached(Radio("tx", medium, Position(0, 0), channel=1))
+        r0 = attached(Radio("a", medium, Position(3, 0), channel=1))
+        attached(Radio("b", medium, Position(5, 0), channel=1))
+        attached(Radio("c", medium, Position(4, 0), channel=6))
         assert _cold_names(medium, "tx", 1) == ["a", "b"]
         r0.channel = 6
         assert _cold_names(medium, "tx", 1) == ["b"]
