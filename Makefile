@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench perf-ab demo examples examples-smoke campaign-smoke campaign-shard-smoke metro-smoke metro-chaos-smoke docs-check clean
+.PHONY: install test coverage bench perf-ab demo examples examples-smoke campaign-smoke metro-smoke metro-chaos-smoke docs-check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -90,21 +90,13 @@ docs-check:
 	PYTHONPATH=src $(PYTHON) tools/docs_check.py
 
 # Fast end-to-end check of the telemetry campaign runner: same campaign
-# serial and parallel, aggregates must match byte-for-byte.
+# serial and parallel, aggregates must match byte-for-byte, and
+# `campaign status` must read the parallel run as done from its sidecar.
 campaign-smoke:
-	$(PYTHON) -m repro campaign --scenario wardrive --seeds 4 --workers 1 --out /tmp/campaign_w1.json > /dev/null
-	$(PYTHON) -m repro campaign --scenario wardrive --seeds 4 --workers 4 --out /tmp/campaign_w4.json > /dev/null
-	$(PYTHON) -c "import json; a=json.load(open('/tmp/campaign_w1.json'))['aggregate']; b=json.load(open('/tmp/campaign_w4.json'))['aggregate']; assert json.dumps(a,sort_keys=True)==json.dumps(b,sort_keys=True), 'aggregate mismatch'; print('campaign smoke OK:', a['metrics']['counters']['engine.events.executed'], 'events')"
-
-# End-to-end check of the sharded runner: the same battery sweep split
-# across two shard invocations, merged, must aggregate byte-identically
-# to the unsharded run (shard-count independence, docs/telemetry.md).
-campaign-shard-smoke:
-	$(PYTHON) -m repro campaign --scenario battery --seeds 4 --out /tmp/shard_ref.json > /dev/null
-	$(PYTHON) -m repro campaign --scenario battery --seeds 4 --shard 1/2 --out /tmp/shard_split.json > /dev/null
-	$(PYTHON) -m repro campaign --scenario battery --seeds 4 --shard 2/2 --out /tmp/shard_split.json > /dev/null
-	$(PYTHON) -m repro campaign merge /tmp/shard_split.shard1of2.json /tmp/shard_split.shard2of2.json --out /tmp/shard_merged.json > /dev/null
-	$(PYTHON) -c "import json; a=json.load(open('/tmp/shard_ref.json'))['aggregate']; b=json.load(open('/tmp/shard_merged.json'))['aggregate']; assert json.dumps(a,sort_keys=True)==json.dumps(b,sort_keys=True), 'sharded aggregate mismatch'; print('campaign shard smoke OK:', b['runs'], 'runs across 2 shards')"
+	$(PYTHON) -m repro campaign --scenario wardrive --seeds 4 --workers 1 --out /tmp/campaign_smoke/w1/manifest.json > /dev/null
+	$(PYTHON) -m repro campaign --scenario wardrive --seeds 4 --workers 4 --out /tmp/campaign_smoke/w4/manifest.json > /dev/null
+	$(PYTHON) -m repro campaign status /tmp/campaign_smoke/w4 --json > /tmp/campaign_smoke/status.json
+	$(PYTHON) -c "import json; a=json.load(open('/tmp/campaign_smoke/w1/manifest.json'))['aggregate']; b=json.load(open('/tmp/campaign_smoke/w4/manifest.json'))['aggregate']; assert json.dumps(a,sort_keys=True)==json.dumps(b,sort_keys=True), 'aggregate mismatch'; s=json.load(open('/tmp/campaign_smoke/status.json')); seen=(s['state'],s['scenario'],s['plan_runs']); assert seen==('done','wardrive',4), f'campaign status: {seen}'; print('campaign smoke OK:', a['metrics']['counters']['engine.events.executed'], 'events')"
 
 # CI-sized check of the tiled partition runner (docs/partitioning.md):
 # the same quick-mode metro census on a 2x2 tile grid across 2 worker

@@ -19,14 +19,6 @@ and the campaign orchestrator (see ``docs/telemetry.md``)::
     python -m repro campaign --scenario wardrive --seeds 8 --workers 4 \
         --out manifest.json
 
-which shards across machines and merges the results::
-
-    python -m repro campaign --scenario wardrive --seeds 8 --shard 1/2 \
-        --out manifest.json        # on box 1 (writes manifest.shard1of2.json)
-    python -m repro campaign --scenario wardrive --seeds 8 --shard 2/2 \
-        --out manifest.json        # on box 2
-    python -m repro campaign merge manifest.shard*.json --out manifest.json
-
 and the control plane (see ``docs/control-plane.md``), which watches
 a campaign from its directory and diffs two manifests::
 
@@ -132,24 +124,6 @@ def _parse_grid(text: str):
     return key, values
 
 
-def _parse_shard(text: str):
-    """``i/N`` (1-based, as printed by the docs) -> (0-based index, count)."""
-    index_text, sep, count_text = text.partition("/")
-    try:
-        if not sep:
-            raise ValueError
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected i/N (e.g. 1/4), got {text!r}"
-        ) from None
-    if count < 1 or not 1 <= index <= count:
-        raise argparse.ArgumentTypeError(
-            f"shard index must be in 1..{count}, got {text!r}"
-        )
-    return index - 1, count
-
-
 def _run_one(argv) -> int:
     """``python -m repro run <scenario>`` — launch any registered scenario."""
     from repro.scenario import REGISTRY
@@ -218,48 +192,6 @@ def _run_one(argv) -> int:
     return 0
 
 
-def _merge_campaign(argv) -> int:
-    """``python -m repro campaign merge`` — combine shard manifests."""
-    from repro.telemetry import (
-        MissingShardsError,
-        ShardMismatchError,
-        merge_manifest_files,
-        summarize_manifest,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro campaign merge",
-        description="Merge shard manifests into one campaign manifest "
-        "(aggregate byte-identical to the unsharded run)",
-    )
-    parser.add_argument(
-        "manifests", nargs="+", metavar="SHARD_MANIFEST",
-        help="shard manifest files written by `campaign --shard i/N --out ...`",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the merged JSON manifest here",
-    )
-    parser.add_argument(
-        "--allow-missing", action="store_true",
-        help="aggregate even if shards are missing; the merged manifest "
-        "reports the gap (shards.missing, complete: false) instead of "
-        "this command failing",
-    )
-    args = parser.parse_args(argv)
-    try:
-        merged = merge_manifest_files(
-            args.manifests, output_path=args.out,
-            allow_missing=args.allow_missing,
-        )
-    except (MissingShardsError, ShardMismatchError, ValueError) as exc:
-        parser.error(str(exc))
-    print(summarize_manifest(merged))
-    if args.out:
-        print(f"\n[merged manifest written to {args.out}]")
-    return 0 if merged["complete"] and not merged["failed_runs"] else 1
-
-
 def _campaign_status(argv) -> int:
     """``python -m repro campaign status <dir>`` — status from disk."""
     from repro.control import fleet_status, render_fleet_status
@@ -267,9 +199,9 @@ def _campaign_status(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign status",
-        description="Reconstruct a campaign's status from the sidecars "
-        "and manifests in its directory; works against running, "
-        "finished, and crashed campaigns, sharded or not",
+        description="Reconstruct a campaign's status from the sidecar "
+        "and manifest in its directory; works against running, "
+        "finished, and crashed campaigns",
     )
     parser.add_argument(
         "dir",
@@ -281,7 +213,7 @@ def _campaign_status(argv) -> int:
     )
     parser.add_argument(
         "--stall-after", type=float, default=None, metavar="SECONDS",
-        help="report a shard as stalled after this much silence "
+        help="report the campaign as stalled after this much silence "
         "(default: 4 heartbeat intervals, as the sidecar records them; "
         "30s when heartbeats are off)",
     )
@@ -407,8 +339,8 @@ def _campaign_command(argv):
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
         description="Fan a scenario out across seeds and aggregate metrics "
-        "(subcommands: merge shard manifests, status a campaign "
-        "directory, compare two manifests)",
+        "(subcommands: status a campaign directory, compare two "
+        "manifests)",
     )
     _add_campaign_flags(parser)
     parser.add_argument(
@@ -425,20 +357,12 @@ def _campaign_command(argv):
     parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the JSON run manifest here (per-run records stream "
-        "to PATH.runs.jsonl as runs complete); with --shard i/N the "
-        "manifest lands at PATH's shard sibling (out.shardIofN.json)",
+        "to PATH.runs.jsonl as runs complete)",
     )
     parser.add_argument(
         "--resume", action="store_true",
         help="reuse (seed, params) runs already recorded in the JSONL "
-        "sidecar (or manifest) at --out instead of re-executing them "
-        "(per shard when --shard is given)",
-    )
-    parser.add_argument(
-        "--shard", type=_parse_shard, default=None, metavar="I/N",
-        help="run only shard I of an N-way deterministic split of the "
-        "run plan (1-based; run the other shards elsewhere, then "
-        "`campaign merge`)",
+        "sidecar (or manifest) at --out instead of re-executing them",
     )
     args = parser.parse_args(argv)
     if args.resume and not args.out:
@@ -464,7 +388,6 @@ def _campaign_command(argv):
             parser.error(f"cannot read campaign spec {args.spec_file}: {exc}")
         if not isinstance(spec, dict):
             parser.error(f"campaign spec {args.spec_file} is not a JSON object")
-    shard_index, shard_count = args.shard if args.shard else (None, 1)
     config = _campaign_config(
         parser,
         args,
@@ -472,21 +395,16 @@ def _campaign_command(argv):
         workers=args.workers,
         output_path=args.out,
         resume=args.resume,
-        shard_index=shard_index,
-        shard_count=shard_count,
     )
     return parser, args, config
 
 
 def _run_campaign(argv) -> int:
-    if argv and argv[0] == "merge":
-        return _merge_campaign(argv[1:])
     if argv and argv[0] == "status":
         return _campaign_status(argv[1:])
     if argv and argv[0] == "compare":
         return _compare_campaign(argv[1:])
     from repro.telemetry import CampaignRunError, run_campaign, summarize_manifest
-    from repro.telemetry.campaign import _effective_output_path
 
     parser, args, config = _campaign_command(argv)
     try:
@@ -502,12 +420,11 @@ def _run_campaign(argv) -> int:
         return 1
     except ValueError as exc:
         parser.error(str(exc))
-    out_path = _effective_output_path(config)
     if manifest.get("resumed_runs"):
-        print(f"[resumed: {manifest['resumed_runs']} run(s) reused from {out_path}]")
+        print(f"[resumed: {manifest['resumed_runs']} run(s) reused from {args.out}]")
     print(summarize_manifest(manifest))
-    if out_path:
-        print(f"\n[manifest written to {out_path}]")
+    if args.out:
+        print(f"\n[manifest written to {args.out}]")
     return 0 if not manifest["failed_runs"] else 1
 
 

@@ -158,8 +158,8 @@ class RegisteredScenario:
     ) -> ScenarioSpec:
         """The concrete spec one run executes: the template with the run's
         seed, (coerced) parameters and spec overrides stamped on.  The
-        campaign runner embeds it in every run record so a manifest (or a
-        shard of one) is auditable without the registry."""
+        campaign runner embeds it in every run record so a manifest is
+        auditable without the registry."""
         if seed is not None:
             overrides["seed"] = int(seed)
         return self.spec.derive(params=dict(params or {}), **overrides)
@@ -168,10 +168,10 @@ class RegisteredScenario:
         """Stable identity of *what this scenario is*: a SHA-256 over the
         name, the template spec (defaults included), and the schema.
 
-        Shard manifests record this so ``campaign merge`` can refuse to
-        combine shards that were produced by different scenario
-        definitions (same name, different template) — the silent way a
-        sharded sweep goes wrong.
+        Campaign manifests record this so ``campaign compare`` flags two
+        manifests produced by different scenario definitions (same name,
+        different template) — the silent way two sweeps stop being
+        comparable.
         """
         payload = {
             "name": self.name,

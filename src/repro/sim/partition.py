@@ -29,7 +29,7 @@ single-process path because it runs one uninterrupted
 slicing would re-order same-time event-batch re-posts).
 
 Determinism contract of the bus (the same one the campaign runner
-proves out for shards):
+proves out for worker counts):
 
 * **ordered** — messages are applied sorted by ``(src_tile, seq)``;
   ``seq`` is the position in the source tile's own sorted evidence

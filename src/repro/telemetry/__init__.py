@@ -22,16 +22,9 @@ import importlib
 _EXPORTS = {
     "CampaignConfig": "repro.telemetry.campaign",
     "CampaignRunError": "repro.telemetry.campaign",
-    "MissingShardsError": "repro.telemetry.campaign",
     "RunTimeoutError": "repro.telemetry.campaign",
-    "ShardMismatchError": "repro.telemetry.campaign",
-    "merge_manifest_files": "repro.telemetry.campaign",
-    "merge_manifests": "repro.telemetry.campaign",
-    "parse_sidecar_record": "repro.telemetry.campaign",
     "parse_sidecar_text": "repro.telemetry.campaign",
     "run_campaign": "repro.telemetry.campaign",
-    "shard_manifest_path": "repro.telemetry.campaign",
-    "shard_run_indices": "repro.telemetry.campaign",
     "summarize_manifest": "repro.telemetry.campaign",
     "compare_manifest_files": "repro.telemetry.compare",
     "compare_manifests": "repro.telemetry.compare",

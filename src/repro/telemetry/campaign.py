@@ -1,5 +1,5 @@
-"""Sharded, fault-tolerant campaign runner: fan a scenario out across
-seeds × parameters, across processes, across machines.
+"""Fault-tolerant campaign runner: fan a scenario out across seeds ×
+parameters on one machine's worker pool.
 
 A *campaign* runs one registered scenario many times — once per
 (seed, parameter-combination) — optionally across a ``multiprocessing``
@@ -24,23 +24,8 @@ metrics registry.  Workers return plain snapshot dicts; the parent sorts
 results by run index and folds them with
 :func:`~repro.telemetry.registry.merge_snapshots`, excluding wall-clock
 metrics.  The ``aggregate`` section of the manifest is therefore
-**byte-identical** for any worker count *and any shard count*, which the
-campaign tests assert (1 vs 2 vs 4 workers × 1 vs 2 vs 3 shards).
-
-Sharding
---------
-``CampaignConfig(shard_index=i, shard_count=N)`` — the CLI spelling is
-``--shard i+1/N`` — deterministically partitions the expanded run plan:
-run *k* belongs to shard ``k % N``.  Each shard executes only its slice,
-writes its own manifest at :func:`shard_manifest_path` (plus its own
-JSONL sidecar, so ``--resume`` works per shard), and embeds enough
-identity — scenario fingerprint, repro version, git revision, seeds,
-params, grid — for :func:`merge_manifests` to refuse shards that did not
-run the same campaign.  ``campaign merge`` combines shard manifests into
-an aggregate byte-identical to the unsharded run, regardless of shard
-count or completion order; a missing shard is an error (or an explicit
-``missing`` gap report with ``allow_missing``), never a silent
-under-count.
+**byte-identical** for any worker count, and for a campaign killed and
+resumed, which the campaign tests assert (1 vs 2 vs 4 workers).
 
 Fault tolerance
 ---------------
@@ -94,7 +79,7 @@ from typing import (
 
 from repro.scenario.context import SimContext
 from repro.scenario.registry import REGISTRY
-from repro.telemetry.export import load_manifest, write_manifest
+from repro.telemetry.export import write_manifest
 from repro.telemetry.registry import (
     WALL_TIME_MARKER,
     MetricsRegistry,
@@ -104,17 +89,10 @@ from repro.telemetry.registry import (
 __all__ = [
     "CampaignConfig",
     "CampaignRunError",
-    "MissingShardsError",
     "RunTimeoutError",
     "SPEC_FIELDS",
-    "ShardMismatchError",
-    "merge_manifest_files",
-    "merge_manifests",
-    "parse_sidecar_record",
     "parse_sidecar_text",
     "run_campaign",
-    "shard_manifest_path",
-    "shard_run_indices",
     "sidecar_path",
     "summarize_manifest",
 ]
@@ -131,30 +109,6 @@ class CampaignRunError(RuntimeError):
     final error, or the signal that killed the run's worker; a pool
     worker sends back just this string.
     """
-
-
-class ShardMismatchError(ValueError):
-    """``campaign merge`` was handed shards of different campaigns."""
-
-
-class MissingShardsError(ValueError):
-    """``campaign merge`` found gaps in the shard set.
-
-    ``missing`` lists the absent 0-based shard indices; pass
-    ``allow_missing=True`` (CLI ``--allow-missing``) to merge anyway
-    with the gap reported in the manifest instead.
-    """
-
-    def __init__(self, missing: List[int], count: int) -> None:
-        super().__init__(
-            f"missing shard(s) {', '.join(str(i + 1) for i in missing)} of "
-            f"{count} (have you run and collected every "
-            f"`--shard i/{count}`?); pass allow_missing (CLI: --allow-missing) "
-            f"to aggregate the "
-            f"partial set with the gap reported"
-        )
-        self.missing = list(missing)
-        self.count = count
 
 
 # ----------------------------------------------------------------------
@@ -178,19 +132,13 @@ class CampaignConfig:
     name: str = ""
     output_path: Optional[Union[str, pathlib.Path]] = None
     #: Reuse results from the JSONL sidecar (or a prior manifest) at
-    #: the effective output path: runs whose (seed, params) already
+    #: ``output_path``: runs whose (seed, params) already
     #: appear there are not re-executed.  Runs are re-keyed to the
     #: current expansion order, so interrupting and resuming a campaign
     #: converges on the same manifest as one uninterrupted execution
     #: (modulo host wall-clock fields).  Failed prior runs are *not*
     #: reused — resume retries them.
     resume: bool = False
-    #: This process's shard (0-based) of a ``shard_count``-way split, or
-    #: ``None`` to run the whole plan.  Run *k* of the expanded plan
-    #: belongs to shard ``k % shard_count``, so every shard sees every
-    #: parameter combination at roughly equal cost.
-    shard_index: Optional[int] = None
-    shard_count: int = 1
     #: Per-attempt wall-clock budget for one run; ``None`` = unlimited.
     #: Enforced with ``SIGALRM`` inside the executing process (no-op on
     #: platforms without ``signal.setitimer``).
@@ -218,21 +166,6 @@ class CampaignConfig:
             raise ValueError("campaign needs at least one seed")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        if self.shard_count < 1:
-            raise ValueError(
-                f"shard_count must be >= 1, got {self.shard_count!r}"
-            )
-        if self.shard_index is None:
-            if self.shard_count != 1:
-                raise ValueError(
-                    "shard_count > 1 requires shard_index (which shard is "
-                    "this process?)"
-                )
-        elif not 0 <= self.shard_index < self.shard_count:
-            raise ValueError(
-                f"shard_index must be in [0, {self.shard_count}), got "
-                f"{self.shard_index!r}"
-            )
         if self.run_timeout_s is not None and self.run_timeout_s <= 0:
             raise ValueError(
                 f"run_timeout_s must be positive, got {self.run_timeout_s!r}"
@@ -259,8 +192,7 @@ class CampaignConfig:
                 )
 
     def expand(self) -> List[Dict[str, object]]:
-        """The ordered **full** run plan (index, scenario, seed, params),
-        identical for every shard of the same campaign."""
+        """The ordered run plan (index, scenario, seed, params)."""
         self.validate()
         combos: List[Dict[str, object]] = [{}]
         if self.grid:
@@ -281,18 +213,6 @@ class CampaignConfig:
                     }
                 )
         return payloads
-
-    def shard_payloads(self) -> List[Dict[str, object]]:
-        """This shard's slice of :meth:`expand` (the whole plan when
-        unsharded).  Indices stay *global*, so shard manifests merge by
-        plain index sort."""
-        payloads = self.expand()
-        if self.shard_index is None:
-            return payloads
-        slice_indices = set(
-            shard_run_indices(len(payloads), self.shard_index, self.shard_count)
-        )
-        return [p for p in payloads if p["index"] in slice_indices]
 
     def run_policy(self) -> Dict[str, object]:
         """The retry/timeout policy shipped to workers (and recorded in
@@ -316,8 +236,8 @@ class CampaignConfig:
         absent or ``null`` key takes the field's default.  ``seeds`` may
         be a count (``3`` -> seeds 0, 1, 2) or a non-empty list of ints,
         as on the command line.  Range checks are :meth:`validate`'s.
-        ``overrides`` supplies the per-process knobs (``shard_index``,
-        ``output_path``, ``workers``, ...)."""
+        ``overrides`` supplies the per-process knobs (``output_path``,
+        ``workers``, ``resume``)."""
         unknown = sorted(set(spec) - set(SPEC_FIELDS))
         if unknown:
             raise ValueError(
@@ -591,42 +511,6 @@ def sidecar_path(output_path: Union[str, pathlib.Path]) -> pathlib.Path:
     return pathlib.Path(f"{output_path}.runs.jsonl")
 
 
-def shard_manifest_path(
-    output_path: Union[str, pathlib.Path], index: int, count: int
-) -> pathlib.Path:
-    """Where shard ``index`` (0-based) of ``count`` writes its manifest:
-    ``out.json`` becomes ``out.shard1of4.json`` (1-based in the name,
-    matching the CLI's ``--shard 1/4`` spelling).  Every shard derives
-    its path from the *same* ``--out``, so N machines can share one
-    command line apart from the shard argument."""
-    path = pathlib.Path(output_path)
-    suffix = path.suffix or ".json"
-    return path.with_name(f"{path.stem}.shard{index + 1}of{count}{suffix}")
-
-
-def shard_run_indices(plan_runs: int, index: int, count: int) -> List[int]:
-    """The global run indices shard ``index`` (0-based) of ``count`` owns
-    under the deterministic round-robin split: run *k* belongs to shard
-    ``k % count``.  This is the *only* definition of a shard's slice —
-    ``shard_payloads`` and the merge validation both derive from it, so
-    a shard rerun with ``--resume`` redoes exactly its own missing runs."""
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count!r}")
-    if not 0 <= index < count:
-        raise ValueError(f"shard index must be in [0, {count}), got {index!r}")
-    return list(range(index, plan_runs, count))
-
-
-def _effective_output_path(config: CampaignConfig) -> Optional[pathlib.Path]:
-    if config.output_path is None:
-        return None
-    if config.shard_index is None:
-        return pathlib.Path(config.output_path)
-    return shard_manifest_path(
-        config.output_path, config.shard_index, config.shard_count
-    )
-
-
 # ----------------------------------------------------------------------
 # JSONL sidecar (streaming per-run records + heartbeats)
 # ----------------------------------------------------------------------
@@ -646,7 +530,7 @@ class _SidecarWriter:
     stays demonstrably *alive* even while one long run is executing:
     ``campaign status`` reads a slow campaign as running and a killed
     or wedged one, gone silent, as stalled.  The meta line records the
-    campaign, scenario, full plan size and heartbeat interval, so that
+    campaign, scenario, plan size and heartbeat interval, so that
     view needs nothing but the sidecar.  All writes are serialized
     through a lock.
     """
@@ -665,14 +549,6 @@ class _SidecarWriter:
                 "kind": "campaign-meta",
                 "scenario": config.scenario,
                 "campaign": config.name or config.scenario,
-                "shard": (
-                    None
-                    if config.shard_index is None
-                    else {
-                        "index": config.shard_index,
-                        "count": config.shard_count,
-                    }
-                ),
                 "heartbeat_s": config.heartbeat_s,
                 "plan_runs": plan_runs,
                 "created_unix": time.time(),
@@ -728,34 +604,22 @@ class _SidecarWriter:
             self._beater = None
         self._handle.close()
 
-    def __enter__(self) -> "_SidecarWriter":
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def parse_sidecar_record(line: str) -> Optional[Dict[str, object]]:
-    """One sidecar line -> its record dict, or ``None`` for anything
+def parse_sidecar_text(text: str) -> List[Dict[str, object]]:
+    """Every record in a sidecar's content, in order, skipping anything
     unusable: blank lines, non-objects, and — crucially — the torn
     trailing line a SIGKILLed campaign leaves mid-write.  Every sidecar
     consumer (``--resume``, ``campaign status``) shares this tolerance
     instead of reimplementing it."""
-    if not line.strip():
-        return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    return record if isinstance(record, dict) else None
-
-
-def parse_sidecar_text(text: str) -> List[Dict[str, object]]:
-    """Every parseable record in a sidecar's content, in order."""
     records = []
     for line in text.splitlines():
-        record = parse_sidecar_record(line)
-        if record is not None:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict):
             records.append(record)
     return records
 
@@ -794,9 +658,8 @@ def _run_key(seed: object, params: Dict[str, object]) -> Tuple[int, str]:
     """Identity of one run: the seed plus its canonicalized parameters.
 
     Indices are *not* part of the key — a resumed campaign may expand to
-    a different run order (more seeds, a widened grid, a different shard
-    split) and prior results are re-keyed into the new plan wherever
-    they fit.
+    a different run order (more seeds, a widened grid) and prior results
+    are re-keyed into the new plan wherever they fit.
     """
     return (int(seed), json.dumps(params, sort_keys=True, default=str))
 
@@ -804,8 +667,8 @@ def _run_key(seed: object, params: Dict[str, object]) -> Tuple[int, str]:
 def _load_prior_runs(
     config: CampaignConfig, path: pathlib.Path
 ) -> Tuple[List[Dict[str, object]], Optional[str]]:
-    """Completed runs recorded at the effective output path: the JSONL
-    sidecar when present (it survives kills), else the manifest itself."""
+    """Completed runs recorded at the output path: the JSONL sidecar
+    when present (it survives kills), else the manifest itself."""
     sidecar = sidecar_path(path)
     if sidecar.exists():
         return _read_sidecar(sidecar)
@@ -1013,19 +876,20 @@ def _run_pool(
 
 
 def run_campaign(config: CampaignConfig) -> Dict[str, object]:
-    """Execute this shard's runs of ``config`` and return the manifest.
+    """Execute ``config``'s runs and return the manifest.
 
     With ``output_path`` set, per-run records stream to the JSONL
-    sidecar as they complete and the manifest is written at the end — to
-    ``output_path`` itself when unsharded, to
-    :func:`shard_manifest_path` for a shard.
+    sidecar as they complete and the manifest is written to
+    ``output_path`` at the end.  A manifest already there is removed
+    once the sidecar holds every reused run (``resume`` has read it by
+    then), so a manifest on disk always means this campaign finished.
     """
     from repro import __version__  # deferred: repro/__init__ imports telemetry
 
     # Fail fast, before forking workers: config consistency, unknown
     # scenario, unknown parameter names (base params and every swept
     # grid key), bad values.  Coercion makes a CLI string like "0.05"
-    # the float every worker (and every shard) agrees on.
+    # the float every worker agrees on.
     config.validate()
     entry = REGISTRY.get(config.scenario)
     config = replace(
@@ -1033,19 +897,11 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
         params=entry.coerce_params(config.params),
         grid=entry.coerce_grid(config.grid),
     )
-    full_plan = config.expand()
-    payloads = config.shard_payloads()
-    shard_meta = (
-        None
-        if config.shard_index is None
-        else {
-            "index": config.shard_index,
-            "count": config.shard_count,
-            "plan_runs": len(full_plan),
-            "shard_runs": len(payloads),
-        }
+    payloads = config.expand()
+    plan_runs = len(payloads)
+    output_path = (
+        None if config.output_path is None else pathlib.Path(config.output_path)
     )
-    output_path = _effective_output_path(config)
     if config.resume and output_path is None:
         raise ValueError("resume requires output_path (the manifest to resume)")
     start = time.perf_counter()
@@ -1062,16 +918,18 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
         results.append(record)
 
     if output_path is not None:
-        writer = _SidecarWriter(config, output_path, len(full_plan))
+        writer = _SidecarWriter(config, output_path, plan_runs)
     try:
         # Reused records are re-streamed first so the sidecar is always
         # the complete picture of this campaign, even if it crashes on
         # the very first fresh run.  This (and everything below) sits
         # inside the try/finally: a raising worker must still leave a
-        # closed, replayable sidecar behind.
+        # closed, replayable sidecar behind.  Then an earlier manifest
+        # goes: from here on, a manifest at output_path means done.
         if writer is not None:
             for run in reused:
                 writer.write(run)
+            output_path.unlink(missing_ok=True)
         if writer is not None and config.heartbeat_s is not None and payloads:
             # Liveness rides its own thread: the sidecar keeps beating
             # even while one long run is executing, so the control
@@ -1102,7 +960,6 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
         "seeds": [int(seed) for seed in config.seeds],
         "base_params": dict(config.params),
         "grid": {k: list(v) for k, v in config.grid.items()} if config.grid else None,
-        "shard": shard_meta,
         "run_policy": policy,
         "runs": results,
         "resumed_runs": len(reused),
@@ -1116,177 +973,16 @@ def run_campaign(config: CampaignConfig) -> Dict[str, object]:
     return manifest
 
 
-# ----------------------------------------------------------------------
-# Merging shard manifests
-# ----------------------------------------------------------------------
-#: Manifest fields that must agree across every shard being merged: the
-#: campaign identity (what ran) and the code identity (what ran it).
-_SHARD_IDENTITY_FIELDS = (
-    "campaign",
-    "scenario",
-    "scenario_fingerprint",
-    "repro_version",
-    "git_rev",
-    "seeds",
-    "base_params",
-    "grid",
-)
-
-
-def _shard_section(manifest: Dict[str, object], label: str) -> Dict[str, object]:
-    shard = manifest.get("shard")
-    if not isinstance(shard, dict):
-        raise ShardMismatchError(
-            f"{label} is not a shard manifest (no 'shard' section); only "
-            f"manifests produced with --shard can be merged"
-        )
-    return shard
-
-
-def merge_manifests(
-    manifests: Sequence[Dict[str, object]],
-    allow_missing: bool = False,
-) -> Dict[str, object]:
-    """Combine shard manifests into one campaign manifest.
-
-    The merged ``aggregate`` is byte-identical to the one an unsharded
-    run of the same campaign produces, regardless of how many shards
-    the plan was split into or the order their manifests are supplied.
-
-    Shards must all describe the same campaign — same scenario
-    fingerprint, repro version, git revision, seeds, params, and grid —
-    else :class:`ShardMismatchError` names the offending field.  A gap
-    in the shard set raises :class:`MissingShardsError` unless
-    ``allow_missing`` is set, in which case the merged manifest reports
-    the missing shard indices (``shards.missing``) and sets
-    ``complete: false`` instead of silently under-aggregating.
-    """
-    if not manifests:
-        raise ValueError("merge needs at least one shard manifest")
-    labels = [
-        f"shard manifest #{i + 1}" for i in range(len(manifests))
-    ]
-    sections = [
-        _shard_section(m, label) for m, label in zip(manifests, labels)
-    ]
-    counts = {int(s["count"]) for s in sections}
-    if len(counts) != 1:
-        raise ShardMismatchError(
-            f"shard manifests disagree on the shard count: "
-            f"{sorted(counts)} — they are from different campaign splits"
-        )
-    count = counts.pop()
-    reference = manifests[0]
-    for manifest, label in zip(manifests[1:], labels[1:]):
-        for field_name in _SHARD_IDENTITY_FIELDS:
-            left = reference.get(field_name)
-            right = manifest.get(field_name)
-            if left != right:
-                raise ShardMismatchError(
-                    f"{label} does not match {labels[0]}: field "
-                    f"{field_name!r} differs ({right!r} != {left!r}); "
-                    f"shards must come from the same campaign at the same "
-                    f"revision"
-                )
-    seen: Dict[int, str] = {}
-    for section, label in zip(sections, labels):
-        index = int(section["index"])
-        if not 0 <= index < count:
-            raise ShardMismatchError(
-                f"{label} claims shard index {index} of {count}"
-            )
-        if index in seen:
-            raise ShardMismatchError(
-                f"{label} and {seen[index]} are both shard "
-                f"{index + 1}/{count}; refusing to double-count its runs"
-            )
-        seen[index] = label
-    missing = sorted(set(range(count)) - set(seen))
-    if missing and not allow_missing:
-        raise MissingShardsError(missing, count)
-    runs: List[Dict[str, object]] = []
-    for manifest, section, label in zip(manifests, sections, labels):
-        index = int(section["index"])
-        for run in manifest.get("runs", []):
-            if int(run["index"]) % count != index:
-                raise ShardMismatchError(
-                    f"{label} contains run {run['index']}, which belongs to "
-                    f"shard {int(run['index']) % count + 1}/{count}, not "
-                    f"{index + 1}/{count}; the shard split is inconsistent"
-                )
-            runs.append(run)
-    runs.sort(key=lambda r: r["index"])
-    merged: Dict[str, object] = {
-        "campaign": reference.get("campaign"),
-        "scenario": reference.get("scenario"),
-        "scenario_fingerprint": reference.get("scenario_fingerprint"),
-        "repro_version": reference.get("repro_version"),
-        "git_rev": reference.get("git_rev"),
-        "created_unix": time.time(),
-        "workers": None,
-        "seeds": reference.get("seeds"),
-        "base_params": reference.get("base_params"),
-        "grid": reference.get("grid"),
-        "shard": None,
-        "shards": {
-            "count": count,
-            "present": sorted(seen),
-            "missing": missing,
-        },
-        "complete": not missing,
-        "run_policy": reference.get("run_policy"),
-        "runs": runs,
-        "resumed_runs": sum(
-            int(m.get("resumed_runs", 0)) for m in manifests
-        ),
-        "failed_runs": _failed_indices(runs),
-        "aggregate": _aggregate(runs),
-        "total_duration_s": sum(
-            float(m.get("total_duration_s", 0.0)) for m in manifests
-        ),
-    }
-    return merged
-
-
-def merge_manifest_files(
-    paths: Sequence[Union[str, pathlib.Path]],
-    output_path: Optional[Union[str, pathlib.Path]] = None,
-    allow_missing: bool = False,
-) -> Dict[str, object]:
-    """Load shard manifests from disk, merge, optionally write the result."""
-    manifests = [load_manifest(path) for path in paths]
-    merged = merge_manifests(manifests, allow_missing=allow_missing)
-    merged["shards"]["sources"] = [str(path) for path in paths]
-    if output_path is not None:
-        write_manifest(merged, output_path)
-    return merged
-
-
 def summarize_manifest(manifest: Dict[str, object]) -> str:
     """Human-readable campaign summary (the CLI prints this)."""
-    workers = manifest.get("workers")
-    workers_note = f"{workers} worker(s)" if workers else "merged shards"
     lines = [
         f"campaign   : {manifest['campaign']}",
         f"scenario   : {manifest['scenario']}",
         f"git rev    : {(manifest['git_rev'] or 'unknown')[:12]}",
         f"runs       : {manifest['aggregate']['runs']} "
-        f"({workers_note}, "
+        f"({manifest['workers']} worker(s), "
         f"{manifest['total_duration_s']:.2f}s wall)",
     ]
-    shard = manifest.get("shard")
-    if shard:
-        lines.append(
-            f"shard      : {shard['index'] + 1}/{shard['count']} "
-            f"({shard['shard_runs']} of {shard['plan_runs']} planned runs)"
-        )
-    shards = manifest.get("shards")
-    if shards and shards.get("missing"):
-        gaps = ", ".join(str(i + 1) for i in shards["missing"])
-        lines.append(
-            f"MISSING    : shard(s) {gaps} of {shards['count']} — the "
-            f"aggregate below covers only the merged shards"
-        )
     failed = manifest.get("failed_runs") or []
     if failed:
         lines.append(

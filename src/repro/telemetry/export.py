@@ -11,12 +11,11 @@ restores the exact dict, including the non-finite histogram min/max that
 become ``null``).  CSV is a flat three-column view
 (``metric,field,value``) for spreadsheet/pandas consumption.
 
-Campaign manifests (and shard manifests) go through
-:func:`manifest_to_json` / :func:`write_manifest` / :func:`load_manifest`
-so every producer — ``run_campaign`` writing a shard, ``campaign merge``
-writing the combined manifest — serializes with the same key ordering
-and layout.  Shard-count independence is a *byte* guarantee, and it
-rests on there being exactly one serializer.
+Campaign manifests go through :func:`manifest_to_json` /
+:func:`write_manifest` / :func:`load_manifest`, so every manifest —
+whatever its worker count, resumed or not — serializes with the same
+key ordering and layout.  Worker-count independence is a *byte*
+guarantee, and it rests on there being exactly one serializer.
 """
 
 from __future__ import annotations
@@ -95,17 +94,16 @@ def write_snapshot(
 # ----------------------------------------------------------------------
 def manifest_to_json(manifest: Dict[str, object]) -> str:
     """The one canonical manifest serialization (sorted keys, 2-space
-    indent, trailing newline).  Both ``run_campaign`` and
-    ``merge_manifests`` emit through this, which is what makes "merged
-    aggregate is byte-identical to the unsharded run" a checkable claim
-    rather than a hope."""
+    indent, trailing newline).  ``run_campaign`` emits through this,
+    which is what makes "the aggregate is byte-identical for any worker
+    count" a checkable claim rather than a hope."""
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def write_manifest(
     manifest: Dict[str, object], path: Union[str, pathlib.Path]
 ) -> pathlib.Path:
-    """Write a campaign (or shard) manifest to ``path``."""
+    """Write a campaign manifest to ``path``."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(manifest_to_json(manifest), encoding="utf-8")
@@ -124,7 +122,7 @@ def status_to_json(status: Dict[str, object]) -> str:
 
 def load_manifest(path: Union[str, pathlib.Path]) -> Dict[str, object]:
     """Read a manifest back; raises ``ValueError`` naming the file on
-    unreadable or non-JSON content (the merge error surface)."""
+    unreadable or non-JSON content (``campaign compare`` reports it)."""
     path = pathlib.Path(path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))

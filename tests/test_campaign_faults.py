@@ -1,11 +1,11 @@
 """Fault injection for the campaign runner.
 
-What dies here, on purpose: a whole campaign process (SIGKILL mid-shard),
-a sidecar's final record (torn mid-write), and scenarios that hang,
-flake, or always raise.  The contracts pinned:
+What dies here, on purpose: a whole campaign process (SIGKILL
+mid-sweep), a sidecar's final record (torn mid-write), and scenarios
+that hang, flake, or always raise.  The contracts pinned:
 
-* a killed shard, resumed and merged, reproduces the unsharded
-  manifest's aggregate **byte-for-byte** (the ISSUE acceptance check);
+* a killed campaign, resumed, reproduces an uninterrupted run's
+  aggregate and per-run outputs **byte-for-byte**;
 * a raising scenario is retried exactly the configured number of times
   and then *surfaced* in the manifest (``status: "failed"``, error type
   and message, attempt count) — never swallowed;
@@ -24,17 +24,8 @@ import time
 import pytest
 
 from repro.scenario import FloatParam, IntParam, StrParam, scenario
-from repro.telemetry import (
-    CampaignConfig,
-    CampaignRunError,
-    merge_manifests,
-    run_campaign,
-)
-from repro.telemetry.campaign import (
-    _pool_context,
-    shard_manifest_path,
-    sidecar_path,
-)
+from repro.telemetry import CampaignConfig, CampaignRunError, run_campaign
+from repro.telemetry.campaign import _pool_context, sidecar_path
 
 
 @scenario(
@@ -109,6 +100,10 @@ def _aggregate_json(manifest):
     return json.dumps(manifest["aggregate"], sort_keys=True)
 
 
+def _outputs_json(manifest):
+    return json.dumps([r["outputs"] for r in manifest["runs"]], sort_keys=True)
+
+
 SLEEPY_PARAMS = {"sleep_s": 0.3}
 SLEEPY_SEEDS = [0, 1, 2, 3, 4, 5]
 
@@ -125,8 +120,8 @@ def _sleepy_config(tmp_path, **overrides):
 
 
 class TestSigkillRecovery:
-    """The acceptance check: SIGKILL one shard's worker box mid-sweep,
-    resume it, merge — byte-identical to the unsharded run."""
+    """SIGKILL the campaign process mid-sweep, resume it: byte-identical
+    to an uninterrupted run."""
 
     def _wait_for_first_run_record(self, sidecar, timeout_s=30.0):
         deadline = time.monotonic() + timeout_s
@@ -142,81 +137,42 @@ class TestSigkillRecovery:
             time.sleep(0.005)
         raise AssertionError("campaign child produced no run record in time")
 
-    def test_killed_shard_resumes_and_merges_byte_identically(self, tmp_path):
+    def test_killed_campaign_resumes_byte_identically(self, tmp_path):
         reference = run_campaign(
-            CampaignConfig(
-                scenario="unit-fault-sleepy",
-                seeds=SLEEPY_SEEDS,
-                params=dict(SLEEPY_PARAMS),
-            )
+            _sleepy_config(tmp_path, output_path=tmp_path / "ref.json")
         )
-        shard0 = _sleepy_config(tmp_path, shard_index=0, shard_count=2)
-        child = _pool_context().Process(target=run_campaign, args=(shard0,))
+        child = _pool_context().Process(
+            target=run_campaign, args=(_sleepy_config(tmp_path),)
+        )
         child.start()
         try:
-            sidecar = sidecar_path(
-                shard_manifest_path(tmp_path / "out.json", 0, 2)
-            )
-            # Wait until at least one run landed, then kill mid-shard:
-            # with three 0.3s runs in the shard, the child is mid-run-2.
-            self._wait_for_first_run_record(sidecar)
+            # Wait until at least one run landed, then kill mid-sweep:
+            # with six 0.3s runs, the child is mid-run-2.
+            self._wait_for_first_run_record(sidecar_path(tmp_path / "out.json"))
             os.kill(child.pid, signal.SIGKILL)
         finally:
             child.join(timeout=30.0)
         assert child.exitcode == -signal.SIGKILL
-        # No shard manifest was written — the process died mid-sweep.
-        assert not shard_manifest_path(tmp_path / "out.json", 0, 2).exists()
-        resumed0 = run_campaign(
-            _sleepy_config(
-                tmp_path, shard_index=0, shard_count=2, resume=True
-            )
-        )
-        assert 1 <= resumed0["resumed_runs"] < len(resumed0["runs"])
-        shard1 = run_campaign(
-            _sleepy_config(tmp_path, shard_index=1, shard_count=2)
-        )
-        merged = merge_manifests([shard1, resumed0])  # completion order
-        assert _aggregate_json(merged) == _aggregate_json(reference)
-        assert [r["outputs"] for r in merged["runs"]] == [
-            r["outputs"] for r in reference["runs"]
-        ]
+        # No manifest was written — the process died mid-sweep.
+        assert not (tmp_path / "out.json").exists()
+        resumed = run_campaign(_sleepy_config(tmp_path, resume=True))
+        assert 1 <= resumed["resumed_runs"] < len(resumed["runs"])
+        assert _aggregate_json(resumed) == _aggregate_json(reference)
+        assert _outputs_json(resumed) == _outputs_json(reference)
 
-    def test_torn_sidecar_line_resumes_and_merges_byte_identically(
-        self, tmp_path
-    ):
-        quick = {"sleep_s": 0.0}
-        reference = run_campaign(
-            CampaignConfig(
-                scenario="unit-fault-sleepy", seeds=[0, 1, 2, 3], params=quick
-            )
-        )
-        config = CampaignConfig(
-            scenario="unit-fault-sleepy", seeds=[0, 1, 2, 3], params=quick,
-            shard_index=0, shard_count=2, output_path=tmp_path / "out.json",
-        )
-        run_campaign(config)
-        shard_path = shard_manifest_path(tmp_path / "out.json", 0, 2)
-        shard_path.unlink()  # crash before the manifest: sidecar only
-        sidecar = sidecar_path(shard_path)
+    def test_torn_sidecar_line_resumes_byte_identically(self, tmp_path):
+        config = _sleepy_config(tmp_path, seeds=[0, 1, 2, 3], params={})
+        reference = run_campaign(config)
+        (tmp_path / "out.json").unlink()  # crash before the manifest
+        sidecar = sidecar_path(tmp_path / "out.json")
         text = sidecar.read_text()
         sidecar.write_text(text[:-30])  # tear the final record mid-JSON
-        resumed0 = run_campaign(
-            CampaignConfig(
-                scenario="unit-fault-sleepy", seeds=[0, 1, 2, 3],
-                params=quick, shard_index=0, shard_count=2,
-                output_path=tmp_path / "out.json", resume=True,
-            )
+        resumed = run_campaign(
+            _sleepy_config(tmp_path, seeds=[0, 1, 2, 3], params={}, resume=True)
         )
-        assert resumed0["resumed_runs"] == 1  # intact record reused
-        shard1 = run_campaign(
-            CampaignConfig(
-                scenario="unit-fault-sleepy", seeds=[0, 1, 2, 3],
-                params=quick, shard_index=1, shard_count=2,
-                output_path=tmp_path / "out.json",
-            )
-        )
-        merged = merge_manifests([resumed0, shard1])
-        assert _aggregate_json(merged) == _aggregate_json(reference)
+        assert resumed["resumed_runs"] == 3  # intact records reused
+        assert _aggregate_json(resumed) == _aggregate_json(reference)
+        assert _outputs_json(resumed) == _outputs_json(reference)
 
 
 class TestRetriesAndTimeouts:

@@ -50,4 +50,4 @@ def test_status_of_a_cli_campaign_prints_its_scenario_and_plan(tmp_path):
     assert shown.returncode == 0, shown.stderr
     assert "[scenario ctl-noop]" in shown.stdout
     assert "state    : done  (6 run(s) planned)" in shown.stdout
-    assert f"merged   : {tmp_path / 'sweep.json'}" in shown.stdout
+    assert f"manifest : {tmp_path / 'sweep.json'}" in shown.stdout

@@ -5,6 +5,8 @@ import gc
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenario import (
     REGISTRY,
@@ -111,7 +113,7 @@ class TestSpecDict:
     def test_unknown_key_is_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign spec key"):
             CampaignConfig.from_spec_dict(
-                {"scenario": "unit-test-sum", "shard_count": 2}
+                {"scenario": "unit-test-sum", "workers": 2}
             )
 
     def test_seed_count_expands_like_the_cli(self):
@@ -178,13 +180,14 @@ class TestManifest:
         for key in (
             "campaign", "scenario", "scenario_fingerprint", "repro_version",
             "git_rev", "created_unix", "workers", "seeds", "base_params",
-            "grid", "shard", "run_policy", "runs", "failed_runs", "aggregate",
+            "grid", "run_policy", "runs", "failed_runs", "aggregate",
             "total_duration_s",
         ):
             assert key in manifest
         assert manifest["campaign"] == "schema-check"
         assert manifest["seeds"] == [0, 1, 2]
-        assert manifest["shard"] is None  # unsharded run
+        entry = REGISTRY.get("unit-test-sum")
+        assert manifest["scenario_fingerprint"] == entry.fingerprint()
         assert manifest["failed_runs"] == []
         assert len(manifest["runs"]) == 3
         run0 = manifest["runs"][0]
@@ -279,6 +282,50 @@ class TestWardriveDeterminism:
             gc.enable()
         assert record["status"] == "ok"
         assert after == before
+
+
+class TestWorkerCountProperty:
+    """Random small campaigns aggregate byte-identically, run for run,
+    on 1, 2 or 4 workers."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=40),
+            min_size=1, max_size=4, unique=True,
+        ),
+        scales=st.lists(
+            st.integers(min_value=0, max_value=5),
+            min_size=1, max_size=2, unique=True,
+        ),
+        draws=st.integers(min_value=1, max_value=12),
+        workers=st.sampled_from([1, 2, 4]),
+    )
+    def test_random_campaigns_match_one_worker(
+        self, seeds, scales, draws, workers
+    ):
+        def run(workers):
+            return run_campaign(
+                CampaignConfig(
+                    scenario="unit-test-sum",
+                    seeds=seeds,
+                    params={"draws": draws},
+                    grid={"scale": scales},
+                    workers=workers,
+                )
+            )
+
+        reference = run(1)
+        pooled = run(workers)
+        assert json.dumps(pooled["aggregate"], sort_keys=True) == json.dumps(
+            reference["aggregate"], sort_keys=True
+        )
+        assert [r["index"] for r in pooled["runs"]] == [
+            r["index"] for r in reference["runs"]
+        ]
+        assert [r["outputs"] for r in pooled["runs"]] == [
+            r["outputs"] for r in reference["runs"]
+        ]
 
 
 _RESUME_EXECUTIONS = []
